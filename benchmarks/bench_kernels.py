@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the numba kernels against their pure-numpy fallbacks.
 
+The resampler has a single numpy implementation, so its numba column reads
+n/a.
+
 Run from the repository root:
 
     python benchmarks/bench_kernels.py [--audio-seconds N] [--repeats N]
@@ -88,9 +91,8 @@ def main():
     n_out = -(-len(x48) * up) // down
     bench(
         "resample_48k_to_16k",
-        lambda: _kernels._polyphase_resample_numpy(padded, h, up, down, n_out, 64, pad),
-        (lambda: _kernels._polyphase_resample_numba(padded, h, up, down, n_out, 64, pad))
-        if _kernels.HAVE_NUMBA else None,
+        lambda: _kernels.polyphase_resample(padded, h, up, down, n_out, 64, pad),
+        None,
         args.repeats,
     )
 

@@ -1,11 +1,12 @@
-"""Hot numeric inner loops, JIT-compiled with numba when possible.
+"""Hot numeric inner loops.
 
-Each kernel has two implementations: a numba ``@njit`` version and a pure
-numpy fallback that leans on FFT identities and vectorized gathers. The numba
-path is used when numba imports successfully and CLONEVAL_DISABLE_NUMBA is
-not set to 1/true/yes; the fallback is selected otherwise. Both paths compute
-the same quantities and agree to floating-point round-off, but are not
-guaranteed bit-identical to each other.
+The polyphase resampler is pure numpy and has one implementation. The YIN
+and tempogram kernels each have two: a numba ``@njit`` version and a pure
+numpy fallback that leans on FFT identities. The numba path is used when
+numba imports successfully and CLONEVAL_DISABLE_NUMBA is not set to
+1/true/yes; the fallback is selected otherwise. Both paths compute the same
+quantities and agree to floating-point round-off, but are not guaranteed
+bit-identical to each other.
 """
 
 import os
@@ -25,26 +26,6 @@ except ImportError:
     HAVE_NUMBA = False
 
 USE_NUMBA = HAVE_NUMBA and not numba_disabled_by_env()
-
-_RESAMPLE_BLOCK = 1 << 16
-
-
-def _polyphase_resample_numpy(xp, h, up, down, n_out, taps_per_phase, pad):
-    n_h = len(h)
-    center = (n_h - 1) // 2
-    k = np.arange(taps_per_phase + 1)
-    out = np.empty(n_out)
-    for start in range(0, n_out, _RESAMPLE_BLOCK):
-        idx = np.arange(start, min(start + _RESAMPLE_BLOCK, n_out))
-        s = idx * down + center
-        phase = s % up
-        q0 = s // up
-        j = phase[:, None] + k[None, :] * up
-        valid = j < n_h
-        taps = np.where(valid, h[np.minimum(j, n_h - 1)], 0.0)
-        gathered = xp[q0[:, None] - k[None, :] + pad]
-        out[idx] = np.einsum("ij,ij->i", taps, gathered)
-    return out
 
 
 def _yin_cmnd_numpy(frames, win, tau_max):
@@ -87,25 +68,6 @@ def _local_autocorr_numpy(env, window):
 
 
 if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _polyphase_resample_numba(xp, h, up, down, n_out, taps_per_phase, pad):
-        n_h = h.shape[0]
-        center = (n_h - 1) // 2
-        out = np.empty(n_out)
-        for n in range(n_out):
-            s = n * down + center
-            phase = s % up
-            q0 = s // up
-            acc = 0.0
-            j = phase
-            k = 0
-            while j < n_h:
-                acc += h[j] * xp[q0 - k + pad]
-                j += up
-                k += 1
-            out[n] = acc
-        return out
 
     # fastmath lets LLVM vectorize the accumulation loops; the reassociated
     # sums differ from the numpy path only at the last few ulps
@@ -155,10 +117,30 @@ if HAVE_NUMBA:
 
 
 def polyphase_resample(xp, h, up, down, n_out, taps_per_phase, pad):
-    """Apply a polyphase FIR to zero-padded input ``xp``; returns ``n_out`` samples."""
-    if USE_NUMBA:
-        return _polyphase_resample_numba(xp, h, up, down, n_out, taps_per_phase, pad)
-    return _polyphase_resample_numpy(xp, h, up, down, n_out, taps_per_phase, pad)
+    """Apply a polyphase FIR to zero-padded input ``xp``; returns ``n_out`` samples.
+
+    Output ``n`` is ``sum_k h[p + k*up] * xp[q - k + pad]`` over
+    ``k = 0..taps_per_phase`` with ``p + k*up < len(h)``, where ``p, q`` are
+    the remainder and quotient of ``n*down + center`` by ``up``.
+    Every output ``n = m*up + r`` uses the same phase ``p``, and its input
+    window starts ``down`` samples after that of ``n - up``. So each branch
+    ``out[r::up]`` is a stride-``down`` run of input windows times one
+    reversed tap vector (Crochiere & Rabiner, Multirate Digital Signal
+    Processing, 1983).
+    """
+    width = taps_per_phase + 1
+    center = (len(h) - 1) // 2
+    windows = np.lib.stride_tricks.sliding_window_view(xp, width)
+    out = np.empty(n_out)
+    for r in range(min(up, n_out)):
+        s = r * down + center
+        taps = np.zeros(width)
+        branch = h[s % up :: up][:width]
+        taps[: len(branch)] = branch
+        first = s // up + pad - taps_per_phase
+        last = first + (len(range(r, n_out, up)) - 1) * down
+        out[r::up] = windows[first : last + 1 : down] @ taps[::-1]
+    return out
 
 
 def yin_cmnd(frames, win, tau_max):

@@ -20,6 +20,10 @@ def _cosine_flagged(u: np.ndarray, v: np.ndarray):
         raise LengthMismatch(f"vector lengths differ: {u.shape[0]} vs {v.shape[0]}")
     peak_u = float(np.max(np.abs(u)))
     peak_v = float(np.max(np.abs(v)))
+    # a NaN or Inf entry makes its peak non-finite; scoring it would clamp
+    # the NaN ratio to -1.0 and report a wrong number as a real score
+    if not (math.isfinite(peak_u) and math.isfinite(peak_v)):
+        raise ValueError("vector holds NaN or Inf")
     if peak_u == 0.0 and peak_v == 0.0:
         return 1.0, FLAG_BOTH_ZERO
     if peak_u == 0.0 or peak_v == 0.0:
@@ -40,7 +44,8 @@ def cosine(u, v) -> float:
     """Normalized dot product clamped to [-1, 1].
 
     Degenerate inputs are mapped deterministically: two zero-norm vectors
-    score 1.0, exactly one zero-norm vector scores 0.0.
+    score 1.0, exactly one zero-norm vector scores 0.0. A NaN or Inf entry
+    raises ValueError.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)

@@ -303,6 +303,42 @@ def summarize_any(feature_id, raw):
     return summarize_scalar(raw)
 
 
+def kaiser_window(n, beta):
+    """Kaiser window from its Bessel-I0 definition."""
+    i = np.arange(n, dtype=float)
+    ratio = 2.0 * i / (n - 1) - 1.0
+    return np.i0(beta * np.sqrt(1.0 - ratio * ratio)) / np.i0(beta)
+
+
+def polyphase_resample_reference(x, up, down, taps_per_phase=64, beta=8.6):
+    """Resample by up/down as a plain FIR over the zero-stuffed input.
+
+    ``y[n] = sum_j h[j] * x_up[n*down + center - j]``, where ``x_up`` holds
+    ``x[i]`` at index ``i*up`` and zeros elsewhere, and ``h`` is a
+    Kaiser-windowed sinc with cutoff ``1/max(up, down)`` and gain ``up``.
+    The output holds ``floor(len(x)*up/down)`` samples. The sum visits only
+    the stuffed indices ``i*up`` that ``h`` reaches, one input sample each.
+    """
+    n_taps = taps_per_phase * up + 1
+    center = (n_taps - 1) // 2
+    cutoff = 1.0 / max(up, down)
+    w = kaiser_window(n_taps, beta)
+    h = np.empty(n_taps)
+    for j in range(n_taps):
+        arg = math.pi * cutoff * (j - center)
+        h[j] = up * cutoff * w[j] * (1.0 if arg == 0.0 else math.sin(arg) / arg)
+
+    n_out = len(x) * up // down
+    y = np.zeros(n_out)
+    for n in range(n_out):
+        s = n * down + center
+        acc = 0.0
+        for i in range(max(0, -(-(s - n_taps + 1) // up)), min(len(x) - 1, s // up) + 1):
+            acc += h[s - i * up] * x[i]
+        y[n] = acc
+    return y
+
+
 def dft_peak_hz(y, n=2048, sr=SR):
     """Frequency of the largest one-sided DFT bin of the first n samples."""
     seg = np.asarray(y[:n], dtype=float)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cloneval import _kernels
-from cloneval.audio_io import _design_lowpass
 
 needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
 
@@ -29,21 +28,6 @@ def test_local_autocorr_paths_agree():
     a = _kernels._local_autocorr_numba(env, window)
     b = _kernels._local_autocorr_numpy(env, window)
     np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-12)
-
-
-@needs_numba
-def test_polyphase_paths_agree():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal(5000)
-    up, down = 160, 441
-    h = _design_lowpass(up, down)
-    pad = 64 + 2
-    padded = np.zeros(len(x) + 2 * pad)
-    padded[pad:pad + len(x)] = x
-    n_out = -(-len(x) * up) // down
-    a = _kernels._polyphase_resample_numba(padded, h, up, down, n_out, 64, pad)
-    b = _kernels._polyphase_resample_numpy(padded, h, up, down, n_out, 64, pad)
-    np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
 
 
 def test_env_flag_disables_numba():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import oracles
 from cloneval.errors import LengthMismatch
@@ -55,8 +55,20 @@ class TestCosine:
     @given(vectors, st.floats(min_value=1e-3, max_value=1e3))
     def test_hypothesis_scale_invariant(self, values, scale):
         v = np.array(values)
+        # scaling must not underflow an entry to zero (e.g. 0.5 * 5e-324),
+        # which changes the vector and, for a lone entry, its zero-norm flag
+        assume(np.array_equal(scale * v != 0, v != 0))
         u = np.roll(v, 1) + 1.0
         assert abs(cosine(u, v) - cosine(u, scale * v)) < 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_on_either_side(self, bad):
+        finite = np.array([1.0, 1.0])
+        broken = np.array([bad, 1.0])
+        with pytest.raises(ValueError):
+            cosine(broken, finite)
+        with pytest.raises(ValueError):
+            cosine(finite, broken)
 
     def test_matches_oracle_on_random_vectors(self):
         rng = np.random.default_rng(11)
