@@ -7,6 +7,15 @@ numba imports successfully and CLONEVAL_DISABLE_NUMBA is not set to
 1/true/yes; the fallback is selected otherwise. Both paths compute the same
 quantities and agree to floating-point round-off, but are not guaranteed
 bit-identical to each other.
+
+The numpy YIN and tempogram kernels work on blocks of at most
+``_BLOCK_ROWS`` frames, so their FFT temporaries stay a few MB whatever the
+clip length, and write each block into one preallocated output. The rows
+are split into ``count = ceil(n / _BLOCK_ROWS)`` balanced blocks with edges
+at ``n * k // count``. numpy's batched FFT can round a lone row differently
+from the same row in a larger batch (a 1-ulp drift), so an unbalanced split
+such as 128 + 1 rows would change results; balanced blocks are never that
+small and give the same bits as one unblocked batch.
 """
 
 import os
@@ -28,26 +37,38 @@ except ImportError:
 USE_NUMBA = HAVE_NUMBA and not numba_disabled_by_env()
 
 
+_BLOCK_ROWS = 128
+
+
+def _row_blocks(n):
+    """Balanced ``(start, stop)`` row ranges of at most ``_BLOCK_ROWS`` rows."""
+    count = -(-n // _BLOCK_ROWS)
+    edges = [n * k // count for k in range(count + 1)] if count else []
+    return zip(edges[:-1], edges[1:])
+
+
 def _yin_cmnd_numpy(frames, win, tau_max):
     n_frames, frame_len = frames.shape
-    spec = np.fft.rfft(frames, n=frame_len, axis=1)
-    head = np.zeros_like(frames)
-    head[:, :win] = frames[:, :win]
-    head_spec = np.fft.rfft(head, n=frame_len, axis=1)
-    corr = np.fft.irfft(np.conj(head_spec) * spec, n=frame_len, axis=1)[:, : tau_max + 1]
+    lags = tau_max + 1
+    taus = np.arange(lags)
+    out = np.ones((n_frames, lags))
+    prefix = np.zeros((min(n_frames, _BLOCK_ROWS), frame_len + 1))
+    for start, stop in _row_blocks(n_frames):
+        block = frames[start:stop]
+        spec = np.fft.rfft(block, n=frame_len, axis=1)
+        head_spec = np.fft.rfft(block[:, :win], n=frame_len, axis=1)
+        corr = np.fft.irfft(np.conj(head_spec) * spec, n=frame_len, axis=1)[:, :lags]
 
-    sq = frames * frames
-    prefix = np.concatenate([np.zeros((n_frames, 1)), np.cumsum(sq, axis=1)], axis=1)
-    taus = np.arange(tau_max + 1)
-    tail_energy = prefix[:, taus + win] - prefix[:, taus]
-    head_energy = tail_energy[:, :1]
+        pre = prefix[: stop - start]
+        np.cumsum(block * block, axis=1, out=pre[:, 1:])
+        tail_energy = pre[:, win : win + lags] - pre[:, :lags]
+        head_energy = tail_energy[:, :1]
 
-    diff = np.maximum(head_energy + tail_energy - 2.0 * corr, 0.0)
-    diff[:, 0] = 0.0
+        diff = np.maximum(head_energy + tail_energy - 2.0 * corr, 0.0)
+        diff[:, 0] = 0.0
 
-    out = np.ones_like(diff)
-    running = np.cumsum(diff[:, 1:], axis=1)
-    np.divide(diff[:, 1:] * taus[1:], running, out=out[:, 1:], where=running > 0.0)
+        running = np.cumsum(diff[:, 1:], axis=1)
+        np.divide(diff[:, 1:] * taus[1:], running, out=out[start:stop, 1:], where=running > 0.0)
     return out
 
 
@@ -57,14 +78,17 @@ def _local_autocorr_numpy(env, window):
     n = len(env)
     padded = np.zeros(n + 2 * half)
     padded[half : half + n] = env
-    segments = np.lib.stride_tricks.sliding_window_view(padded, win_length)[:n] * window
+    windows = np.lib.stride_tricks.sliding_window_view(padded, win_length)
 
     n_fft = 1 << (2 * win_length - 1).bit_length()
-    spec = np.fft.rfft(segments, n=n_fft, axis=1)
-    corr = np.fft.irfft(spec * np.conj(spec), n=n_fft, axis=1)[:, :win_length]
-    lag0 = corr[:, :1]
-    out = np.divide(corr, lag0, out=np.zeros_like(corr), where=lag0 > 0.0)
-    return np.ascontiguousarray(out.T)
+    out = np.zeros((win_length, n))
+    for start, stop in _row_blocks(n):
+        segments = windows[start:stop] * window
+        spec = np.fft.rfft(segments, n=n_fft, axis=1)
+        corr = np.fft.irfft(spec * np.conj(spec), n=n_fft, axis=1)[:, :win_length]
+        lag0 = corr[:, :1]
+        np.divide(corr, lag0, out=out[:, start:stop].T, where=lag0 > 0.0)
+    return out
 
 
 if HAVE_NUMBA:

@@ -68,6 +68,8 @@ def _parse_features(arg: str | None, parser):
     if arg is None:
         return FEATURE_IDS
     requested = tuple(name.strip() for name in arg.split(",") if name.strip())
+    if not requested:
+        parser.error("--features names no metric")
     unknown = [name for name in requested if name not in FEATURE_IDS]
     if unknown:
         parser.error(f"unknown features: {', '.join(unknown)}")

@@ -178,30 +178,33 @@ def f0_contour(
     tau_max = int(sr // fmin)
     if tau_max + win > frame_length:
         raise ValueError("frame_length too small for fmin")
+    if tau_min > tau_max:
+        raise ValueError("fmin and fmax leave no lag to search")
 
     cmnd = _kernels.yin_cmnd(np.ascontiguousarray(frames), win, tau_max)
 
+    # First lag at or above tau_min whose CMND dips below the threshold.
+    below = cmnd[:, tau_min:] < threshold
+    first = tau_min + np.argmax(below, axis=1)
+    # Walk downhill from there: stop at the first lag >= first whose right
+    # neighbour is not lower, or at tau_max.
+    stop = np.ones(cmnd.shape, dtype=bool)
+    np.logical_not(cmnd[:, 1:] < cmnd[:, :-1], out=stop[:, :-1])
+    stop &= np.arange(tau_max + 1) >= first[:, None]
+    tau = np.where(below.any(axis=1), np.argmax(stop, axis=1), 0)
+
     out = np.zeros(frames.shape[0])
-    for t in range(frames.shape[0]):
-        row = cmnd[t]
-        tau = 0
-        for cand in range(tau_min, tau_max + 1):
-            if row[cand] < threshold:
-                tau = cand
-                while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
-                    tau += 1
-                break
-        if tau == 0:
-            continue
-        refined = float(tau)
-        if 0 < tau < tau_max:
-            a, b, c = row[tau - 1], row[tau], row[tau + 1]
-            denom = a - 2.0 * b + c
-            if denom != 0.0:
-                shift = 0.5 * (a - c) / denom
-                if abs(shift) < 1.0:
-                    refined += shift
-        out[t] = sr / refined
+    voiced = tau > 0
+    refined = tau.astype(np.float64)
+    rows = np.flatnonzero(voiced & (tau < tau_max))
+    mid = tau[rows]
+    a, b, c = cmnd[rows, mid - 1], cmnd[rows, mid], cmnd[rows, mid + 1]
+    denom = a - 2.0 * b + c
+    curved = denom != 0.0
+    shift = 0.5 * (a - c)[curved] / denom[curved]
+    keep = np.abs(shift) < 1.0
+    refined[rows[curved][keep]] += shift[keep]
+    out[voiced] = sr / refined[voiced]
     return out
 
 

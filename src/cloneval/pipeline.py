@@ -9,8 +9,10 @@ stay mutually consistent and byte-reproducible.
 
 import csv
 import json
+import os
 import random
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,14 +80,21 @@ def discover_pairs(ref_dir, gen_dir):
     """Match WAV files across the two directories by stem (case-sensitive).
 
     Non-recursive. Returns (pairs, unmatched_ref, unmatched_gen) where pairs
-    is a lexicographically sorted list of (stem, ref_path, gen_path).
+    is a lexicographically sorted list of (stem, ref_path, gen_path). Two
+    files in one directory whose names differ only in the case of the
+    extension, such as ``a.wav`` and ``a.WAV``, raise ParseError.
     """
     def wavs(directory):
-        return {
-            p.stem: p
-            for p in Path(directory).iterdir()
-            if p.is_file() and p.suffix.lower() == ".wav"
-        }
+        found = {}
+        for p in sorted(Path(directory).iterdir()):
+            if not (p.is_file() and p.suffix.lower() == ".wav"):
+                continue
+            if p.stem in found:
+                raise ParseError(
+                    f"{found[p.stem].name} and {p.name} in {directory} share the stem {p.stem!r}"
+                )
+            found[p.stem] = p
+        return found
 
     ref = wavs(ref_dir)
     gen = wavs(gen_dir)
@@ -248,14 +257,16 @@ def write_reports(records, summary: SummaryReport, out_dir, errors=None):
     """Write details.csv and summary.json; returns their paths.
 
     Both files are UTF-8 with LF line endings, scores fixed to six decimals,
-    rows sorted by pair_id, so identical runs produce identical bytes.
+    rows sorted by pair_id, so identical runs produce identical bytes. Each
+    is written to a temporary file in ``out_dir`` first; the two replace the
+    old reports only once both are complete, so a failed write leaves the
+    previous reports as they were.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics = list(summary.overall)
 
-    details_path = out_dir / "details.csv"
-    with open(details_path, "w", encoding="utf-8", newline="") as fh:
+    def write_details(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["pair_id", "reference_file", "generated_file", "emotion", *metrics, "flags"])
         for record in sorted(records, key=lambda r: r.pair_id):
@@ -268,13 +279,28 @@ def write_reports(records, summary: SummaryReport, out_dir, errors=None):
                 + [flags]
             )
 
-    summary_path = out_dir / "summary.json"
-    payload = summary.to_dict()
-    payload["errors"] = dict(sorted((errors or {}).items()))
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
+    def write_summary(fh):
+        payload = summary.to_dict()
+        payload["errors"] = dict(sorted((errors or {}).items()))
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return details_path, summary_path
+
+    # One temporary name per process and thread, so concurrent writers to
+    # the same directory never share a file.
+    suffix = f"{os.getpid()}.{threading.get_ident()}.tmp"
+    targets = {out_dir / "details.csv": write_details, out_dir / "summary.json": write_summary}
+    staged = {}
+    try:
+        for path, write in targets.items():
+            staged[path] = out_dir / f".{path.name}.{suffix}"
+            with open(staged[path], "w", encoding="utf-8", newline="") as fh:
+                write(fh)
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
+    return tuple(targets)
 
 
 @dataclass(frozen=True)

@@ -168,25 +168,30 @@ def yin_f0(x, fmin=50.0, fmax=500.0, frame_len=N_FFT, hop=HOP,
         for tau in range(1, tau_max + 1):
             running += d[tau]
             cmnd[tau] = d[tau] * tau / running if running > 0.0 else 1.0
-        tau_est = 0
-        for tau in range(tau_min, tau_max + 1):
-            if cmnd[tau] < threshold:
-                while tau + 1 <= tau_max and cmnd[tau + 1] < cmnd[tau]:
-                    tau += 1
-                tau_est = tau
-                break
-        if tau_est == 0:
-            continue
-        tau_f = float(tau_est)
-        if 0 < tau_est < tau_max:
-            a, b, c = cmnd[tau_est - 1], cmnd[tau_est], cmnd[tau_est + 1]
-            den = a - 2.0 * b + c
-            if den != 0.0:
-                shift = 0.5 * (a - c) / den
-                if abs(shift) < 1.0:
-                    tau_f += shift
-        out[t] = sr / tau_f
+        out[t] = yin_trough_f0(cmnd, tau_min, tau_max, threshold, sr)
     return out
+
+
+def yin_trough_f0(cmnd, tau_min, tau_max, threshold=0.1, sr=SR):
+    """f0 from one CMND row: first sub-threshold trough, parabolic refinement; 0 if none."""
+    tau_est = 0
+    for tau in range(tau_min, tau_max + 1):
+        if cmnd[tau] < threshold:
+            while tau + 1 <= tau_max and cmnd[tau + 1] < cmnd[tau]:
+                tau += 1
+            tau_est = tau
+            break
+    if tau_est == 0:
+        return 0.0
+    tau_f = float(tau_est)
+    if 0 < tau_est < tau_max:
+        a, b, c = cmnd[tau_est - 1], cmnd[tau_est], cmnd[tau_est + 1]
+        den = a - 2.0 * b + c
+        if den != 0.0:
+            shift = 0.5 * (a - c) / den
+            if abs(shift) < 1.0:
+                tau_f += shift
+    return sr / tau_f
 
 
 def onset_strength(mel_power):

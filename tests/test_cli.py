@@ -104,6 +104,13 @@ class TestEvaluate:
             main(_evaluate_args(corpus, "--no-embedding", "--features", "mfcc"))
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("spec", [",", " , "])
+    def test_empty_feature_set_rejected(self, corpus, spec):
+        with pytest.raises(SystemExit) as excinfo:
+            main(_evaluate_args(corpus, "--no-embedding", "--features", spec))
+        assert excinfo.value.code == 2
+        assert not corpus["out"].exists()
+
     def test_unknown_flag_rejected(self, corpus):
         with pytest.raises(SystemExit) as excinfo:
             main(_evaluate_args(corpus, "--no-embedding", "--frobnicate"))

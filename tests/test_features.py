@@ -85,6 +85,10 @@ class TestPitch:
         f0 = F.f0_contour(mono_buffer(np.zeros(SR // 2)))
         assert np.all(f0 == 0.0)
 
+    def test_empty_lag_range_rejected(self):
+        with pytest.raises(ValueError, match="no lag"):
+            F.f0_contour(mono_buffer(sine(220.0, 0.1)), fmin=400.0, fmax=100.0)
+
     def test_pulse_train_100(self):
         x = np.zeros(SR)
         x[::160] = 1.0

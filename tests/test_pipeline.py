@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_wav, sine, white_noise
+from cloneval import pipeline
 from cloneval.errors import EmptyInput, NoPairs, ParseError, TooFewSamples
 from cloneval.pipeline import (
     EvalConfig,
@@ -36,6 +37,16 @@ class TestDiscoverPairs:
         gen = wav_dir_factory({"A": tone})
         with pytest.raises(NoPairs):
             discover_pairs(ref, gen)
+
+    def test_extension_case_collision_rejected(self, wav_dir_factory):
+        tone = sine(220, 0.05)
+        ref = wav_dir_factory({"a": tone, "b": tone})
+        (ref / "a.WAV").write_bytes(make_wav(tone))
+        gen = wav_dir_factory({"a": tone, "b": tone})
+        with pytest.raises(ParseError, match=r"a\.WAV and a\.wav"):
+            discover_pairs(ref, gen)
+        with pytest.raises(ParseError, match=r"a\.WAV and a\.wav"):
+            discover_pairs(gen, ref)
 
     def test_non_recursive(self, wav_dir_factory):
         tone = sine(220, 0.05)
@@ -210,6 +221,23 @@ class TestWriteReports:
         assert d1.read_bytes() == d2.read_bytes()
         assert s1.read_bytes() == s2.read_bytes()
         assert b"\r" not in d1.read_bytes()
+
+    def test_failed_write_keeps_previous_reports(self, tmp_path, monkeypatch):
+        records = self._records()
+        summary = aggregate(records)
+        details, summary_path = write_reports(records, summary, tmp_path)
+        old_details = details.read_bytes()
+        old_summary = summary_path.read_bytes()
+
+        def broken_dump(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline.json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            write_reports(records[:1], aggregate(records[:1]), tmp_path)
+        assert details.read_bytes() == old_details
+        assert summary_path.read_bytes() == old_summary
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["details.csv", "summary.json"]
 
 
 class TestPromptAssignments:
