@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against their pure-numpy fallbacks.
+"""Benchmark the hot kernels; the tempogram also against its numba twin.
 
-The resampler has a single numpy implementation, so its numba column reads
-n/a.
+YIN and the resampler have a single numpy implementation, so their numba
+column reads n/a.
 
 Run from the repository root:
 
@@ -63,12 +63,11 @@ def main():
     if not _kernels.HAVE_NUMBA:
         print("numba not installed; numpy fallback only")
 
-    frames = rng.standard_normal((n_frames, N_FFT))
+    padded = np.pad(rng.standard_normal(n_samples), N_FFT // 2, mode="reflect")
     bench(
         "yin_cmnd",
-        lambda: _kernels._yin_cmnd_numpy(frames, N_FFT // 2, 320),
-        (lambda: _kernels._yin_cmnd_numba(frames, N_FFT // 2, 320))
-        if _kernels.HAVE_NUMBA else None,
+        lambda: _kernels.yin_cmnd(padded, n_frames, HOP, N_FFT // 2, 320),
+        None,
         args.repeats,
     )
 

@@ -1,23 +1,25 @@
 """Hot numeric inner loops.
 
-The polyphase resampler is pure numpy and has one implementation. The YIN
-and tempogram kernels each have two: a numba ``@njit`` version and a pure
-numpy fallback that leans on FFT identities. The numba path is used when
-numba imports successfully and CLONEVAL_DISABLE_NUMBA is not set to
-1/true/yes; the fallback is selected otherwise. Both paths compute the same
-quantities and agree to floating-point round-off, but are not guaranteed
-bit-identical to each other.
+The polyphase resampler and the YIN kernel are pure numpy and have one
+implementation each. The tempogram kernel has two: a numba ``@njit``
+version and a pure numpy fallback that leans on FFT identities. The numba
+path is used when numba imports successfully and CLONEVAL_DISABLE_NUMBA is
+not set to 1/true/yes; the fallback is selected otherwise. The two compute
+the same quantities and agree to floating-point round-off, but are not
+guaranteed bit-identical to each other.
 
-The numpy YIN and tempogram kernels work on blocks of at most
+The YIN and numpy tempogram kernels work on blocks of at most
 ``_BLOCK_ROWS`` frames, so their FFT temporaries stay a few MB whatever the
 clip length, and write each block into one preallocated output. The rows
 are split into ``count = ceil(n / _BLOCK_ROWS)`` balanced blocks with edges
 at ``n * k // count``. numpy's batched FFT can round a lone row differently
 from the same row in a larger batch (a 1-ulp drift), so an unbalanced split
 such as 128 + 1 rows would change results; balanced blocks are never that
-small and give the same bits as one unblocked batch.
+small and give the same bits as one unblocked batch. Each FFT is only as
+long as its correlation needs, rounded up by ``_fft_size``.
 """
 
+import math
 import os
 
 import numpy as np
@@ -47,29 +49,28 @@ def _row_blocks(n):
     return zip(edges[:-1], edges[1:])
 
 
-def _yin_cmnd_numpy(frames, win, tau_max):
-    n_frames, frame_len = frames.shape
-    lags = tau_max + 1
-    taus = np.arange(lags)
-    out = np.ones((n_frames, lags))
-    prefix = np.zeros((min(n_frames, _BLOCK_ROWS), frame_len + 1))
-    for start, stop in _row_blocks(n_frames):
-        block = frames[start:stop]
-        spec = np.fft.rfft(block, n=frame_len, axis=1)
-        head_spec = np.fft.rfft(block[:, :win], n=frame_len, axis=1)
-        corr = np.fft.irfft(np.conj(head_spec) * spec, n=frame_len, axis=1)[:, :lags]
+def _frame_sums(rows, n_frames, step, per_frame):
+    """Row ``t`` of the result adds ``rows[t*step : t*step + per_frame]``.
 
-        pre = prefix[: stop - start]
-        np.cumsum(block * block, axis=1, out=pre[:, 1:])
-        tail_energy = pre[:, win : win + lags] - pre[:, :lags]
-        head_energy = tail_energy[:, :1]
+    A frame made of ``per_frame`` consecutive chunks, ``step`` chunks after
+    the previous frame, sums its chunks' rows; ``rows`` holds one per chunk.
+    """
+    span = (n_frames - 1) * step + 1
+    total = rows[:span:step]
+    for k in range(1, per_frame):
+        total = total + rows[k : k + span : step]
+    return total
 
-        diff = np.maximum(head_energy + tail_energy - 2.0 * corr, 0.0)
-        diff[:, 0] = 0.0
 
-        running = np.cumsum(diff[:, 1:], axis=1)
-        np.divide(diff[:, 1:] * taus[1:], running, out=out[start:stop, 1:], where=running > 0.0)
-    return out
+def _fft_size(n):
+    """Smallest ``2**a``, ``3 * 2**a`` or ``9 * 2**a`` at or above ``n``.
+
+    numpy's pocketfft spends more per sample on a radix-3 pass than on a
+    radix-4 one, so sizes with three or more factors of 3 (486, 864) are no
+    faster than the next power of two, while 576 and 768 are 40% and 25%
+    cheaper than 1024.
+    """
+    return min(k << max(-(-n // k) - 1, 0).bit_length() for k in (1, 3, 9))
 
 
 def _local_autocorr_numpy(env, window):
@@ -80,7 +81,7 @@ def _local_autocorr_numpy(env, window):
     padded[half : half + n] = env
     windows = np.lib.stride_tricks.sliding_window_view(padded, win_length)
 
-    n_fft = 1 << (2 * win_length - 1).bit_length()
+    n_fft = _fft_size(2 * win_length - 1)
     out = np.zeros((win_length, n))
     for start, stop in _row_blocks(n):
         segments = windows[start:stop] * window
@@ -95,25 +96,6 @@ if HAVE_NUMBA:
 
     # fastmath lets LLVM vectorize the accumulation loops; the reassociated
     # sums differ from the numpy path only at the last few ulps
-    @njit(cache=True, fastmath=True)
-    def _yin_cmnd_numba(frames, win, tau_max):
-        n_frames = frames.shape[0]
-        out = np.ones((n_frames, tau_max + 1))
-        diff = np.empty(tau_max + 1)
-        for t in range(n_frames):
-            for tau in range(tau_max + 1):
-                acc = 0.0
-                for i in range(win):
-                    d = frames[t, i] - frames[t, i + tau]
-                    acc += d * d
-                diff[tau] = acc
-            running = 0.0
-            for tau in range(1, tau_max + 1):
-                running += diff[tau]
-                if running > 0.0:
-                    out[t, tau] = diff[tau] * tau / running
-        return out
-
     @njit(cache=True, fastmath=True)
     def _local_autocorr_numba(env, window):
         win_length = window.shape[0]
@@ -167,11 +149,61 @@ def polyphase_resample(xp, h, up, down, n_out, taps_per_phase, pad):
     return out
 
 
-def yin_cmnd(frames, win, tau_max):
-    """Cumulative-mean-normalized difference per frame, lags 0..tau_max."""
-    if USE_NUMBA:
-        return _yin_cmnd_numba(frames, win, tau_max)
-    return _yin_cmnd_numpy(frames, win, tau_max)
+def yin_cmnd(padded, n_frames, hop, win, tau_max):
+    """Cumulative-mean-normalized difference per frame, lags 0..tau_max.
+
+    Frame ``t`` compares its head ``padded[t*hop : t*hop + win]`` with the
+    head shifted by each lag: ``d(tau) = e(0) + e(tau) - 2 r(tau)``, where
+    ``r`` correlates the head with the shifted span and ``e`` is the shifted
+    span's energy (de Cheveigne & Kawahara, JASA 2002, eq. 7).
+
+    Both sums run over the head's samples, so they split into chunks. With
+    ``c = gcd(win, hop)`` a head is ``win / c`` consecutive ``c``-sample
+    chunks, shared with the neighbouring frames; each chunk's correlation
+    (one FFT of ``_fft_size(c + tau_max)`` samples) and energy (its own
+    prefix sums, so silence reads exactly 0) is computed once, and a frame
+    adds up its chunks' rows. When the chunks would cost more transforms
+    than the heads, as for a hop that shares little with ``win``, each head
+    is its own chunk. Frames are processed in ``_row_blocks``.
+    """
+    lags = tau_max + 1
+    chunk = math.gcd(win, hop)
+    if hop // chunk * _fft_size(chunk + tau_max) >= _fft_size(win + tau_max):
+        chunk = win
+    stride = chunk if chunk < win else hop
+    step, per_frame = hop // stride, win // chunk
+    seg_len = chunk + tau_max
+    n_fft = _fft_size(seg_len)
+    # Each chunk's spectrum is taken over n_fft signal samples rather than
+    # seg_len zero-padded ones: samples past seg_len reach no lag <= tau_max,
+    # and a row that needs no padding transforms faster.
+    short = ((n_frames - 1) * step + per_frame - 1) * stride + n_fft - len(padded)
+    if short > 0:
+        padded = np.concatenate((padded, np.zeros(short)))
+    segments = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::stride]
+    taus = np.arange(lags)
+    out = np.ones((n_frames, lags))
+    prefix = np.zeros(((min(n_frames, _BLOCK_ROWS) - 1) * step + per_frame, seg_len + 1))
+    for start, stop in _row_blocks(n_frames):
+        seg = segments[start * step : (stop - 1) * step + per_frame]
+        spec = np.fft.rfft(seg, n=n_fft, axis=1)
+        head_spec = np.fft.rfft(seg[:, :chunk], n=n_fft, axis=1)
+        corr = np.fft.irfft(np.conj(head_spec) * spec, n=n_fft, axis=1)[:, :lags]
+
+        pre = prefix[: len(seg)]
+        tail = seg[:, :seg_len]
+        np.cumsum(tail * tail, axis=1, out=pre[:, 1:])
+        energy = pre[:, chunk : chunk + lags] - pre[:, :lags]
+
+        r = _frame_sums(corr, stop - start, step, per_frame)
+        e = _frame_sums(energy, stop - start, step, per_frame)
+
+        diff = np.maximum(e[:, :1] + e - 2.0 * r, 0.0)
+        diff[:, 0] = 0.0
+
+        running = np.cumsum(diff[:, 1:], axis=1)
+        np.divide(diff[:, 1:] * taus[1:], running, out=out[start:stop, 1:], where=running > 0.0)
+    return out
 
 
 def local_autocorr(env, window):

@@ -12,6 +12,7 @@ on linear power values (no dB conversion).
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,12 +90,16 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
-    """Centered frames with reflect padding: 1 + len(x)//hop rows."""
+def _reflect_pad(x: np.ndarray, half: int) -> np.ndarray:
+    """``x`` with ``half`` reflected samples on each side, as centered frames see it."""
     if len(x) < 2:
         raise InputTooShort(f"need at least 2 samples, got {len(x)}")
-    half = frame_len // 2
-    padded = np.pad(x, half, mode="reflect")
+    return np.pad(x, half, mode="reflect")
+
+
+def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
+    """Centered frames with reflect padding: 1 + len(x)//hop rows."""
+    padded = _reflect_pad(x, frame_len // 2)
     windows = np.lib.stride_tricks.sliding_window_view(padded, frame_len)
     return windows[:: hop][: 1 + len(x) // hop]
 
@@ -104,11 +109,18 @@ def fft_frequencies(sample_rate: int, n_fft: int) -> np.ndarray:
 
 
 def stft(buf: AudioBuffer, fp: FrameParams = FrameParams()) -> Spectrogram:
-    """Magnitude STFT of a mono buffer."""
+    """Magnitude STFT of a mono buffer.
+
+    Frames are transformed in ``_row_blocks`` into one preallocated
+    ``(frames, bins)`` array, so the FFT temporaries stay small; its
+    transpose is the ``(bins, frames)`` spectrogram.
+    """
     frames = frame_signal(np.asarray(buf.samples, dtype=np.float64), fp.n_fft, fp.hop)
     window = hann_window(fp.n_fft)
-    mag = np.abs(np.fft.rfft(frames * window, axis=1)).T
-    return Spectrogram(mag, "magnitude", fp, buf.sample_rate)
+    mag = np.empty((frames.shape[0], fp.n_fft // 2 + 1))
+    for start, stop in _kernels._row_blocks(frames.shape[0]):
+        np.abs(np.fft.rfft(frames[start:stop] * window, axis=1), out=mag[start:stop])
+    return Spectrogram(mag.T, "magnitude", fp, buf.sample_rate)
 
 
 # Mel scale, Slaney variant: linear below 1 kHz, logarithmic above.
@@ -138,18 +150,31 @@ def _triangle_bank(edges: np.ndarray, bin_freqs: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, np.minimum(rising, falling))
 
 
+def _read_only(bank: np.ndarray) -> np.ndarray:
+    bank.flags.writeable = False
+    return bank
+
+
+# The filterbanks depend only on their arguments, so each is built once and
+# shared read-only; the public builders hand out copies.
+
+@lru_cache(maxsize=16)
+def _mel_bank(n_mels, fmin, fmax, n_fft, sample_rate):
+    edges = mel_frequencies(n_mels, fmin, fmax)
+    bank = _triangle_bank(edges, fft_frequencies(sample_rate, n_fft))
+    bank *= (2.0 / (edges[2:] - edges[:-2]))[:, None]  # area normalization
+    return _read_only(bank)
+
+
 def mel_filterbank(
     n_mels: int = 128, fmin: float = 0.0, fmax: float = 8000.0,
     n_fft: int = 1024, sample_rate: int = 16000,
 ) -> np.ndarray:
-    edges = mel_frequencies(n_mels, fmin, fmax)
-    bank = _triangle_bank(edges, fft_frequencies(sample_rate, n_fft))
-    bank *= (2.0 / (edges[2:] - edges[:-2]))[:, None]  # area normalization
-    return bank
+    return _mel_bank(n_mels, fmin, fmax, n_fft, sample_rate).copy()
 
 
 def _mel_from_power(power: Spectrogram, n_mels: int, fmin: float, fmax: float) -> Spectrogram:
-    bank = mel_filterbank(n_mels, fmin, fmax, power.frame_params.n_fft, power.sample_rate)
+    bank = _mel_bank(n_mels, fmin, fmax, power.frame_params.n_fft, power.sample_rate)
     return Spectrogram(bank @ power.values, "power", power.frame_params, power.sample_rate)
 
 
@@ -172,7 +197,9 @@ def f0_contour(
     parabolic interpolation. YIN: de Cheveigne & Kawahara (2002).
     """
     sr = buf.sample_rate
-    frames = frame_signal(np.asarray(buf.samples, dtype=np.float64), frame_length, hop)
+    x = np.asarray(buf.samples, dtype=np.float64)
+    padded = _reflect_pad(x, frame_length // 2)
+    n_frames = 1 + len(x) // hop
     win = frame_length // 2
     tau_min = int(math.ceil(sr / fmax))
     tau_max = int(sr // fmin)
@@ -181,7 +208,7 @@ def f0_contour(
     if tau_min > tau_max:
         raise ValueError("fmin and fmax leave no lag to search")
 
-    cmnd = _kernels.yin_cmnd(np.ascontiguousarray(frames), win, tau_max)
+    cmnd = _kernels.yin_cmnd(padded, n_frames, hop, win, tau_max)
 
     # First lag at or above tau_min whose CMND dips below the threshold.
     below = cmnd[:, tau_min:] < threshold
@@ -193,7 +220,7 @@ def f0_contour(
     stop &= np.arange(tau_max + 1) >= first[:, None]
     tau = np.where(below.any(axis=1), np.argmax(stop, axis=1), 0)
 
-    out = np.zeros(frames.shape[0])
+    out = np.zeros(n_frames)
     voiced = tau > 0
     refined = tau.astype(np.float64)
     rows = np.flatnonzero(voiced & (tau < tau_max))
@@ -209,9 +236,21 @@ def f0_contour(
 
 
 def rms_envelope(buf: AudioBuffer, fp: FrameParams = FrameParams()) -> np.ndarray:
-    """Per-frame RMS of windowless centered frames."""
-    frames = frame_signal(np.asarray(buf.samples, dtype=np.float64), fp.n_fft, fp.hop)
-    return np.sqrt(np.mean(frames * frames, axis=1))
+    """Per-frame RMS of windowless centered frames.
+
+    With ``c = gcd(n_fft, hop)`` a frame is ``n_fft / c`` consecutive
+    ``c``-sample blocks, shared with the neighbouring frames; its sum of
+    squares adds up those blocks' sums.
+    """
+    x = np.asarray(buf.samples, dtype=np.float64)
+    padded = _reflect_pad(x, fp.n_fft // 2)
+    n_frames = 1 + len(x) // fp.hop
+    block = math.gcd(fp.n_fft, fp.hop)
+    step, per_frame = fp.hop // block, fp.n_fft // block
+    n_blocks = (n_frames - 1) * step + per_frame
+    used = padded[: n_blocks * block]
+    sums = (used * used).reshape(n_blocks, block).sum(axis=1)
+    return np.sqrt(_kernels._frame_sums(sums, n_frames, step, per_frame) / fp.n_fft)
 
 
 def spectral_centroid(spec: Spectrogram) -> np.ndarray:
@@ -267,6 +306,18 @@ def tempogram(onset: np.ndarray, win_length: int = 384) -> np.ndarray:
     return _kernels.local_autocorr(env, hann_window(win_length))
 
 
+@lru_cache(maxsize=16)
+def _chroma_bank(n_fft, sample_rate, n_chroma, a4, sigma):
+    c_ref = a4 * 2.0 ** (-9.0 / 12.0)
+    freqs = fft_frequencies(sample_rate, n_fft)
+    weights = np.zeros((n_chroma, len(freqs)))
+    positions = 12.0 * np.log2(freqs[1:] / c_ref)
+    dist = (positions[None, :] - np.arange(n_chroma)[:, None]) % 12.0
+    dist = np.where(dist > 6.0, dist - 12.0, dist)
+    weights[:, 1:] = np.exp(-0.5 * (dist / sigma) ** 2)
+    return _read_only(weights)
+
+
 def chroma_filterbank(
     n_fft: int = 1024, sample_rate: int = 16000,
     n_chroma: int = 12, a4: float = 440.0, sigma: float = 1.0,
@@ -276,21 +327,14 @@ def chroma_filterbank(
     Class 0 is C; each bin contributes to every class with weight set by
     circular semitone distance. The DC bin is dropped.
     """
-    c_ref = a4 * 2.0 ** (-9.0 / 12.0)
-    freqs = fft_frequencies(sample_rate, n_fft)
-    weights = np.zeros((n_chroma, len(freqs)))
-    positions = 12.0 * np.log2(freqs[1:] / c_ref)
-    dist = (positions[None, :] - np.arange(n_chroma)[:, None]) % 12.0
-    dist = np.where(dist > 6.0, dist - 12.0, dist)
-    weights[:, 1:] = np.exp(-0.5 * (dist / sigma) ** 2)
-    return weights
+    return _chroma_bank(n_fft, sample_rate, n_chroma, a4, sigma).copy()
 
 
 def chroma_stft(spec: Spectrogram, n_chroma: int = 12, a4: float = 440.0) -> np.ndarray:
     """Unnormalized 12-class chromagram from a power spectrogram."""
     if spec.kind != "power":
         raise ValueError("chroma_stft expects a power spectrogram")
-    bank = chroma_filterbank(spec.frame_params.n_fft, spec.sample_rate, n_chroma, a4)
+    bank = _chroma_bank(spec.frame_params.n_fft, spec.sample_rate, n_chroma, a4, 1.0)
     return bank @ spec.values
 
 
@@ -298,6 +342,13 @@ def cqt_center_frequencies(
     n_bins: int = 84, bins_per_octave: int = 12, fmin: float = 32.703
 ) -> np.ndarray:
     return fmin * 2.0 ** (np.arange(n_bins) / bins_per_octave)
+
+
+@lru_cache(maxsize=16)
+def _cqt_bank(n_bins, bins_per_octave, fmin, n_fft, sample_rate):
+    step = 2.0 ** (1.0 / bins_per_octave)
+    edges = fmin / step * step ** np.arange(n_bins + 2)
+    return _read_only(_triangle_bank(edges, fft_frequencies(sample_rate, n_fft)))
 
 
 def pseudo_cqt(
@@ -310,9 +361,7 @@ def pseudo_cqt(
     """
     if spec.kind != "power":
         raise ValueError("pseudo_cqt expects a power spectrogram")
-    step = 2.0 ** (1.0 / bins_per_octave)
-    edges = fmin / step * step ** np.arange(n_bins + 2)
-    bank = _triangle_bank(edges, fft_frequencies(spec.sample_rate, spec.frame_params.n_fft))
+    bank = _cqt_bank(n_bins, bins_per_octave, fmin, spec.frame_params.n_fft, spec.sample_rate)
     return bank @ spec.values
 
 

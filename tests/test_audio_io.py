@@ -60,6 +60,28 @@ class TestDecodeWav:
         buf = decode_wav(patched)
         assert len(buf.samples) == len(sine(440, 0.01))
 
+    def test_truncated_trailing_chunk_after_data_ignored(self):
+        x = sine(440, 0.01)
+        data = make_wav(x) + b"LIST" + struct.pack("<I", 64) + b"INFOIS"
+        buf = decode_wav(data)
+        np.testing.assert_array_equal(buf.samples, decode_wav(make_wav(x)).samples)
+
+    def test_truncated_chunk_before_data_rejected(self):
+        data = make_wav(sine(440, 0.01))
+        at = data.index(b"data")
+        patched = data[:at] + b"LIST" + struct.pack("<I", len(data)) + data[at:]
+        with pytest.raises(FormatError, match="past end of file"):
+            decode_wav(patched)
+
+    def test_streaming_data_size_runs_to_end_of_file(self):
+        x = sine(440, 0.01)
+        data = bytearray(make_wav(x))
+        at = data.index(b"data") + 4
+        data[at : at + 4] = struct.pack("<I", 0xFFFFFFFF)
+        data[4:8] = struct.pack("<I", 0xFFFFFFFF)
+        buf = decode_wav(bytes(data))
+        np.testing.assert_array_equal(buf.samples, decode_wav(make_wav(x)).samples)
+
     def test_decode_deterministic(self):
         data = make_wav(sine(333, 0.1))
         a = decode_wav(data)
@@ -83,6 +105,14 @@ class TestDownmix:
         buf = mono_buffer(sine(100, 0.01))
         out = downmix_mono(buf)
         np.testing.assert_array_equal(out.samples, buf.samples)
+
+    @pytest.mark.parametrize("channels", range(1, 8))
+    def test_equals_mean_bit_for_bit(self, channels):
+        rng = np.random.default_rng(channels)
+        frames = rng.uniform(-1.0, 1.0, size=(1000, channels))
+        buf = decode_wav(make_wav(frames, fmt="float32"))
+        expected = buf.samples.mean(axis=1) if channels > 1 else buf.samples
+        np.testing.assert_array_equal(downmix_mono(buf).samples, expected)
 
     def test_cancellation(self):
         buf = decode_wav(make_wav(np.array([[0.8, -0.8]]), fmt="float32"))

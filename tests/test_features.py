@@ -75,6 +75,37 @@ class TestMelSpectrogram:
         assert np.all(np.isfinite(bank))
 
 
+class TestFilterbankCache:
+    def test_public_builders_return_fresh_writable_copies(self):
+        for build in (F.mel_filterbank, F.chroma_filterbank):
+            first = build()
+            expected = first.copy()
+            assert first.flags.writeable
+            first[:] = -1.0
+            np.testing.assert_array_equal(build(), expected)
+
+    def test_shared_banks_are_read_only(self):
+        banks = (
+            F._mel_bank(128, 0.0, 8000.0, 1024, SR),
+            F._chroma_bank(1024, SR, 12, 440.0, 1.0),
+            F._cqt_bank(84, 12, 32.703, 1024, SR),
+        )
+        for bank in banks:
+            assert not bank.flags.writeable
+            with pytest.raises(ValueError):
+                bank[0, 0] = 1.0
+        assert F._mel_bank(128, 0.0, 8000.0, 1024, SR) is banks[0]
+
+    def test_extract_summaries_builds_no_public_bank(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("filterbank rebuilt")
+
+        monkeypatch.setattr(F, "mel_filterbank", refuse)
+        monkeypatch.setattr(F, "chroma_filterbank", refuse)
+        summaries = F.extract_summaries(mono_buffer(sine(440.0, 0.3)))
+        assert set(summaries) == set(F.FEATURE_IDS)
+
+
 class TestPitch:
     def test_sine_220(self):
         f0 = F.f0_contour(mono_buffer(sine(220.0)))

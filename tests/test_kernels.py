@@ -1,4 +1,5 @@
-"""The YIN and tempogram kernels: numba/numpy parity, oracles, block edges."""
+"""The YIN and tempogram kernels and the frame-level features built on them:
+numba/numpy parity of the tempogram, oracles, block edges, hops."""
 
 import subprocess
 import sys
@@ -12,15 +13,6 @@ from cloneval import _kernels
 from cloneval import features as F
 
 needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-
-
-@needs_numba
-def test_yin_cmnd_paths_agree():
-    rng = np.random.default_rng(0)
-    frames = rng.standard_normal((40, 1024))
-    a = _kernels._yin_cmnd_numba(frames, 512, 320)
-    b = _kernels._yin_cmnd_numpy(frames, 512, 320)
-    np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-10)
 
 
 @needs_numba
@@ -47,8 +39,8 @@ def test_dispatchers_run_on_selected_path():
     window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(384) / 384)
     out = _kernels.local_autocorr(env, window)
     assert out.shape == (384, 100)
-    frames = np.random.default_rng(3).standard_normal((5, 1024))
-    cmnd = _kernels.yin_cmnd(frames, 512, 320)
+    padded = np.random.default_rng(3).standard_normal(4 * 256 + 1024)
+    cmnd = _kernels.yin_cmnd(padded, 5, 256, 512, 320)
     assert cmnd.shape == (5, 321)
     assert np.all(cmnd[:, 0] == 1.0)
 
@@ -102,7 +94,7 @@ def test_f0_trough_search_matches_oracle_on_crafted_cmnd(monkeypatch):
     cmnd[6, tau_min - 1 : tau_min + 2] = [0.2, 0.05, np.nan]
     cmnd[7, tau_min : tau_min + 2] = [np.nan, 0.01]
     cmnd[:, 0] = 1.0
-    monkeypatch.setattr(_kernels, "yin_cmnd", lambda frames, win, tau_max: cmnd)
+    monkeypatch.setattr(_kernels, "yin_cmnd", lambda padded, n_frames, hop, win, tau_max: cmnd)
     f0 = F.f0_contour(mono_buffer(np.zeros(299 * oracles.HOP)))
     expected = [oracles.yin_trough_f0(row, tau_min, tau_max) for row in cmnd]
     np.testing.assert_array_equal(f0, expected)
@@ -122,14 +114,127 @@ def test_local_autocorr_matches_oracle_across_block_edges(rows):
 
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 def test_kernels_independent_of_block_size(rows, monkeypatch):
-    rng = np.random.default_rng(rows)
-    frames = rng.standard_normal((rows, 1024))
-    frames[::3] = 0.0
+    # hop 256 shares 256-sample chunks between frames; hop 300 uses whole heads
+    signals = {}
+    for hop in (256, 300):
+        rng = np.random.default_rng(rows)
+        padded = rng.standard_normal((rows - 1) * hop + 1024)
+        padded[(rows // 2) * hop :][: 1024 + 3 * hop] = 0.0
+        signals[hop] = padded
     window = F.hann_window(384)
     env = _onset_test_envelope(rows)
-    blocked = (_kernels.yin_cmnd(frames, 512, 320), _kernels.local_autocorr(env, window))
+
+    def run():
+        cmnd = {hop: _kernels.yin_cmnd(p, rows, hop, 512, 320) for hop, p in signals.items()}
+        return cmnd, _kernels.local_autocorr(env, window)
+
+    blocked = run()
     monkeypatch.setattr(_kernels, "_BLOCK_ROWS", rows + 1)
-    whole = (_kernels.yin_cmnd(frames, 512, 320), _kernels.local_autocorr(env, window))
-    np.testing.assert_array_equal(blocked[0], whole[0])
+    whole = run()
+    for hop, padded in signals.items():
+        np.testing.assert_array_equal(blocked[0][hop], whole[0][hop])
+        silent = [t for t in range(rows) if not padded[t * hop :][:1024].any()]
+        assert silent
+        assert np.all(blocked[0][hop][silent] == 1.0)
     np.testing.assert_array_equal(blocked[1], whole[1])
-    assert np.all(blocked[0][::3] == 1.0)
+
+
+def _hop_test_signal():
+    """Glide, noise, silence, a loud burst, then silence again: 1.2 s at 16 kHz."""
+    n = int(1.2 * oracles.SR)
+    t = np.arange(n) / oracles.SR
+    x = 0.6 * np.sin(2 * np.pi * (150.0 + 100.0 * t) * t)
+    x[n // 4 : n // 2] = 0.2 * np.random.default_rng(5).standard_normal(n // 2 - n // 4)
+    x[n // 2 :] = 0.0
+    x[3 * n // 4 : 3 * n // 4 + 2000] = 0.9 * np.sin(2 * np.pi * 220.0 * t[:2000])
+    return x
+
+
+# Hops whose frames share chunks (128, 256) and hops that do not (160, 300, 1000).
+HOPS = [128, 160, 256, 300, 1000]
+
+
+@pytest.mark.parametrize("hop", HOPS)
+def test_f0_contour_matches_oracle_across_hops(hop):
+    x = _hop_test_signal()
+    f0 = F.f0_contour(mono_buffer(x), hop=hop)
+    np.testing.assert_allclose(f0, oracles.yin_f0(x, hop=hop), rtol=1e-9, atol=0.0)
+    assert np.any(f0 > 0.0) and np.any(f0 == 0.0)
+
+
+@pytest.mark.parametrize("fmin, hop, frame_length", [
+    # fmin 200 Hz keeps the lag range short enough that hop 192 is split
+    # into three 64-sample chunks, so consecutive frames skip chunks
+    (200.0, 192, 1024),
+    # whole-head transforms of 1024 samples run past the last 1000-sample frame
+    (50.0, 300, 1000),
+])
+def test_f0_contour_matches_oracle_off_default_frames(fmin, hop, frame_length):
+    x = _hop_test_signal()
+    f0 = F.f0_contour(mono_buffer(x), fmin=fmin, hop=hop, frame_length=frame_length)
+    expected = oracles.yin_f0(x, fmin=fmin, hop=hop, frame_len=frame_length)
+    np.testing.assert_allclose(f0, expected, rtol=1e-9, atol=0.0)
+    assert np.any(f0 > 0.0)
+
+
+@pytest.mark.parametrize("hop", HOPS)
+def test_rms_envelope_matches_oracle_across_hops(hop):
+    x = _hop_test_signal()
+    rms = F.rms_envelope(mono_buffer(x), F.FrameParams(hop=hop))
+    np.testing.assert_allclose(rms, oracles.rms_envelope(x, hop=hop), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("hop", [128, 256, 300])
+def test_silence_after_loud_frames_is_exact(hop):
+    x = np.zeros(3 * oracles.SR)
+    x[: oracles.SR] = 0.9 * np.sin(2 * np.pi * 200.0 * np.arange(oracles.SR) / oracles.SR)
+    buf = mono_buffer(x)
+    n_frames = 1 + len(x) // hop
+    silent = np.array([t * hop - 512 >= oracles.SR for t in range(n_frames)])
+    padded = np.pad(x, 512, mode="reflect")
+    cmnd = _kernels.yin_cmnd(padded, n_frames, hop, 512, 320)
+    assert np.all(cmnd[silent] == 1.0)
+    assert np.all(F.rms_envelope(buf, F.FrameParams(hop=hop))[silent] == 0.0)
+    assert np.all(F.f0_contour(buf, hop=hop)[silent] == 0.0)
+    assert not np.all(cmnd[~silent] == 1.0)
+
+
+@pytest.mark.parametrize("hop", [128, 256, 300])
+def test_quiet_frames_after_loud_ones_scale_exactly(hop):
+    # Scaling by a power of two is exact, so frames that see only the quiet
+    # tone must give the bits of the same frames at full scale. Sums carried
+    # over from the loud noise before them would cost those bits.
+    sr = oracles.SR
+    tone = np.sin(2 * np.pi * 200.0 * np.arange(sr) / sr)
+    loud, plain = np.zeros(3 * sr), np.zeros(3 * sr)
+    loud[:sr] = np.random.default_rng(2).standard_normal(sr)
+    loud[2 * sr :] = 2.0**-12 * tone
+    plain[2 * sr :] = tone
+    n_frames = 1 + len(loud) // hop
+    quiet = np.array([t * hop - 512 >= 2 * sr for t in range(n_frames)])
+
+    def features(x):
+        padded = np.pad(x, 512, mode="reflect")
+        cmnd = _kernels.yin_cmnd(padded, n_frames, hop, 512, 320)
+        return cmnd[quiet], F.rms_envelope(mono_buffer(x), F.FrameParams(hop=hop))[quiet]
+
+    (cmnd_loud, rms_loud), (cmnd_plain, rms_plain) = features(loud), features(plain)
+    np.testing.assert_array_equal(cmnd_loud, cmnd_plain)
+    np.testing.assert_array_equal(rms_loud, 2.0**-12 * rms_plain)
+    assert np.all(rms_plain > 0.5)
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_stft_blocks_match_one_batch(rows):
+    x = _pitch_test_signal(rows)
+    frames = F.frame_signal(x, 1024, 256)
+    expected = np.abs(np.fft.rfft(frames * F.hann_window(1024), axis=1)).T
+    np.testing.assert_array_equal(F.stft(mono_buffer(x)).values, expected)
+
+
+def test_fft_size_is_smooth_and_minimal():
+    smooth = [k << a for k in (1, 3, 9) for a in range(12)]
+    for n in range(1, 2000):
+        size = _kernels._fft_size(n)
+        assert size == min(m for m in smooth if m >= n)
+    assert _kernels._fft_size(576) == 576 and _kernels._fft_size(767) == 768

@@ -1,7 +1,10 @@
 """Pair discovery, emotion parsing, corpus evaluation, aggregation, reports."""
 
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -147,6 +150,64 @@ class TestEvaluateCorpus:
             wav_dir_factory, {"a": sine(220, 0.2)}, features=("mel_spectrogram", "rms")
         )
         assert set(records[0].scores) == {"mel_spectrogram", "rms"}
+
+
+@pytest.fixture(scope="module")
+def mixed_corpus(tmp_path_factory):
+    """Ten pairs of tones, noise, silence and clicks, one with a corrupt file."""
+    root = tmp_path_factory.mktemp("mixed")
+    clicks = np.zeros(6000)
+    clicks[::1500] = 0.9
+    ref_files = {
+        "a_happy": sine(220, 0.4), "b_sad": white_noise(0.3, seed=1),
+        "c_ang": np.zeros(4000), "d_neu": clicks, "e": sine(900, 0.25, amp=0.2),
+        "f_happy": white_noise(0.5, seed=2), "g_sad": sine(130, 0.35, amp=0.7),
+        "h": np.zeros(3000), "i_ang": sine(440, 0.3) + white_noise(0.3, seed=3),
+        "j_neu": sine(300, 0.2),
+    }
+    gen_files = dict(ref_files)
+    gen_files.update({"a_happy": sine(230, 0.45), "c_ang": white_noise(0.25, seed=4),
+                      "e": np.zeros(3500), "g_sad": sine(260, 0.3), "j_neu": clicks})
+    dirs = {}
+    for side, files in (("ref", ref_files), ("gen", gen_files)):
+        dirs[side] = root / side
+        dirs[side].mkdir()
+        for stem, samples in files.items():
+            (dirs[side] / f"{stem}.wav").write_bytes(make_wav(samples))
+    (dirs["gen"] / "d_neu.wav").write_bytes(b"RIFF, but not a WAV file")
+    pairs, _, _ = discover_pairs(dirs["ref"], dirs["gen"])
+    return pairs
+
+
+def _report_bytes(pairs, workers):
+    config = EvalConfig(workers=workers)
+    records, errors = evaluate_corpus(pairs, config)
+    with tempfile.TemporaryDirectory() as out:
+        paths = write_reports(records, aggregate(records, config.fingerprint()), out, errors)
+        return records, tuple(Path(p).read_bytes() for p in paths)
+
+
+@pytest.fixture(scope="module")
+def serial_reports(mixed_corpus):
+    return _report_bytes(mixed_corpus, 1)[1]
+
+
+class TestReportDeterminism:
+    @settings(max_examples=6, deadline=None)
+    @given(order=st.permutations(range(10)), workers=st.sampled_from([1, 2, 4]))
+    def test_bytes_independent_of_workers_and_pair_order(
+        self, mixed_corpus, serial_reports, order, workers
+    ):
+        records, got = _report_bytes([mixed_corpus[i] for i in order], workers)
+        assert got == serial_reports
+        assert len(records) == 9
+        for record in records:
+            assert all(-1.0 <= v <= 1.0 for v in record.scores.values())
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_every_worker_count_gives_the_same_bytes(self, mixed_corpus, serial_reports, workers):
+        assert _report_bytes(mixed_corpus[::-1], workers)[1] == serial_reports
+        assert b'"d_neu": "FormatError' in serial_reports[1]
 
 
 def _record(pair_id, emotion, value):
