@@ -1,18 +1,13 @@
 """Hot numeric inner loops.
 
-The polyphase resampler and the YIN kernel are pure numpy and have one
-implementation each. The tempogram kernel has two: a numba ``@njit``
-version and a pure numpy fallback that leans on FFT identities. The numba
-path is used when numba imports successfully and CLONEVAL_DISABLE_NUMBA is
-not set to 1/true/yes; the fallback is selected otherwise. The two compute
-the same quantities and agree to floating-point round-off, but are not
-guaranteed bit-identical to each other.
+Each kernel has one implementation, in numpy: the polyphase resampler, the
+YIN difference function and the tempogram's local autocorrelation.
 
-The YIN and numpy tempogram kernels work on blocks of at most
-``_BLOCK_ROWS`` frames, so their FFT temporaries stay a few MB whatever the
-clip length, and write each block into one preallocated output. The rows
-are split into ``count = ceil(n / _BLOCK_ROWS)`` balanced blocks with edges
-at ``n * k // count``. numpy's batched FFT can round a lone row differently
+The YIN and tempogram kernels work on blocks of at most ``_BLOCK_ROWS``
+frames, so their FFT temporaries stay a few MB whatever the clip length,
+and write each block into one preallocated output. The rows are split into
+``count = ceil(n / _BLOCK_ROWS)`` balanced blocks with edges at
+``n * k // count``. numpy's batched FFT can round a lone row differently
 from the same row in a larger batch (a 1-ulp drift), so an unbalanced split
 such as 128 + 1 rows would change results; balanced blocks are never that
 small and give the same bits as one unblocked batch. Each FFT is only as
@@ -20,23 +15,11 @@ long as its correlation needs, rounded up by ``_fft_size``.
 """
 
 import math
-import os
 
 import numpy as np
 
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get("CLONEVAL_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not numba_disabled_by_env()
+# One kernel path; pipebench/evaluate.py records this flag in its BENCH files.
+USE_NUMBA = False
 
 
 _BLOCK_ROWS = 128
@@ -73,7 +56,8 @@ def _fft_size(n):
     return min(k << max(-(-n // k) - 1, 0).bit_length() for k in (1, 3, 9))
 
 
-def _local_autocorr_numpy(env, window):
+def local_autocorr(env, window):
+    """Lag-normalized windowed local autocorrelation, shape (win_length, len(env))."""
     win_length = len(window)
     half = win_length // 2
     n = len(env)
@@ -90,36 +74,6 @@ def _local_autocorr_numpy(env, window):
         lag0 = corr[:, :1]
         np.divide(corr, lag0, out=out[:, start:stop].T, where=lag0 > 0.0)
     return out
-
-
-if HAVE_NUMBA:
-
-    # fastmath lets LLVM vectorize the accumulation loops; the reassociated
-    # sums differ from the numpy path only at the last few ulps
-    @njit(cache=True, fastmath=True)
-    def _local_autocorr_numba(env, window):
-        win_length = window.shape[0]
-        half = win_length // 2
-        n = env.shape[0]
-        padded = np.zeros(n + 2 * half)
-        padded[half : half + n] = env
-        out = np.zeros((win_length, n))
-        seg = np.empty(win_length)
-        for t in range(n):
-            for i in range(win_length):
-                seg[i] = padded[t + i] * window[i]
-            lag0 = 0.0
-            for i in range(win_length):
-                lag0 += seg[i] * seg[i]
-            if lag0 <= 0.0:
-                continue
-            out[0, t] = 1.0
-            for lag in range(1, win_length):
-                acc = 0.0
-                for i in range(win_length - lag):
-                    acc += seg[i] * seg[i + lag]
-                out[lag, t] = acc / lag0
-        return out
 
 
 def polyphase_resample(xp, h, up, down, n_out, taps_per_phase, pad):
@@ -204,10 +158,3 @@ def yin_cmnd(padded, n_frames, hop, win, tau_max):
         running = np.cumsum(diff[:, 1:], axis=1)
         np.divide(diff[:, 1:] * taus[1:], running, out=out[start:stop, 1:], where=running > 0.0)
     return out
-
-
-def local_autocorr(env, window):
-    """Lag-normalized windowed local autocorrelation, shape (win_length, len(env))."""
-    if USE_NUMBA:
-        return _local_autocorr_numba(env, window)
-    return _local_autocorr_numpy(env, window)

@@ -7,7 +7,6 @@ import sys
 import threading
 from pathlib import Path
 
-from .audio_io import PIPELINE_RATE, decode_wav, downmix_mono, resample
 from .embeddings import BackendSpec, embed, load_backend
 from .errors import ClonevalError
 from .features import FEATURE_IDS
@@ -16,7 +15,9 @@ from .pipeline import (
     aggregate,
     discover_pairs,
     evaluate_corpus,
+    list_wavs,
     load_alias_table,
+    load_mono_16k,
     make_prompt_assignments,
     write_reports,
 )
@@ -182,17 +183,13 @@ def _cmd_prompts(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    wavs = sorted(
-        p for p in Path(args.input_dir).iterdir()
-        if p.is_file() and p.suffix.lower() == ".wav"
-    )
+    wavs = list_wavs(args.input_dir)
     if not wavs:
         raise ClonevalError(f"no audio files in {args.input_dir}")
     backend = load_backend(BackendSpec(model_path=args.model))
     manifest = {}
-    for path in wavs:
-        buf = resample(downmix_mono(decode_wav(path.read_bytes())), PIPELINE_RATE)
-        manifest[path.stem] = [float(v) for v in embed(backend, buf, key=path.stem).vector]
+    for stem, path in wavs.items():
+        manifest[stem] = [float(v) for v in embed(backend, load_mono_16k(path), key=stem).vector]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -90,16 +90,20 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def _reflect_pad(x: np.ndarray, half: int) -> np.ndarray:
-    """``x`` with ``half`` reflected samples on each side, as centered frames see it."""
+def _reflect_pad(x: np.ndarray, frame_len: int) -> np.ndarray:
+    """``x`` reflected at both ends, as centered ``frame_len`` frames see it.
+
+    ``frame_len // 2`` samples go on the left and the rest on the right, so
+    the frame centered on the last sample is complete for odd lengths too.
+    """
     if len(x) < 2:
         raise InputTooShort(f"need at least 2 samples, got {len(x)}")
-    return np.pad(x, half, mode="reflect")
+    return np.pad(x, (frame_len // 2, frame_len - frame_len // 2), mode="reflect")
 
 
 def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     """Centered frames with reflect padding: 1 + len(x)//hop rows."""
-    padded = _reflect_pad(x, frame_len // 2)
+    padded = _reflect_pad(x, frame_len)
     windows = np.lib.stride_tricks.sliding_window_view(padded, frame_len)
     return windows[:: hop][: 1 + len(x) // hop]
 
@@ -198,7 +202,7 @@ def f0_contour(
     """
     sr = buf.sample_rate
     x = np.asarray(buf.samples, dtype=np.float64)
-    padded = _reflect_pad(x, frame_length // 2)
+    padded = _reflect_pad(x, frame_length)
     n_frames = 1 + len(x) // hop
     win = frame_length // 2
     tau_min = int(math.ceil(sr / fmax))
@@ -243,7 +247,7 @@ def rms_envelope(buf: AudioBuffer, fp: FrameParams = FrameParams()) -> np.ndarra
     squares adds up those blocks' sums.
     """
     x = np.asarray(buf.samples, dtype=np.float64)
-    padded = _reflect_pad(x, fp.n_fft // 2)
+    padded = _reflect_pad(x, fp.n_fft)
     n_frames = 1 + len(x) // fp.hop
     block = math.gcd(fp.n_fft, fp.hop)
     step, per_frame = fp.hop // block, fp.n_fft // block

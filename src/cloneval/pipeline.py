@@ -76,28 +76,33 @@ def parse_emotion(stem: str, alias_table: dict | None = None) -> str:
     return UNKNOWN
 
 
+def list_wavs(directory) -> dict:
+    """The WAV files directly in ``directory``, keyed by stem, in name order.
+
+    Two files whose names differ only in the case of the extension, such as
+    ``a.wav`` and ``a.WAV``, raise ParseError naming both.
+    """
+    found = {}
+    for p in sorted(Path(directory).iterdir()):
+        if not (p.is_file() and p.suffix.lower() == ".wav"):
+            continue
+        if p.stem in found:
+            raise ParseError(
+                f"{found[p.stem].name} and {p.name} in {directory} share the stem {p.stem!r}"
+            )
+        found[p.stem] = p
+    return found
+
+
 def discover_pairs(ref_dir, gen_dir):
     """Match WAV files across the two directories by stem (case-sensitive).
 
     Non-recursive. Returns (pairs, unmatched_ref, unmatched_gen) where pairs
-    is a lexicographically sorted list of (stem, ref_path, gen_path). Two
-    files in one directory whose names differ only in the case of the
-    extension, such as ``a.wav`` and ``a.WAV``, raise ParseError.
+    is a lexicographically sorted list of (stem, ref_path, gen_path). A stem
+    shared by two files in one directory raises ParseError (``list_wavs``).
     """
-    def wavs(directory):
-        found = {}
-        for p in sorted(Path(directory).iterdir()):
-            if not (p.is_file() and p.suffix.lower() == ".wav"):
-                continue
-            if p.stem in found:
-                raise ParseError(
-                    f"{found[p.stem].name} and {p.name} in {directory} share the stem {p.stem!r}"
-                )
-            found[p.stem] = p
-        return found
-
-    ref = wavs(ref_dir)
-    gen = wavs(gen_dir)
+    ref = list_wavs(ref_dir)
+    gen = list_wavs(gen_dir)
     common = sorted(set(ref) & set(gen))
     if not common:
         raise NoPairs(f"no matching stems between {ref_dir} and {gen_dir}")
@@ -133,14 +138,15 @@ class EvalConfig:
         }
 
 
-def _load_mono_16k(path):
+def load_mono_16k(path):
+    """Decode a WAV file, downmix it to mono and resample it to 16 kHz."""
     buf = decode_wav(Path(path).read_bytes())
     return resample(downmix_mono(buf), PIPELINE_RATE)
 
 
 def _evaluate_one(stem, ref_path, gen_path, config, dump):
-    ref_buf = _load_mono_16k(ref_path)
-    gen_buf = _load_mono_16k(gen_path)
+    ref_buf = load_mono_16k(ref_path)
+    gen_buf = load_mono_16k(gen_path)
     ref_side = PairSide(extract_summaries(ref_buf, config.frame_params, config.features))
     gen_side = PairSide(extract_summaries(gen_buf, config.frame_params, config.features))
     if config.backend_ref is not None:

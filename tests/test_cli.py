@@ -211,3 +211,14 @@ class TestEmbedCommand:
         rc = main(["embed", "--input-dir", str(wav_dir), "--model", str(bad),
                    "--out", str(tmp_path / "e.json")])
         assert rc == 1
+
+    def test_stem_collision_rejected_before_model_loads(self, tmp_path, capsys):
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        (wav_dir / "a.wav").write_bytes(make_wav(sine(220, 0.05)))
+        (wav_dir / "a.WAV").write_bytes(make_wav(sine(330, 0.05)))
+        rc = main(["embed", "--input-dir", str(wav_dir), "--model", str(tmp_path / "missing.onnx"),
+                   "--out", str(tmp_path / "e.json")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "a.wav" in err and "a.WAV" in err

@@ -1,8 +1,5 @@
-"""The YIN and tempogram kernels and the frame-level features built on them:
-numba/numpy parity of the tempogram, oracles, block edges, hops."""
-
-import subprocess
-import sys
+"""The YIN and tempogram kernels and the frame-level features built on them,
+checked against the oracles across block edges and hops."""
 
 import numpy as np
 import pytest
@@ -12,29 +9,8 @@ from conftest import mono_buffer
 from cloneval import _kernels
 from cloneval import features as F
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
 
-
-@needs_numba
-def test_local_autocorr_paths_agree():
-    rng = np.random.default_rng(1)
-    env = np.abs(rng.standard_normal(200))
-    window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(384) / 384)
-    a = _kernels._local_autocorr_numba(env, window)
-    b = _kernels._local_autocorr_numpy(env, window)
-    np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-12)
-
-
-def test_env_flag_disables_numba():
-    code = (
-        "import os; os.environ['CLONEVAL_DISABLE_NUMBA'] = '1'; "
-        "from cloneval import _kernels; "
-        "assert not _kernels.USE_NUMBA"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True)
-
-
-def test_dispatchers_run_on_selected_path():
+def test_kernel_output_shapes():
     env = np.abs(np.sin(np.arange(100.0)))
     window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(384) / 384)
     out = _kernels.local_autocorr(env, window)
@@ -175,6 +151,25 @@ def test_f0_contour_matches_oracle_off_default_frames(fmin, hop, frame_length):
     expected = oracles.yin_f0(x, fmin=fmin, hop=hop, frame_len=frame_length)
     np.testing.assert_allclose(f0, expected, rtol=1e-9, atol=0.0)
     assert np.any(f0 > 0.0)
+
+
+@pytest.mark.parametrize("frame_len", [1023, 1024])
+def test_frame_signal_matches_oracle_at_odd_and_even_lengths(frame_len):
+    x = np.random.default_rng(5).standard_normal(10240)
+    frames = F.frame_signal(x, frame_len, 256)
+    np.testing.assert_array_equal(frames, oracles.frames_centered(x, frame_len, 256))
+
+
+def test_f0_contour_matches_oracle_at_odd_frame_length():
+    # A 512-sample period peaking on the last sample: reflected, the last
+    # frame is one clean period per 512 lags, so its lag-512 difference
+    # needs the frame's final reflected sample.
+    n = 10240
+    x = 0.6 * np.cos(2 * np.pi * (np.arange(n) - (n - 1)) / 512)
+    f0 = F.f0_contour(mono_buffer(x), frame_length=1023, fmin=31.25)
+    expected = oracles.yin_f0(x, fmin=31.25, frame_len=1023)
+    np.testing.assert_allclose(f0, expected, rtol=1e-9, atol=0.0)
+    assert np.all(f0 > 0.0)
 
 
 @pytest.mark.parametrize("hop", HOPS)
