@@ -4,9 +4,11 @@ Each kernel has one implementation, in numpy: the polyphase resampler, the
 YIN difference function and the tempogram's local autocorrelation.
 
 The YIN and tempogram kernels work on blocks of at most ``_BLOCK_ROWS``
-frames, so their FFT temporaries stay a few MB whatever the clip length,
-and write each block into one preallocated output. The rows are split into
-``count = ceil(n / _BLOCK_ROWS)`` balanced blocks with edges at
+frames, so their FFT temporaries stay a few MB whatever the clip length.
+They fill no whole-clip output: each block of rows goes, as soon as it is
+computed, to a ``reduce(start, stop, rows)`` callable that the caller
+supplies, in one buffer that the next block overwrites. The rows are split
+into ``count = ceil(n / _BLOCK_ROWS)`` balanced blocks with edges at
 ``n * k // count``. numpy's batched FFT can round a lone row differently
 from the same row in a larger batch (a 1-ulp drift), so an unbalanced split
 such as 128 + 1 rows would change results; balanced blocks are never that
@@ -56,8 +58,14 @@ def _fft_size(n):
     return min(k << max(-(-n // k) - 1, 0).bit_length() for k in (1, 3, 9))
 
 
-def local_autocorr(env, window):
-    """Lag-normalized windowed local autocorrelation, shape (win_length, len(env))."""
+def local_autocorr(env, window, reduce):
+    """Lag-normalized windowed local autocorrelation of ``env``.
+
+    Calls ``reduce(start, stop, rows)`` once per block, where row ``i`` of
+    the ``(stop - start, len(window))`` array is frame ``start + i``: its
+    autocorrelation over lags ``0..len(window) - 1`` divided by the lag-0
+    value, or all zeros where the window holds no energy.
+    """
     win_length = len(window)
     half = win_length // 2
     n = len(env)
@@ -66,14 +74,16 @@ def local_autocorr(env, window):
     windows = np.lib.stride_tricks.sliding_window_view(padded, win_length)
 
     n_fft = _fft_size(2 * win_length - 1)
-    out = np.zeros((win_length, n))
+    block = np.empty((min(n, _BLOCK_ROWS), win_length))
     for start, stop in _row_blocks(n):
         segments = windows[start:stop] * window
         spec = np.fft.rfft(segments, n=n_fft, axis=1)
         corr = np.fft.irfft(spec * np.conj(spec), n=n_fft, axis=1)[:, :win_length]
         lag0 = corr[:, :1]
-        np.divide(corr, lag0, out=out[:, start:stop].T, where=lag0 > 0.0)
-    return out
+        rows = block[: stop - start]
+        rows.fill(0.0)
+        np.divide(corr, lag0, out=rows, where=lag0 > 0.0)
+        reduce(start, stop, rows)
 
 
 def polyphase_resample(xp, h, up, down, n_out, taps_per_phase, pad):
@@ -103,8 +113,11 @@ def polyphase_resample(xp, h, up, down, n_out, taps_per_phase, pad):
     return out
 
 
-def yin_cmnd(padded, n_frames, hop, win, tau_max):
+def yin_cmnd(padded, n_frames, hop, win, tau_max, reduce):
     """Cumulative-mean-normalized difference per frame, lags 0..tau_max.
+
+    Calls ``reduce(start, stop, rows)`` once per block, where row ``i`` of
+    the ``(stop - start, tau_max + 1)`` array holds frame ``start + i``.
 
     Frame ``t`` compares its head ``padded[t*hop : t*hop + win]`` with the
     head shifted by each lag: ``d(tau) = e(0) + e(tau) - 2 r(tau)``, where
@@ -136,7 +149,7 @@ def yin_cmnd(padded, n_frames, hop, win, tau_max):
         padded = np.concatenate((padded, np.zeros(short)))
     segments = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::stride]
     taus = np.arange(lags)
-    out = np.ones((n_frames, lags))
+    block = np.empty((min(n_frames, _BLOCK_ROWS), lags))
     prefix = np.zeros(((min(n_frames, _BLOCK_ROWS) - 1) * step + per_frame, seg_len + 1))
     for start, stop in _row_blocks(n_frames):
         seg = segments[start * step : (stop - 1) * step + per_frame]
@@ -156,5 +169,7 @@ def yin_cmnd(padded, n_frames, hop, win, tau_max):
         diff[:, 0] = 0.0
 
         running = np.cumsum(diff[:, 1:], axis=1)
-        np.divide(diff[:, 1:] * taus[1:], running, out=out[start:stop, 1:], where=running > 0.0)
-    return out
+        rows = block[: stop - start]
+        rows.fill(1.0)
+        np.divide(diff[:, 1:] * taus[1:], running, out=rows[:, 1:], where=running > 0.0)
+        reduce(start, stop, rows)

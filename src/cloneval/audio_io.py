@@ -90,7 +90,7 @@ def decode_wav(data: bytes) -> AudioBuffer:
         if chunk_id == b"fmt " and fmt is None:
             fmt = _parse_fmt(data, start, size)
         elif chunk_id == b"data" and payload is None:
-            payload = data[start : start + size]
+            payload = memoryview(data)[start : start + size]
         if fmt is not None and payload is not None:
             break
     if fmt is None:
@@ -123,11 +123,16 @@ def decode_wav(data: bytes) -> AudioBuffer:
         samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / _INT_SCALES[16]
     elif bits == 32:
         samples = np.frombuffer(payload, dtype="<i4").astype(np.float64) / _INT_SCALES[32]
-    else:  # 24-bit: assemble little-endian triplets and sign-extend
-        raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        values = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
-        values -= (values & 0x800000) << 1
-        samples = values.astype(np.float64) / _INT_SCALES[24]
+    else:
+        # A little-endian int32 read at every third byte holds one 24-bit
+        # sample in its low three bytes; shifting the fourth byte out
+        # sign-extends. One zero byte past the end completes the last read.
+        padded = np.zeros(len(payload) + 1, dtype=np.uint8)
+        padded[:-1] = np.frombuffer(payload, dtype=np.uint8)
+        words = np.ndarray((len(payload) // 3,), dtype="<i4", buffer=padded, strides=(3,))
+        values = words << 8
+        values >>= 8
+        samples = values / _INT_SCALES[24]
 
     if channels > 1:
         samples = samples.reshape(-1, channels)

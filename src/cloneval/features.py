@@ -5,6 +5,18 @@ vectors so that reference and generated sides can be compared with cosine
 similarity: spectral matrices are averaged over time into per-bin profiles,
 per-frame scalar contours are resampled onto 256 points.
 
+``extract_summaries`` works block by block. It reflect-pads the signal once
+for YIN, RMS and the STFT, and reduces each block of at most 128 frames as
+soon as it is computed: the pitch, centroid, flatness and rolloff contours
+are filled in, the block's power spectrum is added to a running sum, its mel
+frames become onset strength, and each tempogram block is added to a running
+sum. The mel, chroma, pseudo-CQT and chroma-CQT summaries are the bank
+applied to the time-mean power spectrum, which by linearity equals the time
+mean of the bank applied to every frame. So no per-file ``(bins, frames)``
+or ``(frames, lags)`` matrix is built. The public per-feature functions
+still return whole-file matrices and contours; the block pass calls the
+same functions on one block at a time.
+
 Fixed analysis parameters: 1024-sample frames, 256-sample hop, periodic Hann
 window, centered frames with reflected edges. Spectral similarity is taken
 on linear power values (no dB conversion).
@@ -74,11 +86,6 @@ class Spectrogram:
     def n_frames(self) -> int:
         return self.values.shape[1]
 
-    def to_power(self) -> "Spectrogram":
-        if self.kind == "power":
-            return self
-        return Spectrogram(self.values**2, "power", self.frame_params, self.sample_rate)
-
 
 @dataclass(eq=False)
 class FeatureSummary:
@@ -103,9 +110,13 @@ def _reflect_pad(x: np.ndarray, frame_len: int) -> np.ndarray:
 
 def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     """Centered frames with reflect padding: 1 + len(x)//hop rows."""
-    padded = _reflect_pad(x, frame_len)
+    return _frames(_reflect_pad(x, frame_len), len(x), frame_len, hop)
+
+
+def _frames(padded: np.ndarray, n_samples: int, frame_len: int, hop: int) -> np.ndarray:
+    """The frames of ``frame_signal`` as a view of the signal's ``_reflect_pad``."""
     windows = np.lib.stride_tricks.sliding_window_view(padded, frame_len)
-    return windows[:: hop][: 1 + len(x) // hop]
+    return windows[:: hop][: 1 + n_samples // hop]
 
 
 def fft_frequencies(sample_rate: int, n_fft: int) -> np.ndarray:
@@ -115,16 +126,32 @@ def fft_frequencies(sample_rate: int, n_fft: int) -> np.ndarray:
 def stft(buf: AudioBuffer, fp: FrameParams = FrameParams()) -> Spectrogram:
     """Magnitude STFT of a mono buffer.
 
-    Frames are transformed in ``_row_blocks`` into one preallocated
-    ``(frames, bins)`` array, so the FFT temporaries stay small; its
-    transpose is the ``(bins, frames)`` spectrogram.
+    The blocks of ``_stft_blocks`` are copied into one ``(frames, bins)``
+    array; its transpose is the ``(bins, frames)`` spectrogram.
     """
-    frames = frame_signal(np.asarray(buf.samples, dtype=np.float64), fp.n_fft, fp.hop)
-    window = hann_window(fp.n_fft)
-    mag = np.empty((frames.shape[0], fp.n_fft // 2 + 1))
-    for start, stop in _kernels._row_blocks(frames.shape[0]):
-        np.abs(np.fft.rfft(frames[start:stop] * window, axis=1), out=mag[start:stop])
+    x = np.asarray(buf.samples, dtype=np.float64)
+    mag = np.empty((1 + len(x) // fp.hop, fp.n_fft // 2 + 1))
+    for start, stop, block in _stft_blocks(_reflect_pad(x, fp.n_fft), len(x), fp):
+        mag[start:stop] = block
     return Spectrogram(mag.T, "magnitude", fp, buf.sample_rate)
+
+
+def _stft_blocks(padded: np.ndarray, n_samples: int, fp: FrameParams):
+    """Yield ``(start, stop, mag)`` per ``_row_blocks`` block of frames.
+
+    ``mag`` is the ``(stop - start, bins)`` magnitude STFT of those frames,
+    held in one buffer that the next block overwrites.
+    """
+    frames = _frames(padded, n_samples, fp.n_fft, fp.hop)
+    window = hann_window(fp.n_fft)
+    rows = min(frames.shape[0], _kernels._BLOCK_ROWS)
+    windowed = np.empty((rows, fp.n_fft))
+    mag = np.empty((rows, fp.n_fft // 2 + 1))
+    for start, stop in _kernels._row_blocks(frames.shape[0]):
+        count = stop - start
+        np.multiply(frames[start:stop], window, out=windowed[:count])
+        np.abs(np.fft.rfft(windowed[:count], axis=1), out=mag[:count])
+        yield start, stop, mag[:count]
 
 
 # Mel scale, Slaney variant: linear below 1 kHz, logarithmic above.
@@ -187,12 +214,18 @@ def mel_spectrogram(
     n_mels: int = 128, fmin: float = 0.0, fmax: float = 8000.0,
 ) -> Spectrogram:
     """Mel power spectrogram: area-normalized triangular bank over the power STFT."""
-    return _mel_from_power(stft(buf, fp).to_power(), n_mels, fmin, fmax)
+    power = Spectrogram(stft(buf, fp).values ** 2, "power", fp, buf.sample_rate)
+    return _mel_from_power(power, n_mels, fmin, fmax)
+
+
+_YIN_FMIN = 50.0
+_YIN_FMAX = 500.0
+_YIN_THRESHOLD = 0.1
 
 
 def f0_contour(
-    buf: AudioBuffer, fmin: float = 50.0, fmax: float = 500.0,
-    frame_length: int = 1024, hop: int = 256, threshold: float = 0.1,
+    buf: AudioBuffer, fmin: float = _YIN_FMIN, fmax: float = _YIN_FMAX,
+    frame_length: int = 1024, hop: int = 256, threshold: float = _YIN_THRESHOLD,
 ) -> np.ndarray:
     """YIN pitch track in Hz per frame; 0 marks unvoiced frames.
 
@@ -200,10 +233,14 @@ def f0_contour(
     for the first trough below the threshold; the trough is refined by
     parabolic interpolation. YIN: de Cheveigne & Kawahara (2002).
     """
-    sr = buf.sample_rate
     x = np.asarray(buf.samples, dtype=np.float64)
     padded = _reflect_pad(x, frame_length)
-    n_frames = 1 + len(x) // hop
+    return _yin_f0(padded, len(x), buf.sample_rate, fmin, fmax, frame_length, hop, threshold)
+
+
+def _yin_f0(padded, n_samples, sr, fmin, fmax, frame_length, hop, threshold):
+    """``f0_contour`` of the signal whose ``_reflect_pad`` is ``padded``."""
+    n_frames = 1 + n_samples // hop
     win = frame_length // 2
     tau_min = int(math.ceil(sr / fmax))
     tau_max = int(sr // fmin)
@@ -212,8 +249,17 @@ def f0_contour(
     if tau_min > tau_max:
         raise ValueError("fmin and fmax leave no lag to search")
 
-    cmnd = _kernels.yin_cmnd(padded, n_frames, hop, win, tau_max)
+    out = np.zeros(n_frames)
 
+    def search(start, stop, cmnd):
+        out[start:stop] = _yin_troughs(cmnd, sr, tau_min, tau_max, threshold)
+
+    _kernels.yin_cmnd(padded, n_frames, hop, win, tau_max, search)
+    return out
+
+
+def _yin_troughs(cmnd, sr, tau_min, tau_max, threshold):
+    """Pitch in Hz of each CMND row, 0 where no lag dips below the threshold."""
     # First lag at or above tau_min whose CMND dips below the threshold.
     below = cmnd[:, tau_min:] < threshold
     first = tau_min + np.argmax(below, axis=1)
@@ -224,7 +270,7 @@ def f0_contour(
     stop &= np.arange(tau_max + 1) >= first[:, None]
     tau = np.where(below.any(axis=1), np.argmax(stop, axis=1), 0)
 
-    out = np.zeros(n_frames)
+    out = np.zeros(len(cmnd))
     voiced = tau > 0
     refined = tau.astype(np.float64)
     rows = np.flatnonzero(voiced & (tau < tau_max))
@@ -247,8 +293,12 @@ def rms_envelope(buf: AudioBuffer, fp: FrameParams = FrameParams()) -> np.ndarra
     squares adds up those blocks' sums.
     """
     x = np.asarray(buf.samples, dtype=np.float64)
-    padded = _reflect_pad(x, fp.n_fft)
-    n_frames = 1 + len(x) // fp.hop
+    return _rms(_reflect_pad(x, fp.n_fft), len(x), fp)
+
+
+def _rms(padded: np.ndarray, n_samples: int, fp: FrameParams) -> np.ndarray:
+    """``rms_envelope`` of the signal whose ``_reflect_pad`` is ``padded``."""
+    n_frames = 1 + n_samples // fp.hop
     block = math.gcd(fp.n_fft, fp.hop)
     step, per_frame = fp.hop // block, fp.n_fft // block
     n_blocks = (n_frames - 1) * step + per_frame
@@ -263,13 +313,16 @@ def spectral_centroid(spec: Spectrogram) -> np.ndarray:
         raise ValueError("spectral_centroid expects a magnitude spectrogram")
     freqs = fft_frequencies(spec.sample_rate, spec.frame_params.n_fft)
     totals = spec.values.sum(axis=0)
-    weighted = freqs @ spec.values
+    # A per-column sum, not a BLAS product, whose rounding would depend on
+    # how many frames are passed in one call.
+    weighted = (spec.values * freqs[:, None]).sum(axis=0)
     return np.divide(weighted, totals, out=np.zeros_like(totals), where=totals > 0.0)
 
 
 def spectral_flatness(spec: Spectrogram) -> np.ndarray:
     """Geometric over arithmetic mean of floored power bins, in [0, 1]."""
-    power = spec.to_power().values + _FLATNESS_FLOOR
+    values = spec.values if spec.kind == "power" else spec.values**2
+    power = values + _FLATNESS_FLOOR
     gmean = np.exp(np.mean(np.log(power), axis=0))
     return gmean / np.mean(power, axis=0)
 
@@ -307,7 +360,24 @@ def tempogram(onset: np.ndarray, win_length: int = 384) -> np.ndarray:
     no energy are left at zero.
     """
     env = np.ascontiguousarray(onset, dtype=np.float64)
-    return _kernels.local_autocorr(env, hann_window(win_length))
+    out = np.empty((win_length, len(env)))
+
+    def keep(start, stop, rows):
+        out[:, start:stop] = rows.T
+
+    _kernels.local_autocorr(env, hann_window(win_length), keep)
+    return out
+
+
+def _tempogram_mean(onset: np.ndarray, win_length: int = 384) -> np.ndarray:
+    """Time mean of ``tempogram(onset)``, adding up each block's columns."""
+    total = np.zeros(win_length)
+
+    def add(start, stop, rows):
+        total[:] += rows.sum(axis=0)
+
+    _kernels.local_autocorr(onset, hann_window(win_length), add)
+    return total / len(onset)
 
 
 @lru_cache(maxsize=16)
@@ -408,39 +478,87 @@ def extract_summaries(
     fp: FrameParams = FrameParams(),
     feature_ids=FEATURE_IDS,
 ) -> dict:
-    """Compute the requested feature summaries in one STFT pass."""
+    """Compute the requested feature summaries in one pass over the signal.
+
+    See the module docstring for how the blocks are reduced. The work that
+    only features outside ``feature_ids`` need is skipped.
+    """
     unknown = set(feature_ids) - set(FEATURE_IDS)
     if unknown:
         raise ValueError(f"unknown feature ids: {sorted(unknown)}")
     wanted = [f for f in FEATURE_IDS if f in feature_ids]
 
-    mag = stft(buf, fp)
-    power = mag.to_power()
-    need_mel = {"mel_spectrogram", "tempogram"} & set(wanted)
-    mel = _mel_from_power(power, 128, 0.0, 8000.0) if need_mel else None
-    pcqt = pseudo_cqt(power) if {"pseudo_cqt", "chroma_cqt"} & set(wanted) else None
+    sr = buf.sample_rate
+    x = np.asarray(buf.samples, dtype=np.float64)
+    padded = _reflect_pad(x, fp.n_fft)
+    contours, onset, mean_power = {}, None, None
+    if set(wanted) - {"pitch", "rms"}:
+        contours, onset, mean_power = _stft_pass(padded, len(x), fp, sr, wanted)
+    if {"pseudo_cqt", "chroma_cqt"} & set(wanted):
+        pcqt = pseudo_cqt(mean_power)
 
+    # The tempogram and bank features arrive as one-column matrices that are
+    # already time means: summarize keeps them as they are and still checks them.
     out = {}
     for fid in wanted:
         if fid == "pitch":
-            raw = f0_contour(buf, frame_length=fp.n_fft, hop=fp.hop)
-        elif fid == "mel_spectrogram":
-            raw = mel.values
+            raw = _yin_f0(padded, len(x), sr, _YIN_FMIN, _YIN_FMAX, fp.n_fft, fp.hop,
+                          _YIN_THRESHOLD)
         elif fid == "rms":
-            raw = rms_envelope(buf, fp)
-        elif fid == "spectral_centroid":
-            raw = spectral_centroid(mag)
-        elif fid == "spectral_flatness":
-            raw = spectral_flatness(power)
-        elif fid == "spectral_rolloff":
-            raw = spectral_rolloff(mag)
+            raw = _rms(padded, len(x), fp)
+        elif fid in contours:
+            raw = contours[fid]
         elif fid == "tempogram":
-            raw = tempogram(onset_strength(mel))
+            raw = _tempogram_mean(onset)[:, None]
+        elif fid == "mel_spectrogram":
+            raw = _mel_from_power(mean_power, 128, 0.0, 8000.0).values
         elif fid == "chromagram":
-            raw = chroma_stft(power)
+            raw = chroma_stft(mean_power)
         elif fid == "pseudo_cqt":
             raw = pcqt
         else:  # chroma_cqt
             raw = chroma_cqt(pcqt)
         out[fid] = summarize(fid, raw)
     return out
+
+
+def _stft_pass(padded, n_samples, fp, sample_rate, wanted):
+    """One pass over the STFT blocks for the spectral features in ``wanted``.
+
+    Returns the per-frame spectral contours by feature id, the onset
+    strength envelope (``None`` unless the tempogram is wanted), and the
+    time-mean power spectrum as a one-frame power ``Spectrogram``. Each
+    block's magnitude spectrogram goes through the public per-frame
+    functions; its mel frames are turned into onset strength with the
+    previous block's last mel frame in front, so the flux across the block
+    edge is kept.
+    """
+    n_frames = 1 + n_samples // fp.hop
+    measures = {"spectral_centroid": spectral_centroid,
+                "spectral_flatness": spectral_flatness,
+                "spectral_rolloff": spectral_rolloff}
+    contours = {fid: np.empty(n_frames) for fid in wanted if fid in measures}
+    onset = np.empty(n_frames) if "tempogram" in wanted else None
+    rows = min(n_frames, _kernels._BLOCK_ROWS)
+    power = np.empty((rows, fp.n_fft // 2 + 1))
+    power_sum = np.zeros(fp.n_fft // 2 + 1)
+    if onset is not None:
+        mel_bank = _mel_bank(128, 0.0, 8000.0, fp.n_fft, sample_rate)
+        mel = np.empty((128, rows + 1))  # column 0: the frame before the block
+    for start, stop, mag in _stft_blocks(padded, n_samples, fp):
+        block = power[: stop - start]
+        np.multiply(mag, mag, out=block)
+        power_sum += block.sum(axis=0)
+        spec = Spectrogram(mag.T, "magnitude", fp, sample_rate)
+        for fid, values in contours.items():
+            values[start:stop] = measures[fid](spec)
+        if onset is not None:
+            block_mel = mel[:, : stop - start + 1]
+            np.matmul(mel_bank, block.T, out=block_mel[:, 1:])
+            if start == 0:
+                block_mel[:, 0] = block_mel[:, 1]  # no flux into the first frame
+            block_mel_spec = Spectrogram(block_mel, "power", fp, sample_rate)
+            onset[start:stop] = onset_strength(block_mel_spec)[1:]
+            mel[:, 0] = block_mel[:, -1]
+    mean_power = Spectrogram((power_sum / n_frames)[:, None], "power", fp, sample_rate)
+    return contours, onset, mean_power

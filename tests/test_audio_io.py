@@ -39,6 +39,35 @@ class TestDecodeWav:
             buf = decode_wav(make_wav(x, fmt=fmt))
             np.testing.assert_allclose(buf.samples, x, atol=tol)
 
+    def test_pcm24_sign_extension_at_the_extremes(self):
+        # 0x7FFFFF, 0x800000, 0xFFFFFF, 0x000001, 0x800000; an odd count, so
+        # the last sample is the one read past the end of the payload
+        codes = np.array([0x7FFFFF, -0x800000, -1, 1, -0x800000])
+        data = make_wav(codes / 2.0**23, fmt="pcm24")
+        assert data.endswith(bytes.fromhex("ffff7f" "000080" "ffffff" "010000" "000080"))
+        buf = decode_wav(data)
+        np.testing.assert_array_equal(buf.samples, codes / 2.0**23)
+        stereo = decode_wav(make_wav(np.stack([codes, codes[::-1]], axis=1) / 2.0**23,
+                                     fmt="pcm24"))
+        np.testing.assert_array_equal(stereo.samples[:, 0], codes / 2.0**23)
+        np.testing.assert_array_equal(stereo.samples[:, 1], codes[::-1] / 2.0**23)
+
+    @pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])
+    @pytest.mark.parametrize("junk_size", [1, 2, 3, 4])
+    def test_data_chunk_after_odd_sized_chunk(self, fmt, junk_size):
+        # An odd-sized chunk is followed by its pad byte, so the data body
+        # starts 54, 54, 58 or 56 bytes in: unaligned for 4-byte samples.
+        x = np.random.default_rng(junk_size).uniform(-1.0, 1.0, (33, 2))
+        data = make_wav(x, fmt=fmt)
+        junk = b"junk" + struct.pack("<I", junk_size) + b"\x7f" * junk_size
+        junk += b"\0" * (junk_size & 1)
+        at = data.index(b"data")
+        patched = data[:at] + junk + data[at:]
+        patched = patched[:4] + struct.pack("<I", len(patched) - 8) + patched[8:]
+        assert patched.index(b"data") + 8 == 44 + len(junk)
+        buf = decode_wav(patched)
+        np.testing.assert_array_equal(buf.samples, decode_wav(data).samples)
+
     def test_truncated_data_chunk(self):
         data = make_wav(sine(440, 0.05))
         with pytest.raises(FormatError):

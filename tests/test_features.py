@@ -1,5 +1,7 @@
 """Feature extractor tests: frozen oracle values, spec examples, invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ BIN_HZ = SR / FP.n_fft  # 15.625
 
 def spec_of(x, kind="magnitude"):
     s = F.stft(mono_buffer(x), FP)
-    return s if kind == "magnitude" else s.to_power()
+    return s if kind == "magnitude" else F.Spectrogram(s.values**2, "power", FP, SR)
 
 
 class TestStft:
@@ -41,7 +43,7 @@ class TestStft:
     def test_parseval_interior_frames(self):
         x = sine(1000.0, 0.5, amp=0.7)
         window = F.hann_window(FP.n_fft)
-        power = F.stft(mono_buffer(x), FP).to_power().values
+        power = spec_of(x, "power").values
         frames = F.frame_signal(x, FP.n_fft, FP.hop)
         for t in range(4, 12):
             spectral = (power[0, t] + 2 * power[1:-1, t].sum() + power[-1, t]) / FP.n_fft
@@ -312,6 +314,15 @@ class TestSummarize:
             assert np.all(np.isfinite(summary.vector))
 
 
+    def test_each_feature_alone_matches_the_full_pass(self):
+        buf = mono_buffer(sine(220.0, 0.7) + 0.1 * white_noise(0.7, seed=4))
+        full = F.extract_summaries(buf)
+        for fid in F.FEATURE_IDS:
+            alone = F.extract_summaries(buf, feature_ids=(fid,))
+            assert list(alone) == [fid]
+            np.testing.assert_array_equal(alone[fid].vector, full[fid].vector)
+
+
 class TestInvariants:
     def test_determinism_bit_identical(self):
         x = white_noise(0.5, seed=3)
@@ -343,3 +354,26 @@ class TestInvariants:
         for summary in summaries.values():
             if np.linalg.norm(summary.vector) > 0:
                 assert cosine(summary.vector, summary.vector) == 1.0
+
+
+class TestMemory:
+    def test_extract_summaries_peak_stays_block_sized(self):
+        # 30 s frame to 1876 rows. Block by block, the peak is one 3.9 MB
+        # reflect-padded copy of the signal plus the YIN block temporaries,
+        # about 9.4 MB in all. Any whole-file array on top of that crosses
+        # 12 MB: a (bins, frames) float64 matrix is 7.7 MB, the (frames,
+        # lags) YIN matrix 4.8 MB and the (lags, frames) tempogram 5.8 MB.
+        buf = mono_buffer(white_noise(30.0, seed=11))
+        F.extract_summaries(mono_buffer(white_noise(0.5, seed=11)))  # build the cached banks
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            F.extract_summaries(buf)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 12e6, f"extract_summaries peaked at {peak / 1e6:.1f} MB"

@@ -10,13 +10,34 @@ from cloneval import _kernels
 from cloneval import features as F
 
 
+def collect(kernel, *args):
+    """Stack the row blocks that ``kernel`` hands to its reduction, in order."""
+    blocks = []
+
+    def keep(start, stop, rows):
+        assert start == sum(len(b) for b in blocks) and len(rows) == stop - start
+        blocks.append(rows.copy())
+
+    kernel(*args, keep)
+    return np.concatenate(blocks)
+
+
+def local_autocorr(env, window):
+    """The kernel's rows as one (win_length, frames) matrix."""
+    return collect(_kernels.local_autocorr, env, window).T
+
+
+def yin_cmnd(padded, n_frames, hop, win, tau_max):
+    return collect(_kernels.yin_cmnd, padded, n_frames, hop, win, tau_max)
+
+
 def test_kernel_output_shapes():
     env = np.abs(np.sin(np.arange(100.0)))
     window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(384) / 384)
-    out = _kernels.local_autocorr(env, window)
+    out = local_autocorr(env, window)
     assert out.shape == (384, 100)
     padded = np.random.default_rng(3).standard_normal(4 * 256 + 1024)
-    cmnd = _kernels.yin_cmnd(padded, 5, 256, 512, 320)
+    cmnd = yin_cmnd(padded, 5, 256, 512, 320)
     assert cmnd.shape == (5, 321)
     assert np.all(cmnd[:, 0] == 1.0)
 
@@ -70,7 +91,12 @@ def test_f0_trough_search_matches_oracle_on_crafted_cmnd(monkeypatch):
     cmnd[6, tau_min - 1 : tau_min + 2] = [0.2, 0.05, np.nan]
     cmnd[7, tau_min : tau_min + 2] = [np.nan, 0.01]
     cmnd[:, 0] = 1.0
-    monkeypatch.setattr(_kernels, "yin_cmnd", lambda padded, n_frames, hop, win, tau_max: cmnd)
+
+    def blocks_of_cmnd(padded, n_frames, hop, win, tau_max, reduce):
+        for start, stop in _kernels._row_blocks(n_frames):
+            reduce(start, stop, cmnd[start:stop])
+
+    monkeypatch.setattr(_kernels, "yin_cmnd", blocks_of_cmnd)
     f0 = F.f0_contour(mono_buffer(np.zeros(299 * oracles.HOP)))
     expected = [oracles.yin_trough_f0(row, tau_min, tau_max) for row in cmnd]
     np.testing.assert_array_equal(f0, expected)
@@ -81,9 +107,9 @@ def test_f0_trough_search_matches_oracle_on_crafted_cmnd(monkeypatch):
 def test_local_autocorr_matches_oracle_across_block_edges(rows):
     window = F.hann_window(384)
     env = _onset_test_envelope(rows)
-    out = _kernels.local_autocorr(env, window)
+    out = local_autocorr(env, window)
     np.testing.assert_allclose(out, oracles.tempogram(env), rtol=0.0, atol=1e-12)
-    assert np.all(_kernels.local_autocorr(np.zeros(rows), window) == 0.0)
+    assert np.all(local_autocorr(np.zeros(rows), window) == 0.0)
     if rows > 20 + 384 // 2:
         assert np.all(out[:, 20 + 384 // 2 :] == 0.0)
 
@@ -101,8 +127,8 @@ def test_kernels_independent_of_block_size(rows, monkeypatch):
     env = _onset_test_envelope(rows)
 
     def run():
-        cmnd = {hop: _kernels.yin_cmnd(p, rows, hop, 512, 320) for hop, p in signals.items()}
-        return cmnd, _kernels.local_autocorr(env, window)
+        cmnd = {hop: yin_cmnd(p, rows, hop, 512, 320) for hop, p in signals.items()}
+        return cmnd, local_autocorr(env, window)
 
     blocked = run()
     monkeypatch.setattr(_kernels, "_BLOCK_ROWS", rows + 1)
@@ -187,7 +213,7 @@ def test_silence_after_loud_frames_is_exact(hop):
     n_frames = 1 + len(x) // hop
     silent = np.array([t * hop - 512 >= oracles.SR for t in range(n_frames)])
     padded = np.pad(x, 512, mode="reflect")
-    cmnd = _kernels.yin_cmnd(padded, n_frames, hop, 512, 320)
+    cmnd = yin_cmnd(padded, n_frames, hop, 512, 320)
     assert np.all(cmnd[silent] == 1.0)
     assert np.all(F.rms_envelope(buf, F.FrameParams(hop=hop))[silent] == 0.0)
     assert np.all(F.f0_contour(buf, hop=hop)[silent] == 0.0)
@@ -210,7 +236,7 @@ def test_quiet_frames_after_loud_ones_scale_exactly(hop):
 
     def features(x):
         padded = np.pad(x, 512, mode="reflect")
-        cmnd = _kernels.yin_cmnd(padded, n_frames, hop, 512, 320)
+        cmnd = yin_cmnd(padded, n_frames, hop, 512, 320)
         return cmnd[quiet], F.rms_envelope(mono_buffer(x), F.FrameParams(hop=hop))[quiet]
 
     (cmnd_loud, rms_loud), (cmnd_plain, rms_plain) = features(loud), features(plain)
@@ -233,3 +259,53 @@ def test_fft_size_is_smooth_and_minimal():
         size = _kernels._fft_size(n)
         assert size == min(m for m in smooth if m >= n)
     assert _kernels._fft_size(576) == 576 and _kernels._fft_size(767) == 768
+
+
+def _block_edge_clip(rows, odd, content):
+    """A clip of ``rows`` frames: silent, or a tone with noise then silence."""
+    n = (rows - 1) * oracles.HOP + 100 + odd
+    if content == "silent":
+        return np.zeros(n)
+    x = 0.5 * np.sin(2 * np.pi * 220.0 * np.arange(n) / oracles.SR)
+    x += 0.05 * np.random.default_rng(rows).standard_normal(n)
+    x[2 * n // 3 :] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("content", ["silent", "voiced"])
+@pytest.mark.parametrize("odd", [0, 1])
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_streamed_summaries_match_whole_file_features(rows, odd, content):
+    x = _block_edge_clip(rows, odd, content)
+    buf = mono_buffer(x)
+    streamed = {fid: s.vector for fid, s in F.extract_summaries(buf).items()}
+
+    mag = F.stft(buf)
+    assert mag.n_frames == rows
+    power = F.Spectrogram(mag.values**2, "power", mag.frame_params, mag.sample_rate)
+    exact = {
+        "pitch": F.f0_contour(buf),
+        "rms": F.rms_envelope(buf),
+        "spectral_centroid": F.spectral_centroid(mag),
+        "spectral_flatness": F.spectral_flatness(mag),
+        "spectral_rolloff": F.spectral_rolloff(mag),
+    }
+    for fid, raw in exact.items():
+        np.testing.assert_array_equal(streamed[fid], F.summarize(fid, raw).vector, err_msg=fid)
+
+    pcqt = F.pseudo_cqt(power)
+    banks = {
+        "mel_spectrogram": F.mel_spectrogram(buf).values,
+        "chromagram": F.chroma_stft(power),
+        "pseudo_cqt": pcqt,
+        "chroma_cqt": F.chroma_cqt(pcqt),
+    }
+    for fid, matrix in banks.items():
+        np.testing.assert_allclose(streamed[fid], matrix.mean(axis=1), rtol=1e-12, atol=0.0,
+                                   err_msg=fid)
+
+    onset = F.onset_strength(F.mel_spectrogram(buf))
+    np.testing.assert_allclose(streamed["tempogram"], F.tempogram(onset).mean(axis=1),
+                               rtol=0.0, atol=1e-12)
+    if content == "silent":
+        assert not np.any(streamed["tempogram"])
