@@ -12,7 +12,6 @@ from .embeddings import BackendSpec, SpeakerEmbedding, embed, load_backend, read
 from .features import (
     FEATURE_IDS,
     FeatureSummary,
-    FrameParams,
     Spectrogram,
     extract_summaries,
     summarize,
@@ -36,7 +35,6 @@ __all__ = [
     "EvalConfig",
     "FEATURE_IDS",
     "FeatureSummary",
-    "FrameParams",
     "PIPELINE_RATE",
     "PairRecord",
     "PairSide",

@@ -16,8 +16,6 @@ small and give the same bits as one unblocked batch. Each FFT is only as
 long as its correlation needs, rounded up by ``_fft_size``.
 """
 
-import math
-
 import numpy as np
 
 # One kernel path; pipebench/evaluate.py records this flag in its BENCH files.
@@ -34,16 +32,15 @@ def _row_blocks(n):
     return zip(edges[:-1], edges[1:])
 
 
-def _frame_sums(rows, n_frames, step, per_frame):
-    """Row ``t`` of the result adds ``rows[t*step : t*step + per_frame]``.
+def _frame_sums(rows, n_frames, per_frame):
+    """Row ``t`` of the result adds ``rows[t : t + per_frame]``.
 
-    A frame made of ``per_frame`` consecutive chunks, ``step`` chunks after
-    the previous frame, sums its chunks' rows; ``rows`` holds one per chunk.
+    A frame made of ``per_frame`` consecutive chunks, one chunk after the
+    previous frame, sums its chunks' rows; ``rows`` holds one per chunk.
     """
-    span = (n_frames - 1) * step + 1
-    total = rows[:span:step]
+    total = rows[:n_frames]
     for k in range(1, per_frame):
-        total = total + rows[k : k + span : step]
+        total = total + rows[k : k + n_frames]
     return total
 
 
@@ -124,46 +121,39 @@ def yin_cmnd(padded, n_frames, hop, win, tau_max, reduce):
     ``r`` correlates the head with the shifted span and ``e`` is the shifted
     span's energy (de Cheveigne & Kawahara, JASA 2002, eq. 7).
 
-    Both sums run over the head's samples, so they split into chunks. With
-    ``c = gcd(win, hop)`` a head is ``win / c`` consecutive ``c``-sample
-    chunks, shared with the neighbouring frames; each chunk's correlation
-    (one FFT of ``_fft_size(c + tau_max)`` samples) and energy (its own
-    prefix sums, so silence reads exactly 0) is computed once, and a frame
-    adds up its chunks' rows. When the chunks would cost more transforms
-    than the heads, as for a hop that shares little with ``win``, each head
-    is its own chunk. Frames are processed in ``_row_blocks``.
+    Both sums run over the head's samples, so they split into chunks. The
+    kernel serves one geometry, ``win % hop == 0``: a head is ``win / hop``
+    consecutive ``hop``-sample chunks, shared with the neighbouring frames.
+    Each chunk's correlation (one FFT of ``n_fft = _fft_size(hop + tau_max)``
+    samples) and energy (its own prefix sums, so silence reads exactly 0) is
+    computed once, and a frame adds up its chunks' rows. The last chunk's
+    transform reads ``n_fft - hop`` samples past the last head, so
+    ``padded`` must hold them. Frames are processed in ``_row_blocks``.
     """
     lags = tau_max + 1
-    chunk = math.gcd(win, hop)
-    if hop // chunk * _fft_size(chunk + tau_max) >= _fft_size(win + tau_max):
-        chunk = win
-    stride = chunk if chunk < win else hop
-    step, per_frame = hop // stride, win // chunk
-    seg_len = chunk + tau_max
+    per_frame = win // hop
+    seg_len = hop + tau_max
     n_fft = _fft_size(seg_len)
     # Each chunk's spectrum is taken over n_fft signal samples rather than
     # seg_len zero-padded ones: samples past seg_len reach no lag <= tau_max,
     # and a row that needs no padding transforms faster.
-    short = ((n_frames - 1) * step + per_frame - 1) * stride + n_fft - len(padded)
-    if short > 0:
-        padded = np.concatenate((padded, np.zeros(short)))
-    segments = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::stride]
+    segments = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
     taus = np.arange(lags)
     block = np.empty((min(n_frames, _BLOCK_ROWS), lags))
-    prefix = np.zeros(((min(n_frames, _BLOCK_ROWS) - 1) * step + per_frame, seg_len + 1))
+    prefix = np.zeros((min(n_frames, _BLOCK_ROWS) + per_frame - 1, seg_len + 1))
     for start, stop in _row_blocks(n_frames):
-        seg = segments[start * step : (stop - 1) * step + per_frame]
+        seg = segments[start : stop + per_frame - 1]
         spec = np.fft.rfft(seg, n=n_fft, axis=1)
-        head_spec = np.fft.rfft(seg[:, :chunk], n=n_fft, axis=1)
+        head_spec = np.fft.rfft(seg[:, :hop], n=n_fft, axis=1)
         corr = np.fft.irfft(np.conj(head_spec) * spec, n=n_fft, axis=1)[:, :lags]
 
         pre = prefix[: len(seg)]
         tail = seg[:, :seg_len]
         np.cumsum(tail * tail, axis=1, out=pre[:, 1:])
-        energy = pre[:, chunk : chunk + lags] - pre[:, :lags]
+        energy = pre[:, hop : hop + lags] - pre[:, :lags]
 
-        r = _frame_sums(corr, stop - start, step, per_frame)
-        e = _frame_sums(energy, stop - start, step, per_frame)
+        r = _frame_sums(corr, stop - start, per_frame)
+        e = _frame_sums(energy, stop - start, per_frame)
 
         diff = np.maximum(e[:, :1] + e - 2.0 * r, 0.0)
         diff[:, 0] = 0.0

@@ -34,7 +34,7 @@ class SchemaError(ClonevalError):
 
 
 class RateError(ClonevalError):
-    """Audio handed to the embedding backend is not at the required rate."""
+    """Audio handed to feature extraction or the embedding backend is not at 16 kHz."""
 
 
 class MissingEmbedding(ClonevalError):

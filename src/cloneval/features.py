@@ -17,20 +17,30 @@ or ``(frames, lags)`` matrix is built. The public per-feature functions
 still return whole-file matrices and contours; the block pass calls the
 same functions on one block at a time.
 
-Fixed analysis parameters: 1024-sample frames, 256-sample hop, periodic Hann
-window, centered frames with reflected edges. Spectral similarity is taken
-on linear power values (no dB conversion).
+The analysis settings are the protocol's, not the caller's: scores from two
+runs are comparable only if both analysed their audio the same way. They
+are the module constants below. Audio comes in at ``PIPELINE_RATE`` (16 kHz)
+and anything else raises ``RateError``. Frames are ``N_FFT`` (1024) samples,
+``HOP`` (256) apart, centered with reflected edges, under a periodic Hann
+window for the STFT. YIN searches ``YIN_FMIN``..``YIN_FMAX`` Hz below
+``YIN_THRESHOLD``. The mel bank has ``N_MELS`` bands over ``MEL_FMIN``..
+``MEL_FMAX``; the chroma bank is tuned to ``CHROMA_A4`` with Gaussian width
+``CHROMA_SIGMA`` semitones; the pseudo-CQT has ``CQT_BINS`` bins,
+``CQT_BINS_PER_OCTAVE`` per octave from ``CQT_FMIN``. The rolloff holds
+``ROLLOFF_FRACTION`` of the magnitude, and the tempogram window is
+``TEMPOGRAM_WIN`` frames. Spectral similarity is taken on linear power
+values (no dB conversion).
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionError, EmptyFeature, InputTooShort
-from .audio_io import AudioBuffer
+from .errors import DimensionError, EmptyFeature, InputTooShort, RateError
+from .audio_io import PIPELINE_RATE, AudioBuffer
 
 FEATURE_IDS = (
     "pitch",
@@ -45,42 +55,48 @@ FEATURE_IDS = (
     "chroma_cqt",
 )
 
+N_FFT = 1024
+HOP = 256
+YIN_FMIN = 50.0
+YIN_FMAX = 500.0
+YIN_THRESHOLD = 0.1
+N_MELS = 128
+MEL_FMIN = 0.0
+MEL_FMAX = 8000.0
+CHROMA_A4 = 440.0
+CHROMA_SIGMA = 1.0
+CQT_BINS = 84
+CQT_BINS_PER_OCTAVE = 12
+CQT_FMIN = 32.703
+ROLLOFF_FRACTION = 0.85
+TEMPOGRAM_WIN = 384
 CONTOUR_POINTS = 256
 
 SUMMARY_LENGTHS = {
     "pitch": CONTOUR_POINTS,
-    "mel_spectrogram": 128,
+    "mel_spectrogram": N_MELS,
     "rms": CONTOUR_POINTS,
     "spectral_centroid": CONTOUR_POINTS,
     "spectral_flatness": CONTOUR_POINTS,
     "spectral_rolloff": CONTOUR_POINTS,
-    "tempogram": 384,
+    "tempogram": TEMPOGRAM_WIN,
     "chromagram": 12,
-    "pseudo_cqt": 84,
+    "pseudo_cqt": CQT_BINS,
     "chroma_cqt": 12,
 }
 
+_N_BINS = N_FFT // 2 + 1
 _FLATNESS_FLOOR = 1e-10
-
-
-@dataclass(frozen=True)
-class FrameParams:
-    n_fft: int = 1024
-    hop: int = 256
-
-    def __post_init__(self):
-        if not (0 < self.hop <= self.n_fft):
-            raise ValueError("need 0 < hop <= n_fft")
-        if self.n_fft & (self.n_fft - 1):
-            raise ValueError("n_fft must be a power of two")
+# YIN compares the first half of each frame with itself shifted by a lag.
+_YIN_WIN = N_FFT // 2
+_TAU_MIN = math.ceil(PIPELINE_RATE / YIN_FMAX)
+_TAU_MAX = int(PIPELINE_RATE // YIN_FMIN)
 
 
 @dataclass(eq=False)
 class Spectrogram:
     values: np.ndarray  # (bins, frames), non-negative
     kind: str  # "magnitude" or "power"
-    frame_params: FrameParams
-    sample_rate: int
 
     @property
     def n_frames(self) -> int:
@@ -97,56 +113,65 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def _reflect_pad(x: np.ndarray, frame_len: int) -> np.ndarray:
-    """``x`` reflected at both ends, as centered ``frame_len`` frames see it.
+def _padded(buf: AudioBuffer):
+    """The buffer's samples reflect-padded by ``_reflect_pad``, and their count.
 
-    ``frame_len // 2`` samples go on the left and the rest on the right, so
-    the frame centered on the last sample is complete for odd lengths too.
+    Every buffer enters feature extraction here, so audio at any rate other
+    than ``PIPELINE_RATE`` is rejected here.
     """
+    if buf.sample_rate != PIPELINE_RATE:
+        raise RateError(
+            f"feature extraction needs {PIPELINE_RATE} Hz audio, got {buf.sample_rate} Hz")
+    x = np.asarray(buf.samples, dtype=np.float64)
+    return _reflect_pad(x), len(x)
+
+
+def _reflect_pad(x: np.ndarray) -> np.ndarray:
+    """``x`` reflected by ``N_FFT // 2`` samples at both ends, as centered frames see it."""
     if len(x) < 2:
         raise InputTooShort(f"need at least 2 samples, got {len(x)}")
-    return np.pad(x, (frame_len // 2, frame_len - frame_len // 2), mode="reflect")
+    return np.pad(x, N_FFT // 2, mode="reflect")
 
 
-def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
-    """Centered frames with reflect padding: 1 + len(x)//hop rows."""
-    return _frames(_reflect_pad(x, frame_len), len(x), frame_len, hop)
+def frame_signal(x: np.ndarray) -> np.ndarray:
+    """Centered ``N_FFT``-sample frames ``HOP`` apart, reflect-padded: 1 + len(x)//HOP rows."""
+    return _frames(_reflect_pad(x), len(x))
 
 
-def _frames(padded: np.ndarray, n_samples: int, frame_len: int, hop: int) -> np.ndarray:
+def _frames(padded: np.ndarray, n_samples: int) -> np.ndarray:
     """The frames of ``frame_signal`` as a view of the signal's ``_reflect_pad``."""
-    windows = np.lib.stride_tricks.sliding_window_view(padded, frame_len)
-    return windows[:: hop][: 1 + n_samples // hop]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, N_FFT)
+    return windows[::HOP][: 1 + n_samples // HOP]
 
 
-def fft_frequencies(sample_rate: int, n_fft: int) -> np.ndarray:
-    return np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
+def fft_frequencies() -> np.ndarray:
+    return np.arange(_N_BINS) * (PIPELINE_RATE / N_FFT)
 
 
-def stft(buf: AudioBuffer, fp: FrameParams = FrameParams()) -> Spectrogram:
+def stft(buf: AudioBuffer) -> Spectrogram:
     """Magnitude STFT of a mono buffer.
 
     The blocks of ``_stft_blocks`` are copied into one ``(frames, bins)``
     array; its transpose is the ``(bins, frames)`` spectrogram.
     """
-    x = np.asarray(buf.samples, dtype=np.float64)
-    mag = np.empty((1 + len(x) // fp.hop, fp.n_fft // 2 + 1))
-    for start, stop, block in _stft_blocks(_reflect_pad(x, fp.n_fft), len(x), fp):
+    padded, n_samples = _padded(buf)
+    mag = np.empty((1 + n_samples // HOP, _N_BINS))
+    for start, stop, block in _stft_blocks(padded, n_samples):
         mag[start:stop] = block
-    return Spectrogram(mag.T, "magnitude", fp, buf.sample_rate)
+    return Spectrogram(mag.T, "magnitude")
 
 
-def _stft_blocks(padded: np.ndarray, n_samples: int, fp: FrameParams):
+def _stft_blocks(padded: np.ndarray, n_samples: int):
     """Yield ``(start, stop, mag)`` per ``_row_blocks`` block of frames.
 
     ``mag`` is the ``(stop - start, bins)`` magnitude STFT of those frames,
     held in one buffer that the next block overwrites.
     """
-    frames = _frames(padded, n_samples, fp.n_fft, fp.hop)
-    window = hann_window(fp.n_fft)
+    frames = _frames(padded, n_samples)
+    window = hann_window(N_FFT)
     rows = min(frames.shape[0], _kernels._BLOCK_ROWS)
-    windowed = np.empty((rows, fp.n_fft))
-    mag = np.empty((rows, fp.n_fft // 2 + 1))
+    windowed = np.empty((rows, N_FFT))
+    mag = np.empty((rows, _N_BINS))
     for start, stop in _kernels._row_blocks(frames.shape[0]):
         count = stop - start
         np.multiply(frames[start:stop], window, out=windowed[:count])
@@ -168,9 +193,9 @@ def _mel_to_hz(m):
     return np.where(m < 15.0, 200.0 * m / 3.0, 1000.0 * np.exp(log_step * (m - 15.0)))
 
 
-def mel_frequencies(n_mels: int, fmin: float, fmax: float) -> np.ndarray:
-    """n_mels + 2 band edge frequencies, equally spaced on the mel scale."""
-    return _mel_to_hz(np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_mels + 2))
+def mel_frequencies() -> np.ndarray:
+    """N_MELS + 2 band edge frequencies, equally spaced on the mel scale."""
+    return _mel_to_hz(np.linspace(_hz_to_mel(MEL_FMIN), _hz_to_mel(MEL_FMAX), N_MELS + 2))
 
 
 def _triangle_bank(edges: np.ndarray, bin_freqs: np.ndarray) -> np.ndarray:
@@ -186,94 +211,63 @@ def _read_only(bank: np.ndarray) -> np.ndarray:
     return bank
 
 
-# The filterbanks depend only on their arguments, so each is built once and
-# shared read-only; the public builders hand out copies.
+# Each filterbank is built once and shared read-only; the public builders
+# hand out copies.
 
-@lru_cache(maxsize=16)
-def _mel_bank(n_mels, fmin, fmax, n_fft, sample_rate):
-    edges = mel_frequencies(n_mels, fmin, fmax)
-    bank = _triangle_bank(edges, fft_frequencies(sample_rate, n_fft))
+@cache
+def _mel_bank():
+    edges = mel_frequencies()
+    bank = _triangle_bank(edges, fft_frequencies())
     bank *= (2.0 / (edges[2:] - edges[:-2]))[:, None]  # area normalization
     return _read_only(bank)
 
 
-def mel_filterbank(
-    n_mels: int = 128, fmin: float = 0.0, fmax: float = 8000.0,
-    n_fft: int = 1024, sample_rate: int = 16000,
-) -> np.ndarray:
-    return _mel_bank(n_mels, fmin, fmax, n_fft, sample_rate).copy()
+def mel_filterbank() -> np.ndarray:
+    return _mel_bank().copy()
 
 
-def _mel_from_power(power: Spectrogram, n_mels: int, fmin: float, fmax: float) -> Spectrogram:
-    bank = _mel_bank(n_mels, fmin, fmax, power.frame_params.n_fft, power.sample_rate)
-    return Spectrogram(bank @ power.values, "power", power.frame_params, power.sample_rate)
-
-
-def mel_spectrogram(
-    buf: AudioBuffer, fp: FrameParams = FrameParams(),
-    n_mels: int = 128, fmin: float = 0.0, fmax: float = 8000.0,
-) -> Spectrogram:
+def mel_spectrogram(buf: AudioBuffer) -> Spectrogram:
     """Mel power spectrogram: area-normalized triangular bank over the power STFT."""
-    power = Spectrogram(stft(buf, fp).values ** 2, "power", fp, buf.sample_rate)
-    return _mel_from_power(power, n_mels, fmin, fmax)
+    return Spectrogram(_mel_bank() @ stft(buf).values ** 2, "power")
 
 
-_YIN_FMIN = 50.0
-_YIN_FMAX = 500.0
-_YIN_THRESHOLD = 0.1
-
-
-def f0_contour(
-    buf: AudioBuffer, fmin: float = _YIN_FMIN, fmax: float = _YIN_FMAX,
-    frame_length: int = 1024, hop: int = 256, threshold: float = _YIN_THRESHOLD,
-) -> np.ndarray:
+def f0_contour(buf: AudioBuffer) -> np.ndarray:
     """YIN pitch track in Hz per frame; 0 marks unvoiced frames.
 
     Per frame the cumulative-mean-normalized difference function is searched
     for the first trough below the threshold; the trough is refined by
     parabolic interpolation. YIN: de Cheveigne & Kawahara (2002).
     """
-    x = np.asarray(buf.samples, dtype=np.float64)
-    padded = _reflect_pad(x, frame_length)
-    return _yin_f0(padded, len(x), buf.sample_rate, fmin, fmax, frame_length, hop, threshold)
+    return _yin_f0(*_padded(buf))
 
 
-def _yin_f0(padded, n_samples, sr, fmin, fmax, frame_length, hop, threshold):
+def _yin_f0(padded, n_samples):
     """``f0_contour`` of the signal whose ``_reflect_pad`` is ``padded``."""
-    n_frames = 1 + n_samples // hop
-    win = frame_length // 2
-    tau_min = int(math.ceil(sr / fmax))
-    tau_max = int(sr // fmin)
-    if tau_max + win > frame_length:
-        raise ValueError("frame_length too small for fmin")
-    if tau_min > tau_max:
-        raise ValueError("fmin and fmax leave no lag to search")
-
-    out = np.zeros(n_frames)
+    out = np.zeros(1 + n_samples // HOP)
 
     def search(start, stop, cmnd):
-        out[start:stop] = _yin_troughs(cmnd, sr, tau_min, tau_max, threshold)
+        out[start:stop] = _yin_troughs(cmnd)
 
-    _kernels.yin_cmnd(padded, n_frames, hop, win, tau_max, search)
+    _kernels.yin_cmnd(padded, len(out), HOP, _YIN_WIN, _TAU_MAX, search)
     return out
 
 
-def _yin_troughs(cmnd, sr, tau_min, tau_max, threshold):
+def _yin_troughs(cmnd):
     """Pitch in Hz of each CMND row, 0 where no lag dips below the threshold."""
-    # First lag at or above tau_min whose CMND dips below the threshold.
-    below = cmnd[:, tau_min:] < threshold
-    first = tau_min + np.argmax(below, axis=1)
+    # First lag at or above _TAU_MIN whose CMND dips below the threshold.
+    below = cmnd[:, _TAU_MIN:] < YIN_THRESHOLD
+    first = _TAU_MIN + np.argmax(below, axis=1)
     # Walk downhill from there: stop at the first lag >= first whose right
-    # neighbour is not lower, or at tau_max.
+    # neighbour is not lower, or at _TAU_MAX.
     stop = np.ones(cmnd.shape, dtype=bool)
     np.logical_not(cmnd[:, 1:] < cmnd[:, :-1], out=stop[:, :-1])
-    stop &= np.arange(tau_max + 1) >= first[:, None]
+    stop &= np.arange(_TAU_MAX + 1) >= first[:, None]
     tau = np.where(below.any(axis=1), np.argmax(stop, axis=1), 0)
 
     out = np.zeros(len(cmnd))
     voiced = tau > 0
     refined = tau.astype(np.float64)
-    rows = np.flatnonzero(voiced & (tau < tau_max))
+    rows = np.flatnonzero(voiced & (tau < _TAU_MAX))
     mid = tau[rows]
     a, b, c = cmnd[rows, mid - 1], cmnd[rows, mid], cmnd[rows, mid + 1]
     denom = a - 2.0 * b + c
@@ -281,41 +275,46 @@ def _yin_troughs(cmnd, sr, tau_min, tau_max, threshold):
     shift = 0.5 * (a - c)[curved] / denom[curved]
     keep = np.abs(shift) < 1.0
     refined[rows[curved][keep]] += shift[keep]
-    out[voiced] = sr / refined[voiced]
+    out[voiced] = PIPELINE_RATE / refined[voiced]
     return out
 
 
-def rms_envelope(buf: AudioBuffer, fp: FrameParams = FrameParams()) -> np.ndarray:
+def rms_envelope(buf: AudioBuffer) -> np.ndarray:
     """Per-frame RMS of windowless centered frames.
 
-    With ``c = gcd(n_fft, hop)`` a frame is ``n_fft / c`` consecutive
-    ``c``-sample blocks, shared with the neighbouring frames; its sum of
-    squares adds up those blocks' sums.
+    A frame is ``N_FFT / HOP`` consecutive ``HOP``-sample blocks, shared with
+    the neighbouring frames; its sum of squares adds up those blocks' sums.
     """
-    x = np.asarray(buf.samples, dtype=np.float64)
-    return _rms(_reflect_pad(x, fp.n_fft), len(x), fp)
+    return _rms(*_padded(buf))
 
 
-def _rms(padded: np.ndarray, n_samples: int, fp: FrameParams) -> np.ndarray:
-    """``rms_envelope`` of the signal whose ``_reflect_pad`` is ``padded``."""
-    n_frames = 1 + n_samples // fp.hop
-    block = math.gcd(fp.n_fft, fp.hop)
-    step, per_frame = fp.hop // block, fp.n_fft // block
-    n_blocks = (n_frames - 1) * step + per_frame
-    used = padded[: n_blocks * block]
-    sums = (used * used).reshape(n_blocks, block).sum(axis=1)
-    return np.sqrt(_kernels._frame_sums(sums, n_frames, step, per_frame) / fp.n_fft)
+def _rms(padded: np.ndarray, n_samples: int) -> np.ndarray:
+    """``rms_envelope`` of the signal whose ``_reflect_pad`` is ``padded``.
+
+    The blocks are squared and summed ``_row_blocks`` rows at a time, so the
+    squares take one block-sized buffer, not a signal-sized array.
+    """
+    n_frames = 1 + n_samples // HOP
+    per_frame = N_FFT // HOP
+    n_blocks = n_frames + per_frame - 1
+    sums = np.empty(n_blocks)
+    squares = np.empty((min(n_blocks, _kernels._BLOCK_ROWS), HOP))
+    for start, stop in _kernels._row_blocks(n_blocks):
+        blocks = padded[start * HOP : stop * HOP].reshape(-1, HOP)
+        rows = squares[: stop - start]
+        np.multiply(blocks, blocks, out=rows)
+        rows.sum(axis=1, out=sums[start:stop])
+    return np.sqrt(_kernels._frame_sums(sums, n_frames, per_frame) / N_FFT)
 
 
 def spectral_centroid(spec: Spectrogram) -> np.ndarray:
     """Magnitude-weighted mean frequency per frame; 0 for silent frames."""
     if spec.kind != "magnitude":
         raise ValueError("spectral_centroid expects a magnitude spectrogram")
-    freqs = fft_frequencies(spec.sample_rate, spec.frame_params.n_fft)
     totals = spec.values.sum(axis=0)
     # A per-column sum, not a BLAS product, whose rounding would depend on
     # how many frames are passed in one call.
-    weighted = (spec.values * freqs[:, None]).sum(axis=0)
+    weighted = (spec.values * fft_frequencies()[:, None]).sum(axis=0)
     return np.divide(weighted, totals, out=np.zeros_like(totals), where=totals > 0.0)
 
 
@@ -327,18 +326,17 @@ def spectral_flatness(spec: Spectrogram) -> np.ndarray:
     return gmean / np.mean(power, axis=0)
 
 
-def spectral_rolloff(spec: Spectrogram, fraction: float = 0.85) -> np.ndarray:
-    """Lowest frequency holding >= fraction of cumulative magnitude; 0 if silent."""
+def spectral_rolloff(spec: Spectrogram) -> np.ndarray:
+    """Lowest frequency holding >= ROLLOFF_FRACTION of cumulative magnitude; 0 if silent."""
     if spec.kind != "magnitude":
         raise ValueError("spectral_rolloff expects a magnitude spectrogram")
-    freqs = fft_frequencies(spec.sample_rate, spec.frame_params.n_fft)
     cum = np.cumsum(spec.values, axis=0)
     totals = cum[-1]
     out = np.zeros(spec.n_frames)
     live = totals > 0.0
     if np.any(live):
-        idx = np.argmax(cum[:, live] >= fraction * totals[live], axis=0)
-        out[live] = freqs[idx]
+        idx = np.argmax(cum[:, live] >= ROLLOFF_FRACTION * totals[live], axis=0)
+        out[live] = fft_frequencies()[idx]
     return out
 
 
@@ -353,81 +351,73 @@ def onset_strength(mel: Spectrogram) -> np.ndarray:
     return out
 
 
-def tempogram(onset: np.ndarray, win_length: int = 384) -> np.ndarray:
-    """Windowed local autocorrelation of the onset envelope, (win_length, frames).
+def tempogram(onset: np.ndarray) -> np.ndarray:
+    """Windowed local autocorrelation of the onset envelope, (TEMPOGRAM_WIN, frames).
 
     Each column is normalized by its lag-0 value; columns whose window holds
     no energy are left at zero.
     """
     env = np.ascontiguousarray(onset, dtype=np.float64)
-    out = np.empty((win_length, len(env)))
+    out = np.empty((TEMPOGRAM_WIN, len(env)))
 
     def keep(start, stop, rows):
         out[:, start:stop] = rows.T
 
-    _kernels.local_autocorr(env, hann_window(win_length), keep)
+    _kernels.local_autocorr(env, hann_window(TEMPOGRAM_WIN), keep)
     return out
 
 
-def _tempogram_mean(onset: np.ndarray, win_length: int = 384) -> np.ndarray:
+def _tempogram_mean(onset: np.ndarray) -> np.ndarray:
     """Time mean of ``tempogram(onset)``, adding up each block's columns."""
-    total = np.zeros(win_length)
+    total = np.zeros(TEMPOGRAM_WIN)
 
     def add(start, stop, rows):
         total[:] += rows.sum(axis=0)
 
-    _kernels.local_autocorr(onset, hann_window(win_length), add)
+    _kernels.local_autocorr(onset, hann_window(TEMPOGRAM_WIN), add)
     return total / len(onset)
 
 
-@lru_cache(maxsize=16)
-def _chroma_bank(n_fft, sample_rate, n_chroma, a4, sigma):
-    c_ref = a4 * 2.0 ** (-9.0 / 12.0)
-    freqs = fft_frequencies(sample_rate, n_fft)
-    weights = np.zeros((n_chroma, len(freqs)))
+@cache
+def _chroma_bank():
+    c_ref = CHROMA_A4 * 2.0 ** (-9.0 / 12.0)
+    freqs = fft_frequencies()
+    weights = np.zeros((12, len(freqs)))
     positions = 12.0 * np.log2(freqs[1:] / c_ref)
-    dist = (positions[None, :] - np.arange(n_chroma)[:, None]) % 12.0
+    dist = (positions[None, :] - np.arange(12)[:, None]) % 12.0
     dist = np.where(dist > 6.0, dist - 12.0, dist)
-    weights[:, 1:] = np.exp(-0.5 * (dist / sigma) ** 2)
+    weights[:, 1:] = np.exp(-0.5 * (dist / CHROMA_SIGMA) ** 2)
     return _read_only(weights)
 
 
-def chroma_filterbank(
-    n_fft: int = 1024, sample_rate: int = 16000,
-    n_chroma: int = 12, a4: float = 440.0, sigma: float = 1.0,
-) -> np.ndarray:
+def chroma_filterbank() -> np.ndarray:
     """Gaussian pitch-class projection of STFT bin center frequencies.
 
     Class 0 is C; each bin contributes to every class with weight set by
     circular semitone distance. The DC bin is dropped.
     """
-    return _chroma_bank(n_fft, sample_rate, n_chroma, a4, sigma).copy()
+    return _chroma_bank().copy()
 
 
-def chroma_stft(spec: Spectrogram, n_chroma: int = 12, a4: float = 440.0) -> np.ndarray:
+def chroma_stft(spec: Spectrogram) -> np.ndarray:
     """Unnormalized 12-class chromagram from a power spectrogram."""
     if spec.kind != "power":
         raise ValueError("chroma_stft expects a power spectrogram")
-    bank = _chroma_bank(spec.frame_params.n_fft, spec.sample_rate, n_chroma, a4, 1.0)
-    return bank @ spec.values
+    return _chroma_bank() @ spec.values
 
 
-def cqt_center_frequencies(
-    n_bins: int = 84, bins_per_octave: int = 12, fmin: float = 32.703
-) -> np.ndarray:
-    return fmin * 2.0 ** (np.arange(n_bins) / bins_per_octave)
+def cqt_center_frequencies() -> np.ndarray:
+    return CQT_FMIN * 2.0 ** (np.arange(CQT_BINS) / CQT_BINS_PER_OCTAVE)
 
 
-@lru_cache(maxsize=16)
-def _cqt_bank(n_bins, bins_per_octave, fmin, n_fft, sample_rate):
-    step = 2.0 ** (1.0 / bins_per_octave)
-    edges = fmin / step * step ** np.arange(n_bins + 2)
-    return _read_only(_triangle_bank(edges, fft_frequencies(sample_rate, n_fft)))
+@cache
+def _cqt_bank():
+    step = 2.0 ** (1.0 / CQT_BINS_PER_OCTAVE)
+    edges = CQT_FMIN / step * step ** np.arange(CQT_BINS + 2)
+    return _read_only(_triangle_bank(edges, fft_frequencies()))
 
 
-def pseudo_cqt(
-    spec: Spectrogram, n_bins: int = 84, bins_per_octave: int = 12, fmin: float = 32.703
-) -> np.ndarray:
+def pseudo_cqt(spec: Spectrogram) -> np.ndarray:
     """Constant-Q triangular filterbank applied to the power STFT.
 
     Geometrically spaced centers, triangle k spanning its two neighbors; no
@@ -435,8 +425,7 @@ def pseudo_cqt(
     """
     if spec.kind != "power":
         raise ValueError("pseudo_cqt expects a power spectrogram")
-    bank = _cqt_bank(n_bins, bins_per_octave, fmin, spec.frame_params.n_fft, spec.sample_rate)
-    return bank @ spec.values
+    return _cqt_bank() @ spec.values
 
 
 def chroma_cqt(pcqt: np.ndarray) -> np.ndarray:
@@ -473,11 +462,7 @@ def summarize(feature_id: str, raw) -> FeatureSummary:
     return FeatureSummary(feature_id=feature_id, vector=vector)
 
 
-def extract_summaries(
-    buf: AudioBuffer,
-    fp: FrameParams = FrameParams(),
-    feature_ids=FEATURE_IDS,
-) -> dict:
+def extract_summaries(buf: AudioBuffer, feature_ids=FEATURE_IDS) -> dict:
     """Compute the requested feature summaries in one pass over the signal.
 
     See the module docstring for how the blocks are reduced. The work that
@@ -488,12 +473,10 @@ def extract_summaries(
         raise ValueError(f"unknown feature ids: {sorted(unknown)}")
     wanted = [f for f in FEATURE_IDS if f in feature_ids]
 
-    sr = buf.sample_rate
-    x = np.asarray(buf.samples, dtype=np.float64)
-    padded = _reflect_pad(x, fp.n_fft)
+    padded, n_samples = _padded(buf)
     contours, onset, mean_power = {}, None, None
     if set(wanted) - {"pitch", "rms"}:
-        contours, onset, mean_power = _stft_pass(padded, len(x), fp, sr, wanted)
+        contours, onset, mean_power = _stft_pass(padded, n_samples, wanted)
     if {"pseudo_cqt", "chroma_cqt"} & set(wanted):
         pcqt = pseudo_cqt(mean_power)
 
@@ -502,16 +485,15 @@ def extract_summaries(
     out = {}
     for fid in wanted:
         if fid == "pitch":
-            raw = _yin_f0(padded, len(x), sr, _YIN_FMIN, _YIN_FMAX, fp.n_fft, fp.hop,
-                          _YIN_THRESHOLD)
+            raw = _yin_f0(padded, n_samples)
         elif fid == "rms":
-            raw = _rms(padded, len(x), fp)
+            raw = _rms(padded, n_samples)
         elif fid in contours:
             raw = contours[fid]
         elif fid == "tempogram":
             raw = _tempogram_mean(onset)[:, None]
         elif fid == "mel_spectrogram":
-            raw = _mel_from_power(mean_power, 128, 0.0, 8000.0).values
+            raw = _mel_bank() @ mean_power.values
         elif fid == "chromagram":
             raw = chroma_stft(mean_power)
         elif fid == "pseudo_cqt":
@@ -522,7 +504,7 @@ def extract_summaries(
     return out
 
 
-def _stft_pass(padded, n_samples, fp, sample_rate, wanted):
+def _stft_pass(padded, n_samples, wanted):
     """One pass over the STFT blocks for the spectral features in ``wanted``.
 
     Returns the per-frame spectral contours by feature id, the onset
@@ -533,32 +515,30 @@ def _stft_pass(padded, n_samples, fp, sample_rate, wanted):
     previous block's last mel frame in front, so the flux across the block
     edge is kept.
     """
-    n_frames = 1 + n_samples // fp.hop
+    n_frames = 1 + n_samples // HOP
     measures = {"spectral_centroid": spectral_centroid,
                 "spectral_flatness": spectral_flatness,
                 "spectral_rolloff": spectral_rolloff}
     contours = {fid: np.empty(n_frames) for fid in wanted if fid in measures}
     onset = np.empty(n_frames) if "tempogram" in wanted else None
     rows = min(n_frames, _kernels._BLOCK_ROWS)
-    power = np.empty((rows, fp.n_fft // 2 + 1))
-    power_sum = np.zeros(fp.n_fft // 2 + 1)
+    power = np.empty((rows, _N_BINS))
+    power_sum = np.zeros(_N_BINS)
     if onset is not None:
-        mel_bank = _mel_bank(128, 0.0, 8000.0, fp.n_fft, sample_rate)
-        mel = np.empty((128, rows + 1))  # column 0: the frame before the block
-    for start, stop, mag in _stft_blocks(padded, n_samples, fp):
+        mel = np.empty((N_MELS, rows + 1))  # column 0: the frame before the block
+    for start, stop, mag in _stft_blocks(padded, n_samples):
         block = power[: stop - start]
         np.multiply(mag, mag, out=block)
         power_sum += block.sum(axis=0)
-        spec = Spectrogram(mag.T, "magnitude", fp, sample_rate)
+        spec = Spectrogram(mag.T, "magnitude")
         for fid, values in contours.items():
             values[start:stop] = measures[fid](spec)
         if onset is not None:
             block_mel = mel[:, : stop - start + 1]
-            np.matmul(mel_bank, block.T, out=block_mel[:, 1:])
+            np.matmul(_mel_bank(), block.T, out=block_mel[:, 1:])
             if start == 0:
                 block_mel[:, 0] = block_mel[:, 1]  # no flux into the first frame
-            block_mel_spec = Spectrogram(block_mel, "power", fp, sample_rate)
-            onset[start:stop] = onset_strength(block_mel_spec)[1:]
+            onset[start:stop] = onset_strength(Spectrogram(block_mel, "power"))[1:]
             mel[:, 0] = block_mel[:, -1]
-    mean_power = Spectrogram((power_sum / n_frames)[:, None], "power", fp, sample_rate)
+    mean_power = Spectrogram((power_sum / n_frames)[:, None], "power")
     return contours, onset, mean_power

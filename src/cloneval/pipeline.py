@@ -14,7 +14,7 @@ import random
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from . import __version__
 from .audio_io import PIPELINE_RATE, decode_wav, downmix_mono, resample
 from .embeddings import embed
 from .errors import EmptyInput, EvaluationFailed, NoPairs, ParseError, TooFewSamples
-from .features import FEATURE_IDS, FrameParams, extract_summaries
+from .features import FEATURE_IDS, HOP, N_FFT, extract_summaries
 from .similarity import PairSide, metric_order, score_pair
 
 EMOTIONS = ("anger", "disgust", "fear", "happiness", "neutral", "sadness")
@@ -114,7 +114,6 @@ def discover_pairs(ref_dir, gen_dir):
 
 @dataclass
 class EvalConfig:
-    frame_params: FrameParams = field(default_factory=FrameParams)
     features: tuple = FEATURE_IDS
     backend_ref: object | None = None  # None disables the embedding metric
     backend_gen: object | None = None
@@ -128,8 +127,8 @@ class EvalConfig:
         return {
             "version": __version__,
             "sample_rate": PIPELINE_RATE,
-            "n_fft": self.frame_params.n_fft,
-            "hop": self.frame_params.hop,
+            "n_fft": N_FFT,
+            "hop": HOP,
             "window": "hann",
             "metrics": metric_order(self.features, self.backend_ref is not None),
             "embedding_backend": backend,
@@ -147,8 +146,8 @@ def load_mono_16k(path):
 def _evaluate_one(stem, ref_path, gen_path, config, dump):
     ref_buf = load_mono_16k(ref_path)
     gen_buf = load_mono_16k(gen_path)
-    ref_side = PairSide(extract_summaries(ref_buf, config.frame_params, config.features))
-    gen_side = PairSide(extract_summaries(gen_buf, config.frame_params, config.features))
+    ref_side = PairSide(extract_summaries(ref_buf, config.features))
+    gen_side = PairSide(extract_summaries(gen_buf, config.features))
     if config.backend_ref is not None:
         ref_side.embedding = embed(config.backend_ref, ref_buf, key=stem).vector
         gen_side.embedding = embed(config.backend_gen, gen_buf, key=stem).vector

@@ -1,5 +1,5 @@
 """The YIN and tempogram kernels and the frame-level features built on them,
-checked against the oracles across block edges and hops."""
+checked against the oracles across block edges."""
 
 import numpy as np
 import pytest
@@ -116,32 +116,26 @@ def test_local_autocorr_matches_oracle_across_block_edges(rows):
 
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 def test_kernels_independent_of_block_size(rows, monkeypatch):
-    # hop 256 shares 256-sample chunks between frames; hop 300 uses whole heads
-    signals = {}
-    for hop in (256, 300):
-        rng = np.random.default_rng(rows)
-        padded = rng.standard_normal((rows - 1) * hop + 1024)
-        padded[(rows // 2) * hop :][: 1024 + 3 * hop] = 0.0
-        signals[hop] = padded
+    hop = oracles.HOP
+    padded = np.random.default_rng(rows).standard_normal((rows - 1) * hop + 1024)
+    padded[(rows // 2) * hop :][: 1024 + 3 * hop] = 0.0
     window = F.hann_window(384)
     env = _onset_test_envelope(rows)
 
     def run():
-        cmnd = {hop: yin_cmnd(p, rows, hop, 512, 320) for hop, p in signals.items()}
-        return cmnd, local_autocorr(env, window)
+        return yin_cmnd(padded, rows, hop, 512, 320), local_autocorr(env, window)
 
     blocked = run()
     monkeypatch.setattr(_kernels, "_BLOCK_ROWS", rows + 1)
     whole = run()
-    for hop, padded in signals.items():
-        np.testing.assert_array_equal(blocked[0][hop], whole[0][hop])
-        silent = [t for t in range(rows) if not padded[t * hop :][:1024].any()]
-        assert silent
-        assert np.all(blocked[0][hop][silent] == 1.0)
+    np.testing.assert_array_equal(blocked[0], whole[0])
+    silent = [t for t in range(rows) if not padded[t * hop :][:1024].any()]
+    assert silent
+    assert np.all(blocked[0][silent] == 1.0)
     np.testing.assert_array_equal(blocked[1], whole[1])
 
 
-def _hop_test_signal():
+def _mixed_test_signal():
     """Glide, noise, silence, a loud burst, then silence again: 1.2 s at 16 kHz."""
     n = int(1.2 * oracles.SR)
     t = np.arange(n) / oracles.SR
@@ -152,61 +146,37 @@ def _hop_test_signal():
     return x
 
 
-# Hops whose frames share chunks (128, 256) and hops that do not (160, 300, 1000).
-HOPS = [128, 160, 256, 300, 1000]
-
-
-@pytest.mark.parametrize("hop", HOPS)
-def test_f0_contour_matches_oracle_across_hops(hop):
-    x = _hop_test_signal()
-    f0 = F.f0_contour(mono_buffer(x), hop=hop)
-    np.testing.assert_allclose(f0, oracles.yin_f0(x, hop=hop), rtol=1e-9, atol=0.0)
+def test_f0_contour_matches_oracle_on_mixed_signal():
+    x = _mixed_test_signal()
+    f0 = F.f0_contour(mono_buffer(x))
+    np.testing.assert_allclose(f0, oracles.yin_f0(x), rtol=1e-9, atol=0.0)
     assert np.any(f0 > 0.0) and np.any(f0 == 0.0)
 
 
-@pytest.mark.parametrize("fmin, hop, frame_length", [
-    # fmin 200 Hz keeps the lag range short enough that hop 192 is split
-    # into three 64-sample chunks, so consecutive frames skip chunks
-    (200.0, 192, 1024),
-    # whole-head transforms of 1024 samples run past the last 1000-sample frame
-    (50.0, 300, 1000),
-])
-def test_f0_contour_matches_oracle_off_default_frames(fmin, hop, frame_length):
-    x = _hop_test_signal()
-    f0 = F.f0_contour(mono_buffer(x), fmin=fmin, hop=hop, frame_length=frame_length)
-    expected = oracles.yin_f0(x, fmin=fmin, hop=hop, frame_len=frame_length)
-    np.testing.assert_allclose(f0, expected, rtol=1e-9, atol=0.0)
-    assert np.any(f0 > 0.0)
-
-
-@pytest.mark.parametrize("frame_len", [1023, 1024])
-def test_frame_signal_matches_oracle_at_odd_and_even_lengths(frame_len):
+def test_frame_signal_matches_oracle():
     x = np.random.default_rng(5).standard_normal(10240)
-    frames = F.frame_signal(x, frame_len, 256)
-    np.testing.assert_array_equal(frames, oracles.frames_centered(x, frame_len, 256))
+    np.testing.assert_array_equal(F.frame_signal(x), oracles.frames_centered(x, 1024, 256))
 
 
-def test_f0_contour_matches_oracle_at_odd_frame_length():
-    # A 512-sample period peaking on the last sample: reflected, the last
-    # frame is one clean period per 512 lags, so its lag-512 difference
-    # needs the frame's final reflected sample.
-    n = 10240
-    x = 0.6 * np.cos(2 * np.pi * (np.arange(n) - (n - 1)) / 512)
-    f0 = F.f0_contour(mono_buffer(x), frame_length=1023, fmin=31.25)
-    expected = oracles.yin_f0(x, fmin=31.25, frame_len=1023)
-    np.testing.assert_allclose(f0, expected, rtol=1e-9, atol=0.0)
-    assert np.all(f0 > 0.0)
+def test_rms_envelope_matches_oracle_on_mixed_signal():
+    x = _mixed_test_signal()
+    rms = F.rms_envelope(mono_buffer(x))
+    np.testing.assert_allclose(rms, oracles.rms_envelope(x), rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("hop", HOPS)
-def test_rms_envelope_matches_oracle_across_hops(hop):
-    x = _hop_test_signal()
-    rms = F.rms_envelope(mono_buffer(x), F.FrameParams(hop=hop))
-    np.testing.assert_allclose(rms, oracles.rms_envelope(x, hop=hop), rtol=1e-12, atol=0.0)
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_rms_envelope_matches_whole_signal_block_sums(rows):
+    # The blocked sums of squares give the bits of squaring the whole padded
+    # signal at once and adding each frame's four 256-sample block sums.
+    x = _block_edge_clip(rows, 1, "voiced")
+    u = np.pad(x, 512, mode="reflect")[: (rows + 3) * 256]
+    sums = (u * u).reshape(-1, 256).sum(axis=1)
+    expected = np.sqrt((sums[:-3] + sums[1:-2] + sums[2:-1] + sums[3:]) / 1024)
+    np.testing.assert_array_equal(F.rms_envelope(mono_buffer(x)), expected)
 
 
-@pytest.mark.parametrize("hop", [128, 256, 300])
-def test_silence_after_loud_frames_is_exact(hop):
+def test_silence_after_loud_frames_is_exact():
+    hop = oracles.HOP
     x = np.zeros(3 * oracles.SR)
     x[: oracles.SR] = 0.9 * np.sin(2 * np.pi * 200.0 * np.arange(oracles.SR) / oracles.SR)
     buf = mono_buffer(x)
@@ -215,17 +185,16 @@ def test_silence_after_loud_frames_is_exact(hop):
     padded = np.pad(x, 512, mode="reflect")
     cmnd = yin_cmnd(padded, n_frames, hop, 512, 320)
     assert np.all(cmnd[silent] == 1.0)
-    assert np.all(F.rms_envelope(buf, F.FrameParams(hop=hop))[silent] == 0.0)
-    assert np.all(F.f0_contour(buf, hop=hop)[silent] == 0.0)
+    assert np.all(F.rms_envelope(buf)[silent] == 0.0)
+    assert np.all(F.f0_contour(buf)[silent] == 0.0)
     assert not np.all(cmnd[~silent] == 1.0)
 
 
-@pytest.mark.parametrize("hop", [128, 256, 300])
-def test_quiet_frames_after_loud_ones_scale_exactly(hop):
+def test_quiet_frames_after_loud_ones_scale_exactly():
     # Scaling by a power of two is exact, so frames that see only the quiet
     # tone must give the bits of the same frames at full scale. Sums carried
     # over from the loud noise before them would cost those bits.
-    sr = oracles.SR
+    sr, hop = oracles.SR, oracles.HOP
     tone = np.sin(2 * np.pi * 200.0 * np.arange(sr) / sr)
     loud, plain = np.zeros(3 * sr), np.zeros(3 * sr)
     loud[:sr] = np.random.default_rng(2).standard_normal(sr)
@@ -237,7 +206,7 @@ def test_quiet_frames_after_loud_ones_scale_exactly(hop):
     def features(x):
         padded = np.pad(x, 512, mode="reflect")
         cmnd = yin_cmnd(padded, n_frames, hop, 512, 320)
-        return cmnd[quiet], F.rms_envelope(mono_buffer(x), F.FrameParams(hop=hop))[quiet]
+        return cmnd[quiet], F.rms_envelope(mono_buffer(x))[quiet]
 
     (cmnd_loud, rms_loud), (cmnd_plain, rms_plain) = features(loud), features(plain)
     np.testing.assert_array_equal(cmnd_loud, cmnd_plain)
@@ -248,7 +217,7 @@ def test_quiet_frames_after_loud_ones_scale_exactly(hop):
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 def test_stft_blocks_match_one_batch(rows):
     x = _pitch_test_signal(rows)
-    frames = F.frame_signal(x, 1024, 256)
+    frames = F.frame_signal(x)
     expected = np.abs(np.fft.rfft(frames * F.hann_window(1024), axis=1)).T
     np.testing.assert_array_equal(F.stft(mono_buffer(x)).values, expected)
 
@@ -282,7 +251,7 @@ def test_streamed_summaries_match_whole_file_features(rows, odd, content):
 
     mag = F.stft(buf)
     assert mag.n_frames == rows
-    power = F.Spectrogram(mag.values**2, "power", mag.frame_params, mag.sample_rate)
+    power = F.Spectrogram(mag.values**2, "power")
     exact = {
         "pitch": F.f0_contour(buf),
         "rms": F.rms_envelope(buf),

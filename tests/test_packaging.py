@@ -1,4 +1,5 @@
-"""The dependencies declared in pyproject.toml match what the package imports."""
+"""The dependencies declared in pyproject.toml match what the package imports,
+and the package's export list names only what it defines."""
 
 import ast
 import importlib
@@ -58,3 +59,9 @@ def test_hard_dependencies_are_imported_at_top_level_and_installed(project):
         name = _module_name(requirement)
         assert name in top_level, f"{requirement} is declared but no module imports it at top level"
         importlib.import_module(name)
+
+
+def test_every_exported_name_resolves():
+    import cloneval
+
+    assert [name for name in cloneval.__all__ if not hasattr(cloneval, name)] == []

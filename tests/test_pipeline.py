@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_wav, sine, white_noise
 from cloneval import pipeline
+from cloneval.embeddings import BackendSpec, load_backend
 from cloneval.errors import EmptyInput, NoPairs, ParseError, TooFewSamples
 from cloneval.pipeline import (
     EvalConfig,
@@ -212,6 +213,38 @@ class TestReportDeterminism:
 
 def _record(pair_id, emotion, value):
     return PairRecord(pair_id=pair_id, emotion=emotion, scores={"embedding": value})
+
+
+class TestFingerprint:
+    """The config block of summary.json, pinned key by key."""
+
+    ANALYSIS = {"version": "0.1.0", "sample_rate": 16000, "n_fft": 1024, "hop": 256,
+                "window": "hann"}
+
+    def test_default_config(self):
+        assert EvalConfig().fingerprint() == {
+            **self.ANALYSIS,
+            "metrics": ["pitch", "mel_spectrogram", "rms", "spectral_centroid",
+                        "spectral_flatness", "spectral_rolloff", "tempogram", "chromagram",
+                        "pseudo_cqt", "chroma_cqt"],
+            "embedding_backend": "disabled",
+            "embedding_dim": None,
+            "emotions": "auto",
+        }
+
+    def test_precomputed_backend(self, tmp_path):
+        path = tmp_path / "emb.json"
+        path.write_text(json.dumps({"a": [0.1, 0.2, 0.3]}))
+        backend = load_backend(BackendSpec(precomputed_path=str(path)))
+        config = EvalConfig(features=("rms", "pitch"), backend_ref=backend,
+                            backend_gen=backend, emotions="off")
+        assert config.fingerprint() == {
+            **self.ANALYSIS,
+            "metrics": ["embedding", "pitch", "rms"],
+            "embedding_backend": "precomputed",
+            "embedding_dim": 3,
+            "emotions": "off",
+        }
 
 
 class TestAggregate:
