@@ -16,6 +16,8 @@ small and give the same bits as one unblocked batch. Each FFT is only as
 long as its correlation needs, rounded up by ``_fft_size``.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 # One kernel path; pipebench/evaluate.py records this flag in its BENCH files.
@@ -83,31 +85,108 @@ def local_autocorr(env, window, reduce):
         reduce(start, stop, rows)
 
 
-def polyphase_resample(xp, h, up, down, n_out, taps_per_phase, pad):
-    """Apply a polyphase FIR to zero-padded input ``xp``; returns ``n_out`` samples.
+_GROUP = 32  # outputs per tap matrix, at most
+# Input samples per window, at most. OpenBLAS splits a product's inner
+# dimension into blocks above its GEMM_Q (256 or 384 on x86 cores), and
+# then the block order, and with it the bits, can depend on the thread count.
+_MAX_SPAN = 256
+_WINDOW_BLOCK = 1 << 15  # input-window doubles copied per matrix product
 
-    Output ``n`` is ``sum_k h[p + k*up] * xp[q - k + pad]`` over
-    ``k = 0..taps_per_phase`` with ``p + k*up < len(h)``, where ``p, q`` are
-    the remainder and quotient of ``n*down + center`` by ``up``.
-    Every output ``n = m*up + r`` uses the same phase ``p``, and its input
-    window starts ``down`` samples after that of ``n - up``. So each branch
-    ``out[r::up]`` is a stride-``down`` run of input windows times one
-    reversed tap vector (Crochiere & Rabiner, Multirate Digital Signal
-    Processing, 1983).
+
+class ResamplePlan(NamedTuple):
+    """Tap matrices that resample by ``up/down``, built by ``resample_plan``.
+
+    Output ``m * outputs + first + j`` is row ``m`` of the input windows
+    ``x[start + m*step : start + m*step + span]`` times column ``j`` of
+    ``taps``, for each ``(first, start, taps)`` in ``groups``.
     """
-    width = taps_per_phase + 1
+
+    outputs: int
+    step: int
+    groups: tuple
+
+
+def resample_plan(h, up, down, taps_per_phase):
+    """Group the polyphase FIR ``h`` into read-only ``(span, group)`` tap matrices.
+
+    Output ``n`` is ``sum_k h[p + k*up] * x[q - k]`` over
+    ``k = 0..taps_per_phase`` with ``p + k*up < len(h)``, where ``p, q`` are
+    the remainder and quotient of ``n*down + center`` by ``up``. Output
+    ``n + up`` uses the same taps as ``n`` on a window ``down`` samples later
+    (Crochiere & Rabiner, Multirate Digital Signal Processing, 1983). So one
+    period of ``up`` outputs, or ``ceil(group / up)`` periods when ``up`` is
+    small, repeats every ``step`` input samples. It is split into groups of
+    at most ``group`` consecutive outputs: ``_GROUP``, or fewer when the
+    window they span, about ``group * down / up + taps_per_phase`` samples,
+    would exceed ``_MAX_SPAN``. A group's matrix holds, in column ``j``,
+    output ``j``'s reversed taps at that output's offset in the window. The
+    plan holds about ``up * (group * down / up + taps_per_phase)`` doubles,
+    never a dense ``up x down`` matrix.
+    """
+    group = min(_GROUP, (_MAX_SPAN - taps_per_phase - 1) * up // down + 1)
+    periods = -(-group // up)
+    outputs = periods * up
+    count = -(-outputs // group)
+    edges = [outputs * k // count for k in range(count + 1)]
     center = (len(h) - 1) // 2
-    windows = np.lib.stride_tricks.sliding_window_view(xp, width)
-    out = np.empty(n_out)
-    for r in range(min(up, n_out)):
-        s = r * down + center
-        taps = np.zeros(width)
-        branch = h[s % up :: up][:width]
-        taps[: len(branch)] = branch
-        first = s // up + pad - taps_per_phase
-        last = first + (len(range(r, n_out, up)) - 1) * down
-        out[r::up] = windows[first : last + 1 : down] @ taps[::-1]
-    return out
+    k = np.arange(taps_per_phase + 1)[:, None]
+    groups = []
+    for first, stop in zip(edges[:-1], edges[1:]):
+        q, p = np.divmod(np.arange(first, stop) * down + center, up)
+        phases = p + k * up
+        values = np.where(phases < len(h), h[np.minimum(phases, len(h) - 1)], 0.0)
+        taps = np.zeros((q[-1] - q[0] + taps_per_phase + 1, stop - first))
+        taps[q - q[0] + taps_per_phase - k, np.arange(stop - first)] = values
+        taps.flags.writeable = False
+        groups.append((first, int(q[0]) - taps_per_phase, taps))
+    return ResamplePlan(outputs, periods * down, tuple(groups))
+
+
+def _windows(x, start, rows, step, span):
+    """``(rows, span)`` view of ``x[start + i*step :][:span]``, zeros outside ``x``.
+
+    Windows that reach past an end of ``x`` are read from a zero-padded copy
+    of just the samples they cover.
+    """
+    length = (rows - 1) * step + span
+    if start < 0 or start + length > len(x):
+        segment = np.zeros(length)
+        lo, hi = max(start, 0), min(start + length, len(x))
+        if hi > lo:
+            segment[lo - start : hi - start] = x[lo:hi]
+        x, start = segment, 0
+    return np.lib.stride_tricks.as_strided(
+        x[start:], (rows, span), (step * x.itemsize, x.itemsize), writeable=False)
+
+
+def polyphase_resample(x, plan, n_out):
+    """Resample the contiguous float64 signal ``x`` by ``plan``; returns ``n_out`` samples.
+
+    Each group's windows, every ``plan.step`` samples, are copied contiguous
+    in blocks of about ``_WINDOW_BLOCK`` doubles and multiplied by the
+    group's tap matrix. Every output is the same sum of its taps as a direct FIR
+    over ``x`` with zeros beyond its ends. Windows that cross an end are
+    taken in their own products, so no padded copy of ``x`` is made.
+    """
+    outputs, step, groups = plan
+    rows = -(-n_out // outputs)
+    out = np.empty((rows, outputs))
+    widest = max(taps.shape[0] for _, _, taps in groups)
+    block = max(1, _WINDOW_BLOCK // widest)
+    buf = np.empty((min(block, rows), widest))
+    for first, start, taps in groups:
+        span, width = taps.shape
+        # rows lo..hi-1 lie inside x; the few rows before and after them
+        # go in products of their own, so only they take a padded copy
+        lo = min(rows, -(-max(0, -start) // step))
+        hi = max(lo, min(rows, (len(x) - span - start) // step + 1))
+        for begin, end in ((0, lo), (lo, hi), (hi, rows)):
+            for r0 in range(begin, end, block):
+                r1 = min(r0 + block, end)
+                windows = buf[: r1 - r0, :span]
+                np.copyto(windows, _windows(x, start + r0 * step, r1 - r0, step, span))
+                np.matmul(windows, taps, out=out[r0:r1, first : first + width])
+    return out.reshape(-1)[:n_out]
 
 
 def yin_cmnd(padded, n_frames, hop, win, tau_max, reduce):

@@ -157,7 +157,6 @@ _TAPS_PER_PHASE = 64
 _KAISER_BETA = 8.6
 
 
-@lru_cache(maxsize=32)
 def _design_lowpass(up: int, down: int) -> np.ndarray:
     """Windowed-sinc anti-alias filter for an up/down polyphase stage.
 
@@ -169,6 +168,12 @@ def _design_lowpass(up: int, down: int) -> np.ndarray:
     cutoff = 1.0 / max(up, down)
     m = np.arange(n_taps) - center
     return up * cutoff * np.sinc(cutoff * m) * np.kaiser(n_taps, _KAISER_BETA)
+
+
+@lru_cache(maxsize=32)
+def _resample_plan(up: int, down: int) -> _kernels.ResamplePlan:
+    """The read-only tap matrices for one rate pair, built at its first use."""
+    return _kernels.resample_plan(_design_lowpass(up, down), up, down, _TAPS_PER_PHASE)
 
 
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
@@ -185,10 +190,5 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     down = buf.sample_rate // g
     x = np.ascontiguousarray(buf.samples, dtype=np.float64)
     n_out = -(-len(x) * up) // down
-
-    pad = _TAPS_PER_PHASE + 2
-    padded = np.zeros(len(x) + 2 * pad)
-    padded[pad : pad + len(x)] = x
-    h = _design_lowpass(up, down)
-    y = _kernels.polyphase_resample(padded, h, up, down, n_out, _TAPS_PER_PHASE, pad)
+    y = _kernels.polyphase_resample(x, _resample_plan(up, down), n_out)
     return AudioBuffer(samples=y, sample_rate=target_rate, channel_count=1)

@@ -117,11 +117,14 @@ def _padded(buf: AudioBuffer):
     """The buffer's samples reflect-padded by ``_reflect_pad``, and their count.
 
     Every buffer enters feature extraction here, so audio at any rate other
-    than ``PIPELINE_RATE`` is rejected here.
+    than ``PIPELINE_RATE``, or with more than one channel, is rejected here.
     """
     if buf.sample_rate != PIPELINE_RATE:
         raise RateError(
             f"feature extraction needs {PIPELINE_RATE} Hz audio, got {buf.sample_rate} Hz")
+    if buf.channel_count != 1:
+        raise RateError(
+            f"feature extraction needs mono audio, got {buf.channel_count} channels; downmix first")
     x = np.asarray(buf.samples, dtype=np.float64)
     return _reflect_pad(x), len(x)
 

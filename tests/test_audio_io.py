@@ -1,13 +1,18 @@
 """Decoder, downmix, and resampler tests."""
 
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import SR, make_wav, mono_buffer, sine
+from cloneval import audio_io
 from cloneval.audio_io import decode_wav, downmix_mono, resample
 from cloneval.errors import FormatError
 
@@ -148,19 +153,66 @@ class TestDownmix:
         np.testing.assert_allclose(downmix_mono(buf).samples, [0.0], atol=1e-7)
 
 
+# sha256 of resampled 44.1, 48, 22.05 and 192 kHz noise from 0.05 s to 8 s
+_RESAMPLE_DIGEST = """
+import hashlib
+import numpy as np
+from cloneval.audio_io import AudioBuffer, resample
+digest = hashlib.sha256()
+for rate in (44100, 48000, 22050, 192000):
+    for seconds in (0.05, 0.3, 1.0, 2.5, 8.0):
+        x = np.random.default_rng(int(seconds * 100)).uniform(-1.0, 1.0, int(seconds * rate))
+        digest.update(resample(AudioBuffer(x, rate, 1), 16000).samples.tobytes())
+print(digest.hexdigest())
+"""
+
+
 class TestResample:
     @pytest.mark.parametrize("src, dst", [
         (44100, 16000), (48000, 16000), (22050, 16000), (8000, 16000), (16000, 44100),
+        (11025, 16000), (32000, 16000), (96000, 16000), (44056, 16000), (192000, 16000),
     ])
-    @pytest.mark.parametrize("length", [1, 2, 7, 1000])
+    @pytest.mark.parametrize("length", [1, 2, 7, 440, 442, 883, 1000, 5607])
     def test_matches_reference_fir(self, src, dst, length):
-        # 1000 samples leave a partial last round of phases at every rate but 8 -> 16 kHz
+        # At 44.1 kHz one period of 160 outputs takes 441 inputs, split into
+        # groups of 32 outputs: 440, 442 and 883 (441 * 2 + 1) end mid-period,
+        # 1000 and 5607 mid-group. 5607 (5507 + 100) is one period and a
+        # partial group at 44 056 Hz, whose period is 2000 outputs. At 192 kHz
+        # a group of 32 outputs would span more than _MAX_SPAN inputs, so
+        # its groups are 16 outputs wide.
         x = np.random.default_rng(length).uniform(-1.0, 1.0, length)
         g = math.gcd(src, dst)
         expected = oracles.polyphase_resample_reference(x, dst // g, src // g)
         out = resample(mono_buffer(x, sr=src), dst)
         assert out.samples.shape == expected.shape
         np.testing.assert_allclose(out.samples, expected, rtol=0.0, atol=1e-12)
+
+    def test_plan_is_cached_and_bounded(self):
+        # 44 056 Hz -> 16 kHz is up 2000, down 5507: a dense up x down matrix
+        # would be 89 MB, the grouped plan is about 2.4 MB
+        audio_io._resample_plan.cache_clear()
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, 44056)
+        first = resample(mono_buffer(x, sr=44056), 16000)
+        second = resample(mono_buffer(x, sr=44056), 16000)
+        info = audio_io._resample_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        np.testing.assert_array_equal(first.samples, second.samples)
+        for up, down, limit in ((2000, 5507, 4e6), (160, 441, 0.5e6)):
+            groups = audio_io._resample_plan(up, down).groups
+            assert sum(taps.nbytes for _, _, taps in groups) < limit
+            assert not any(taps.flags.writeable for _, _, taps in groups)
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        src = Path(audio_io.__file__).resolve().parents[1]
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+            proc = subprocess.run([sys.executable, "-c", _RESAMPLE_DIGEST], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_same_rate_is_identity(self):
         buf = mono_buffer(sine(440, 0.1))

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import SR, click_train, mono_buffer, silence_then_tone, sine, white_noise
 from cloneval import features as F
+from cloneval.audio_io import AudioBuffer
 from cloneval.errors import DimensionError, EmptyFeature, InputTooShort, RateError
 
 BIN_HZ = SR / F.N_FFT  # 15.625
@@ -327,6 +328,16 @@ class TestSampleRate:
                 F.extract_summaries(buf, feature_ids=(fid,))
         for analyse in (F.stft, F.f0_contour, F.rms_envelope):
             with pytest.raises(RateError, match=f"got {rate} Hz"):
+                analyse(buf)
+
+    def test_multichannel_is_rejected(self):
+        x = sine(220.0, 0.5)
+        buf = AudioBuffer(np.stack([x, -x], axis=1), SR, 2)
+        for fid in F.FEATURE_IDS:
+            with pytest.raises(RateError, match="needs mono audio, got 2 channels"):
+                F.extract_summaries(buf, feature_ids=(fid,))
+        for analyse in (F.stft, F.f0_contour, F.rms_envelope):
+            with pytest.raises(RateError, match="needs mono audio"):
                 analyse(buf)
 
 
