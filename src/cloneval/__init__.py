@@ -8,10 +8,9 @@ emotion.
 __version__ = "0.1.0"
 
 from .audio_io import AudioBuffer, PIPELINE_RATE, decode_wav, downmix_mono, resample
-from .embeddings import BackendSpec, SpeakerEmbedding, embed, load_backend, read_precomputed
+from .embeddings import embed, load_backend, read_precomputed
 from .features import (
     FEATURE_IDS,
-    FeatureSummary,
     Spectrogram,
     extract_summaries,
     summarize,
@@ -19,7 +18,6 @@ from .features import (
 from .pipeline import (
     EvalConfig,
     PromptAssignment,
-    SummaryReport,
     aggregate,
     discover_pairs,
     evaluate_corpus,
@@ -31,17 +29,13 @@ from .similarity import PairRecord, PairSide, cosine, score_pair
 
 __all__ = [
     "AudioBuffer",
-    "BackendSpec",
     "EvalConfig",
     "FEATURE_IDS",
-    "FeatureSummary",
     "PIPELINE_RATE",
     "PairRecord",
     "PairSide",
     "PromptAssignment",
-    "SpeakerEmbedding",
     "Spectrogram",
-    "SummaryReport",
     "aggregate",
     "cosine",
     "decode_wav",

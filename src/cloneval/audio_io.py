@@ -32,7 +32,10 @@ class AudioBuffer:
 
     samples: np.ndarray
     sample_rate: int
-    channel_count: int
+
+    @property
+    def channel_count(self) -> int:
+        return 1 if self.samples.ndim == 1 else self.samples.shape[1]
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -136,12 +139,12 @@ def decode_wav(data: bytes) -> AudioBuffer:
 
     if channels > 1:
         samples = samples.reshape(-1, channels)
-    return AudioBuffer(samples=samples, sample_rate=rate, channel_count=channels)
+    return AudioBuffer(samples, rate)
 
 
 def downmix_mono(buf: AudioBuffer) -> AudioBuffer:
-    """Average channels; a mono buffer is returned unchanged."""
-    if buf.channel_count == 1:
+    """Average channels; a mono (1-D) buffer is returned unchanged."""
+    if buf.samples.ndim == 1:
         return buf
     # A column loop, not mean(axis=1), which reduces each short row on its
     # own and is ~10x slower. The sums match mean's up to 7 channels; from 8
@@ -150,7 +153,7 @@ def downmix_mono(buf: AudioBuffer) -> AudioBuffer:
     for channel in range(1, buf.channel_count):
         mono += buf.samples[:, channel]
     mono /= buf.channel_count
-    return AudioBuffer(samples=mono, sample_rate=buf.sample_rate, channel_count=1)
+    return AudioBuffer(mono, buf.sample_rate)
 
 
 _TAPS_PER_PHASE = 64
@@ -178,8 +181,8 @@ def _resample_plan(up: int, down: int) -> _kernels.ResamplePlan:
 
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Polyphase windowed-sinc rate conversion of a mono buffer."""
-    if buf.channel_count != 1:
-        raise ValueError("resample expects a mono buffer; downmix first")
+    if buf.samples.ndim != 1:
+        raise ValueError("resample expects a mono (1-D) buffer; downmix first")
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if target_rate == buf.sample_rate:
@@ -191,4 +194,4 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     x = np.ascontiguousarray(buf.samples, dtype=np.float64)
     n_out = -(-len(x) * up) // down
     y = _kernels.polyphase_resample(x, _resample_plan(up, down), n_out)
-    return AudioBuffer(samples=y, sample_rate=target_rate, channel_count=1)
+    return AudioBuffer(y, target_rate)

@@ -7,8 +7,8 @@ import sys
 import threading
 from pathlib import Path
 
-from .embeddings import BackendSpec, embed, load_backend
-from .errors import ClonevalError
+from .embeddings import embed, load_backend
+from .errors import ClonevalError, ParseError
 from .features import FEATURE_IDS
 from .pipeline import (
     EvalConfig,
@@ -106,15 +106,12 @@ def _cmd_evaluate(args, parser) -> int:
     backend_ref = backend_gen = None
     if args.embedding_model:
         backend_ref = backend_gen = load_backend(
-            BackendSpec(model_path=args.embedding_model, expected_dim=args.expected_dim)
-        )
+            model_path=args.embedding_model, expected_dim=args.expected_dim)
     elif args.embeddings_ref:
         backend_ref = load_backend(
-            BackendSpec(precomputed_path=args.embeddings_ref, expected_dim=args.expected_dim)
-        )
+            precomputed_path=args.embeddings_ref, expected_dim=args.expected_dim)
         backend_gen = load_backend(
-            BackendSpec(precomputed_path=args.embeddings_gen, expected_dim=args.expected_dim)
-        )
+            precomputed_path=args.embeddings_gen, expected_dim=args.expected_dim)
 
     pairs, unmatched_ref, unmatched_gen = discover_pairs(args.reference_dir, args.generated_dir)
     for name in unmatched_ref:
@@ -127,10 +124,10 @@ def _cmd_evaluate(args, parser) -> int:
     if args.dump_features:
         lock = threading.Lock()
 
-        def dump(pair_id, side, summary):
+        def dump(pair_id, side, feature_id, vector):
             line = json.dumps(
-                {"pair_id": pair_id, "side": side, "feature_id": summary.feature_id,
-                 "vector": [float(v) for v in summary.vector]},
+                {"pair_id": pair_id, "side": side, "feature_id": feature_id,
+                 "vector": [float(v) for v in vector]},
                 sort_keys=True,
             )
             with lock:
@@ -142,7 +139,7 @@ def _cmd_evaluate(args, parser) -> int:
         backend_gen=backend_gen,
         emotions=args.emotions,
         alias_table=alias_table,
-        workers=max(1, args.workers),
+        workers=args.workers,
     )
     records, errors = evaluate_corpus(pairs, config, dump=dump)
     for pair_id in sorted(errors):
@@ -157,23 +154,26 @@ def _cmd_evaluate(args, parser) -> int:
             fh.write("\n".join(dump_lines) + "\n")
 
     print(f"pairs evaluated: {len(records)} (failed: {len(errors)})")
-    for metric, value in summary.overall.items():
+    for metric, value in summary["overall"].items():
         print(f"{metric} {value:.6f}")
     print(f"reports: {details_path} {summary_path}")
     return EXIT_OK
 
 
 def _cmd_prompts(args) -> int:
+    try:
+        with open(args.manifest, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read manifest {args.manifest}: {exc}") from exc
     manifest = []
-    with open(args.manifest, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ClonevalError(f"{args.manifest}:{line_no}: expected sample_id<TAB>text")
-            manifest.append((parts[0], parts[1]))
+    for line_no, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"{args.manifest}:{line_no}: expected sample_id<TAB>text")
+        manifest.append((parts[0], parts[1]))
     assignments = make_prompt_assignments(manifest, args.seed)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         for a in assignments:
@@ -186,10 +186,10 @@ def _cmd_embed(args) -> int:
     wavs = list_wavs(args.input_dir)
     if not wavs:
         raise ClonevalError(f"no audio files in {args.input_dir}")
-    backend = load_backend(BackendSpec(model_path=args.model))
+    backend = load_backend(model_path=args.model)
     manifest = {}
     for stem, path in wavs.items():
-        manifest[stem] = [float(v) for v in embed(backend, load_mono_16k(path), key=stem).vector]
+        manifest[stem] = [float(v) for v in embed(backend, load_mono_16k(path), key=stem)]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

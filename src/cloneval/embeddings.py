@@ -14,7 +14,6 @@ required to actually run inference.
 
 import json
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,28 +29,12 @@ from .errors import (
 )
 
 
-@dataclass(eq=False)
-class SpeakerEmbedding:
-    vector: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.vector.shape[0]
-
-
-@dataclass(frozen=True)
-class BackendSpec:
-    model_path: str | None = None
-    precomputed_path: str | None = None
-    expected_dim: int | None = None
-
-    def __post_init__(self):
-        if (self.model_path is None) == (self.precomputed_path is None):
-            raise ValueError("exactly one of model_path / precomputed_path must be set")
-
-
 def read_precomputed(path) -> dict:
-    """Load a stem -> vector JSON manifest into SpeakerEmbedding objects."""
+    """Load a stem -> vector JSON manifest as ``{stem: float64 array}``.
+
+    Every vector is non-empty, finite and non-zero, and all share one
+    dimension.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -78,7 +61,7 @@ def read_precomputed(path) -> dict:
             raise DimensionMismatch(
                 f"entry {stem!r} has dimension {vector.shape[0]}, expected {dim}"
             )
-        store[stem] = SpeakerEmbedding(vector)
+        store[stem] = vector
     return store
 
 
@@ -164,7 +147,7 @@ class PrecomputedBackend:
         self._store = store
         self.dimension = dimension
 
-    def _embed(self, buf: AudioBuffer, key: str | None) -> SpeakerEmbedding:
+    def _embed(self, buf: AudioBuffer, key: str | None) -> np.ndarray:
         if key is None:
             raise ValueError("precomputed backend needs the file stem as lookup key")
         try:
@@ -209,7 +192,7 @@ class OnnxModelBackend:
         except Exception as exc:
             raise ModelLoadError(f"cannot load model {path}: {exc}") from exc
 
-    def _embed(self, buf: AudioBuffer, key: str | None) -> SpeakerEmbedding:
+    def _embed(self, buf: AudioBuffer, key: str | None) -> np.ndarray:
         waveform = np.asarray(buf.samples, dtype=np.float32)[None, :]
         with self._lock:
             (raw,) = self._session.run([self._output_name], {self._input_name: waveform})
@@ -220,32 +203,34 @@ class OnnxModelBackend:
                 raise DimensionMismatch(
                     f"model produced dimension {vector.shape[0]}, expected {self.dimension}"
                 )
-        return SpeakerEmbedding(vector)
+        return vector
 
     def describe(self) -> str:
         return f"model:{Path(self._path).name}"
 
 
-def load_backend(spec: BackendSpec):
-    if spec.precomputed_path is not None:
-        store = read_precomputed(spec.precomputed_path)
-        dims = {e.dimension for e in store.values()}
-        dim = dims.pop() if dims else None
-        if spec.expected_dim is not None:
-            if dim is None:
-                dim = spec.expected_dim
-            elif dim != spec.expected_dim:
-                raise ModelLoadError(
-                    f"manifest dimension {dim} does not match expected {spec.expected_dim}"
-                )
-        return PrecomputedBackend(store, dim)
-    return OnnxModelBackend(spec.model_path, spec.expected_dim)
+def load_backend(*, model_path=None, precomputed_path=None, expected_dim=None):
+    """An ONNX model backend or a precomputed-manifest backend.
+
+    Exactly one of ``model_path`` and ``precomputed_path`` must be given.
+    ``expected_dim``, when given, is the dimension every embedding must have.
+    """
+    if (model_path is None) == (precomputed_path is None):
+        raise ValueError("exactly one of model_path / precomputed_path must be set")
+    if model_path is not None:
+        return OnnxModelBackend(model_path, expected_dim)
+    store = read_precomputed(precomputed_path)
+    # read_precomputed has checked that every vector has the same length
+    dim = len(next(iter(store.values()))) if store else expected_dim
+    if expected_dim is not None and dim != expected_dim:
+        raise ModelLoadError(f"manifest dimension {dim} does not match expected {expected_dim}")
+    return PrecomputedBackend(store, dim)
 
 
-def embed(backend, buf: AudioBuffer, key: str | None = None) -> SpeakerEmbedding:
-    """Embed a mono 16 kHz buffer; precomputed backends look up by key."""
+def embed(backend, buf: AudioBuffer, key: str | None = None) -> np.ndarray:
+    """Embed a mono 16 kHz buffer as a float64 vector; precomputed backends look up by key."""
     if buf.sample_rate != PIPELINE_RATE:
         raise RateError(f"embedding input must be {PIPELINE_RATE} Hz, got {buf.sample_rate}")
-    if buf.channel_count != 1:
-        raise RateError("embedding input must be mono")
+    if buf.samples.ndim != 1:
+        raise RateError("embedding input must be mono (a 1-D array)")
     return backend._embed(buf, key)

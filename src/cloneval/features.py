@@ -91,6 +91,8 @@ _FLATNESS_FLOOR = 1e-10
 _YIN_WIN = N_FFT // 2
 _TAU_MIN = math.ceil(PIPELINE_RATE / YIN_FMAX)
 _TAU_MAX = int(PIPELINE_RATE // YIN_FMIN)
+# Where the per-block mel product is split in two (see ``_stft_pass``).
+_MEL_SPLIT = 256
 
 
 @dataclass(eq=False)
@@ -103,12 +105,6 @@ class Spectrogram:
         return self.values.shape[1]
 
 
-@dataclass(eq=False)
-class FeatureSummary:
-    feature_id: str
-    vector: np.ndarray
-
-
 def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
@@ -117,12 +113,12 @@ def _padded(buf: AudioBuffer):
     """The buffer's samples reflect-padded by ``_reflect_pad``, and their count.
 
     Every buffer enters feature extraction here, so audio at any rate other
-    than ``PIPELINE_RATE``, or with more than one channel, is rejected here.
+    than ``PIPELINE_RATE``, or that is not mono (1-D), is rejected here.
     """
     if buf.sample_rate != PIPELINE_RATE:
         raise RateError(
             f"feature extraction needs {PIPELINE_RATE} Hz audio, got {buf.sample_rate} Hz")
-    if buf.channel_count != 1:
+    if buf.samples.ndim != 1:
         raise RateError(
             f"feature extraction needs mono audio, got {buf.channel_count} channels; downmix first")
     x = np.asarray(buf.samples, dtype=np.float64)
@@ -439,8 +435,8 @@ def chroma_cqt(pcqt: np.ndarray) -> np.ndarray:
     return pcqt.reshape(n_bins // 12, 12, -1).sum(axis=0)
 
 
-def summarize(feature_id: str, raw) -> FeatureSummary:
-    """Reduce raw feature output to its fixed-length comparison vector.
+def summarize(feature_id: str, raw) -> np.ndarray:
+    """Reduce raw feature output to its fixed-length float64 comparison vector.
 
     Matrices become per-bin time means; scalar contours are linearly
     interpolated onto 256 uniformly spaced points.
@@ -462,13 +458,14 @@ def summarize(feature_id: str, raw) -> FeatureSummary:
         raise ValueError(f"{feature_id}: expected a 1-D or 2-D array")
     if not np.all(np.isfinite(vector)):
         raise ValueError(f"{feature_id}: summary contains non-finite values")
-    return FeatureSummary(feature_id=feature_id, vector=vector)
+    return vector
 
 
 def extract_summaries(buf: AudioBuffer, feature_ids=FEATURE_IDS) -> dict:
     """Compute the requested feature summaries in one pass over the signal.
 
-    See the module docstring for how the blocks are reduced. The work that
+    Returns ``{feature_id: summary vector}`` in ``FEATURE_IDS`` order. See
+    the module docstring for how the blocks are reduced. The work that
     only features outside ``feature_ids`` need is skipped.
     """
     unknown = set(feature_ids) - set(FEATURE_IDS)
@@ -517,6 +514,16 @@ def _stft_pass(padded, n_samples, wanted):
     functions; its mel frames are turned into onset strength with the
     previous block's last mel frame in front, so the flux across the block
     edge is kept.
+
+    The mel frames are two products, over bins ``[:_MEL_SPLIT]`` and
+    ``[_MEL_SPLIT:]``, added in that order, so that their bits do not
+    depend on the BLAS thread count. OpenBLAS splits an inner dimension
+    above its GEMM_Q (384 in its Haswell kernels) one way for one thread
+    and another way for several; one 513-bin product therefore gave
+    different bits under one and two threads, and each half is short
+    enough to stay in one piece. This relies on ``_row_blocks`` keeping
+    every block at 128 frames or fewer: a 129-frame product varies with the
+    thread count even when it is split.
     """
     n_frames = 1 + n_samples // HOP
     measures = {"spectral_centroid": spectral_centroid,
@@ -529,6 +536,8 @@ def _stft_pass(padded, n_samples, wanted):
     power_sum = np.zeros(_N_BINS)
     if onset is not None:
         mel = np.empty((N_MELS, rows + 1))  # column 0: the frame before the block
+        mel_high = np.empty((N_MELS, rows))
+        bank = _mel_bank()
     for start, stop, mag in _stft_blocks(padded, n_samples):
         block = power[: stop - start]
         np.multiply(mag, mag, out=block)
@@ -538,7 +547,10 @@ def _stft_pass(padded, n_samples, wanted):
             values[start:stop] = measures[fid](spec)
         if onset is not None:
             block_mel = mel[:, : stop - start + 1]
-            np.matmul(_mel_bank(), block.T, out=block_mel[:, 1:])
+            high = mel_high[:, : stop - start]
+            np.matmul(bank[:, :_MEL_SPLIT], block[:, :_MEL_SPLIT].T, out=block_mel[:, 1:])
+            np.matmul(bank[:, _MEL_SPLIT:], block[:, _MEL_SPLIT:].T, out=high)
+            block_mel[:, 1:] += high
             if start == 0:
                 block_mel[:, 0] = block_mel[:, 1]  # no flux into the first frame
             onset[start:stop] = onset_strength(Spectrogram(block_mel, "power"))[1:]

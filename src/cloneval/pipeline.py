@@ -149,12 +149,12 @@ def _evaluate_one(stem, ref_path, gen_path, config, dump):
     ref_side = PairSide(extract_summaries(ref_buf, config.features))
     gen_side = PairSide(extract_summaries(gen_buf, config.features))
     if config.backend_ref is not None:
-        ref_side.embedding = embed(config.backend_ref, ref_buf, key=stem).vector
-        gen_side.embedding = embed(config.backend_gen, gen_buf, key=stem).vector
+        ref_side.embedding = embed(config.backend_ref, ref_buf, key=stem)
+        gen_side.embedding = embed(config.backend_gen, gen_buf, key=stem)
     if dump is not None:
         for side_name, side in (("reference", ref_side), ("generated", gen_side)):
-            for summary in side.summaries.values():
-                dump(stem, side_name, summary)
+            for feature_id, vector in side.summaries.items():
+                dump(stem, side_name, feature_id, vector)
 
     emotion = parse_emotion(stem, config.alias_table) if config.emotions == "auto" else UNKNOWN
     record = score_pair(stem, emotion, ref_side, gen_side)
@@ -168,7 +168,9 @@ def evaluate_corpus(pairs, config: EvalConfig, dump=None):
 
     Returns (records, errors) with records sorted by pair_id, so the result
     does not depend on the worker count. Raises EvaluationFailed only when
-    no pair survives.
+    no pair survives. ``dump``, when given, is called from the worker
+    threads as ``dump(pair_id, side, feature_id, vector)`` for every feature
+    summary, with ``side`` "reference" or "generated".
     """
     records = []
     errors = {}
@@ -180,11 +182,8 @@ def evaluate_corpus(pairs, config: EvalConfig, dump=None):
         except Exception as exc:
             return stem, None, f"{type(exc).__name__}: {exc}"
 
-    if config.workers <= 1:
-        outcomes = [run(p) for p in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(run, pairs))
+    with ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
+        outcomes = list(pool.map(run, pairs))
 
     for stem, record, error in outcomes:
         if error is None:
@@ -198,36 +197,20 @@ def evaluate_corpus(pairs, config: EvalConfig, dump=None):
     return records, errors
 
 
-@dataclass(eq=False)
-class SummaryReport:
-    config: dict
-    overall: dict
-    by_emotion: dict
-    emotion_average: dict | None
-    counts: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "overall": self.overall,
-            "by_emotion": self.by_emotion,
-            "emotion_average": self.emotion_average,
-            "counts": self.counts,
-        }
-
-
 def _quantize(value: float) -> float:
     # report precision; aggregation uses the same rounding as details.csv
     # so means recomputed from the CSV match summary.json exactly
     return round(value, 6)
 
 
-def aggregate(records, config: dict | None = None) -> SummaryReport:
+def aggregate(records, config: dict | None = None) -> dict:
     """Arithmetic means per metric, overall and per emotion label.
 
-    The overall mean runs over all records regardless of label; the
-    emotion_average row is the unweighted mean of the per-emotion means over
-    the known labels (absent when every record is unlabeled).
+    Returns the ``summary.json`` dict without its ``errors`` entry:
+    ``config``, ``overall``, ``by_emotion``, ``emotion_average`` and
+    ``counts``. The overall mean runs over all records regardless of label;
+    the emotion_average row is the unweighted mean of the per-emotion means
+    over the known labels (None when every record is unlabeled).
     """
     if not records:
         raise EmptyInput("no records to aggregate")
@@ -249,16 +232,16 @@ def aggregate(records, config: dict | None = None) -> SummaryReport:
         emotion_average = {
             m: float(np.mean([by_emotion[label][m] for label in known])) for m in metrics
         }
-    return SummaryReport(
-        config=config or {},
-        overall=overall,
-        by_emotion=by_emotion,
-        emotion_average=emotion_average,
-        counts=counts,
-    )
+    return {
+        "config": config or {},
+        "overall": overall,
+        "by_emotion": by_emotion,
+        "emotion_average": emotion_average,
+        "counts": counts,
+    }
 
 
-def write_reports(records, summary: SummaryReport, out_dir, errors=None):
+def write_reports(records, summary: dict, out_dir, errors=None):
     """Write details.csv and summary.json; returns their paths.
 
     Both files are UTF-8 with LF line endings, scores fixed to six decimals,
@@ -269,7 +252,7 @@ def write_reports(records, summary: SummaryReport, out_dir, errors=None):
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics = list(summary.overall)
+    metrics = list(summary["overall"])
 
     def write_details(fh):
         writer = csv.writer(fh, lineterminator="\n")
@@ -285,8 +268,7 @@ def write_reports(records, summary: SummaryReport, out_dir, errors=None):
             )
 
     def write_summary(fh):
-        payload = summary.to_dict()
-        payload["errors"] = dict(sorted((errors or {}).items()))
+        payload = dict(summary, errors=dict(sorted((errors or {}).items())))
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -319,13 +301,18 @@ def make_prompt_assignments(manifest, seed: int):
     """Assign each sample a text drawn uniformly from the other samples.
 
     The draw is seeded and independent per sample; a sample never receives
-    its own text.
+    its own text. A sample id listed twice raises ParseError: the other
+    entry would count as another sample and could hand it its own text.
     """
     if len(manifest) < 2:
         raise TooFewSamples(f"need at least 2 manifest entries, got {len(manifest)}")
+    seen = set()
     for sample_id, text in manifest:
         if not text:
             raise ParseError(f"manifest entry {sample_id!r} has empty text")
+        if sample_id in seen:
+            raise ParseError(f"manifest lists sample {sample_id!r} more than once")
+        seen.add(sample_id)
 
     rng = random.Random(seed)
     assignments = []

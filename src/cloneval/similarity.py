@@ -55,7 +55,7 @@ def cosine(u, v) -> float:
 
 @dataclass(eq=False)
 class PairSide:
-    """One side of a pair: feature summaries plus an optional embedding."""
+    """One side of a pair: ``{feature_id: summary vector}`` plus an optional embedding."""
 
     summaries: dict
     embedding: np.ndarray | None = None
@@ -94,7 +94,7 @@ def score_pair(pair_id: str, emotion: str, ref: PairSide, gen: PairSide) -> Pair
         if flag:
             record.flags[EMBEDDING_METRIC] = flag
     for fid in metric_order(ref.summaries, with_embedding=False):
-        value, flag = _cosine_flagged(ref.summaries[fid].vector, gen.summaries[fid].vector)
+        value, flag = _cosine_flagged(ref.summaries[fid], gen.summaries[fid])
         record.scores[fid] = value
         if flag:
             record.flags[fid] = flag

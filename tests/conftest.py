@@ -1,11 +1,29 @@
 """Shared fixtures: synthetic signals and a WAV encoder independent of the decoder."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 SR = 16000
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def output_per_blas_thread_count(script):
+    """Standard output of ``script`` run under ``OPENBLAS_NUM_THREADS`` 1 and 2."""
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.strip())
+    return outputs
 
 
 def sine(freq, dur=1.0, amp=1.0, sr=SR):
@@ -96,6 +114,4 @@ def wav_dir_factory(tmp_path):
 def mono_buffer(samples, sr=SR):
     from cloneval.audio_io import AudioBuffer
 
-    return AudioBuffer(
-        samples=np.asarray(samples, dtype=np.float64), sample_rate=sr, channel_count=1
-    )
+    return AudioBuffer(np.asarray(samples, dtype=np.float64), sr)

@@ -18,7 +18,7 @@ import oracles
 from conftest import SR, click_train, make_wav, mono_buffer, silence_then_tone, sine, white_noise
 from cloneval import features as F
 from cloneval.audio_io import decode_wav, downmix_mono, resample
-from cloneval.embeddings import BackendSpec, embed, load_backend
+from cloneval.embeddings import embed, load_backend
 from cloneval.pipeline import (
     EvalConfig,
     aggregate,
@@ -71,8 +71,8 @@ def test_identity_corpus(tmp_path):
 
     with criterion("identity_corpus"):
         start = time.perf_counter()
-        backend_ref = load_backend(BackendSpec(precomputed_path=str(emb_path)))
-        backend_gen = load_backend(BackendSpec(precomputed_path=str(emb_path)))
+        backend_ref = load_backend(precomputed_path=str(emb_path))
+        backend_gen = load_backend(precomputed_path=str(emb_path))
         pairs, _, _ = discover_pairs(ref, gen)
         config = EvalConfig(backend_ref=backend_ref, backend_gen=backend_gen, workers=4)
         records, errors = evaluate_corpus(pairs, config)
@@ -84,11 +84,11 @@ def test_identity_corpus(tmp_path):
         assert len(records) == 10
         with open(details_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        metrics = list(summary.overall)
+        metrics = list(summary["overall"])
         for row in rows:
             for metric in metrics:
                 assert abs(float(row[metric]) - 1.0) <= 1e-6, (row["pair_id"], metric)
-        for metric, value in summary.overall.items():
+        for metric, value in summary["overall"].items():
             assert abs(value - 1.0) <= 1e-6, metric
         assert elapsed < 30.0, f"run took {elapsed:.1f}s"
 
@@ -133,7 +133,7 @@ def test_feature_oracle_parity():
             ref = _oracle_summaries(signal)
             for fid in F.FEATURE_IDS:
                 tolerance = 0.05 if fid == "pitch" and name == "pulse_train" else 0.02
-                error = oracles.rel_l2_error(lib[fid].vector, ref[fid])
+                error = oracles.rel_l2_error(lib[fid], ref[fid])
                 assert error <= tolerance, (name, fid, error)
 
 
@@ -197,12 +197,12 @@ def test_aggregation_fidelity(tmp_path):
         summary = aggregate(records, {"metrics": ["embedding", "rms"]})
         hand_overall_emb = (0.81 + 0.72 + 0.66 + 0.78 + 0.90 + 0.75) / 6
         hand_overall_rms = (0.5 + 0.6 + 0.7 + 0.8 + 0.9 + 1.0) / 6
-        assert abs(summary.overall["embedding"] - hand_overall_emb) <= 1e-12
-        assert abs(summary.overall["rms"] - hand_overall_rms) <= 1e-12
+        assert abs(summary["overall"]["embedding"] - hand_overall_emb) <= 1e-12
+        assert abs(summary["overall"]["rms"] - hand_overall_rms) <= 1e-12
         for pid, emo, e, r in fixture:
-            assert abs(summary.by_emotion[emo]["embedding"] - e) <= 1e-12
-            assert abs(summary.by_emotion[emo]["rms"] - r) <= 1e-12
-        assert abs(summary.emotion_average["embedding"] - hand_overall_emb) <= 1e-12
+            assert abs(summary["by_emotion"][emo]["embedding"] - e) <= 1e-12
+            assert abs(summary["by_emotion"][emo]["rms"] - r) <= 1e-12
+        assert abs(summary["emotion_average"]["embedding"] - hand_overall_emb) <= 1e-12
 
         details_path, summary_path = write_reports(records, summary, tmp_path)
         with open(details_path, newline="") as fh:
@@ -236,8 +236,8 @@ def test_worker_determinism(tmp_path):
         for workers in (1, 8):
             pairs, _, _ = discover_pairs(ref, gen)
             config = EvalConfig(
-                backend_ref=load_backend(BackendSpec(precomputed_path=str(ref_emb_path))),
-                backend_gen=load_backend(BackendSpec(precomputed_path=str(gen_emb_path))),
+                backend_ref=load_backend(precomputed_path=str(ref_emb_path)),
+                backend_gen=load_backend(precomputed_path=str(gen_emb_path)),
                 workers=workers,
             )
             records, errors = evaluate_corpus(pairs, config)
@@ -294,12 +294,12 @@ def test_real_model_speaker_discrimination():
     pytest.importorskip("onnxruntime")
 
     with criterion("real_model_speaker_discrimination"):
-        backend = load_backend(BackendSpec(model_path=model_path))
+        backend = load_backend(model_path=model_path)
 
         def embed_clip(name):
             data = open(os.path.join(clips_dir, name), "rb").read()
             buf = resample(downmix_mono(decode_wav(data)), 16000)
-            return embed(backend, buf, key=name).vector
+            return embed(backend, buf, key=name)
 
         same_a = embed_clip("spk1_a.wav")
         same_b = embed_clip("spk1_b.wav")

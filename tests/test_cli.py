@@ -1,12 +1,14 @@
 """Command-line surface tests; everything runs main() in-process."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from conftest import make_wav, sine, white_noise
-from cloneval.cli import main
+from cloneval.cli import _cmd_prompts, main
+from cloneval.errors import ParseError
 
 
 @pytest.fixture
@@ -191,6 +193,32 @@ class TestPrompts:
                    "--out", str(tmp_path / "x.tsv")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_duplicate_sample_id_fails(self, tmp_path, capsys):
+        manifest = self._manifest(tmp_path, [("a", "one"), ("a", "two"), ("b", "three")])
+        out = tmp_path / "x.tsv"
+        rc = main(["prompts", "--manifest", str(manifest), "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert "'a'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_manifest_fails_cleanly(self, tmp_path, capsys):
+        manifest = tmp_path / "absent.tsv"
+        rc = main(["prompts", "--manifest", str(manifest), "--seed", "1",
+                   "--out", str(tmp_path / "x.tsv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read manifest {manifest}: ")
+
+    def test_malformed_line_is_a_parse_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("A\talpha\nB beta\n")
+        with pytest.raises(ParseError, match=r"manifest.tsv:2: expected sample_id<TAB>text"):
+            _cmd_prompts(argparse.Namespace(manifest=str(manifest), seed=1,
+                                            out=str(tmp_path / "x.tsv")))
+        rc = main(["prompts", "--manifest", str(manifest), "--seed", "1",
+                   "--out", str(tmp_path / "x.tsv")])
+        assert rc == 1
+        assert ":2: expected sample_id<TAB>text" in capsys.readouterr().err
 
 
 class TestEmbedCommand:

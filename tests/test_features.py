@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import SR, click_train, mono_buffer, silence_then_tone, sine, white_noise
+from conftest import (SR, click_train, mono_buffer, output_per_blas_thread_count,
+                      silence_then_tone, sine, white_noise)
 from cloneval import features as F
 from cloneval.audio_io import AudioBuffer
 from cloneval.errors import DimensionError, EmptyFeature, InputTooShort, RateError
@@ -282,19 +283,19 @@ class TestSummarize:
     def test_constant_scalar_sequence(self):
         for length in (1, 2, 17, 500):
             out = F.summarize("rms", np.full(length, 0.25))
-            assert out.vector.shape == (256,)
-            np.testing.assert_allclose(out.vector, 0.25)
+            assert out.shape == (256,)
+            np.testing.assert_allclose(out, 0.25)
 
     def test_matrix_per_bin_mean(self):
         raw = np.arange(128 * 7, dtype=float).reshape(128, 7)
         out = F.summarize("mel_spectrogram", raw)
-        np.testing.assert_allclose(out.vector, raw.mean(axis=1))
+        np.testing.assert_allclose(out, raw.mean(axis=1))
 
     def test_ramp_endpoints_exact(self):
         out = F.summarize("pitch", np.array([0.0, 1.0]))
-        assert out.vector[0] == 0.0
-        assert out.vector[-1] == 1.0
-        np.testing.assert_allclose(np.diff(out.vector), 1.0 / 255.0)
+        assert out[0] == 0.0
+        assert out[-1] == 1.0
+        np.testing.assert_allclose(np.diff(out), 1.0 / 255.0)
 
     def test_empty_feature(self):
         with pytest.raises(EmptyFeature):
@@ -306,8 +307,8 @@ class TestSummarize:
         summaries = F.extract_summaries(mono_buffer(sine(220.0, 0.5)))
         assert set(summaries) == set(F.FEATURE_IDS)
         for fid, summary in summaries.items():
-            assert summary.vector.shape == (F.SUMMARY_LENGTHS[fid],)
-            assert np.all(np.isfinite(summary.vector))
+            assert summary.shape == (F.SUMMARY_LENGTHS[fid],)
+            assert np.all(np.isfinite(summary))
 
 
     def test_each_feature_alone_matches_the_full_pass(self):
@@ -316,7 +317,7 @@ class TestSummarize:
         for fid in F.FEATURE_IDS:
             alone = F.extract_summaries(buf, feature_ids=(fid,))
             assert list(alone) == [fid]
-            np.testing.assert_array_equal(alone[fid].vector, full[fid].vector)
+            np.testing.assert_array_equal(alone[fid], full[fid])
 
 
 class TestSampleRate:
@@ -332,7 +333,7 @@ class TestSampleRate:
 
     def test_multichannel_is_rejected(self):
         x = sine(220.0, 0.5)
-        buf = AudioBuffer(np.stack([x, -x], axis=1), SR, 2)
+        buf = AudioBuffer(np.stack([x, -x], axis=1), SR)
         for fid in F.FEATURE_IDS:
             with pytest.raises(RateError, match="needs mono audio, got 2 channels"):
                 F.extract_summaries(buf, feature_ids=(fid,))
@@ -341,13 +342,33 @@ class TestSampleRate:
                 analyse(buf)
 
 
+# sha256 of the tempogram summaries of noise 129 frames, 257 frames and 30 s long
+_TEMPOGRAM_DIGEST = """
+import hashlib
+import numpy as np
+from cloneval.audio_io import AudioBuffer
+from cloneval.features import HOP, extract_summaries
+digest = hashlib.sha256()
+for n_samples in (128 * HOP, 256 * HOP, 30 * 16000):
+    x = np.random.default_rng(n_samples).uniform(-1.0, 1.0, n_samples)
+    digest.update(extract_summaries(AudioBuffer(x, 16000), ("tempogram",))["tempogram"].tobytes())
+print(digest.hexdigest())
+"""
+
+
 class TestInvariants:
+    def test_tempogram_bits_do_not_depend_on_blas_threads(self):
+        # the per-block mel product feeds the onset envelope; one 513-bin
+        # OpenBLAS product rounds differently under one and two threads
+        one, two = output_per_blas_thread_count(_TEMPOGRAM_DIGEST)
+        assert one == two
+
     def test_determinism_bit_identical(self):
         x = white_noise(0.5, seed=3)
         a = F.extract_summaries(mono_buffer(x))
         b = F.extract_summaries(mono_buffer(x.copy()))
         for fid in F.FEATURE_IDS:
-            np.testing.assert_array_equal(a[fid].vector, b[fid].vector)
+            np.testing.assert_array_equal(a[fid], b[fid])
 
     def test_scale_covariance(self):
         x = sine(330.0, 0.5, amp=0.25) + 0.05 * white_noise(0.5, seed=9)
@@ -355,14 +376,14 @@ class TestInvariants:
         base = F.extract_summaries(mono_buffer(x))
         scaled = F.extract_summaries(mono_buffer(s * x))
 
-        np.testing.assert_allclose(scaled["rms"].vector, s * base["rms"].vector, rtol=1e-6)
+        np.testing.assert_allclose(scaled["rms"], s * base["rms"], rtol=1e-6)
         for fid in ("mel_spectrogram", "pseudo_cqt", "chromagram", "chroma_cqt"):
             np.testing.assert_allclose(
-                scaled[fid].vector, s**2 * base[fid].vector, rtol=1e-6
+                scaled[fid], s**2 * base[fid], rtol=1e-6
             )
         for fid in ("spectral_flatness", "spectral_centroid", "spectral_rolloff", "pitch"):
             np.testing.assert_allclose(
-                scaled[fid].vector, base[fid].vector, rtol=1e-6, atol=1e-9
+                scaled[fid], base[fid], rtol=1e-6, atol=1e-9
             )
 
     def test_self_cosine_is_one(self):
@@ -370,8 +391,8 @@ class TestInvariants:
 
         summaries = F.extract_summaries(mono_buffer(sine(250.0, 0.5)))
         for summary in summaries.values():
-            if np.linalg.norm(summary.vector) > 0:
-                assert cosine(summary.vector, summary.vector) == 1.0
+            if np.linalg.norm(summary) > 0:
+                assert cosine(summary, summary) == 1.0
 
 
 class TestMemory:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_wav, sine, white_noise
 from cloneval import pipeline
-from cloneval.embeddings import BackendSpec, load_backend
+from cloneval.embeddings import load_backend
 from cloneval.errors import EmptyInput, NoPairs, ParseError, TooFewSamples
 from cloneval.pipeline import (
     EvalConfig,
@@ -235,7 +235,7 @@ class TestFingerprint:
     def test_precomputed_backend(self, tmp_path):
         path = tmp_path / "emb.json"
         path.write_text(json.dumps({"a": [0.1, 0.2, 0.3]}))
-        backend = load_backend(BackendSpec(precomputed_path=str(path)))
+        backend = load_backend(precomputed_path=str(path))
         config = EvalConfig(features=("rms", "pitch"), backend_ref=backend,
                             backend_gen=backend, emotions="off")
         assert config.fingerprint() == {
@@ -250,19 +250,19 @@ class TestFingerprint:
 class TestAggregate:
     def test_two_anger_records(self):
         report = aggregate([_record("a", "anger", 0.8), _record("b", "anger", 0.6)])
-        assert abs(report.by_emotion["anger"]["embedding"] - 0.7) < 1e-12
-        assert abs(report.overall["embedding"] - 0.7) < 1e-12
+        assert abs(report["by_emotion"]["anger"]["embedding"] - 0.7) < 1e-12
+        assert abs(report["overall"]["embedding"] - 0.7) < 1e-12
 
     def test_emotion_average_row(self):
         report = aggregate([_record("a", "anger", 0.7), _record("b", "neutral", 0.9)])
-        assert abs(report.emotion_average["embedding"] - 0.8) < 1e-12
-        assert abs(report.overall["embedding"] - 0.8) < 1e-12
-        assert report.counts == {"anger": 1, "neutral": 1}
+        assert abs(report["emotion_average"]["embedding"] - 0.8) < 1e-12
+        assert abs(report["overall"]["embedding"] - 0.8) < 1e-12
+        assert report["counts"] == {"anger": 1, "neutral": 1}
 
     def test_all_unknown(self):
         report = aggregate([_record("a", "unknown", 0.5), _record("b", "unknown", 0.7)])
-        assert set(report.by_emotion) == {"unknown"}
-        assert report.emotion_average is None
+        assert set(report["by_emotion"]) == {"unknown"}
+        assert report["emotion_average"] is None
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -275,7 +275,7 @@ class TestAggregate:
             _record("c", "anger", 0.7),
         ]
         report = aggregate(records)
-        assert sum(report.counts.values()) == len(records)
+        assert sum(report["counts"].values()) == len(records)
 
 
 class TestWriteReports:
@@ -303,7 +303,7 @@ class TestWriteReports:
         summary = aggregate(records, {"n_fft": 1024})
         _, summary_path = write_reports(records, summary, tmp_path, errors={"c": "boom"})
         loaded = json.loads(summary_path.read_text())
-        expected = summary.to_dict()
+        expected = dict(summary)
         expected["errors"] = {"c": "boom"}
         assert loaded == expected
 
@@ -349,6 +349,11 @@ class TestPromptAssignments:
     def test_empty_text_rejected(self):
         with pytest.raises(ParseError):
             make_prompt_assignments([("A", ""), ("B", "x")], seed=1)
+
+    def test_duplicate_sample_id_rejected(self):
+        # "a" listed twice could draw the other "a" entry, i.e. its own text
+        with pytest.raises(ParseError, match="'a'"):
+            make_prompt_assignments([("a", "one"), ("a", "two"), ("b", "three")], seed=1)
 
     def test_seed_stability_and_no_self_assignment(self):
         manifest = [(f"s{i}", f"text {i}") for i in range(1000)]

@@ -6,7 +6,6 @@ from hypothesis import assume, given, strategies as st
 
 import oracles
 from cloneval.errors import LengthMismatch
-from cloneval.features import FeatureSummary
 from cloneval.similarity import (
     FLAG_BOTH_ZERO,
     FLAG_ONE_ZERO,
@@ -80,7 +79,7 @@ class TestCosine:
 
 def _side(summaries, embedding=None):
     return PairSide(
-        summaries={fid: FeatureSummary(fid, np.asarray(vec, dtype=float))
+        summaries={fid: np.asarray(vec, dtype=float)
                    for fid, vec in summaries.items()},
         embedding=None if embedding is None else np.asarray(embedding, dtype=float),
     )
