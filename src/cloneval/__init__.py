@@ -25,7 +25,7 @@ from .pipeline import (
     parse_emotion,
     write_reports,
 )
-from .similarity import PairRecord, PairSide, cosine, score_pair
+from .similarity import PairRecord, cosine, score_pair
 
 __all__ = [
     "AudioBuffer",
@@ -33,7 +33,6 @@ __all__ = [
     "FEATURE_IDS",
     "PIPELINE_RATE",
     "PairRecord",
-    "PairSide",
     "PromptAssignment",
     "Spectrogram",
     "aggregate",

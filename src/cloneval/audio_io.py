@@ -37,13 +37,6 @@ class AudioBuffer:
     def channel_count(self) -> int:
         return 1 if self.samples.ndim == 1 else self.samples.shape[1]
 
-    def __len__(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def duration(self) -> float:
-        return self.samples.shape[0] / self.sample_rate
-
 
 def _iter_chunks(data: bytes):
     pos = 12

@@ -41,10 +41,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--reference-dir", required=True, help="directory of reference WAVs")
     ev.add_argument("--generated-dir", required=True, help="directory of generated WAVs")
     ev.add_argument("--output-dir", required=True, help="where details.csv and summary.json go")
-    ev.add_argument("--embedding-model", help="ONNX speaker-embedding model path")
-    ev.add_argument("--embeddings-ref", help="precomputed embedding JSON for the reference side")
+    mode = ev.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--embedding-model", help="ONNX speaker-embedding model path")
+    mode.add_argument("--embeddings-ref", help="precomputed embedding JSON for the reference side")
     ev.add_argument("--embeddings-gen", help="precomputed embedding JSON for the generated side")
-    ev.add_argument("--no-embedding", action="store_true", help="skip the embedding metric")
+    mode.add_argument("--no-embedding", action="store_true", help="skip the embedding metric")
     ev.add_argument("--features", help="comma-separated feature subset (default: all)")
     ev.add_argument("--emotions", choices=("auto", "off"), default="auto",
                     help="auto: parse labels from filenames; off: force unknown")
@@ -78,21 +79,19 @@ def _parse_features(arg: str | None, parser):
 
 
 def _cmd_evaluate(args, parser) -> int:
-    embedding_modes = sum(
-        [args.embedding_model is not None,
-         args.embeddings_ref is not None or args.embeddings_gen is not None,
-         args.no_embedding]
-    )
-    if embedding_modes != 1:
-        parser.error(
-            "choose exactly one of --embedding-model, "
-            "--embeddings-ref/--embeddings-gen, or --no-embedding"
-        )
     if (args.embeddings_ref is None) != (args.embeddings_gen is None):
         parser.error("--embeddings-ref and --embeddings-gen must be given together")
     for name in ("reference_dir", "generated_dir"):
         if not Path(getattr(args, name)).is_dir():
             parser.error(f"--{name.replace('_', '-')} is not a directory")
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
+    if args.dump_features:
+        # Path() drops a trailing separator, which names a directory
+        dump_path = Path(args.dump_features)
+        if (args.dump_features.endswith(("/", os.sep)) or dump_path.is_dir()
+                or not dump_path.parent.is_dir()):
+            parser.error("--dump-features must name a file in an existing directory")
     features = _parse_features(args.features, parser)
 
     alias_table = None

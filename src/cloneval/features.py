@@ -119,8 +119,8 @@ def _padded(buf: AudioBuffer):
         raise RateError(
             f"feature extraction needs {PIPELINE_RATE} Hz audio, got {buf.sample_rate} Hz")
     if buf.samples.ndim != 1:
-        raise RateError(
-            f"feature extraction needs mono audio, got {buf.channel_count} channels; downmix first")
+        raise RateError("feature extraction needs mono audio as a 1-D array, "
+                        f"got shape {buf.samples.shape}; downmix first")
     x = np.asarray(buf.samples, dtype=np.float64)
     return _reflect_pad(x), len(x)
 
@@ -465,8 +465,9 @@ def extract_summaries(buf: AudioBuffer, feature_ids=FEATURE_IDS) -> dict:
     """Compute the requested feature summaries in one pass over the signal.
 
     Returns ``{feature_id: summary vector}`` in ``FEATURE_IDS`` order. See
-    the module docstring for how the blocks are reduced. The work that
-    only features outside ``feature_ids`` need is skipped.
+    the module docstring for how the blocks are reduced. The YIN, RMS and
+    STFT passes, each spectral contour and the tempogram run only when a
+    feature in ``feature_ids`` needs them.
     """
     unknown = set(feature_ids) - set(FEATURE_IDS)
     if unknown:
@@ -474,46 +475,29 @@ def extract_summaries(buf: AudioBuffer, feature_ids=FEATURE_IDS) -> dict:
     wanted = [f for f in FEATURE_IDS if f in feature_ids]
 
     padded, n_samples = _padded(buf)
-    contours, onset, mean_power = {}, None, None
+    raw = {}
     if set(wanted) - {"pitch", "rms"}:
-        contours, onset, mean_power = _stft_pass(padded, n_samples, wanted)
-    if {"pseudo_cqt", "chroma_cqt"} & set(wanted):
-        pcqt = pseudo_cqt(mean_power)
-
-    # The tempogram and bank features arrive as one-column matrices that are
-    # already time means: summarize keeps them as they are and still checks them.
-    out = {}
-    for fid in wanted:
-        if fid == "pitch":
-            raw = _yin_f0(padded, n_samples)
-        elif fid == "rms":
-            raw = _rms(padded, n_samples)
-        elif fid in contours:
-            raw = contours[fid]
-        elif fid == "tempogram":
-            raw = _tempogram_mean(onset)[:, None]
-        elif fid == "mel_spectrogram":
-            raw = _mel_bank() @ mean_power.values
-        elif fid == "chromagram":
-            raw = chroma_stft(mean_power)
-        elif fid == "pseudo_cqt":
-            raw = pcqt
-        else:  # chroma_cqt
-            raw = chroma_cqt(pcqt)
-        out[fid] = summarize(fid, raw)
-    return out
+        raw = _stft_pass(padded, n_samples, wanted)
+    if "pitch" in wanted:
+        raw["pitch"] = _yin_f0(padded, n_samples)
+    if "rms" in wanted:
+        raw["rms"] = _rms(padded, n_samples)
+    return {fid: summarize(fid, raw[fid]) for fid in wanted}
 
 
 def _stft_pass(padded, n_samples, wanted):
-    """One pass over the STFT blocks for the spectral features in ``wanted``.
+    """One pass over the STFT blocks: ``{feature_id: raw}`` for the STFT features.
 
-    Returns the per-frame spectral contours by feature id, the onset
-    strength envelope (``None`` unless the tempogram is wanted), and the
-    time-mean power spectrum as a one-frame power ``Spectrogram``. Each
-    block's magnitude spectrogram goes through the public per-frame
-    functions; its mel frames are turned into onset strength with the
-    previous block's last mel frame in front, so the flux across the block
-    edge is kept.
+    The raw values are the per-frame centroid, flatness and rolloff
+    contours that ``wanted`` names, the time-mean tempogram when it is
+    wanted, and the mel, chroma, pseudo-CQT and chroma-CQT banks applied to
+    the time-mean power spectrum. The tempogram and the banks are
+    one-column matrices that are already time means, which ``summarize``
+    keeps as they are. Each bank is one matrix-vector product, so all four
+    are always computed. Each block's magnitude spectrogram goes through
+    the public per-frame functions; its mel frames are turned into onset
+    strength with the previous block's last mel frame in front, so the flux
+    across the block edge is kept.
 
     The mel frames are two products, over bins ``[:_MEL_SPLIT]`` and
     ``[_MEL_SPLIT:]``, added in that order, so that their bits do not
@@ -529,7 +513,7 @@ def _stft_pass(padded, n_samples, wanted):
     measures = {"spectral_centroid": spectral_centroid,
                 "spectral_flatness": spectral_flatness,
                 "spectral_rolloff": spectral_rolloff}
-    contours = {fid: np.empty(n_frames) for fid in wanted if fid in measures}
+    raw = {fid: np.empty(n_frames) for fid in wanted if fid in measures}
     onset = np.empty(n_frames) if "tempogram" in wanted else None
     rows = min(n_frames, _kernels._BLOCK_ROWS)
     power = np.empty((rows, _N_BINS))
@@ -543,7 +527,7 @@ def _stft_pass(padded, n_samples, wanted):
         np.multiply(mag, mag, out=block)
         power_sum += block.sum(axis=0)
         spec = Spectrogram(mag.T, "magnitude")
-        for fid, values in contours.items():
+        for fid, values in raw.items():
             values[start:stop] = measures[fid](spec)
         if onset is not None:
             block_mel = mel[:, : stop - start + 1]
@@ -556,4 +540,10 @@ def _stft_pass(padded, n_samples, wanted):
             onset[start:stop] = onset_strength(Spectrogram(block_mel, "power"))[1:]
             mel[:, 0] = block_mel[:, -1]
     mean_power = Spectrogram((power_sum / n_frames)[:, None], "power")
-    return contours, onset, mean_power
+    if onset is not None:
+        raw["tempogram"] = _tempogram_mean(onset)[:, None]
+    raw["mel_spectrogram"] = _mel_bank() @ mean_power.values
+    raw["chromagram"] = chroma_stft(mean_power)
+    raw["pseudo_cqt"] = pseudo_cqt(mean_power)
+    raw["chroma_cqt"] = chroma_cqt(raw["pseudo_cqt"])
+    return raw

@@ -24,7 +24,7 @@ from .audio_io import PIPELINE_RATE, decode_wav, downmix_mono, resample
 from .embeddings import embed
 from .errors import EmptyInput, EvaluationFailed, NoPairs, ParseError, TooFewSamples
 from .features import FEATURE_IDS, HOP, N_FFT, extract_summaries
-from .similarity import PairSide, metric_order, score_pair
+from .similarity import EMBEDDING_METRIC, metric_order, score_pair
 
 EMOTIONS = ("anger", "disgust", "fear", "happiness", "neutral", "sadness")
 UNKNOWN = "unknown"
@@ -146,18 +146,18 @@ def load_mono_16k(path):
 def _evaluate_one(stem, ref_path, gen_path, config, dump):
     ref_buf = load_mono_16k(ref_path)
     gen_buf = load_mono_16k(gen_path)
-    ref_side = PairSide(extract_summaries(ref_buf, config.features))
-    gen_side = PairSide(extract_summaries(gen_buf, config.features))
-    if config.backend_ref is not None:
-        ref_side.embedding = embed(config.backend_ref, ref_buf, key=stem)
-        gen_side.embedding = embed(config.backend_gen, gen_buf, key=stem)
+    ref = extract_summaries(ref_buf, config.features)
+    gen = extract_summaries(gen_buf, config.features)
     if dump is not None:
-        for side_name, side in (("reference", ref_side), ("generated", gen_side)):
-            for feature_id, vector in side.summaries.items():
+        for side_name, side in (("reference", ref), ("generated", gen)):
+            for feature_id, vector in side.items():
                 dump(stem, side_name, feature_id, vector)
+    if config.backend_ref is not None:
+        ref[EMBEDDING_METRIC] = embed(config.backend_ref, ref_buf, key=stem)
+        gen[EMBEDDING_METRIC] = embed(config.backend_gen, gen_buf, key=stem)
 
     emotion = parse_emotion(stem, config.alias_table) if config.emotions == "auto" else UNKNOWN
-    record = score_pair(stem, emotion, ref_side, gen_side)
+    record = score_pair(stem, emotion, ref, gen)
     record.reference_file = str(ref_path)
     record.generated_file = str(gen_path)
     return record
@@ -168,9 +168,11 @@ def evaluate_corpus(pairs, config: EvalConfig, dump=None):
 
     Returns (records, errors) with records sorted by pair_id, so the result
     does not depend on the worker count. Raises EvaluationFailed only when
-    no pair survives. ``dump``, when given, is called from the worker
-    threads as ``dump(pair_id, side, feature_id, vector)`` for every feature
-    summary, with ``side`` "reference" or "generated".
+    no pair survives. ``config.workers`` below 1 raises ValueError.
+    ``dump``, when given, is called from the worker threads as
+    ``dump(pair_id, side, feature_id, vector)`` for every feature summary of
+    every pair whose features were extracted, also when its embedding or
+    scoring fails later, with ``side`` "reference" or "generated".
     """
     records = []
     errors = {}
@@ -182,7 +184,7 @@ def evaluate_corpus(pairs, config: EvalConfig, dump=None):
         except Exception as exc:
             return stem, None, f"{type(exc).__name__}: {exc}"
 
-    with ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
         outcomes = list(pool.map(run, pairs))
 
     for stem, record, error in outcomes:

@@ -54,14 +54,6 @@ def cosine(u, v) -> float:
 
 
 @dataclass(eq=False)
-class PairSide:
-    """One side of a pair: ``{feature_id: summary vector}`` plus an optional embedding."""
-
-    summaries: dict
-    embedding: np.ndarray | None = None
-
-
-@dataclass(eq=False)
 class PairRecord:
     pair_id: str
     emotion: str
@@ -77,25 +69,26 @@ def metric_order(feature_ids, with_embedding: bool) -> list:
     return order
 
 
-def score_pair(pair_id: str, emotion: str, ref: PairSide, gen: PairSide) -> PairRecord:
-    """Score one reference/generated pair across all enabled metrics."""
-    if set(ref.summaries) != set(gen.summaries):
-        raise LengthMismatch("reference and generated sides carry different feature sets")
-    if (ref.embedding is None) != (gen.embedding is None):
-        raise LengthMismatch("embedding present on only one side")
+def score_pair(pair_id: str, emotion: str, ref: dict, gen: dict) -> PairRecord:
+    """Score one reference/generated pair on every metric its sides carry.
+
+    Each side is ``{metric_id: vector}``: feature summaries by feature id,
+    plus the speaker embedding under ``EMBEDDING_METRIC`` when it is scored.
+    Both sides must carry the same metric ids, all of them known.
+    """
+    if set(ref) != set(gen):
+        raise LengthMismatch("reference and generated sides carry different metrics")
+    order = metric_order(ref, EMBEDDING_METRIC in ref)
+    if len(order) != len(ref):
+        raise ValueError(f"unknown metric ids: {sorted(set(ref) - set(order))}")
 
     record = PairRecord(pair_id=pair_id, emotion=emotion)
-    if ref.embedding is not None:
+    for metric in order:
         value, flag = _cosine_flagged(
-            np.asarray(ref.embedding, dtype=np.float64),
-            np.asarray(gen.embedding, dtype=np.float64),
+            np.asarray(ref[metric], dtype=np.float64),
+            np.asarray(gen[metric], dtype=np.float64),
         )
-        record.scores[EMBEDDING_METRIC] = value
+        record.scores[metric] = value
         if flag:
-            record.flags[EMBEDDING_METRIC] = flag
-    for fid in metric_order(ref.summaries, with_embedding=False):
-        value, flag = _cosine_flagged(ref.summaries[fid], gen.summaries[fid])
-        record.scores[fid] = value
-        if flag:
-            record.flags[fid] = flag
+            record.flags[metric] = flag
     return record

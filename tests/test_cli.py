@@ -146,6 +146,51 @@ class TestEvaluate:
         assert all(entry["feature_id"] == "rms" for entry in lines)
         assert all(len(entry["vector"]) == 256 for entry in lines)
 
+    def test_dump_holds_pairs_whose_embedding_fails(self, corpus, tmp_path):
+        manifest = json.loads(corpus["emb"].read_text())
+        del manifest["spk1_sad_02"]
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps(manifest))
+        dump = tmp_path / "features.jsonl"
+        rc = main(_evaluate_args(
+            corpus, "--embeddings-ref", str(partial), "--embeddings-gen", str(partial),
+            "--features", "rms", "--dump-features", str(dump),
+        ))
+        assert rc == 0
+        summary = json.loads((corpus["out"] / "summary.json").read_text())
+        assert list(summary["errors"]) == ["spk1_sad_02"]
+        lines = [json.loads(line) for line in dump.read_text().splitlines()]
+        assert sorted(e["side"] for e in lines if e["pair_id"] == "spk1_sad_02") == [
+            "generated", "reference"]
+        assert len(lines) == 6
+
+    def test_dump_bytes_independent_of_workers(self, corpus, tmp_path):
+        dumps = {}
+        for workers in (1, 2):
+            dumps[workers] = tmp_path / f"features_w{workers}.jsonl"
+            rc = main(_evaluate_args(
+                corpus, "--no-embedding", "--workers", str(workers),
+                "--dump-features", str(dumps[workers]),
+            ))
+            assert rc == 0
+        assert dumps[1].read_bytes() == dumps[2].read_bytes()
+
+    @pytest.mark.parametrize("where", ["missing/features.jsonl", ".", "missing/"])
+    def test_unwritable_dump_path_is_usage_error(self, corpus, tmp_path, where):
+        with pytest.raises(SystemExit) as excinfo:
+            main(_evaluate_args(
+                corpus, "--no-embedding", "--dump-features", f"{tmp_path}/{where}"
+            ))
+        assert excinfo.value.code == 2
+        assert not corpus["out"].exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, corpus, workers):
+        with pytest.raises(SystemExit) as excinfo:
+            main(_evaluate_args(corpus, "--no-embedding", "--workers", workers))
+        assert excinfo.value.code == 2
+        assert not corpus["out"].exists()
+
     def test_missing_dir_is_usage_error(self, corpus):
         with pytest.raises(SystemExit) as excinfo:
             main([

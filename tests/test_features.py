@@ -335,11 +335,16 @@ class TestSampleRate:
         x = sine(220.0, 0.5)
         buf = AudioBuffer(np.stack([x, -x], axis=1), SR)
         for fid in F.FEATURE_IDS:
-            with pytest.raises(RateError, match="needs mono audio, got 2 channels"):
+            with pytest.raises(RateError, match=r"mono audio as a 1-D array, got shape \(8000, 2\)"):
                 F.extract_summaries(buf, feature_ids=(fid,))
         for analyse in (F.stft, F.f0_contour, F.rms_envelope):
             with pytest.raises(RateError, match="needs mono audio"):
                 analyse(buf)
+
+    def test_one_column_buffer_names_its_shape(self):
+        buf = AudioBuffer(np.zeros((16000, 1)), SR)
+        with pytest.raises(RateError, match=r"got shape \(16000, 1\); downmix first"):
+            F.extract_summaries(buf)
 
 
 # sha256 of the tempogram summaries of noise 129 frames, 257 frames and 30 s long

@@ -140,6 +140,11 @@ class TestEvaluateCorpus:
         for a, b in zip(serial, threaded):
             assert a.scores == b.scores
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, wav_dir_factory, workers):
+        with pytest.raises(ValueError):
+            _identity_run(wav_dir_factory, {"a": sine(220, 0.2)}, workers=workers)
+
     def test_emotions_off(self, wav_dir_factory):
         records, _ = _identity_run(
             wav_dir_factory, {"a_happy": sine(220, 0.2)}, emotions="off"

@@ -9,7 +9,6 @@ from cloneval.errors import LengthMismatch
 from cloneval.similarity import (
     FLAG_BOTH_ZERO,
     FLAG_ONE_ZERO,
-    PairSide,
     cosine,
     score_pair,
 )
@@ -78,11 +77,10 @@ class TestCosine:
 
 
 def _side(summaries, embedding=None):
-    return PairSide(
-        summaries={fid: np.asarray(vec, dtype=float)
-                   for fid, vec in summaries.items()},
-        embedding=None if embedding is None else np.asarray(embedding, dtype=float),
-    )
+    side = {fid: np.asarray(vec, dtype=float) for fid, vec in summaries.items()}
+    if embedding is not None:
+        side["embedding"] = np.asarray(embedding, dtype=float)
+    return side
 
 
 class TestScorePair:
@@ -134,6 +132,16 @@ class TestScorePair:
     def test_feature_set_drift_rejected(self):
         with pytest.raises(LengthMismatch):
             score_pair("p", "unknown", _side({"rms": [1.0]}), _side({"pitch": [1.0]}))
+
+    def test_embedding_on_one_side_rejected(self):
+        with pytest.raises(LengthMismatch):
+            score_pair("p", "unknown", _side({"rms": [1.0]}, embedding=[1.0, 2.0]),
+                       _side({"rms": [1.0]}))
+
+    def test_unknown_metric_rejected(self):
+        side = _side({"rms": [1.0], "mfcc": [1.0, 2.0]})
+        with pytest.raises(ValueError, match="mfcc"):
+            score_pair("p", "unknown", side, side)
 
     def test_nonnegative_vectors_score_in_unit_interval(self):
         rng = np.random.default_rng(8)
