@@ -9,12 +9,7 @@ __version__ = "0.1.0"
 
 from .audio_io import AudioBuffer, PIPELINE_RATE, decode_wav, downmix_mono, resample
 from .embeddings import embed, load_backend, read_precomputed
-from .features import (
-    FEATURE_IDS,
-    Spectrogram,
-    extract_summaries,
-    summarize,
-)
+from .features import FEATURE_IDS, extract_summaries, summarize
 from .pipeline import (
     EvalConfig,
     PromptAssignment,
@@ -34,7 +29,6 @@ __all__ = [
     "PIPELINE_RATE",
     "PairRecord",
     "PromptAssignment",
-    "Spectrogram",
     "aggregate",
     "cosine",
     "decode_wav",

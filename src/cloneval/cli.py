@@ -53,6 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="worker threads; results do not depend on this")
     ev.add_argument("--expected-dim", type=int, help="require this embedding dimension")
     ev.add_argument("--dump-features", help="also write every feature summary to this JSONL file")
+    ev.set_defaults(parser=ev)  # _cmd_evaluate reports its usage errors with evaluate's usage
 
     pr = sub.add_parser("prompts", help="draw a text prompt for each sample from the others")
     pr.add_argument("--manifest", required=True, help="TSV: sample_id<TAB>text")
@@ -201,7 +202,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "evaluate":
-            return _cmd_evaluate(args, parser)
+            return _cmd_evaluate(args, args.parser)
         if args.command == "prompts":
             return _cmd_prompts(args)
         return _cmd_embed(args)

@@ -50,7 +50,10 @@ def read_precomputed(path) -> dict:
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
         ):
             raise ParseError(f"entry {stem!r} is not a non-empty number array")
-        vector = np.asarray(values, dtype=np.float64)
+        try:
+            vector = np.asarray(values, dtype=np.float64)
+        except OverflowError:
+            raise ParseError(f"entry {stem!r} holds a number too large for float64") from None
         if not np.all(np.isfinite(vector)):
             raise ParseError(f"entry {stem!r} contains non-finite values")
         if not np.any(vector):

@@ -15,7 +15,9 @@ applied to the time-mean power spectrum, which by linearity equals the time
 mean of the bank applied to every frame. So no per-file ``(bins, frames)``
 or ``(frames, lags)`` matrix is built. The public per-feature functions
 still return whole-file matrices and contours; the block pass calls the
-same functions on one block at a time.
+same functions on one block at a time. Spectra are plain ``(bins, frames)``
+arrays: ``stft`` returns magnitudes, ``mel_spectrogram`` mel powers, and
+each function's parameter name says which of the two it takes.
 
 The analysis settings are the protocol's, not the caller's: scores from two
 runs are comparable only if both analysed their audio the same way. They
@@ -33,7 +35,6 @@ values (no dB conversion).
 """
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -95,16 +96,6 @@ _TAU_MAX = int(PIPELINE_RATE // YIN_FMIN)
 _MEL_SPLIT = 256
 
 
-@dataclass(eq=False)
-class Spectrogram:
-    values: np.ndarray  # (bins, frames), non-negative
-    kind: str  # "magnitude" or "power"
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]
-
-
 def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
@@ -113,7 +104,9 @@ def _padded(buf: AudioBuffer):
     """The buffer's samples reflect-padded by ``_reflect_pad``, and their count.
 
     Every buffer enters feature extraction here, so audio at any rate other
-    than ``PIPELINE_RATE``, or that is not mono (1-D), is rejected here.
+    than ``PIPELINE_RATE``, that is not mono (1-D), or that holds a NaN or
+    infinite sample, which YIN and the silence masks would score, is
+    rejected here.
     """
     if buf.sample_rate != PIPELINE_RATE:
         raise RateError(
@@ -122,6 +115,9 @@ def _padded(buf: AudioBuffer):
         raise RateError("feature extraction needs mono audio as a 1-D array, "
                         f"got shape {buf.samples.shape}; downmix first")
     x = np.asarray(buf.samples, dtype=np.float64)
+    bad = x.size - np.count_nonzero(np.isfinite(x))
+    if bad:
+        raise ValueError(f"audio holds {bad} non-finite (NaN or Inf) samples")
     return _reflect_pad(x), len(x)
 
 
@@ -147,17 +143,17 @@ def fft_frequencies() -> np.ndarray:
     return np.arange(_N_BINS) * (PIPELINE_RATE / N_FFT)
 
 
-def stft(buf: AudioBuffer) -> Spectrogram:
-    """Magnitude STFT of a mono buffer.
+def stft(buf: AudioBuffer) -> np.ndarray:
+    """Magnitude STFT of a mono buffer, ``(bins, frames)``.
 
     The blocks of ``_stft_blocks`` are copied into one ``(frames, bins)``
-    array; its transpose is the ``(bins, frames)`` spectrogram.
+    array; its transpose is the spectrogram.
     """
     padded, n_samples = _padded(buf)
     mag = np.empty((1 + n_samples // HOP, _N_BINS))
     for start, stop, block in _stft_blocks(padded, n_samples):
         mag[start:stop] = block
-    return Spectrogram(mag.T, "magnitude")
+    return mag.T
 
 
 def _stft_blocks(padded: np.ndarray, n_samples: int):
@@ -225,9 +221,9 @@ def mel_filterbank() -> np.ndarray:
     return _mel_bank().copy()
 
 
-def mel_spectrogram(buf: AudioBuffer) -> Spectrogram:
-    """Mel power spectrogram: area-normalized triangular bank over the power STFT."""
-    return Spectrogram(_mel_bank() @ stft(buf).values ** 2, "power")
+def mel_spectrogram(buf: AudioBuffer) -> np.ndarray:
+    """Mel power spectrogram ``(N_MELS, frames)``: normalized triangles over the power STFT."""
+    return _mel_bank() @ stft(buf) ** 2
 
 
 def f0_contour(buf: AudioBuffer) -> np.ndarray:
@@ -306,32 +302,27 @@ def _rms(padded: np.ndarray, n_samples: int) -> np.ndarray:
     return np.sqrt(_kernels._frame_sums(sums, n_frames, per_frame) / N_FFT)
 
 
-def spectral_centroid(spec: Spectrogram) -> np.ndarray:
-    """Magnitude-weighted mean frequency per frame; 0 for silent frames."""
-    if spec.kind != "magnitude":
-        raise ValueError("spectral_centroid expects a magnitude spectrogram")
-    totals = spec.values.sum(axis=0)
+def spectral_centroid(magnitude: np.ndarray) -> np.ndarray:
+    """Magnitude-weighted mean frequency per ``(bins, frames)`` column; 0 if silent."""
+    totals = magnitude.sum(axis=0)
     # A per-column sum, not a BLAS product, whose rounding would depend on
     # how many frames are passed in one call.
-    weighted = (spec.values * fft_frequencies()[:, None]).sum(axis=0)
+    weighted = (magnitude * fft_frequencies()[:, None]).sum(axis=0)
     return np.divide(weighted, totals, out=np.zeros_like(totals), where=totals > 0.0)
 
 
-def spectral_flatness(spec: Spectrogram) -> np.ndarray:
-    """Geometric over arithmetic mean of floored power bins, in [0, 1]."""
-    values = spec.values if spec.kind == "power" else spec.values**2
-    power = values + _FLATNESS_FLOOR
+def spectral_flatness(power: np.ndarray) -> np.ndarray:
+    """Geometric over arithmetic mean of floored power bins per column, in [0, 1]."""
+    power = power + _FLATNESS_FLOOR
     gmean = np.exp(np.mean(np.log(power), axis=0))
     return gmean / np.mean(power, axis=0)
 
 
-def spectral_rolloff(spec: Spectrogram) -> np.ndarray:
-    """Lowest frequency holding >= ROLLOFF_FRACTION of cumulative magnitude; 0 if silent."""
-    if spec.kind != "magnitude":
-        raise ValueError("spectral_rolloff expects a magnitude spectrogram")
-    cum = np.cumsum(spec.values, axis=0)
+def spectral_rolloff(magnitude: np.ndarray) -> np.ndarray:
+    """Lowest frequency holding >= ROLLOFF_FRACTION of each column's magnitude; 0 if silent."""
+    cum = np.cumsum(magnitude, axis=0)
     totals = cum[-1]
-    out = np.zeros(spec.n_frames)
+    out = np.zeros(magnitude.shape[1])
     live = totals > 0.0
     if np.any(live):
         idx = np.argmax(cum[:, live] >= ROLLOFF_FRACTION * totals[live], axis=0)
@@ -339,13 +330,11 @@ def spectral_rolloff(spec: Spectrogram) -> np.ndarray:
     return out
 
 
-def onset_strength(mel: Spectrogram) -> np.ndarray:
-    """Band-averaged positive log-energy flux of a mel power spectrogram."""
-    if mel.kind != "power":
-        raise ValueError("onset_strength expects a power spectrogram")
-    logmel = np.log1p(mel.values)
-    out = np.zeros(mel.n_frames)
-    if mel.n_frames > 1:
+def onset_strength(mel_power: np.ndarray) -> np.ndarray:
+    """Band-averaged positive log-energy flux of a ``(bands, frames)`` mel power spectrogram."""
+    logmel = np.log1p(mel_power)
+    out = np.zeros(mel_power.shape[1])
+    if len(out) > 1:
         out[1:] = np.maximum(0.0, np.diff(logmel, axis=1)).mean(axis=0)
     return out
 
@@ -398,11 +387,9 @@ def chroma_filterbank() -> np.ndarray:
     return _chroma_bank().copy()
 
 
-def chroma_stft(spec: Spectrogram) -> np.ndarray:
-    """Unnormalized 12-class chromagram from a power spectrogram."""
-    if spec.kind != "power":
-        raise ValueError("chroma_stft expects a power spectrogram")
-    return _chroma_bank() @ spec.values
+def chroma_stft(power: np.ndarray) -> np.ndarray:
+    """Unnormalized 12-class chromagram of a ``(bins, frames)`` power spectrogram."""
+    return _chroma_bank() @ power
 
 
 def cqt_center_frequencies() -> np.ndarray:
@@ -416,15 +403,13 @@ def _cqt_bank():
     return _read_only(_triangle_bank(edges, fft_frequencies()))
 
 
-def pseudo_cqt(spec: Spectrogram) -> np.ndarray:
-    """Constant-Q triangular filterbank applied to the power STFT.
+def pseudo_cqt(power: np.ndarray) -> np.ndarray:
+    """Constant-Q triangular filterbank applied to a ``(bins, frames)`` power spectrogram.
 
     Geometrically spaced centers, triangle k spanning its two neighbors; no
     time-domain kernels are involved (the "pseudo" variant).
     """
-    if spec.kind != "power":
-        raise ValueError("pseudo_cqt expects a power spectrogram")
-    return _cqt_bank() @ spec.values
+    return _cqt_bank() @ power
 
 
 def chroma_cqt(pcqt: np.ndarray) -> np.ndarray:
@@ -494,8 +479,10 @@ def _stft_pass(padded, n_samples, wanted):
     the time-mean power spectrum. The tempogram and the banks are
     one-column matrices that are already time means, which ``summarize``
     keeps as they are. Each bank is one matrix-vector product, so all four
-    are always computed. Each block's magnitude spectrogram goes through
-    the public per-frame functions; its mel frames are turned into onset
+    are always computed. Each public function gets an array the pass
+    already holds: the centroid and rolloff the magnitude block, the
+    flatness and the mel product the power block (squared once), the banks
+    the mean power column. The block's mel frames are turned into onset
     strength with the previous block's last mel frame in front, so the flux
     across the block edge is kept.
 
@@ -510,9 +497,10 @@ def _stft_pass(padded, n_samples, wanted):
     thread count even when it is split.
     """
     n_frames = 1 + n_samples // HOP
-    measures = {"spectral_centroid": spectral_centroid,
-                "spectral_flatness": spectral_flatness,
-                "spectral_rolloff": spectral_rolloff}
+    # feature id -> (per-frame function, whether it takes power)
+    measures = {"spectral_centroid": (spectral_centroid, False),
+                "spectral_flatness": (spectral_flatness, True),
+                "spectral_rolloff": (spectral_rolloff, False)}
     raw = {fid: np.empty(n_frames) for fid in wanted if fid in measures}
     onset = np.empty(n_frames) if "tempogram" in wanted else None
     rows = min(n_frames, _kernels._BLOCK_ROWS)
@@ -526,9 +514,9 @@ def _stft_pass(padded, n_samples, wanted):
         block = power[: stop - start]
         np.multiply(mag, mag, out=block)
         power_sum += block.sum(axis=0)
-        spec = Spectrogram(mag.T, "magnitude")
         for fid, values in raw.items():
-            values[start:stop] = measures[fid](spec)
+            measure, takes_power = measures[fid]
+            values[start:stop] = measure(block.T if takes_power else mag.T)
         if onset is not None:
             block_mel = mel[:, : stop - start + 1]
             high = mel_high[:, : stop - start]
@@ -537,12 +525,12 @@ def _stft_pass(padded, n_samples, wanted):
             block_mel[:, 1:] += high
             if start == 0:
                 block_mel[:, 0] = block_mel[:, 1]  # no flux into the first frame
-            onset[start:stop] = onset_strength(Spectrogram(block_mel, "power"))[1:]
+            onset[start:stop] = onset_strength(block_mel)[1:]
             mel[:, 0] = block_mel[:, -1]
-    mean_power = Spectrogram((power_sum / n_frames)[:, None], "power")
+    mean_power = (power_sum / n_frames)[:, None]
     if onset is not None:
         raw["tempogram"] = _tempogram_mean(onset)[:, None]
-    raw["mel_spectrogram"] = _mel_bank() @ mean_power.values
+    raw["mel_spectrogram"] = _mel_bank() @ mean_power
     raw["chromagram"] = chroma_stft(mean_power)
     raw["pseudo_cqt"] = pseudo_cqt(mean_power)
     raw["chroma_cqt"] = chroma_cqt(raw["pseudo_cqt"])

@@ -176,22 +176,24 @@ class TestEvaluate:
         assert dumps[1].read_bytes() == dumps[2].read_bytes()
 
     @pytest.mark.parametrize("where", ["missing/features.jsonl", ".", "missing/"])
-    def test_unwritable_dump_path_is_usage_error(self, corpus, tmp_path, where):
+    def test_unwritable_dump_path_is_usage_error(self, corpus, tmp_path, where, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(_evaluate_args(
                 corpus, "--no-embedding", "--dump-features", f"{tmp_path}/{where}"
             ))
         assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: cloneval evaluate ")
         assert not corpus["out"].exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_is_usage_error(self, corpus, workers):
+    def test_workers_below_one_is_usage_error(self, corpus, workers, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(_evaluate_args(corpus, "--no-embedding", "--workers", workers))
         assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: cloneval evaluate ")
         assert not corpus["out"].exists()
 
-    def test_missing_dir_is_usage_error(self, corpus):
+    def test_missing_dir_is_usage_error(self, corpus, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([
                 "evaluate",
@@ -201,6 +203,45 @@ class TestEvaluate:
                 "--no-embedding",
             ])
         assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: cloneval evaluate ")
+
+    def test_non_finite_sample_fails_its_pair(self, corpus):
+        x = sine(220, 0.3)
+        x[100] = np.nan
+        (corpus["gen"] / "spk1_sad_02.wav").write_bytes(make_wav(x, fmt="float32"))
+        rc = main(_evaluate_args(
+            corpus, "--no-embedding", "--features", "pitch,spectral_centroid,spectral_rolloff"
+        ))
+        assert rc == 0
+        summary = json.loads((corpus["out"] / "summary.json").read_text())
+        assert list(summary["errors"]) == ["spk1_sad_02"]
+        assert "1 non-finite" in summary["errors"]["spk1_sad_02"]
+        rows = (corpus["out"] / "details.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["spk1_happy_01", "spk2_ANG_03"]
+
+    def test_every_pair_failing_writes_no_reports(self, corpus, capsys):
+        assert main(_evaluate_args(corpus, "--no-embedding", "--features", "rms")) == 0
+        previous = {p.name: p.read_bytes() for p in corpus["out"].iterdir()}
+        for wav in corpus["gen"].iterdir():
+            wav.write_bytes(b"RIFF, but not a WAV file")
+        capsys.readouterr()
+        rc = main(_evaluate_args(corpus, "--no-embedding", "--features", "rms"))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: all 3 pairs failed; first error: FormatError: ")
+        assert {p.name: p.read_bytes() for p in corpus["out"].iterdir()} == previous
+
+    def test_number_too_large_for_float64_in_manifest(self, corpus, capsys):
+        manifest = corpus["emb"].read_text().replace("[", "[1" + "0" * 400 + ", ", 1)
+        corpus["emb"].write_text(manifest)
+        rc = main(_evaluate_args(
+            corpus, "--embeddings-ref", str(corpus["emb"]), "--embeddings-gen", str(corpus["emb"])
+        ))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: entry ")
+        assert err[0].endswith("holds a number too large for float64")
 
     def test_help_available(self, capsys):
         for sub in ("evaluate", "prompts", "embed"):

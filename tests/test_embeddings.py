@@ -100,6 +100,12 @@ class TestReadPrecomputed:
 
 
 class TestLoadBackend:
+    def test_number_too_large_for_float64(self, tmp_path):
+        path = tmp_path / "emb.json"
+        path.write_text('{"a": [0.5, 1' + "0" * 400 + "]}")
+        with pytest.raises(ParseError, match="entry 'a' holds a number too large"):
+            load_backend(precomputed_path=str(path))
+
     def test_spec_requires_exactly_one_mode(self):
         with pytest.raises(ValueError):
             load_backend()
