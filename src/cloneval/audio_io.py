@@ -71,7 +71,8 @@ def decode_wav(data: bytes) -> AudioBuffer:
 
     Supports PCM 16/24/32-bit little-endian integers and IEEE float32.
     Integer samples are scaled by 1/2^(bits-1) into [-1, 1]; float samples
-    pass through unchanged. Unknown chunks are skipped, and nothing after the
+    pass through unchanged, and a NaN or infinite one is a ``FormatError``
+    that names how many the file holds. Unknown chunks are skipped, and nothing after the
     first ``fmt `` and ``data`` chunks is read, so a truncated trailing chunk
     such as ``LIST`` is harmless. A ``data`` size of 0xFFFFFFFF, which
     streaming writers leave in place, means the data runs to the end of the
@@ -115,6 +116,9 @@ def decode_wav(data: bytes) -> AudioBuffer:
 
     if tag == _WAVE_FORMAT_IEEE_FLOAT:
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        bad = samples.size - np.count_nonzero(np.isfinite(samples))
+        if bad:
+            raise FormatError(f"data chunk holds {bad} non-finite (NaN or Inf) samples")
     elif bits == 16:
         samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / _INT_SCALES[16]
     elif bits == 32:

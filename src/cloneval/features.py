@@ -497,10 +497,9 @@ def _stft_pass(padded, n_samples, wanted):
     thread count even when it is split.
     """
     n_frames = 1 + n_samples // HOP
-    # feature id -> (per-frame function, whether it takes power)
-    measures = {"spectral_centroid": (spectral_centroid, False),
-                "spectral_flatness": (spectral_flatness, True),
-                "spectral_rolloff": (spectral_rolloff, False)}
+    measures = {"spectral_centroid": spectral_centroid,
+                "spectral_flatness": spectral_flatness,
+                "spectral_rolloff": spectral_rolloff}
     raw = {fid: np.empty(n_frames) for fid in wanted if fid in measures}
     onset = np.empty(n_frames) if "tempogram" in wanted else None
     rows = min(n_frames, _kernels._BLOCK_ROWS)
@@ -515,8 +514,7 @@ def _stft_pass(padded, n_samples, wanted):
         np.multiply(mag, mag, out=block)
         power_sum += block.sum(axis=0)
         for fid, values in raw.items():
-            measure, takes_power = measures[fid]
-            values[start:stop] = measure(block.T if takes_power else mag.T)
+            values[start:stop] = measures[fid](block.T if fid == "spectral_flatness" else mag.T)
         if onset is not None:
             block_mel = mel[:, : stop - start + 1]
             high = mel_high[:, : stop - start]

@@ -34,6 +34,13 @@ class TestDecodeWav:
         assert buf.samples.shape == (100, 2)
         np.testing.assert_allclose(buf.samples, frames, atol=1e-7)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_samples_rejected(self, bad):
+        frames = np.zeros((50, 2))
+        frames[3, 1] = frames[40, 0] = bad
+        with pytest.raises(FormatError, match="holds 2 non-finite"):
+            decode_wav(make_wav(frames, fmt="float32"))
+
     def test_pcm24_and_pcm32_roundtrip(self):
         x = sine(200, 0.02, amp=0.8)
         for fmt, tol in (("pcm24", 2e-7), ("pcm32", 1e-9)):

@@ -206,9 +206,10 @@ class TestEvaluate:
         assert capsys.readouterr().err.startswith("usage: cloneval evaluate ")
 
     def test_non_finite_sample_fails_its_pair(self, corpus):
-        x = sine(220, 0.3)
+        # at 44.1 kHz, so that the count is the file's, not the resampled buffer's
+        x = sine(220, 0.3, sr=44100)
         x[100] = np.nan
-        (corpus["gen"] / "spk1_sad_02.wav").write_bytes(make_wav(x, fmt="float32"))
+        (corpus["gen"] / "spk1_sad_02.wav").write_bytes(make_wav(x, sr=44100, fmt="float32"))
         rc = main(_evaluate_args(
             corpus, "--no-embedding", "--features", "pitch,spectral_centroid,spectral_rolloff"
         ))

@@ -159,8 +159,8 @@ class TestSpectralScalars:
         np.testing.assert_allclose(F.spectral_flatness(flat), 1.0, atol=1e-6)
 
     def test_flatness_tone_low_noise_higher(self):
-        tone = np.median(F.spectral_flatness(spec_of(sine(1000.0, amp=0.8))))
-        noise = np.median(F.spectral_flatness(spec_of(white_noise(seed=42))))
+        tone = np.median(F.spectral_flatness(spec_of(sine(1000.0, amp=0.8), "power")))
+        noise = np.median(F.spectral_flatness(spec_of(white_noise(seed=42), "power")))
         assert tone < 0.1
         assert noise > tone
 
