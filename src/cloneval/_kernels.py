@@ -7,13 +7,19 @@ The YIN and tempogram kernels work on blocks of at most ``_BLOCK_ROWS``
 frames, so their FFT temporaries stay a few MB whatever the clip length.
 They fill no whole-clip output: each block of rows goes, as soon as it is
 computed, to a ``reduce(start, stop, rows)`` callable that the caller
-supplies, in one buffer that the next block overwrites. The rows are split
-into ``count = ceil(n / _BLOCK_ROWS)`` balanced blocks with edges at
-``n * k // count``. numpy's batched FFT can round a lone row differently
-from the same row in a larger batch (a 1-ulp drift), so an unbalanced split
-such as 128 + 1 rows would change results; balanced blocks are never that
-small and give the same bits as one unblocked batch. Each FFT is only as
-long as its correlation needs, rounded up by ``_fft_size``.
+supplies, in one buffer that the next block overwrites. YIN's rows are
+finished CMND values. The tempogram's rows are lag-normalized power
+spectra, one inverse FFT short of autocorrelations; the inverse is linear,
+so a caller that needs only their time mean inverts their sum once.
+
+The rows are split into ``count = ceil(n / _BLOCK_ROWS)`` balanced blocks
+with edges at ``n * k // count``. numpy's batched FFT can round a lone row
+differently from the same row in a larger batch (a 1-ulp drift), so an
+unbalanced split such as 128 + 1 rows would change results; balanced blocks
+are never that small and give the same bits as one unblocked batch. Each
+FFT is only as long as its correlation needs, rounded up by ``_fft_size``.
+A zero-padded FFT input is written into a buffer that each call allocates
+once, not padded afresh for every block.
 """
 
 from typing import NamedTuple
@@ -58,12 +64,17 @@ def _fft_size(n):
 
 
 def local_autocorr(env, window, reduce):
-    """Lag-normalized windowed local autocorrelation of ``env``.
+    """Lag-normalized power spectra of the windowed local segments of ``env``.
 
     Calls ``reduce(start, stop, rows)`` once per block, where row ``i`` of
-    the ``(stop - start, len(window))`` array is frame ``start + i``: its
-    autocorrelation over lags ``0..len(window) - 1`` divided by the lag-0
-    value, or all zeros where the window holds no energy.
+    the ``(stop - start, n_fft // 2 + 1)`` array is frame ``start + i``:
+    ``|rfft(window * segment, n_fft)|**2`` with ``n_fft =
+    _fft_size(2 * len(window) - 1)``, divided by the segment's lag-0 energy
+    (its direct sum of squares), or all zeros where the window holds no
+    energy. The first ``len(window)`` values of a row's ``irfft`` are the
+    segment's autocorrelation over lags ``0..len(window) - 1`` divided by
+    its lag-0 value. The inverse transform is linear, so a caller that needs
+    only the time mean adds the rows and inverts their sum once.
     """
     win_length = len(window)
     half = win_length // 2
@@ -73,15 +84,20 @@ def local_autocorr(env, window, reduce):
     windows = np.lib.stride_tricks.sliding_window_view(padded, win_length)
 
     n_fft = _fft_size(2 * win_length - 1)
-    block = np.empty((min(n, _BLOCK_ROWS), win_length))
+    # columns past win_length stay zero: each block overwrites only its segments
+    segments = np.zeros((min(n, _BLOCK_ROWS), n_fft))
+    block = np.empty((min(n, _BLOCK_ROWS), n_fft // 2 + 1))
     for start, stop in _row_blocks(n):
-        segments = windows[start:stop] * window
-        spec = np.fft.rfft(segments, n=n_fft, axis=1)
-        corr = np.fft.irfft(spec * np.conj(spec), n=n_fft, axis=1)[:, :win_length]
-        lag0 = corr[:, :1]
-        rows = block[: stop - start]
-        rows.fill(0.0)
-        np.divide(corr, lag0, out=rows, where=lag0 > 0.0)
+        count = stop - start
+        seg = segments[:count, :win_length]
+        np.multiply(windows[start:stop], window, out=seg)
+        lag0 = np.einsum("ij,ij->i", seg, seg)
+        spec = np.fft.rfft(segments[:count], axis=1)
+        rows = block[:count]
+        np.multiply(spec.real, spec.real, out=rows)
+        rows += spec.imag * spec.imag
+        # a silent segment's spectrum is exactly zero, so dividing it by 1 keeps it so
+        rows /= np.where(lag0 > 0.0, lag0, 1.0)[:, None]
         reduce(start, stop, rows)
 
 
@@ -218,12 +234,17 @@ def yin_cmnd(padded, n_frames, hop, win, tau_max, reduce):
     # and a row that needs no padding transforms faster.
     segments = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
     taus = np.arange(lags)
-    block = np.empty((min(n_frames, _BLOCK_ROWS), lags))
-    prefix = np.zeros((min(n_frames, _BLOCK_ROWS) + per_frame - 1, seg_len + 1))
+    rows_max = min(n_frames, _BLOCK_ROWS)
+    block = np.empty((rows_max, lags))
+    prefix = np.zeros((rows_max + per_frame - 1, seg_len + 1))
+    # each chunk's head, zero-padded to n_fft; blocks overwrite only the head
+    heads = np.zeros((rows_max + per_frame - 1, n_fft))
     for start, stop in _row_blocks(n_frames):
         seg = segments[start : stop + per_frame - 1]
+        head = heads[: len(seg)]
+        head[:, :hop] = seg[:, :hop]
         spec = np.fft.rfft(seg, n=n_fft, axis=1)
-        head_spec = np.fft.rfft(seg[:, :hop], n=n_fft, axis=1)
+        head_spec = np.fft.rfft(head, axis=1)
         corr = np.fft.irfft(np.conj(head_spec) * spec, n=n_fft, axis=1)[:, :lags]
 
         pre = prefix[: len(seg)]
@@ -234,11 +255,20 @@ def yin_cmnd(padded, n_frames, hop, win, tau_max, reduce):
         r = _frame_sums(corr, stop - start, per_frame)
         e = _frame_sums(energy, stop - start, per_frame)
 
-        diff = np.maximum(e[:, :1] + e - 2.0 * r, 0.0)
+        # diff = max(e(0) + e(tau) - 2 r(tau), 0), in the buffers of e and r
+        diff = np.add(e[:, :1], e, out=e)
+        r *= 2.0
+        diff -= r
+        np.maximum(diff, 0.0, out=diff)
         diff[:, 0] = 0.0
 
         running = np.cumsum(diff[:, 1:], axis=1)
         rows = block[: stop - start]
-        rows.fill(1.0)
-        np.divide(diff[:, 1:] * taus[1:], running, out=rows[:, 1:], where=running > 0.0)
+        rows[:, 0] = 1.0
+        cmnd = rows[:, 1:]
+        np.multiply(diff[:, 1:], taus[1:], out=cmnd)
+        with np.errstate(invalid="ignore"):
+            cmnd /= running
+        # where the running sum is still 0 the quotient is 0/0; CMND is 1 there
+        np.copyto(cmnd, 1.0, where=running == 0.0)
         reduce(start, stop, rows)

@@ -8,7 +8,7 @@ import threading
 from pathlib import Path
 
 from .embeddings import embed, load_backend
-from .errors import ClonevalError, ParseError
+from .errors import ClonevalError, DimensionMismatch, ParseError
 from .features import FEATURE_IDS
 from .pipeline import (
     EvalConfig,
@@ -112,6 +112,12 @@ def _cmd_evaluate(args, parser) -> int:
             precomputed_path=args.embeddings_ref, expected_dim=args.expected_dim)
         backend_gen = load_backend(
             precomputed_path=args.embeddings_gen, expected_dim=args.expected_dim)
+        dims = (backend_ref.dimension, backend_gen.dimension)
+        if None not in dims and dims[0] != dims[1]:
+            # every pair would fail at scoring, after its decode and extraction
+            raise DimensionMismatch(
+                f"--embeddings-ref holds {dims[0]}-dimensional vectors but "
+                f"--embeddings-gen holds {dims[1]}-dimensional ones")
 
     pairs, unmatched_ref, unmatched_gen = discover_pairs(args.reference_dir, args.generated_dir)
     for name in unmatched_ref:

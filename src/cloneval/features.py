@@ -8,16 +8,28 @@ per-frame scalar contours are resampled onto 256 points.
 ``extract_summaries`` works block by block. It reflect-pads the signal once
 for YIN, RMS and the STFT, and reduces each block of at most 128 frames as
 soon as it is computed: the pitch, centroid, flatness and rolloff contours
-are filled in, the block's power spectrum is added to a running sum, its mel
-frames become onset strength, and each tempogram block is added to a running
-sum. The mel, chroma, pseudo-CQT and chroma-CQT summaries are the bank
-applied to the time-mean power spectrum, which by linearity equals the time
-mean of the bank applied to every frame. So no per-file ``(bins, frames)``
-or ``(frames, lags)`` matrix is built. The public per-feature functions
-still return whole-file matrices and contours; the block pass calls the
-same functions on one block at a time. Spectra are plain ``(bins, frames)``
-arrays: ``stft`` returns magnitudes, ``mel_spectrogram`` mel powers, and
-each function's parameter name says which of the two it takes.
+are filled in, the block's power spectrum is added to a running sum, and its
+mel frames become onset strength. So no per-file ``(bins, frames)`` or
+``(frames, lags)`` matrix is built. Of each matrix feature only the time
+mean is kept, and by linearity it is taken where it costs least:
+
+* the mel, chroma, pseudo-CQT and chroma-CQT summaries are the bank applied
+  to the time-mean power spectrum, which equals the time mean of the bank
+  applied to every frame;
+* the tempogram summary is one inverse FFT of the summed lag-normalized
+  power spectra of the onset envelope's windows, which equals the time mean
+  of the per-frame autocorrelations.
+
+The mel frames that onset strength needs are taken band by band: the mel
+bank is 98.5% zeros, and ``_mel_groups`` keeps, for each group of 8 filters,
+only the bins their triangles cover. No matrix product sums over more than
+99 bins, so the bits do not depend on the BLAS thread count.
+
+The public per-feature functions still return whole-file matrices and
+contours; the block pass calls the same functions on one block at a time.
+Spectra are plain ``(bins, frames)`` arrays: ``stft`` returns magnitudes,
+``mel_spectrogram`` mel powers, and each function's parameter name says
+which of the two it takes.
 
 The analysis settings are the protocol's, not the caller's: scores from two
 runs are comparable only if both analysed their audio the same way. They
@@ -92,8 +104,8 @@ _FLATNESS_FLOOR = 1e-10
 _YIN_WIN = N_FFT // 2
 _TAU_MIN = math.ceil(PIPELINE_RATE / YIN_FMAX)
 _TAU_MAX = int(PIPELINE_RATE // YIN_FMIN)
-# Where the per-block mel product is split in two (see ``_stft_pass``).
-_MEL_SPLIT = 256
+# Mel filters per banded product (see ``_mel_groups``).
+_MEL_GROUP = 8
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -221,9 +233,40 @@ def mel_filterbank() -> np.ndarray:
     return _mel_bank().copy()
 
 
+@cache
+def _mel_groups():
+    """The mel bank as read-only bands: ``(first, lo, weights)`` per ``_MEL_GROUP`` filters.
+
+    ``weights`` is filters ``first..first + _MEL_GROUP - 1`` of ``_mel_bank()``
+    over bins ``lo..lo + weights.shape[1] - 1``, the bins where any of them is
+    nonzero. The bank is 98.5% zeros: its 16 bands span 570 bins in all, at
+    most 99 each, where a dense product takes 513 per filter.
+    """
+    bank = _mel_bank()
+    groups = []
+    for first in range(0, N_MELS, _MEL_GROUP):
+        filters = bank[first : first + _MEL_GROUP]
+        nonzero = np.flatnonzero(filters.any(axis=0))
+        lo, hi = nonzero[0], nonzero[-1] + 1
+        groups.append((first, int(lo), _read_only(filters[:, lo:hi].copy())))
+    return tuple(groups)
+
+
+def _mel_frames(power: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the mel frames ``(N_MELS, frames)`` of a ``(frames, bins)`` power block to ``out``.
+
+    Each band of ``_mel_groups`` is one matrix product over its own bins.
+    """
+    for first, lo, weights in _mel_groups():
+        np.matmul(weights, power[:, lo : lo + weights.shape[1]].T,
+                  out=out[first : first + len(weights)])
+    return out
+
+
 def mel_spectrogram(buf: AudioBuffer) -> np.ndarray:
     """Mel power spectrogram ``(N_MELS, frames)``: normalized triangles over the power STFT."""
-    return _mel_bank() @ stft(buf) ** 2
+    power = (stft(buf) ** 2).T
+    return _mel_frames(power, np.empty((N_MELS, len(power))))
 
 
 def f0_contour(buf: AudioBuffer) -> np.ndarray:
@@ -319,15 +362,13 @@ def spectral_flatness(power: np.ndarray) -> np.ndarray:
 
 
 def spectral_rolloff(magnitude: np.ndarray) -> np.ndarray:
-    """Lowest frequency holding >= ROLLOFF_FRACTION of each column's magnitude; 0 if silent."""
+    """Lowest frequency holding >= ROLLOFF_FRACTION of each column's magnitude; 0 if silent.
+
+    A silent column's cumulative sum is all zeros, so its first bin, 0 Hz,
+    already holds the fraction.
+    """
     cum = np.cumsum(magnitude, axis=0)
-    totals = cum[-1]
-    out = np.zeros(magnitude.shape[1])
-    live = totals > 0.0
-    if np.any(live):
-        idx = np.argmax(cum[:, live] >= ROLLOFF_FRACTION * totals[live], axis=0)
-        out[live] = fft_frequencies()[idx]
-    return out
+    return fft_frequencies()[np.argmax(cum >= ROLLOFF_FRACTION * cum[-1], axis=0)]
 
 
 def onset_strength(mel_power: np.ndarray) -> np.ndarray:
@@ -343,27 +384,35 @@ def tempogram(onset: np.ndarray) -> np.ndarray:
     """Windowed local autocorrelation of the onset envelope, (TEMPOGRAM_WIN, frames).
 
     Each column is normalized by its lag-0 value; columns whose window holds
-    no energy are left at zero.
+    no energy are left at zero. Each block of ``_kernels.local_autocorr``
+    power spectra is inverted to its columns.
     """
     env = np.ascontiguousarray(onset, dtype=np.float64)
     out = np.empty((TEMPOGRAM_WIN, len(env)))
 
     def keep(start, stop, rows):
-        out[:, start:stop] = rows.T
+        out[:, start:stop] = _autocorr(rows).T
 
     _kernels.local_autocorr(env, hann_window(TEMPOGRAM_WIN), keep)
     return out
 
 
 def _tempogram_mean(onset: np.ndarray) -> np.ndarray:
-    """Time mean of ``tempogram(onset)``, adding up each block's columns."""
-    total = np.zeros(TEMPOGRAM_WIN)
+    """Time mean of ``tempogram(onset)``: one inverse FFT of the summed power spectra."""
+    total = 0.0
 
     def add(start, stop, rows):
-        total[:] += rows.sum(axis=0)
+        nonlocal total
+        total = total + rows.sum(axis=0)
 
     _kernels.local_autocorr(onset, hann_window(TEMPOGRAM_WIN), add)
-    return total / len(onset)
+    return _autocorr(total) / len(onset)
+
+
+def _autocorr(power: np.ndarray) -> np.ndarray:
+    """Lags ``0..TEMPOGRAM_WIN - 1`` of the inverse FFT of ``local_autocorr`` power rows."""
+    n_fft = 2 * (power.shape[-1] - 1)
+    return np.fft.irfft(power, n=n_fft, axis=-1)[..., :TEMPOGRAM_WIN]
 
 
 @cache
@@ -481,20 +530,14 @@ def _stft_pass(padded, n_samples, wanted):
     keeps as they are. Each bank is one matrix-vector product, so all four
     are always computed. Each public function gets an array the pass
     already holds: the centroid and rolloff the magnitude block, the
-    flatness and the mel product the power block (squared once), the banks
-    the mean power column. The block's mel frames are turned into onset
-    strength with the previous block's last mel frame in front, so the flux
-    across the block edge is kept.
+    flatness the power block (squared once), the banks the mean power
+    column.
 
-    The mel frames are two products, over bins ``[:_MEL_SPLIT]`` and
-    ``[_MEL_SPLIT:]``, added in that order, so that their bits do not
-    depend on the BLAS thread count. OpenBLAS splits an inner dimension
-    above its GEMM_Q (384 in its Haswell kernels) one way for one thread
-    and another way for several; one 513-bin product therefore gave
-    different bits under one and two threads, and each half is short
-    enough to stay in one piece. This relies on ``_row_blocks`` keeping
-    every block at 128 frames or fewer: a 129-frame product varies with the
-    thread count even when it is split.
+    Only the tempogram needs per-frame mel values. The block's mel frames
+    come from the banded products of ``_mel_frames`` and are turned into
+    onset strength with the previous block's last mel frame in front, so
+    the flux across the block edge is kept. The onset envelope goes to
+    ``_tempogram_mean`` once the last block is done.
     """
     n_frames = 1 + n_samples // HOP
     measures = {"spectral_centroid": spectral_centroid,
@@ -507,8 +550,6 @@ def _stft_pass(padded, n_samples, wanted):
     power_sum = np.zeros(_N_BINS)
     if onset is not None:
         mel = np.empty((N_MELS, rows + 1))  # column 0: the frame before the block
-        mel_high = np.empty((N_MELS, rows))
-        bank = _mel_bank()
     for start, stop, mag in _stft_blocks(padded, n_samples):
         block = power[: stop - start]
         np.multiply(mag, mag, out=block)
@@ -517,10 +558,7 @@ def _stft_pass(padded, n_samples, wanted):
             values[start:stop] = measures[fid](block.T if fid == "spectral_flatness" else mag.T)
         if onset is not None:
             block_mel = mel[:, : stop - start + 1]
-            high = mel_high[:, : stop - start]
-            np.matmul(bank[:, :_MEL_SPLIT], block[:, :_MEL_SPLIT].T, out=block_mel[:, 1:])
-            np.matmul(bank[:, _MEL_SPLIT:], block[:, _MEL_SPLIT:].T, out=high)
-            block_mel[:, 1:] += high
+            _mel_frames(block, block_mel[:, 1:])
             if start == 0:
                 block_mel[:, 0] = block_mel[:, 1]  # no flux into the first frame
             onset[start:stop] = onset_strength(block_mel)[1:]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_wav, sine, white_noise
+from cloneval import pipeline
 from cloneval.cli import _cmd_prompts, main
 from cloneval.errors import ParseError
 
@@ -243,6 +244,23 @@ class TestEvaluate:
         assert len(err) == 1
         assert err[0].startswith("error: entry ")
         assert err[0].endswith("holds a number too large for float64")
+
+    def test_manifest_dimensions_differ_before_any_extraction(self, corpus, monkeypatch, capsys):
+        gen_manifest = {stem: [0.5] * 5 for stem in json.loads(corpus["emb"].read_text())}
+        gen_emb = corpus["emb"].with_name("gen_emb.json")
+        gen_emb.write_text(json.dumps(gen_manifest))
+        extracted = []
+        monkeypatch.setattr(pipeline, "extract_summaries",
+                            lambda *args, **kwargs: extracted.append(args))
+        rc = main(_evaluate_args(
+            corpus, "--embeddings-ref", str(corpus["emb"]), "--embeddings-gen", str(gen_emb)
+        ))
+        assert rc == 1
+        assert extracted == []
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --embeddings-ref holds 8-dimensional vectors but "
+            "--embeddings-gen holds 5-dimensional ones"]
+        assert not corpus["out"].exists()
 
     def test_help_available(self, capsys):
         for sub in ("evaluate", "prompts", "embed"):

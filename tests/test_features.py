@@ -72,6 +72,21 @@ class TestMelSpectrogram:
         covered = (freqs > 0.0) & (freqs < 8000.0)
         assert np.all(bank.sum(axis=0)[covered] > 0.0)
 
+    def test_groups_cover_every_nonzero_of_the_bank(self):
+        bank = F._mel_bank()
+        banded = np.zeros_like(bank)
+        for first, lo, weights in F._mel_groups():
+            assert not weights.flags.writeable
+            banded[first : first + len(weights), lo : lo + weights.shape[1]] = weights
+        np.testing.assert_array_equal(banded, bank)
+        assert F._mel_groups() is F._mel_groups()
+
+    @pytest.mark.parametrize("seconds", [0.1, 2.5])
+    def test_grouped_frames_match_dense_product(self, seconds):
+        buf = mono_buffer(white_noise(seconds, seed=8) + sine(700.0, seconds, amp=0.5))
+        dense = F._mel_bank() @ F.stft(buf) ** 2
+        np.testing.assert_allclose(F.mel_spectrogram(buf), dense, rtol=1e-12, atol=0.0)
+
     def test_filterbank_nonnegative_finite(self):
         bank = F.mel_filterbank()
         assert np.all(bank >= 0.0)
@@ -359,25 +374,29 @@ def test_non_finite_samples_are_rejected(bad):
             F.extract_summaries(mono_buffer(x), feature_ids=(fid,))
 
 
-# sha256 of the tempogram summaries of noise 129 frames, 257 frames and 30 s long
-_TEMPOGRAM_DIGEST = """
+# sha256 of the tempogram summaries and the mel spectrograms of noise
+# 129 frames, 257 frames and 30 s long
+_MEL_DIGEST = """
 import hashlib
 import numpy as np
 from cloneval.audio_io import AudioBuffer
-from cloneval.features import HOP, extract_summaries
+from cloneval.features import HOP, extract_summaries, mel_spectrogram
 digest = hashlib.sha256()
 for n_samples in (128 * HOP, 256 * HOP, 30 * 16000):
     x = np.random.default_rng(n_samples).uniform(-1.0, 1.0, n_samples)
-    digest.update(extract_summaries(AudioBuffer(x, 16000), ("tempogram",))["tempogram"].tobytes())
+    buf = AudioBuffer(x, 16000)
+    digest.update(extract_summaries(buf, ("tempogram",))["tempogram"].tobytes())
+    digest.update(mel_spectrogram(buf).tobytes())
 print(digest.hexdigest())
 """
 
 
 class TestInvariants:
     def test_tempogram_bits_do_not_depend_on_blas_threads(self):
-        # the per-block mel product feeds the onset envelope; one 513-bin
-        # OpenBLAS product rounds differently under one and two threads
-        one, two = output_per_blas_thread_count(_TEMPOGRAM_DIGEST)
+        # the banded mel products feed the onset envelope; a product whose
+        # inner dimension exceeds OpenBLAS's GEMM_Q, such as one over all
+        # 513 bins, rounds differently under one and two threads
+        one, two = output_per_blas_thread_count(_MEL_DIGEST)
         assert one == two
 
     def test_determinism_bit_identical(self):
@@ -416,7 +435,7 @@ class TestMemory:
     def test_extract_summaries_peak_stays_block_sized(self):
         # 30 s frame to 1876 rows. Block by block, the peak is one 3.9 MB
         # reflect-padded copy of the signal plus the YIN block temporaries,
-        # about 9.4 MB in all. Any whole-file array on top of that crosses
+        # about 9.7 MB in all. Any whole-file array on top of that crosses
         # 12 MB: a (bins, frames) float64 matrix is 7.7 MB, the (frames,
         # lags) YIN matrix 4.8 MB and the (lags, frames) tempogram 5.8 MB.
         buf = mono_buffer(white_noise(30.0, seed=11))

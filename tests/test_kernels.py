@@ -22,9 +22,15 @@ def collect(kernel, *args):
     return np.concatenate(blocks)
 
 
+def local_autocorr_power(env, window):
+    """The kernel's rows, lag-normalized power spectra, as one (frames, bins) matrix."""
+    return collect(_kernels.local_autocorr, env, window)
+
+
 def local_autocorr(env, window):
-    """The kernel's rows as one (win_length, frames) matrix."""
-    return collect(_kernels.local_autocorr, env, window).T
+    """The autocorrelations that the kernel's rows invert to, as one (win_length, frames) matrix."""
+    power = local_autocorr_power(env, window)
+    return np.fft.irfft(power, n=2 * (power.shape[1] - 1), axis=1)[:, : len(window)].T
 
 
 def yin_cmnd(padded, n_frames, hop, win, tau_max):
@@ -34,6 +40,7 @@ def yin_cmnd(padded, n_frames, hop, win, tau_max):
 def test_kernel_output_shapes():
     env = np.abs(np.sin(np.arange(100.0)))
     window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(384) / 384)
+    assert local_autocorr_power(env, window).shape == (100, _kernels._fft_size(767) // 2 + 1)
     out = local_autocorr(env, window)
     assert out.shape == (384, 100)
     padded = np.random.default_rng(3).standard_normal(4 * 256 + 1024)
@@ -114,6 +121,37 @@ def test_local_autocorr_matches_oracle_across_block_edges(rows):
         assert np.all(out[:, 20 + 384 // 2 :] == 0.0)
 
 
+def _plant_onset(monkeypatch, env):
+    """Make the STFT pass take ``env`` as its onset envelope, block by block."""
+    taken = 0
+
+    def onset_strength(mel_power):
+        nonlocal taken
+        count = mel_power.shape[1] - 1  # column 0 is the frame before the block
+        out = np.concatenate([[0.0], env[taken : taken + count]])
+        taken += count
+        return out
+
+    monkeypatch.setattr(F, "onset_strength", onset_strength)
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS + [700])
+def test_tempogram_summary_matches_oracle_mean(rows, monkeypatch):
+    # one inverse FFT of the summed power rows against the mean of the
+    # oracle's per-frame autocorrelations; 700 frames hold a silent stretch
+    # longer than the window between two active ones
+    env = _onset_test_envelope(rows)
+    if rows > 20 + 384 + 20:
+        env[-20:] = np.abs(np.random.default_rng(rows + 1).standard_normal(20))
+    _plant_onset(monkeypatch, env)
+    buf = mono_buffer(_block_edge_clip(rows, 0, "silent"))
+    summary = F.extract_summaries(buf, ("tempogram",))["tempogram"]
+    np.testing.assert_allclose(summary, oracles.tempogram(env).mean(axis=1), rtol=0.0, atol=1e-12)
+
+    _plant_onset(monkeypatch, np.zeros(rows))
+    assert np.all(F.extract_summaries(buf, ("tempogram",))["tempogram"] == 0.0)
+
+
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 def test_kernels_independent_of_block_size(rows, monkeypatch):
     hop = oracles.HOP
@@ -123,7 +161,7 @@ def test_kernels_independent_of_block_size(rows, monkeypatch):
     env = _onset_test_envelope(rows)
 
     def run():
-        return yin_cmnd(padded, rows, hop, 512, 320), local_autocorr(env, window)
+        return yin_cmnd(padded, rows, hop, 512, 320), local_autocorr_power(env, window)
 
     blocked = run()
     monkeypatch.setattr(_kernels, "_BLOCK_ROWS", rows + 1)
