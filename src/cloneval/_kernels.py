@@ -3,23 +3,14 @@
 Each kernel has one implementation, in numpy: the polyphase resampler, the
 YIN difference function and the tempogram's local autocorrelation.
 
-The YIN and tempogram kernels work on blocks of at most ``_BLOCK_ROWS``
-frames, so their FFT temporaries stay a few MB whatever the clip length.
-They fill no whole-clip output: each block of rows goes, as soon as it is
-computed, to a ``reduce(start, stop, rows)`` callable that the caller
-supplies, in one buffer that the next block overwrites. YIN's rows are
-finished CMND values. The tempogram's rows are lag-normalized power
-spectra, one inverse FFT short of autocorrelations; the inverse is linear,
-so a caller that needs only their time mean inverts their sum once.
-
-The rows are split into ``count = ceil(n / _BLOCK_ROWS)`` balanced blocks
-with edges at ``n * k // count``. numpy's batched FFT can round a lone row
-differently from the same row in a larger batch (a 1-ulp drift), so an
-unbalanced split such as 128 + 1 rows would change results; balanced blocks
-are never that small and give the same bits as one unblocked batch. Each
-FFT is only as long as its correlation needs, rounded up by ``_fft_size``.
-A zero-padded FFT input is written into a buffer that each call allocates
-once, not padded afresh for every block.
+The YIN and tempogram kernels compute one block of frames per call and
+return its rows; the caller, ``cloneval.features``, walks the blocks and
+decides their size. YIN's rows are finished CMND values. The tempogram's
+rows are lag-normalized power spectra, one inverse FFT short of
+autocorrelations; the inverse is linear, so a caller that needs only their
+time mean inverts their sum once. Each FFT is only as long as its
+correlation needs, rounded up by ``_fft_size``, and its zero padding is
+written into the block's own buffer.
 """
 
 from typing import NamedTuple
@@ -28,16 +19,6 @@ import numpy as np
 
 # One kernel path; pipebench/evaluate.py records this flag in its BENCH files.
 USE_NUMBA = False
-
-
-_BLOCK_ROWS = 128
-
-
-def _row_blocks(n):
-    """Balanced ``(start, stop)`` row ranges of at most ``_BLOCK_ROWS`` rows."""
-    count = -(-n // _BLOCK_ROWS)
-    edges = [n * k // count for k in range(count + 1)] if count else []
-    return zip(edges[:-1], edges[1:])
 
 
 def _frame_sums(rows, n_frames, per_frame):
@@ -63,42 +44,30 @@ def _fft_size(n):
     return min(k << max(-(-n // k) - 1, 0).bit_length() for k in (1, 3, 9))
 
 
-def local_autocorr(env, window, reduce):
-    """Lag-normalized power spectra of the windowed local segments of ``env``.
+def local_autocorr(segments, window):
+    """Lag-normalized power spectra of the windowed rows of ``segments``.
 
-    Calls ``reduce(start, stop, rows)`` once per block, where row ``i`` of
-    the ``(stop - start, n_fft // 2 + 1)`` array is frame ``start + i``:
-    ``|rfft(window * segment, n_fft)|**2`` with ``n_fft =
-    _fft_size(2 * len(window) - 1)``, divided by the segment's lag-0 energy
-    (its direct sum of squares), or all zeros where the window holds no
-    energy. The first ``len(window)`` values of a row's ``irfft`` are the
+    Row ``i`` of the ``(len(segments), n_fft // 2 + 1)`` result is
+    ``|rfft(window * segments[i], n_fft)|**2`` with ``n_fft =
+    _fft_size(2 * len(window) - 1)``, divided by the windowed row's lag-0
+    energy (its direct sum of squares), or all zeros where the window holds
+    no energy. The first ``len(window)`` values of a row's ``irfft`` are the
     segment's autocorrelation over lags ``0..len(window) - 1`` divided by
-    its lag-0 value. The inverse transform is linear, so a caller that needs
-    only the time mean adds the rows and inverts their sum once.
+    its lag-0 value.
     """
-    win_length = len(window)
-    half = win_length // 2
-    n = len(env)
-    padded = np.zeros(n + 2 * half)
-    padded[half : half + n] = env
-    windows = np.lib.stride_tricks.sliding_window_view(padded, win_length)
-
+    count, win_length = segments.shape
     n_fft = _fft_size(2 * win_length - 1)
-    # columns past win_length stay zero: each block overwrites only its segments
-    segments = np.zeros((min(n, _BLOCK_ROWS), n_fft))
-    block = np.empty((min(n, _BLOCK_ROWS), n_fft // 2 + 1))
-    for start, stop in _row_blocks(n):
-        count = stop - start
-        seg = segments[:count, :win_length]
-        np.multiply(windows[start:stop], window, out=seg)
-        lag0 = np.einsum("ij,ij->i", seg, seg)
-        spec = np.fft.rfft(segments[:count], axis=1)
-        rows = block[:count]
-        np.multiply(spec.real, spec.real, out=rows)
-        rows += spec.imag * spec.imag
-        # a silent segment's spectrum is exactly zero, so dividing it by 1 keeps it so
-        rows /= np.where(lag0 > 0.0, lag0, 1.0)[:, None]
-        reduce(start, stop, rows)
+    padded = np.empty((count, n_fft))
+    seg = padded[:, :win_length]
+    np.multiply(segments, window, out=seg)
+    padded[:, win_length:] = 0.0
+    lag0 = np.einsum("ij,ij->i", seg, seg)
+    spec = np.fft.rfft(padded, axis=1)
+    rows = np.multiply(spec.real, spec.real)
+    rows += spec.imag * spec.imag
+    # a silent segment's spectrum is exactly zero, so dividing it by 1 keeps it so
+    rows /= np.where(lag0 > 0.0, lag0, 1.0)[:, None]
+    return rows
 
 
 _GROUP = 32  # outputs per tap matrix, at most
@@ -205,11 +174,11 @@ def polyphase_resample(x, plan, n_out):
     return out.reshape(-1)[:n_out]
 
 
-def yin_cmnd(padded, n_frames, hop, win, tau_max, reduce):
-    """Cumulative-mean-normalized difference per frame, lags 0..tau_max.
+def yin_cmnd(padded, start, stop, hop, win, tau_max):
+    """Cumulative-mean-normalized difference of frames ``start..stop - 1``, lags 0..tau_max.
 
-    Calls ``reduce(start, stop, rows)`` once per block, where row ``i`` of
-    the ``(stop - start, tau_max + 1)`` array holds frame ``start + i``.
+    Row ``i`` of the ``(stop - start, tau_max + 1)`` result holds frame
+    ``start + i``.
 
     Frame ``t`` compares its head ``padded[t*hop : t*hop + win]`` with the
     head shifted by each lag: ``d(tau) = e(0) + e(tau) - 2 r(tau)``, where
@@ -223,52 +192,47 @@ def yin_cmnd(padded, n_frames, hop, win, tau_max, reduce):
     samples) and energy (its own prefix sums, so silence reads exactly 0) is
     computed once, and a frame adds up its chunks' rows. The last chunk's
     transform reads ``n_fft - hop`` samples past the last head, so
-    ``padded`` must hold them. Frames are processed in ``_row_blocks``.
+    ``padded`` must hold them.
     """
     lags = tau_max + 1
     per_frame = win // hop
     seg_len = hop + tau_max
     n_fft = _fft_size(seg_len)
+    chunks = stop - start + per_frame - 1
     # Each chunk's spectrum is taken over n_fft signal samples rather than
     # seg_len zero-padded ones: samples past seg_len reach no lag <= tau_max,
     # and a row that needs no padding transforms faster.
-    segments = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
-    taus = np.arange(lags)
-    rows_max = min(n_frames, _BLOCK_ROWS)
-    block = np.empty((rows_max, lags))
-    prefix = np.zeros((rows_max + per_frame - 1, seg_len + 1))
-    # each chunk's head, zero-padded to n_fft; blocks overwrite only the head
-    heads = np.zeros((rows_max + per_frame - 1, n_fft))
-    for start, stop in _row_blocks(n_frames):
-        seg = segments[start : stop + per_frame - 1]
-        head = heads[: len(seg)]
-        head[:, :hop] = seg[:, :hop]
-        spec = np.fft.rfft(seg, n=n_fft, axis=1)
-        head_spec = np.fft.rfft(head, axis=1)
-        corr = np.fft.irfft(np.conj(head_spec) * spec, n=n_fft, axis=1)[:, :lags]
+    seg = _windows(padded, start * hop, chunks, hop, n_fft)
+    head = np.empty((chunks, n_fft))  # each chunk's head, zero-padded to n_fft
+    head[:, :hop] = seg[:, :hop]
+    head[:, hop:] = 0.0
+    spec = np.fft.rfft(seg, n=n_fft, axis=1)
+    head_spec = np.fft.rfft(head, axis=1)
+    corr = np.fft.irfft(np.conj(head_spec) * spec, n=n_fft, axis=1)[:, :lags]
 
-        pre = prefix[: len(seg)]
-        tail = seg[:, :seg_len]
-        np.cumsum(tail * tail, axis=1, out=pre[:, 1:])
-        energy = pre[:, hop : hop + lags] - pre[:, :lags]
+    prefix = np.empty((chunks, seg_len + 1))
+    prefix[:, 0] = 0.0
+    tail = seg[:, :seg_len]
+    np.cumsum(tail * tail, axis=1, out=prefix[:, 1:])
+    energy = prefix[:, hop : hop + lags] - prefix[:, :lags]
 
-        r = _frame_sums(corr, stop - start, per_frame)
-        e = _frame_sums(energy, stop - start, per_frame)
+    r = _frame_sums(corr, stop - start, per_frame)
+    e = _frame_sums(energy, stop - start, per_frame)
 
-        # diff = max(e(0) + e(tau) - 2 r(tau), 0), in the buffers of e and r
-        diff = np.add(e[:, :1], e, out=e)
-        r *= 2.0
-        diff -= r
-        np.maximum(diff, 0.0, out=diff)
-        diff[:, 0] = 0.0
+    # diff = max(e(0) + e(tau) - 2 r(tau), 0), in the buffers of e and r
+    diff = np.add(e[:, :1], e, out=e)
+    r *= 2.0
+    diff -= r
+    np.maximum(diff, 0.0, out=diff)
+    diff[:, 0] = 0.0
 
-        running = np.cumsum(diff[:, 1:], axis=1)
-        rows = block[: stop - start]
-        rows[:, 0] = 1.0
-        cmnd = rows[:, 1:]
-        np.multiply(diff[:, 1:], taus[1:], out=cmnd)
-        with np.errstate(invalid="ignore"):
-            cmnd /= running
-        # where the running sum is still 0 the quotient is 0/0; CMND is 1 there
-        np.copyto(cmnd, 1.0, where=running == 0.0)
-        reduce(start, stop, rows)
+    running = np.cumsum(diff[:, 1:], axis=1)
+    rows = np.empty((stop - start, lags))
+    rows[:, 0] = 1.0
+    cmnd = rows[:, 1:]
+    np.multiply(diff[:, 1:], np.arange(1, lags), out=cmnd)
+    with np.errstate(invalid="ignore"):
+        cmnd /= running
+    # where the running sum is still 0 the quotient is 0/0; CMND is 1 there
+    np.copyto(cmnd, 1.0, where=running == 0.0)
+    return rows

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import FormatError
+from .errors import FormatError, RateError
 
 PIPELINE_RATE = 16000
 
@@ -36,6 +36,25 @@ class AudioBuffer:
     @property
     def channel_count(self) -> int:
         return 1 if self.samples.ndim == 1 else self.samples.shape[1]
+
+
+def pipeline_samples(buf: AudioBuffer, consumer: str) -> np.ndarray:
+    """The samples of a mono ``PIPELINE_RATE`` buffer as float64, for ``consumer``.
+
+    Any other rate or a non-1-D array raises ``RateError``; a NaN or
+    infinite sample, which no score may absorb, raises ``ValueError``.
+    """
+    if buf.sample_rate != PIPELINE_RATE:
+        raise RateError(
+            f"{consumer} needs {PIPELINE_RATE} Hz audio, got {buf.sample_rate} Hz")
+    if buf.samples.ndim != 1:
+        raise RateError(f"{consumer} needs mono audio as a 1-D array, "
+                        f"got shape {buf.samples.shape}; downmix first")
+    x = np.asarray(buf.samples, dtype=np.float64)
+    bad = x.size - np.count_nonzero(np.isfinite(x))
+    if bad:
+        raise ValueError(f"audio holds {bad} non-finite (NaN or Inf) samples")
+    return x
 
 
 def _iter_chunks(data: bytes):

@@ -53,18 +53,28 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="worker threads; results do not depend on this")
     ev.add_argument("--expected-dim", type=int, help="require this embedding dimension")
     ev.add_argument("--dump-features", help="also write every feature summary to this JSONL file")
-    ev.set_defaults(parser=ev)  # _cmd_evaluate reports its usage errors with evaluate's usage
+    ev.set_defaults(parser=ev)  # each command reports its usage errors with its own usage
 
     pr = sub.add_parser("prompts", help="draw a text prompt for each sample from the others")
     pr.add_argument("--manifest", required=True, help="TSV: sample_id<TAB>text")
     pr.add_argument("--seed", type=int, required=True)
     pr.add_argument("--out", required=True, help="output TSV: sample_id<TAB>source<TAB>text")
+    pr.set_defaults(parser=pr)
 
     em = sub.add_parser("embed", help="precompute embeddings for a directory of WAVs")
     em.add_argument("--input-dir", required=True)
     em.add_argument("--model", required=True, help="ONNX speaker-embedding model path")
     em.add_argument("--out", required=True, help="output JSON manifest path")
+    em.set_defaults(parser=em)
     return parser
+
+
+def _check_out_file(parser, flag: str, value: str) -> None:
+    """Exit with a usage error unless ``value`` names a file in an existing directory."""
+    # Path() drops a trailing separator, which names a directory
+    path = Path(value)
+    if value.endswith(("/", os.sep)) or path.is_dir() or not path.parent.is_dir():
+        parser.error(f"{flag} must name a file in an existing directory")
 
 
 def _parse_features(arg: str | None, parser):
@@ -87,12 +97,12 @@ def _cmd_evaluate(args, parser) -> int:
             parser.error(f"--{name.replace('_', '-')} is not a directory")
     if args.workers < 1:
         parser.error("--workers must be at least 1")
+    if args.expected_dim is not None and args.no_embedding:
+        parser.error("--expected-dim has no effect with --no-embedding")
+    if args.expected_dim is not None and args.expected_dim < 1:
+        parser.error("--expected-dim must be at least 1")
     if args.dump_features:
-        # Path() drops a trailing separator, which names a directory
-        dump_path = Path(args.dump_features)
-        if (args.dump_features.endswith(("/", os.sep)) or dump_path.is_dir()
-                or not dump_path.parent.is_dir()):
-            parser.error("--dump-features must name a file in an existing directory")
+        _check_out_file(parser, "--dump-features", args.dump_features)
     features = _parse_features(args.features, parser)
 
     alias_table = None
@@ -166,7 +176,8 @@ def _cmd_evaluate(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_prompts(args) -> int:
+def _cmd_prompts(args, parser) -> int:
+    _check_out_file(parser, "--out", args.out)
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -188,7 +199,10 @@ def _cmd_prompts(args) -> int:
     return EXIT_OK
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args, parser) -> int:
+    if not Path(args.input_dir).is_dir():
+        parser.error("--input-dir is not a directory")
+    _check_out_file(parser, "--out", args.out)
     wavs = list_wavs(args.input_dir)
     if not wavs:
         raise ClonevalError(f"no audio files in {args.input_dir}")
@@ -210,8 +224,8 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return _cmd_evaluate(args, args.parser)
         if args.command == "prompts":
-            return _cmd_prompts(args)
-        return _cmd_embed(args)
+            return _cmd_prompts(args, args.parser)
+        return _cmd_embed(args, args.parser)
     except ClonevalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE

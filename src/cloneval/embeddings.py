@@ -18,13 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioBuffer, PIPELINE_RATE
+from .audio_io import AudioBuffer, pipeline_samples
 from .errors import (
     DimensionMismatch,
     MissingEmbedding,
     ModelLoadError,
     ParseError,
-    RateError,
     SchemaError,
 )
 
@@ -232,8 +231,5 @@ def load_backend(*, model_path=None, precomputed_path=None, expected_dim=None):
 
 def embed(backend, buf: AudioBuffer, key: str | None = None) -> np.ndarray:
     """Embed a mono 16 kHz buffer as a float64 vector; precomputed backends look up by key."""
-    if buf.sample_rate != PIPELINE_RATE:
-        raise RateError(f"embedding input must be {PIPELINE_RATE} Hz, got {buf.sample_rate}")
-    if buf.samples.ndim != 1:
-        raise RateError("embedding input must be mono (a 1-D array)")
+    pipeline_samples(buf, "embedding")  # also when the backend never reads the samples
     return backend._embed(buf, key)

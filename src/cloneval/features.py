@@ -5,13 +5,15 @@ vectors so that reference and generated sides can be compared with cosine
 similarity: spectral matrices are averaged over time into per-bin profiles,
 per-frame scalar contours are resampled onto 256 points.
 
-``extract_summaries`` works block by block. It reflect-pads the signal once
-for YIN, RMS and the STFT, and reduces each block of at most 128 frames as
-soon as it is computed: the pitch, centroid, flatness and rolloff contours
-are filled in, the block's power spectrum is added to a running sum, and its
-mel frames become onset strength. So no per-file ``(bins, frames)`` or
-``(frames, lags)`` matrix is built. Of each matrix feature only the time
-mean is kept, and by linearity it is taken where it costs least:
+``extract_summaries`` works block by block, and this module owns every
+walk over blocks (``_row_blocks``); the YIN and tempogram kernels compute
+one block per call. It reflect-pads the signal once for YIN, RMS and the
+STFT, and reduces each block of frames as soon as it is computed: the
+pitch, centroid, flatness and rolloff contours are filled in, the power
+spectrum is added to a running sum, and the mel frames become onset
+strength. So no per-file ``(bins, frames)`` or ``(frames, lags)`` matrix is
+built. Of each matrix feature only the time mean is kept, and by linearity
+it is taken where it costs least:
 
 * the mel, chroma, pseudo-CQT and chroma-CQT summaries are the bank applied
   to the time-mean power spectrum, which equals the time mean of the bank
@@ -52,8 +54,8 @@ from functools import cache
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionError, EmptyFeature, InputTooShort, RateError
-from .audio_io import PIPELINE_RATE, AudioBuffer
+from .errors import DimensionError, EmptyFeature, InputTooShort
+from .audio_io import PIPELINE_RATE, AudioBuffer, pipeline_samples
 
 FEATURE_IDS = (
     "pitch",
@@ -106,6 +108,22 @@ _TAU_MIN = math.ceil(PIPELINE_RATE / YIN_FMAX)
 _TAU_MAX = int(PIPELINE_RATE // YIN_FMIN)
 # Mel filters per banded product (see ``_mel_groups``).
 _MEL_GROUP = 8
+_BLOCK_ROWS = 128
+
+
+def _row_blocks(n):
+    """Balanced ``(start, stop)`` ranges of at most ``_BLOCK_ROWS`` of ``n`` rows.
+
+    The rows are split into ``count = ceil(n / _BLOCK_ROWS)`` blocks with
+    edges at ``n * k // count``. numpy's batched FFT can round a lone row
+    differently from the same row in a larger batch (a 1-ulp drift), so an
+    unbalanced split such as 128 + 1 rows would change results; balanced
+    blocks are never that small and give the same bits as one unblocked
+    batch.
+    """
+    count = -(-n // _BLOCK_ROWS)
+    edges = [n * k // count for k in range(count + 1)] if count else []
+    return zip(edges[:-1], edges[1:])
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -113,23 +131,8 @@ def hann_window(n: int) -> np.ndarray:
 
 
 def _padded(buf: AudioBuffer):
-    """The buffer's samples reflect-padded by ``_reflect_pad``, and their count.
-
-    Every buffer enters feature extraction here, so audio at any rate other
-    than ``PIPELINE_RATE``, that is not mono (1-D), or that holds a NaN or
-    infinite sample, which YIN and the silence masks would score, is
-    rejected here.
-    """
-    if buf.sample_rate != PIPELINE_RATE:
-        raise RateError(
-            f"feature extraction needs {PIPELINE_RATE} Hz audio, got {buf.sample_rate} Hz")
-    if buf.samples.ndim != 1:
-        raise RateError("feature extraction needs mono audio as a 1-D array, "
-                        f"got shape {buf.samples.shape}; downmix first")
-    x = np.asarray(buf.samples, dtype=np.float64)
-    bad = x.size - np.count_nonzero(np.isfinite(x))
-    if bad:
-        raise ValueError(f"audio holds {bad} non-finite (NaN or Inf) samples")
+    """The samples, checked by ``pipeline_samples``, reflect-padded; and their count."""
+    x = pipeline_samples(buf, "feature extraction")
     return _reflect_pad(x), len(x)
 
 
@@ -156,11 +159,7 @@ def fft_frequencies() -> np.ndarray:
 
 
 def stft(buf: AudioBuffer) -> np.ndarray:
-    """Magnitude STFT of a mono buffer, ``(bins, frames)``.
-
-    The blocks of ``_stft_blocks`` are copied into one ``(frames, bins)``
-    array; its transpose is the spectrogram.
-    """
+    """Magnitude STFT of a mono buffer, ``(bins, frames)``: the ``_stft_blocks``, transposed."""
     padded, n_samples = _padded(buf)
     mag = np.empty((1 + n_samples // HOP, _N_BINS))
     for start, stop, block in _stft_blocks(padded, n_samples):
@@ -176,10 +175,10 @@ def _stft_blocks(padded: np.ndarray, n_samples: int):
     """
     frames = _frames(padded, n_samples)
     window = hann_window(N_FFT)
-    rows = min(frames.shape[0], _kernels._BLOCK_ROWS)
+    rows = min(frames.shape[0], _BLOCK_ROWS)
     windowed = np.empty((rows, N_FFT))
     mag = np.empty((rows, _N_BINS))
-    for start, stop in _kernels._row_blocks(frames.shape[0]):
+    for start, stop in _row_blocks(frames.shape[0]):
         count = stop - start
         np.multiply(frames[start:stop], window, out=windowed[:count])
         np.abs(np.fft.rfft(windowed[:count], axis=1), out=mag[:count])
@@ -281,12 +280,10 @@ def f0_contour(buf: AudioBuffer) -> np.ndarray:
 
 def _yin_f0(padded, n_samples):
     """``f0_contour`` of the signal whose ``_reflect_pad`` is ``padded``."""
-    out = np.zeros(1 + n_samples // HOP)
-
-    def search(start, stop, cmnd):
+    out = np.empty(1 + n_samples // HOP)
+    for start, stop in _row_blocks(len(out)):
+        cmnd = _kernels.yin_cmnd(padded, start, stop, HOP, _YIN_WIN, _TAU_MAX)
         out[start:stop] = _yin_troughs(cmnd)
-
-    _kernels.yin_cmnd(padded, len(out), HOP, _YIN_WIN, _TAU_MAX, search)
     return out
 
 
@@ -336,8 +333,8 @@ def _rms(padded: np.ndarray, n_samples: int) -> np.ndarray:
     per_frame = N_FFT // HOP
     n_blocks = n_frames + per_frame - 1
     sums = np.empty(n_blocks)
-    squares = np.empty((min(n_blocks, _kernels._BLOCK_ROWS), HOP))
-    for start, stop in _kernels._row_blocks(n_blocks):
+    squares = np.empty((min(n_blocks, _BLOCK_ROWS), HOP))
+    for start, stop in _row_blocks(n_blocks):
         blocks = padded[start * HOP : stop * HOP].reshape(-1, HOP)
         rows = squares[: stop - start]
         np.multiply(blocks, blocks, out=rows)
@@ -387,26 +384,30 @@ def tempogram(onset: np.ndarray) -> np.ndarray:
     no energy are left at zero. Each block of ``_kernels.local_autocorr``
     power spectra is inverted to its columns.
     """
-    env = np.ascontiguousarray(onset, dtype=np.float64)
-    out = np.empty((TEMPOGRAM_WIN, len(env)))
-
-    def keep(start, stop, rows):
-        out[:, start:stop] = _autocorr(rows).T
-
-    _kernels.local_autocorr(env, hann_window(TEMPOGRAM_WIN), keep)
+    windows = _onset_windows(onset)
+    window = hann_window(TEMPOGRAM_WIN)
+    out = np.empty((TEMPOGRAM_WIN, len(onset)))
+    for start, stop in _row_blocks(len(onset)):
+        out[:, start:stop] = _autocorr(_kernels.local_autocorr(windows[start:stop], window)).T
     return out
 
 
 def _tempogram_mean(onset: np.ndarray) -> np.ndarray:
     """Time mean of ``tempogram(onset)``: one inverse FFT of the summed power spectra."""
+    windows = _onset_windows(onset)
+    window = hann_window(TEMPOGRAM_WIN)
     total = 0.0
-
-    def add(start, stop, rows):
-        nonlocal total
-        total = total + rows.sum(axis=0)
-
-    _kernels.local_autocorr(onset, hann_window(TEMPOGRAM_WIN), add)
+    for start, stop in _row_blocks(len(onset)):
+        total = total + _kernels.local_autocorr(windows[start:stop], window).sum(axis=0)
     return _autocorr(total) / len(onset)
+
+
+def _onset_windows(onset: np.ndarray) -> np.ndarray:
+    """``(frames, TEMPOGRAM_WIN)`` view of each onset frame's centered window, zeros outside."""
+    half = TEMPOGRAM_WIN // 2
+    padded = np.zeros(len(onset) + 2 * half)
+    padded[half : half + len(onset)] = onset
+    return np.lib.stride_tricks.sliding_window_view(padded, TEMPOGRAM_WIN)
 
 
 def _autocorr(power: np.ndarray) -> np.ndarray:
@@ -545,7 +546,7 @@ def _stft_pass(padded, n_samples, wanted):
                 "spectral_rolloff": spectral_rolloff}
     raw = {fid: np.empty(n_frames) for fid in wanted if fid in measures}
     onset = np.empty(n_frames) if "tempogram" in wanted else None
-    rows = min(n_frames, _kernels._BLOCK_ROWS)
+    rows = min(n_frames, _BLOCK_ROWS)
     power = np.empty((rows, _N_BINS))
     power_sum = np.zeros(_N_BINS)
     if onset is not None:

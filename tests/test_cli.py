@@ -194,6 +194,30 @@ class TestEvaluate:
         assert capsys.readouterr().err.startswith("usage: cloneval evaluate ")
         assert not corpus["out"].exists()
 
+    def test_expected_dim_without_embedding_is_usage_error(self, corpus, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(_evaluate_args(corpus, "--no-embedding", "--expected-dim", "8"))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cloneval evaluate ")
+        assert "--expected-dim has no effect with --no-embedding" in err
+        assert not corpus["out"].exists()
+
+    @pytest.mark.parametrize("dim", ["0", "-8"])
+    def test_expected_dim_below_one_is_usage_error(self, corpus, dim, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(_evaluate_args(
+                corpus,
+                "--embeddings-ref", str(corpus["emb"]),
+                "--embeddings-gen", str(corpus["emb"]),
+                "--expected-dim", dim,
+            ))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cloneval evaluate ")
+        assert "--expected-dim must be at least 1" in err
+        assert not corpus["out"].exists()
+
     def test_missing_dir_is_usage_error(self, corpus, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([
@@ -314,12 +338,24 @@ class TestPrompts:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: cannot read manifest {manifest}: ")
 
+    @pytest.mark.parametrize("where", ["missing/o.tsv", ".", "missing/"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, where, capsys):
+        # checked before the manifest is read: this one does not exist
+        with pytest.raises(SystemExit) as excinfo:
+            main(["prompts", "--manifest", str(tmp_path / "absent.tsv"), "--seed", "1",
+                  "--out", f"{tmp_path}/{where}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cloneval prompts ")
+        assert "--out must name a file in an existing directory" in err
+
     def test_malformed_line_is_a_parse_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.tsv"
         manifest.write_text("A\talpha\nB beta\n")
         with pytest.raises(ParseError, match=r"manifest.tsv:2: expected sample_id<TAB>text"):
             _cmd_prompts(argparse.Namespace(manifest=str(manifest), seed=1,
-                                            out=str(tmp_path / "x.tsv")))
+                                            out=str(tmp_path / "x.tsv")),
+                         argparse.ArgumentParser())
         rc = main(["prompts", "--manifest", str(manifest), "--seed", "1",
                    "--out", str(tmp_path / "x.tsv")])
         assert rc == 1
@@ -355,3 +391,26 @@ class TestEmbedCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert "a.wav" in err and "a.WAV" in err
+
+    def test_missing_input_dir_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["embed", "--input-dir", str(tmp_path / "missing"), "--model", "m.onnx",
+                  "--out", str(tmp_path / "e.json")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cloneval embed ")
+        assert "--input-dir is not a directory" in err
+
+    @pytest.mark.parametrize("where", ["missing/e.json", ".", "missing/"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, where, capsys):
+        # checked before the model is loaded: this one does not exist
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        (wav_dir / "a.wav").write_bytes(make_wav(sine(220, 0.05)))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["embed", "--input-dir", str(wav_dir), "--model", str(tmp_path / "m.onnx"),
+                  "--out", f"{tmp_path}/{where}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cloneval embed ")
+        assert "--out must name a file in an existing directory" in err

@@ -183,6 +183,15 @@ class TestEmbed:
         with pytest.raises(RateError, match="mono"):
             embed(backend, AudioBuffer(np.stack([x, x], axis=1), 16000), key="tone")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_are_rejected(self, backend, bad):
+        # the precomputed backend never reads the samples, so the stored
+        # vector would otherwise score a corrupt buffer
+        x = sine(220, 0.05)
+        x[10] = x[20] = bad
+        with pytest.raises(ValueError, match="holds 2 non-finite"):
+            embed(backend, mono_buffer(x), key="tone")
+
     def test_missing_key(self, backend):
         with pytest.raises(MissingEmbedding):
             embed(backend, mono_buffer(sine(220, 0.05)), key="absent")

@@ -10,42 +10,36 @@ from cloneval import _kernels
 from cloneval import features as F
 
 
-def collect(kernel, *args):
-    """Stack the row blocks that ``kernel`` hands to its reduction, in order."""
-    blocks = []
-
-    def keep(start, stop, rows):
-        assert start == sum(len(b) for b in blocks) and len(rows) == stop - start
-        blocks.append(rows.copy())
-
-    kernel(*args, keep)
-    return np.concatenate(blocks)
+def local_autocorr_power(env):
+    """The kernel's rows for ``env``, one call per block, as one (frames, bins) matrix."""
+    windows = F._onset_windows(env)
+    window = F.hann_window(384)
+    return np.concatenate([_kernels.local_autocorr(windows[start:stop], window)
+                           for start, stop in F._row_blocks(len(env))])
 
 
-def local_autocorr_power(env, window):
-    """The kernel's rows, lag-normalized power spectra, as one (frames, bins) matrix."""
-    return collect(_kernels.local_autocorr, env, window)
-
-
-def local_autocorr(env, window):
-    """The autocorrelations that the kernel's rows invert to, as one (win_length, frames) matrix."""
-    power = local_autocorr_power(env, window)
-    return np.fft.irfft(power, n=2 * (power.shape[1] - 1), axis=1)[:, : len(window)].T
+def local_autocorr(env):
+    """The autocorrelations that the kernel's rows invert to, as one (384, frames) matrix."""
+    power = local_autocorr_power(env)
+    return np.fft.irfft(power, n=2 * (power.shape[1] - 1), axis=1)[:, :384].T
 
 
 def yin_cmnd(padded, n_frames, hop, win, tau_max):
-    return collect(_kernels.yin_cmnd, padded, n_frames, hop, win, tau_max)
+    """The kernel's rows for frames 0..n_frames - 1, one call per block."""
+    return np.concatenate([_kernels.yin_cmnd(padded, start, stop, hop, win, tau_max)
+                           for start, stop in F._row_blocks(n_frames)])
 
 
 def test_kernel_output_shapes():
     env = np.abs(np.sin(np.arange(100.0)))
-    window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(384) / 384)
-    assert local_autocorr_power(env, window).shape == (100, _kernels._fft_size(767) // 2 + 1)
-    out = local_autocorr(env, window)
-    assert out.shape == (384, 100)
+    windows = F._onset_windows(env)
+    assert windows.shape == (101, 384)
+    power = _kernels.local_autocorr(windows[:100], F.hann_window(384))
+    assert power.shape == (100, _kernels._fft_size(767) // 2 + 1)
+    assert local_autocorr(env).shape == (384, 100)
     padded = np.random.default_rng(3).standard_normal(4 * 256 + 1024)
-    cmnd = yin_cmnd(padded, 5, 256, 512, 320)
-    assert cmnd.shape == (5, 321)
+    cmnd = _kernels.yin_cmnd(padded, 2, 5, 256, 512, 320)
+    assert cmnd.shape == (3, 321)
     assert np.all(cmnd[:, 0] == 1.0)
 
 
@@ -85,7 +79,7 @@ def test_f0_contour_matches_oracle_across_block_edges(rows):
         assert np.any(f0 == 0.0)
 
 
-def test_f0_trough_search_matches_oracle_on_crafted_cmnd(monkeypatch):
+def test_f0_trough_search_matches_oracle_on_crafted_cmnd():
     """Ties, plateaus, troughs at tau_min and tau_max, flat and steep parabolas, NaN."""
     tau_min, tau_max = 32, 320
     rng = np.random.default_rng(7)
@@ -99,12 +93,8 @@ def test_f0_trough_search_matches_oracle_on_crafted_cmnd(monkeypatch):
     cmnd[7, tau_min : tau_min + 2] = [np.nan, 0.01]
     cmnd[:, 0] = 1.0
 
-    def blocks_of_cmnd(padded, n_frames, hop, win, tau_max, reduce):
-        for start, stop in _kernels._row_blocks(n_frames):
-            reduce(start, stop, cmnd[start:stop])
-
-    monkeypatch.setattr(_kernels, "yin_cmnd", blocks_of_cmnd)
-    f0 = F.f0_contour(mono_buffer(np.zeros(299 * oracles.HOP)))
+    f0 = np.concatenate([F._yin_troughs(cmnd[start:stop])
+                         for start, stop in F._row_blocks(len(cmnd))])
     expected = [oracles.yin_trough_f0(row, tau_min, tau_max) for row in cmnd]
     np.testing.assert_array_equal(f0, expected)
     assert f0[1] == 0.0 and f0[2] == oracles.SR / tau_max
@@ -112,11 +102,10 @@ def test_f0_trough_search_matches_oracle_on_crafted_cmnd(monkeypatch):
 
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 def test_local_autocorr_matches_oracle_across_block_edges(rows):
-    window = F.hann_window(384)
     env = _onset_test_envelope(rows)
-    out = local_autocorr(env, window)
+    out = local_autocorr(env)
     np.testing.assert_allclose(out, oracles.tempogram(env), rtol=0.0, atol=1e-12)
-    assert np.all(local_autocorr(np.zeros(rows), window) == 0.0)
+    assert np.all(local_autocorr(np.zeros(rows)) == 0.0)
     if rows > 20 + 384 // 2:
         assert np.all(out[:, 20 + 384 // 2 :] == 0.0)
 
@@ -153,24 +142,37 @@ def test_tempogram_summary_matches_oracle_mean(rows, monkeypatch):
 
 
 @pytest.mark.parametrize("rows", ROW_COUNTS)
-def test_kernels_independent_of_block_size(rows, monkeypatch):
+def test_kernels_independent_of_block_size(rows):
+    # the blocks of one range, concatenated, are the rows of one call over it
     hop = oracles.HOP
     padded = np.random.default_rng(rows).standard_normal((rows - 1) * hop + 1024)
     padded[(rows // 2) * hop :][: 1024 + 3 * hop] = 0.0
-    window = F.hann_window(384)
+    env = _onset_test_envelope(rows)
+
+    blocked = yin_cmnd(padded, rows, hop, 512, 320)
+    np.testing.assert_array_equal(blocked, _kernels.yin_cmnd(padded, 0, rows, hop, 512, 320))
+    silent = [t for t in range(rows) if not padded[t * hop :][:1024].any()]
+    assert silent
+    assert np.all(blocked[silent] == 1.0)
+    whole = _kernels.local_autocorr(F._onset_windows(env)[:rows], F.hann_window(384))
+    np.testing.assert_array_equal(local_autocorr_power(env), whole)
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_per_frame_features_independent_of_block_size(rows, monkeypatch):
+    # Per-frame values only: the summaries' running sums over blocks, such
+    # as the mean power spectrum, add in block order.
+    buf = mono_buffer(_pitch_test_signal(rows))
     env = _onset_test_envelope(rows)
 
     def run():
-        return yin_cmnd(padded, rows, hop, 512, 320), local_autocorr_power(env, window)
+        return F.f0_contour(buf), F.tempogram(env), F.stft(buf), F.rms_envelope(buf)
 
     blocked = run()
-    monkeypatch.setattr(_kernels, "_BLOCK_ROWS", rows + 1)
+    monkeypatch.setattr(F, "_BLOCK_ROWS", rows + 1)
     whole = run()
-    np.testing.assert_array_equal(blocked[0], whole[0])
-    silent = [t for t in range(rows) if not padded[t * hop :][:1024].any()]
-    assert silent
-    assert np.all(blocked[0][silent] == 1.0)
-    np.testing.assert_array_equal(blocked[1], whole[1])
+    for a, b in zip(blocked, whole):
+        np.testing.assert_array_equal(a, b)
 
 
 def _mixed_test_signal():
