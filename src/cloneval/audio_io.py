@@ -138,11 +138,7 @@ def decode_wav(data: bytes) -> AudioBuffer:
         bad = samples.size - np.count_nonzero(np.isfinite(samples))
         if bad:
             raise FormatError(f"data chunk holds {bad} non-finite (NaN or Inf) samples")
-    elif bits == 16:
-        samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / _INT_SCALES[16]
-    elif bits == 32:
-        samples = np.frombuffer(payload, dtype="<i4").astype(np.float64) / _INT_SCALES[32]
-    else:
+    elif bits == 24:
         # A little-endian int32 read at every third byte holds one 24-bit
         # sample in its low three bytes; shifting the fourth byte out
         # sign-extends. One zero byte past the end completes the last read.
@@ -152,6 +148,8 @@ def decode_wav(data: bytes) -> AudioBuffer:
         values = words << 8
         values >>= 8
         samples = values / _INT_SCALES[24]
+    else:
+        samples = np.frombuffer(payload, dtype=f"<i{bytes_per_sample}") / _INT_SCALES[bits]
 
     if channels > 1:
         samples = samples.reshape(-1, channels)

@@ -11,6 +11,7 @@ from .embeddings import embed, load_backend
 from .errors import ClonevalError, DimensionMismatch, ParseError
 from .features import FEATURE_IDS
 from .pipeline import (
+    REPORT_NAMES,
     EvalConfig,
     aggregate,
     discover_pairs,
@@ -20,6 +21,7 @@ from .pipeline import (
     load_mono_16k,
     make_prompt_assignments,
     write_reports,
+    write_staged,
 )
 
 EXIT_OK = 0
@@ -77,6 +79,14 @@ def _check_out_file(parser, flag: str, value: str) -> None:
         parser.error(f"{flag} must name a file in an existing directory")
 
 
+def _check_out_dir(parser, value: str) -> None:
+    """Exit with a usage error unless ``value`` is a directory or can be made one."""
+    path = Path(value).absolute()
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        parser.error(f"--output-dir cannot be a directory: {existing} is a file")
+
+
 def _parse_features(arg: str | None, parser):
     if arg is None:
         return FEATURE_IDS
@@ -101,8 +111,12 @@ def _cmd_evaluate(args, parser) -> int:
         parser.error("--expected-dim has no effect with --no-embedding")
     if args.expected_dim is not None and args.expected_dim < 1:
         parser.error("--expected-dim must be at least 1")
+    _check_out_dir(parser, args.output_dir)
     if args.dump_features:
         _check_out_file(parser, "--dump-features", args.dump_features)
+        reports = {Path(args.output_dir, name).resolve() for name in REPORT_NAMES}
+        if Path(args.dump_features).resolve() in reports:
+            parser.error("--dump-features must not name a report file")
     features = _parse_features(args.features, parser)
 
     alias_table = None
@@ -137,6 +151,7 @@ def _cmd_evaluate(args, parser) -> int:
 
     dump_lines = []
     dump = None
+    extra = {}
     if args.dump_features:
         lock = threading.Lock()
 
@@ -148,6 +163,8 @@ def _cmd_evaluate(args, parser) -> int:
             )
             with lock:
                 dump_lines.append(line)
+
+        extra[args.dump_features] = lambda fh: fh.write("\n".join(sorted(dump_lines)) + "\n")
 
     config = EvalConfig(
         features=features,
@@ -162,12 +179,8 @@ def _cmd_evaluate(args, parser) -> int:
         print(f"warning: pair {pair_id} failed: {errors[pair_id]}", file=sys.stderr)
 
     summary = aggregate(records, config.fingerprint())
-    details_path, summary_path = write_reports(records, summary, args.output_dir, errors)
-
-    if args.dump_features:
-        dump_lines.sort()
-        with open(args.dump_features, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(dump_lines) + "\n")
+    details_path, summary_path = write_reports(
+        records, summary, args.output_dir, errors, extra=extra)
 
     print(f"pairs evaluated: {len(records)} (failed: {len(errors)})")
     for metric, value in summary["overall"].items():
@@ -192,9 +205,8 @@ def _cmd_prompts(args, parser) -> int:
             raise ParseError(f"{args.manifest}:{line_no}: expected sample_id<TAB>text")
         manifest.append((parts[0], parts[1]))
     assignments = make_prompt_assignments(manifest, args.seed)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        for a in assignments:
-            fh.write(f"{a.sample_id}\t{a.source_sample_id}\t{a.assigned_text}\n")
+    write_staged({args.out: lambda fh: fh.writelines(
+        f"{a.sample_id}\t{a.source_sample_id}\t{a.assigned_text}\n" for a in assignments)})
     print(f"wrote {len(assignments)} assignments to {args.out}")
     return EXIT_OK
 
@@ -210,9 +222,8 @@ def _cmd_embed(args, parser) -> int:
     manifest = {}
     for stem, path in wavs.items():
         manifest[stem] = [float(v) for v in embed(backend, load_mono_16k(path), key=stem)]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    write_staged({args.out: lambda fh: fh.write(text)})
     print(f"wrote {len(manifest)} embeddings to {args.out}")
     return EXIT_OK
 

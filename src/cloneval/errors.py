@@ -13,10 +13,6 @@ class InputTooShort(ClonevalError):
     """Signal has too few samples for the requested analysis."""
 
 
-class DimensionError(ClonevalError):
-    """Matrix shape is incompatible with the requested operation."""
-
-
 class EmptyFeature(ClonevalError):
     """Feature has zero frames and cannot be summarized."""
 

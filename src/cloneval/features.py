@@ -8,10 +8,11 @@ per-frame scalar contours are resampled onto 256 points.
 ``extract_summaries`` works block by block, and this module owns every
 walk over blocks (``_row_blocks``); the YIN and tempogram kernels compute
 one block per call. It reflect-pads the signal once for YIN, RMS and the
-STFT, and reduces each block of frames as soon as it is computed: the
-pitch, centroid, flatness and rolloff contours are filled in, the power
-spectrum is added to a running sum, and the mel frames become onset
-strength. So no per-file ``(bins, frames)`` or ``(frames, lags)`` matrix is
+STFT (``_reflect_pad`` also counts the frames), takes every overlapping
+window as a ``_kernels._windows`` view, and reduces each block of frames
+as soon as it is computed: the pitch, centroid, flatness and rolloff
+contours are filled in, the power spectrum is added to a running sum, and
+the mel frames become onset strength. So no per-file ``(bins, frames)`` or ``(frames, lags)`` matrix is
 built. Of each matrix feature only the time mean is kept, and by linearity
 it is taken where it costs least:
 
@@ -54,7 +55,7 @@ from functools import cache
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionError, EmptyFeature, InputTooShort
+from .errors import EmptyFeature, InputTooShort
 from .audio_io import PIPELINE_RATE, AudioBuffer, pipeline_samples
 
 FEATURE_IDS = (
@@ -131,27 +132,21 @@ def hann_window(n: int) -> np.ndarray:
 
 
 def _padded(buf: AudioBuffer):
-    """The samples, checked by ``pipeline_samples``, reflect-padded; and their count."""
-    x = pipeline_samples(buf, "feature extraction")
-    return _reflect_pad(x), len(x)
+    """``_reflect_pad`` of the samples, checked by ``pipeline_samples``."""
+    return _reflect_pad(pipeline_samples(buf, "feature extraction"))
 
 
-def _reflect_pad(x: np.ndarray) -> np.ndarray:
-    """``x`` reflected by ``N_FFT // 2`` samples at both ends, as centered frames see it."""
+def _reflect_pad(x: np.ndarray):
+    """``x`` reflected by ``N_FFT // 2`` samples at both ends, and its centered frame count."""
     if len(x) < 2:
         raise InputTooShort(f"need at least 2 samples, got {len(x)}")
-    return np.pad(x, N_FFT // 2, mode="reflect")
+    return np.pad(x, N_FFT // 2, mode="reflect"), 1 + len(x) // HOP
 
 
 def frame_signal(x: np.ndarray) -> np.ndarray:
-    """Centered ``N_FFT``-sample frames ``HOP`` apart, reflect-padded: 1 + len(x)//HOP rows."""
-    return _frames(_reflect_pad(x), len(x))
-
-
-def _frames(padded: np.ndarray, n_samples: int) -> np.ndarray:
-    """The frames of ``frame_signal`` as a view of the signal's ``_reflect_pad``."""
-    windows = np.lib.stride_tricks.sliding_window_view(padded, N_FFT)
-    return windows[::HOP][: 1 + n_samples // HOP]
+    """Centered ``N_FFT``-sample frames ``HOP`` apart, reflect-padded: ``_reflect_pad``'s rows."""
+    padded, n_frames = _reflect_pad(x)
+    return _kernels._windows(padded, 0, n_frames, HOP, N_FFT)
 
 
 def fft_frequencies() -> np.ndarray:
@@ -160,25 +155,25 @@ def fft_frequencies() -> np.ndarray:
 
 def stft(buf: AudioBuffer) -> np.ndarray:
     """Magnitude STFT of a mono buffer, ``(bins, frames)``: the ``_stft_blocks``, transposed."""
-    padded, n_samples = _padded(buf)
-    mag = np.empty((1 + n_samples // HOP, _N_BINS))
-    for start, stop, block in _stft_blocks(padded, n_samples):
+    padded, n_frames = _padded(buf)
+    mag = np.empty((n_frames, _N_BINS))
+    for start, stop, block in _stft_blocks(padded, n_frames):
         mag[start:stop] = block
     return mag.T
 
 
-def _stft_blocks(padded: np.ndarray, n_samples: int):
+def _stft_blocks(padded: np.ndarray, n_frames: int):
     """Yield ``(start, stop, mag)`` per ``_row_blocks`` block of frames.
 
     ``mag`` is the ``(stop - start, bins)`` magnitude STFT of those frames,
     held in one buffer that the next block overwrites.
     """
-    frames = _frames(padded, n_samples)
+    frames = _kernels._windows(padded, 0, n_frames, HOP, N_FFT)
     window = hann_window(N_FFT)
-    rows = min(frames.shape[0], _BLOCK_ROWS)
+    rows = min(n_frames, _BLOCK_ROWS)
     windowed = np.empty((rows, N_FFT))
     mag = np.empty((rows, _N_BINS))
-    for start, stop in _row_blocks(frames.shape[0]):
+    for start, stop in _row_blocks(n_frames):
         count = stop - start
         np.multiply(frames[start:stop], window, out=windowed[:count])
         np.abs(np.fft.rfft(windowed[:count], axis=1), out=mag[:count])
@@ -278,10 +273,10 @@ def f0_contour(buf: AudioBuffer) -> np.ndarray:
     return _yin_f0(*_padded(buf))
 
 
-def _yin_f0(padded, n_samples):
-    """``f0_contour`` of the signal whose ``_reflect_pad`` is ``padded``."""
-    out = np.empty(1 + n_samples // HOP)
-    for start, stop in _row_blocks(len(out)):
+def _yin_f0(padded, n_frames):
+    """``f0_contour`` of the signal whose ``_reflect_pad`` is ``(padded, n_frames)``."""
+    out = np.empty(n_frames)
+    for start, stop in _row_blocks(n_frames):
         cmnd = _kernels.yin_cmnd(padded, start, stop, HOP, _YIN_WIN, _TAU_MAX)
         out[start:stop] = _yin_troughs(cmnd)
     return out
@@ -323,13 +318,12 @@ def rms_envelope(buf: AudioBuffer) -> np.ndarray:
     return _rms(*_padded(buf))
 
 
-def _rms(padded: np.ndarray, n_samples: int) -> np.ndarray:
-    """``rms_envelope`` of the signal whose ``_reflect_pad`` is ``padded``.
+def _rms(padded: np.ndarray, n_frames: int) -> np.ndarray:
+    """``rms_envelope`` of the signal whose ``_reflect_pad`` is ``(padded, n_frames)``.
 
     The blocks are squared and summed ``_row_blocks`` rows at a time, so the
     squares take one block-sized buffer, not a signal-sized array.
     """
-    n_frames = 1 + n_samples // HOP
     per_frame = N_FFT // HOP
     n_blocks = n_frames + per_frame - 1
     sums = np.empty(n_blocks)
@@ -381,33 +375,31 @@ def tempogram(onset: np.ndarray) -> np.ndarray:
     """Windowed local autocorrelation of the onset envelope, (TEMPOGRAM_WIN, frames).
 
     Each column is normalized by its lag-0 value; columns whose window holds
-    no energy are left at zero. Each block of ``_kernels.local_autocorr``
-    power spectra is inverted to its columns.
+    no energy are left at zero. Each block of ``_autocorr_blocks`` is
+    inverted to its columns.
     """
-    windows = _onset_windows(onset)
-    window = hann_window(TEMPOGRAM_WIN)
     out = np.empty((TEMPOGRAM_WIN, len(onset)))
-    for start, stop in _row_blocks(len(onset)):
-        out[:, start:stop] = _autocorr(_kernels.local_autocorr(windows[start:stop], window)).T
+    for start, stop, power in _autocorr_blocks(onset):
+        out[:, start:stop] = _autocorr(power).T
     return out
 
 
 def _tempogram_mean(onset: np.ndarray) -> np.ndarray:
     """Time mean of ``tempogram(onset)``: one inverse FFT of the summed power spectra."""
-    windows = _onset_windows(onset)
-    window = hann_window(TEMPOGRAM_WIN)
-    total = 0.0
-    for start, stop in _row_blocks(len(onset)):
-        total = total + _kernels.local_autocorr(windows[start:stop], window).sum(axis=0)
+    total = sum(power.sum(axis=0) for _, _, power in _autocorr_blocks(onset))
     return _autocorr(total) / len(onset)
 
 
-def _onset_windows(onset: np.ndarray) -> np.ndarray:
-    """``(frames, TEMPOGRAM_WIN)`` view of each onset frame's centered window, zeros outside."""
-    half = TEMPOGRAM_WIN // 2
-    padded = np.zeros(len(onset) + 2 * half)
-    padded[half : half + len(onset)] = onset
-    return np.lib.stride_tricks.sliding_window_view(padded, TEMPOGRAM_WIN)
+def _autocorr_blocks(onset: np.ndarray):
+    """Yield ``(start, stop, power)`` per ``_row_blocks`` block of onset frames.
+
+    ``power`` is ``_kernels.local_autocorr`` of the frames' centered windows,
+    zeros outside the envelope; only the blocks at its ends copy them.
+    """
+    window = hann_window(TEMPOGRAM_WIN)
+    for start, stop in _row_blocks(len(onset)):
+        windows = _kernels._windows(onset, start - TEMPOGRAM_WIN // 2, stop - start, 1, TEMPOGRAM_WIN)
+        yield start, stop, _kernels.local_autocorr(windows, window)
 
 
 def _autocorr(power: np.ndarray) -> np.ndarray:
@@ -464,10 +456,7 @@ def pseudo_cqt(power: np.ndarray) -> np.ndarray:
 
 def chroma_cqt(pcqt: np.ndarray) -> np.ndarray:
     """Fold a 12-bins-per-octave constant-Q matrix into 12 pitch classes."""
-    n_bins = pcqt.shape[0]
-    if n_bins % 12 != 0:
-        raise DimensionError(f"bin count {n_bins} is not a multiple of 12")
-    return pcqt.reshape(n_bins // 12, 12, -1).sum(axis=0)
+    return pcqt.reshape(-1, 12, pcqt.shape[1]).sum(axis=0)
 
 
 def summarize(feature_id: str, raw) -> np.ndarray:
@@ -484,11 +473,8 @@ def summarize(feature_id: str, raw) -> np.ndarray:
     elif raw.ndim == 1:
         if raw.shape[0] == 0:
             raise EmptyFeature(f"{feature_id}: zero frames")
-        if raw.shape[0] == 1:
-            vector = np.full(CONTOUR_POINTS, raw[0])
-        else:
-            grid = np.linspace(0.0, raw.shape[0] - 1.0, CONTOUR_POINTS)
-            vector = np.interp(grid, np.arange(raw.shape[0]), raw)
+        grid = np.linspace(0.0, raw.shape[0] - 1.0, CONTOUR_POINTS)
+        vector = np.interp(grid, np.arange(raw.shape[0]), raw)
     else:
         raise ValueError(f"{feature_id}: expected a 1-D or 2-D array")
     if not np.all(np.isfinite(vector)):
@@ -509,18 +495,18 @@ def extract_summaries(buf: AudioBuffer, feature_ids=FEATURE_IDS) -> dict:
         raise ValueError(f"unknown feature ids: {sorted(unknown)}")
     wanted = [f for f in FEATURE_IDS if f in feature_ids]
 
-    padded, n_samples = _padded(buf)
+    padded, n_frames = _padded(buf)
     raw = {}
     if set(wanted) - {"pitch", "rms"}:
-        raw = _stft_pass(padded, n_samples, wanted)
+        raw = _stft_pass(padded, n_frames, wanted)
     if "pitch" in wanted:
-        raw["pitch"] = _yin_f0(padded, n_samples)
+        raw["pitch"] = _yin_f0(padded, n_frames)
     if "rms" in wanted:
-        raw["rms"] = _rms(padded, n_samples)
+        raw["rms"] = _rms(padded, n_frames)
     return {fid: summarize(fid, raw[fid]) for fid in wanted}
 
 
-def _stft_pass(padded, n_samples, wanted):
+def _stft_pass(padded, n_frames, wanted):
     """One pass over the STFT blocks: ``{feature_id: raw}`` for the STFT features.
 
     The raw values are the per-frame centroid, flatness and rolloff
@@ -540,7 +526,6 @@ def _stft_pass(padded, n_samples, wanted):
     the flux across the block edge is kept. The onset envelope goes to
     ``_tempogram_mean`` once the last block is done.
     """
-    n_frames = 1 + n_samples // HOP
     measures = {"spectral_centroid": spectral_centroid,
                 "spectral_flatness": spectral_flatness,
                 "spectral_rolloff": spectral_rolloff}
@@ -551,7 +536,7 @@ def _stft_pass(padded, n_samples, wanted):
     power_sum = np.zeros(_N_BINS)
     if onset is not None:
         mel = np.empty((N_MELS, rows + 1))  # column 0: the frame before the block
-    for start, stop, mag in _stft_blocks(padded, n_samples):
+    for start, stop, mag in _stft_blocks(padded, n_frames):
         block = power[: stop - start]
         np.multiply(mag, mag, out=block)
         power_sum += block.sum(axis=0)

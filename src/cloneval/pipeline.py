@@ -26,6 +26,7 @@ from .errors import EmptyInput, EvaluationFailed, NoPairs, ParseError, TooFewSam
 from .features import FEATURE_IDS, HOP, N_FFT, extract_summaries
 from .similarity import EMBEDDING_METRIC, metric_order, score_pair
 
+REPORT_NAMES = ("details.csv", "summary.json")
 EMOTIONS = ("anger", "disgust", "fear", "happiness", "neutral", "sadness")
 UNKNOWN = "unknown"
 
@@ -243,14 +244,40 @@ def aggregate(records, config: dict | None = None) -> dict:
     }
 
 
-def write_reports(records, summary: dict, out_dir, errors=None):
+def write_staged(targets) -> None:
+    """Write each ``{path: write(fh)}`` target through a temporary file beside it.
+
+    The files are UTF-8 with the line endings ``write`` gives them. Every
+    target is written in full before the first ``os.replace``, and they
+    replace the old files in the order given, so a failed write leaves every
+    previous file as it was.
+    """
+    # One temporary name per process and thread, so concurrent writers to
+    # the same directory never share a file.
+    suffix = f"{os.getpid()}.{threading.get_ident()}.tmp"
+    staged = {}
+    try:
+        for path, write in targets.items():
+            path = Path(path)
+            staged[path] = path.with_name(f".{path.name}.{suffix}")
+            with open(staged[path], "w", encoding="utf-8", newline="") as fh:
+                write(fh)
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
+
+
+def write_reports(records, summary: dict, out_dir, errors=None, extra=None):
     """Write details.csv and summary.json; returns their paths.
 
     Both files are UTF-8 with LF line endings, scores fixed to six decimals,
-    rows sorted by pair_id, so identical runs produce identical bytes. Each
-    is written to a temporary file in ``out_dir`` first; the two replace the
-    old reports only once both are complete, so a failed write leaves the
-    previous reports as they were.
+    rows sorted by pair_id, so identical runs produce identical bytes.
+    ``extra`` maps further paths, such as a feature dump, to ``write(fh)``
+    functions. All of them go through one ``write_staged`` call, with
+    summary.json replaced last, so a failed write leaves the previous
+    reports as they were.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -274,22 +301,9 @@ def write_reports(records, summary: dict, out_dir, errors=None):
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    # One temporary name per process and thread, so concurrent writers to
-    # the same directory never share a file.
-    suffix = f"{os.getpid()}.{threading.get_ident()}.tmp"
-    targets = {out_dir / "details.csv": write_details, out_dir / "summary.json": write_summary}
-    staged = {}
-    try:
-        for path, write in targets.items():
-            staged[path] = out_dir / f".{path.name}.{suffix}"
-            with open(staged[path], "w", encoding="utf-8", newline="") as fh:
-                write(fh)
-        for path, tmp in staged.items():
-            os.replace(tmp, path)
-    finally:
-        for tmp in staged.values():
-            tmp.unlink(missing_ok=True)
-    return tuple(targets)
+    details, summary_path = (out_dir / name for name in REPORT_NAMES)
+    write_staged({details: write_details, **(extra or {}), summary_path: write_summary})
+    return details, summary_path
 
 
 @dataclass(frozen=True)

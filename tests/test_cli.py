@@ -186,6 +186,56 @@ class TestEvaluate:
         assert capsys.readouterr().err.startswith("usage: cloneval evaluate ")
         assert not corpus["out"].exists()
 
+    @pytest.mark.parametrize("name", ["details.csv", "summary.json"])
+    def test_dump_path_naming_a_report_is_usage_error(self, corpus, name, capsys):
+        assert main(_evaluate_args(corpus, "--no-embedding", "--features", "rms")) == 0
+        previous = {p.name: p.read_bytes() for p in corpus["out"].iterdir()}
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(_evaluate_args(
+                corpus, "--no-embedding", "--dump-features", f"{corpus['out']}/../out/{name}"
+            ))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cloneval evaluate ")
+        assert "--dump-features must not name a report file" in err
+        assert {p.name: p.read_bytes() for p in corpus["out"].iterdir()} == previous
+
+    def test_failed_write_keeps_previous_dump(self, corpus, tmp_path, monkeypatch):
+        dump = tmp_path / "features.jsonl"
+        args = _evaluate_args(corpus, "--no-embedding", "--features", "rms",
+                              "--dump-features", str(dump))
+        assert main(args) == 0
+        previous = dump.read_bytes()
+        (corpus["gen"] / "spk2_ANG_03.wav").unlink()  # the next run has one pair less
+
+        def broken_dump(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline.json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            main(args)
+        assert dump.read_bytes() == previous
+        assert not any(p.name.startswith(".") for p in tmp_path.iterdir())
+
+    @pytest.mark.parametrize("where", ["file", "file/out"])
+    def test_output_dir_under_a_file_is_usage_error(self, corpus, tmp_path, where,
+                                                     monkeypatch, capsys):
+        (tmp_path / "file").write_text("keep me")
+        extracted = []
+        monkeypatch.setattr(pipeline, "extract_summaries",
+                            lambda *args, **kwargs: extracted.append(args))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", "--reference-dir", str(corpus["ref"]),
+                  "--generated-dir", str(corpus["gen"]),
+                  "--output-dir", str(tmp_path / where), "--no-embedding"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cloneval evaluate ")
+        assert f"--output-dir cannot be a directory: {tmp_path / 'file'} is a file" in err
+        assert extracted == []
+        assert (tmp_path / "file").read_text() == "keep me"
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_usage_error(self, corpus, workers, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -348,6 +398,20 @@ class TestPrompts:
         err = capsys.readouterr().err
         assert err.startswith("usage: cloneval prompts ")
         assert "--out must name a file in an existing directory" in err
+
+    def test_failed_write_keeps_previous_out(self, tmp_path, monkeypatch):
+        manifest = self._manifest(tmp_path, [("A", "alpha"), ("B", "beta")])
+        out = tmp_path / "assignments.tsv"
+        out.write_text("previous\n")
+
+        def broken_replace(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline.os, "replace", broken_replace)
+        with pytest.raises(OSError, match="disk full"):
+            main(["prompts", "--manifest", str(manifest), "--seed", "5", "--out", str(out)])
+        assert out.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["assignments.tsv", "manifest.tsv"]
 
     def test_malformed_line_is_a_parse_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.tsv"

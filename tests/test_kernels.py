@@ -10,12 +10,14 @@ from cloneval import _kernels
 from cloneval import features as F
 
 
+def onset_windows(env, rows):
+    """The centered 384-frame windows of ``env``'s first ``rows`` frames, zeros outside."""
+    return _kernels._windows(env, -192, rows, 1, 384)
+
+
 def local_autocorr_power(env):
     """The kernel's rows for ``env``, one call per block, as one (frames, bins) matrix."""
-    windows = F._onset_windows(env)
-    window = F.hann_window(384)
-    return np.concatenate([_kernels.local_autocorr(windows[start:stop], window)
-                           for start, stop in F._row_blocks(len(env))])
+    return np.concatenate([power for _, _, power in F._autocorr_blocks(env)])
 
 
 def local_autocorr(env):
@@ -32,9 +34,11 @@ def yin_cmnd(padded, n_frames, hop, win, tau_max):
 
 def test_kernel_output_shapes():
     env = np.abs(np.sin(np.arange(100.0)))
-    windows = F._onset_windows(env)
-    assert windows.shape == (101, 384)
-    power = _kernels.local_autocorr(windows[:100], F.hann_window(384))
+    windows = onset_windows(env, 100)
+    assert windows.shape == (100, 384)
+    zero_padded = np.concatenate([np.zeros(192), env, np.zeros(192)])
+    np.testing.assert_array_equal(windows, [zero_padded[t : t + 384] for t in range(100)])
+    power = _kernels.local_autocorr(windows, F.hann_window(384))
     assert power.shape == (100, _kernels._fft_size(767) // 2 + 1)
     assert local_autocorr(env).shape == (384, 100)
     padded = np.random.default_rng(3).standard_normal(4 * 256 + 1024)
@@ -154,7 +158,7 @@ def test_kernels_independent_of_block_size(rows):
     silent = [t for t in range(rows) if not padded[t * hop :][:1024].any()]
     assert silent
     assert np.all(blocked[silent] == 1.0)
-    whole = _kernels.local_autocorr(F._onset_windows(env)[:rows], F.hann_window(384))
+    whole = _kernels.local_autocorr(onset_windows(env, rows), F.hann_window(384))
     np.testing.assert_array_equal(local_autocorr_power(env), whole)
 
 
