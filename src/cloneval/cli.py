@@ -28,8 +28,6 @@ EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
 EXIT_USAGE = 2
 
-ALIAS_TABLE_ENV = "CLONEVAL_ALIAS_TABLE"
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -49,8 +47,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--embeddings-gen", help="precomputed embedding JSON for the generated side")
     mode.add_argument("--no-embedding", action="store_true", help="skip the embedding metric")
     ev.add_argument("--features", help="comma-separated feature subset (default: all)")
-    ev.add_argument("--emotions", choices=("auto", "off"), default="auto",
-                    help="auto: parse labels from filenames; off: force unknown")
+    ev.add_argument("--emotions", default="auto", metavar="auto|off|TABLE",
+                    help="auto: parse labels from filenames with the built-in table; "
+                    "off: force unknown; TABLE: parse them with this JSON {token: emotion} "
+                    "file (./off for a file named off)")
     ev.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                     help="worker threads; results do not depend on this")
     ev.add_argument("--expected-dim", type=int, help="require this embedding dimension")
@@ -71,12 +71,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out_file(parser, flag: str, value: str) -> None:
-    """Exit with a usage error unless ``value`` names a file in an existing directory."""
+def _check_out_file(parser, flag: str, value: str, taken=(), out_dir=None) -> None:
+    """Exit with a usage error unless ``value`` names a file in an existing
+    directory, or in ``out_dir``, which the command creates, and none of
+    ``taken``: the ``(path, description)`` of each other file the command
+    reads or writes, such as ``(manifest, "the --manifest file")``."""
     # Path() drops a trailing separator, which names a directory
     path = Path(value)
-    if value.endswith(("/", os.sep)) or path.is_dir() or not path.parent.is_dir():
+    in_out_dir = out_dir is not None and path.parent.resolve() == Path(out_dir).resolve()
+    if value.endswith(("/", os.sep)) or path.is_dir() or not (path.parent.is_dir() or in_out_dir):
         parser.error(f"{flag} must name a file in an existing directory")
+    path = path.resolve()
+    for other, what in taken:
+        if Path(other).resolve() == path:
+            parser.error(f"{flag} must not name {what}")
 
 
 def _check_out_dir(parser, value: str) -> None:
@@ -112,31 +120,36 @@ def _cmd_evaluate(args, parser) -> int:
     if args.expected_dim is not None and args.expected_dim < 1:
         parser.error("--expected-dim must be at least 1")
     _check_out_dir(parser, args.output_dir)
+    table = None if args.emotions in ("auto", "off") else args.emotions
+    taken = [(path, f"the {flag} file") for flag, path in (
+        ("--embedding-model", args.embedding_model), ("--embeddings-ref", args.embeddings_ref),
+        ("--embeddings-gen", args.embeddings_gen), ("--emotions", table)) if path is not None]
+    for flag, directory in (("--reference-dir", args.reference_dir),
+                            ("--generated-dir", args.generated_dir)):
+        taken += [(path, f"a WAV in {flag}") for path in list_wavs(directory).values()]
+    for name in REPORT_NAMES:
+        report = os.path.join(args.output_dir, name)
+        _check_out_file(parser, f"{name} in --output-dir", report, taken, args.output_dir)
+        taken.append((report, "a report file"))
     if args.dump_features:
-        _check_out_file(parser, "--dump-features", args.dump_features)
-        reports = {Path(args.output_dir, name).resolve() for name in REPORT_NAMES}
-        if Path(args.dump_features).resolve() in reports:
-            parser.error("--dump-features must not name a report file")
+        _check_out_file(parser, "--dump-features", args.dump_features, taken, args.output_dir)
     features = _parse_features(args.features, parser)
 
-    alias_table = None
-    alias_path = os.environ.get(ALIAS_TABLE_ENV)
-    if alias_path:
+    aliases = {} if args.emotions == "off" else None
+    if table is not None:
         try:
-            alias_table = load_alias_table(alias_path)
+            aliases = load_alias_table(table)
         except ClonevalError as exc:
             parser.error(str(exc))
 
-    backend_ref = backend_gen = None
+    backends = None
     if args.embedding_model:
-        backend_ref = backend_gen = load_backend(
-            model_path=args.embedding_model, expected_dim=args.expected_dim)
+        backend = load_backend(model_path=args.embedding_model, expected_dim=args.expected_dim)
+        backends = (backend, backend)
     elif args.embeddings_ref:
-        backend_ref = load_backend(
-            precomputed_path=args.embeddings_ref, expected_dim=args.expected_dim)
-        backend_gen = load_backend(
-            precomputed_path=args.embeddings_gen, expected_dim=args.expected_dim)
-        dims = (backend_ref.dimension, backend_gen.dimension)
+        backends = tuple(load_backend(precomputed_path=path, expected_dim=args.expected_dim)
+                         for path in (args.embeddings_ref, args.embeddings_gen))
+        dims = tuple(backend.dimension for backend in backends)
         if None not in dims and dims[0] != dims[1]:
             # every pair would fail at scoring, after its decode and extraction
             raise DimensionMismatch(
@@ -166,14 +179,8 @@ def _cmd_evaluate(args, parser) -> int:
 
         extra[args.dump_features] = lambda fh: fh.write("\n".join(sorted(dump_lines)) + "\n")
 
-    config = EvalConfig(
-        features=features,
-        backend_ref=backend_ref,
-        backend_gen=backend_gen,
-        emotions=args.emotions,
-        alias_table=alias_table,
-        workers=args.workers,
-    )
+    config = EvalConfig(features=features, backends=backends, aliases=aliases,
+                        workers=args.workers)
     records, errors = evaluate_corpus(pairs, config, dump=dump)
     for pair_id in sorted(errors):
         print(f"warning: pair {pair_id} failed: {errors[pair_id]}", file=sys.stderr)
@@ -190,7 +197,7 @@ def _cmd_evaluate(args, parser) -> int:
 
 
 def _cmd_prompts(args, parser) -> int:
-    _check_out_file(parser, "--out", args.out)
+    _check_out_file(parser, "--out", args.out, [(args.manifest, "the --manifest file")])
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -214,8 +221,9 @@ def _cmd_prompts(args, parser) -> int:
 def _cmd_embed(args, parser) -> int:
     if not Path(args.input_dir).is_dir():
         parser.error("--input-dir is not a directory")
-    _check_out_file(parser, "--out", args.out)
     wavs = list_wavs(args.input_dir)
+    _check_out_file(parser, "--out", args.out, [(args.model, "the --model file")]
+                    + [(path, "a WAV in --input-dir") for path in wavs.values()])
     if not wavs:
         raise ClonevalError(f"no audio files in {args.input_dir}")
     backend = load_backend(model_path=args.model)
@@ -237,7 +245,7 @@ def main(argv=None) -> int:
         if args.command == "prompts":
             return _cmd_prompts(args, args.parser)
         return _cmd_embed(args, args.parser)
-    except ClonevalError as exc:
+    except (ClonevalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
 

@@ -31,7 +31,7 @@ EMOTIONS = ("anger", "disgust", "fear", "happiness", "neutral", "sadness")
 UNKNOWN = "unknown"
 
 # Full words plus CREMA-D style three-letter codes; tokens are lowercased
-# before lookup. Override with a JSON file via CLONEVAL_ALIAS_TABLE.
+# before lookup. ``--emotions TABLE`` replaces it with a JSON file.
 DEFAULT_ALIASES = {
     "anger": "anger",
     "angry": "anger",
@@ -52,7 +52,7 @@ DEFAULT_ALIASES = {
 }
 
 def load_alias_table(path) -> dict:
-    """Read a token -> canonical-emotion JSON table."""
+    """Read a token -> canonical-emotion JSON table that maps at least one token."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -65,6 +65,8 @@ def load_alias_table(path) -> dict:
         if label not in EMOTIONS:
             raise ParseError(f"alias {token!r} maps to unknown emotion {label!r}")
         table[str(token).lower()] = label
+    if not table:
+        raise ParseError(f"alias table {path} maps no token; use --emotions off for no labels")
     return table
 
 
@@ -116,25 +118,22 @@ def discover_pairs(ref_dir, gen_dir):
 @dataclass
 class EvalConfig:
     features: tuple = FEATURE_IDS
-    backend_ref: object | None = None  # None disables the embedding metric
-    backend_gen: object | None = None
-    emotions: str = "auto"  # "auto" applies the alias table, "off" forces unknown
-    alias_table: dict | None = None
+    backends: tuple | None = None  # (reference, generated); None disables the embedding metric
+    aliases: dict | None = None  # None: DEFAULT_ALIASES; {}: every label is unknown
     workers: int = 1
 
     def fingerprint(self) -> dict:
-        backend = self.backend_ref.describe() if self.backend_ref else "disabled"
-        dim = self.backend_ref.dimension if self.backend_ref else None
+        backend = self.backends[0] if self.backends else None
         return {
             "version": __version__,
             "sample_rate": PIPELINE_RATE,
             "n_fft": N_FFT,
             "hop": HOP,
             "window": "hann",
-            "metrics": metric_order(self.features, self.backend_ref is not None),
-            "embedding_backend": backend,
-            "embedding_dim": dim,
-            "emotions": self.emotions,
+            "metrics": metric_order(self.features, backend is not None),
+            "embedding_backend": backend.describe() if backend else "disabled",
+            "embedding_dim": backend.dimension if backend else None,
+            "emotions": "off" if self.aliases == {} else "auto",
         }
 
 
@@ -153,12 +152,11 @@ def _evaluate_one(stem, ref_path, gen_path, config, dump):
         for side_name, side in (("reference", ref), ("generated", gen)):
             for feature_id, vector in side.items():
                 dump(stem, side_name, feature_id, vector)
-    if config.backend_ref is not None:
-        ref[EMBEDDING_METRIC] = embed(config.backend_ref, ref_buf, key=stem)
-        gen[EMBEDDING_METRIC] = embed(config.backend_gen, gen_buf, key=stem)
-
-    emotion = parse_emotion(stem, config.alias_table) if config.emotions == "auto" else UNKNOWN
-    record = score_pair(stem, emotion, ref, gen)
+    if config.backends is not None:
+        backend_ref, backend_gen = config.backends
+        ref[EMBEDDING_METRIC] = embed(backend_ref, ref_buf, key=stem)
+        gen[EMBEDDING_METRIC] = embed(backend_gen, gen_buf, key=stem)
+    record = score_pair(stem, parse_emotion(stem, config.aliases), ref, gen)
     record.reference_file = str(ref_path)
     record.generated_file = str(gen_path)
     return record
@@ -169,12 +167,22 @@ def evaluate_corpus(pairs, config: EvalConfig, dump=None):
 
     Returns (records, errors) with records sorted by pair_id, so the result
     does not depend on the worker count. Raises EvaluationFailed only when
-    no pair survives. ``config.workers`` below 1 raises ValueError.
+    no pair survives. ``config.workers`` below 1, a feature id outside
+    FEATURE_IDS, or ``config.backends`` other than None or a pair of
+    backends raises ValueError before any file is read.
     ``dump``, when given, is called from the worker threads as
     ``dump(pair_id, side, feature_id, vector)`` for every feature summary of
     every pair whose features were extracted, also when its embedding or
     scoring fails later, with ``side`` "reference" or "generated".
     """
+    unknown = [f for f in config.features if f not in FEATURE_IDS]
+    if unknown:
+        raise ValueError(f"unknown feature ids: {', '.join(map(str, unknown))}")
+    backends = config.backends
+    if backends is not None and not (
+        isinstance(backends, tuple) and len(backends) == 2 and None not in backends
+    ):
+        raise ValueError("config.backends must be None or a (reference, generated) pair")
     records = []
     errors = {}
 

@@ -71,10 +71,9 @@ def test_identity_corpus(tmp_path):
 
     with criterion("identity_corpus"):
         start = time.perf_counter()
-        backend_ref = load_backend(precomputed_path=str(emb_path))
-        backend_gen = load_backend(precomputed_path=str(emb_path))
+        backend = load_backend(precomputed_path=str(emb_path))
         pairs, _, _ = discover_pairs(ref, gen)
-        config = EvalConfig(backend_ref=backend_ref, backend_gen=backend_gen, workers=4)
+        config = EvalConfig(backends=(backend, backend), workers=4)
         records, errors = evaluate_corpus(pairs, config)
         summary = aggregate(records, config.fingerprint())
         details_path, _ = write_reports(records, summary, tmp_path / "out", errors)
@@ -236,8 +235,8 @@ def test_worker_determinism(tmp_path):
         for workers in (1, 8):
             pairs, _, _ = discover_pairs(ref, gen)
             config = EvalConfig(
-                backend_ref=load_backend(precomputed_path=str(ref_emb_path)),
-                backend_gen=load_backend(precomputed_path=str(gen_emb_path)),
+                backends=(load_backend(precomputed_path=str(ref_emb_path)),
+                          load_backend(precomputed_path=str(gen_emb_path))),
                 workers=workers,
             )
             records, errors = evaluate_corpus(pairs, config)

@@ -94,12 +94,11 @@ class TestEvaluate:
         header = (corpus["out"] / "details.csv").read_text().splitlines()[0]
         assert header == "pair_id,reference_file,generated_file,emotion,mel_spectrogram,rms,flags"
 
-    def test_bad_alias_table_is_usage_error(self, corpus, monkeypatch, tmp_path):
+    def test_bad_alias_table_is_usage_error(self, corpus, tmp_path):
         table = tmp_path / "aliases.json"
         table.write_text(json.dumps({"x": "not-an-emotion"}))
-        monkeypatch.setenv("CLONEVAL_ALIAS_TABLE", str(table))
         with pytest.raises(SystemExit) as excinfo:
-            main(_evaluate_args(corpus, "--no-embedding"))
+            main(_evaluate_args(corpus, "--no-embedding", "--emotions", str(table)))
         assert excinfo.value.code == 2
 
     def test_unknown_feature_rejected(self, corpus):
@@ -125,11 +124,10 @@ class TestEvaluate:
         rows = (corpus["out"] / "details.csv").read_text().splitlines()[1:]
         assert all(row.split(",")[3] == "unknown" for row in rows)
 
-    def test_alias_table_env(self, corpus, monkeypatch, tmp_path):
+    def test_alias_table_env(self, corpus, tmp_path):
         table = tmp_path / "aliases.json"
         table.write_text(json.dumps({"spk1": "fear"}))
-        monkeypatch.setenv("CLONEVAL_ALIAS_TABLE", str(table))
-        rc = main(_evaluate_args(corpus, "--no-embedding"))
+        rc = main(_evaluate_args(corpus, "--no-embedding", "--emotions", str(table)))
         assert rc == 0
         rows = (corpus["out"] / "details.csv").read_text().splitlines()[1:]
         emotions = [row.split(",")[3] for row in rows]
@@ -201,7 +199,7 @@ class TestEvaluate:
         assert "--dump-features must not name a report file" in err
         assert {p.name: p.read_bytes() for p in corpus["out"].iterdir()} == previous
 
-    def test_failed_write_keeps_previous_dump(self, corpus, tmp_path, monkeypatch):
+    def test_failed_write_keeps_previous_dump(self, corpus, tmp_path, monkeypatch, capsys):
         dump = tmp_path / "features.jsonl"
         args = _evaluate_args(corpus, "--no-embedding", "--features", "rms",
                               "--dump-features", str(dump))
@@ -213,10 +211,61 @@ class TestEvaluate:
             raise OSError("disk full")
 
         monkeypatch.setattr(pipeline.json, "dump", broken_dump)
-        with pytest.raises(OSError, match="disk full"):
-            main(args)
+        capsys.readouterr()
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "error: disk full"
         assert dump.read_bytes() == previous
         assert not any(p.name.startswith(".") for p in tmp_path.iterdir())
+
+    def test_dump_into_a_new_output_dir(self, corpus, tmp_path):
+        out = tmp_path / "fresh" / "results"
+        rc = main(["evaluate", "--reference-dir", str(corpus["ref"]),
+                   "--generated-dir", str(corpus["gen"]), "--output-dir", str(out),
+                   "--no-embedding", "--features", "rms",
+                   "--dump-features", str(out / "features.jsonl")])
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "details.csv", "features.jsonl", "summary.json"]
+
+    @pytest.mark.parametrize("read", ["--embeddings-ref", "--embeddings-gen", "--emotions",
+                                      "--reference-dir"])
+    def test_dump_path_naming_an_input_is_usage_error(self, corpus, tmp_path, read,
+                                                      monkeypatch, capsys):
+        gen_emb = tmp_path / "gen_emb.json"
+        gen_emb.write_text(corpus["emb"].read_text())
+        table = tmp_path / "aliases.json"
+        table.write_text(json.dumps({"spk1": "fear"}))
+        inputs = {"--embeddings-ref": corpus["emb"], "--embeddings-gen": gen_emb,
+                  "--emotions": table, "--reference-dir": corpus["ref"] / "spk1_sad_02.wav"}
+        previous = {flag: path.read_bytes() for flag, path in inputs.items()}
+        extracted = []
+        monkeypatch.setattr(pipeline, "extract_summaries",
+                            lambda *args, **kwargs: extracted.append(args))
+        with pytest.raises(SystemExit) as excinfo:
+            main(_evaluate_args(
+                corpus, "--embeddings-ref", str(corpus["emb"]), "--embeddings-gen", str(gen_emb),
+                "--emotions", str(table), "--dump-features", str(inputs[read]),
+            ))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cloneval evaluate ")
+        what = "a WAV in --reference-dir" if read == "--reference-dir" else f"the {read} file"
+        assert f"--dump-features must not name {what}" in err
+        assert extracted == []
+        assert {flag: path.read_bytes() for flag, path in inputs.items()} == previous
+
+    def test_report_naming_a_manifest_is_usage_error(self, corpus, capsys):
+        corpus["out"].mkdir()
+        manifest = corpus["out"] / "details.csv"
+        manifest.write_text(corpus["emb"].read_text())
+        with pytest.raises(SystemExit) as excinfo:
+            main(_evaluate_args(
+                corpus, "--embeddings-ref", str(manifest), "--embeddings-gen", str(corpus["emb"])
+            ))
+        assert excinfo.value.code == 2
+        assert ("details.csv in --output-dir must not name the --embeddings-ref file"
+                in capsys.readouterr().err)
+        assert manifest.read_text() == corpus["emb"].read_text()
 
     @pytest.mark.parametrize("where", ["file", "file/out"])
     def test_output_dir_under_a_file_is_usage_error(self, corpus, tmp_path, where,
@@ -399,7 +448,7 @@ class TestPrompts:
         assert err.startswith("usage: cloneval prompts ")
         assert "--out must name a file in an existing directory" in err
 
-    def test_failed_write_keeps_previous_out(self, tmp_path, monkeypatch):
+    def test_failed_write_keeps_previous_out(self, tmp_path, monkeypatch, capsys):
         manifest = self._manifest(tmp_path, [("A", "alpha"), ("B", "beta")])
         out = tmp_path / "assignments.tsv"
         out.write_text("previous\n")
@@ -408,10 +457,22 @@ class TestPrompts:
             raise OSError("disk full")
 
         monkeypatch.setattr(pipeline.os, "replace", broken_replace)
-        with pytest.raises(OSError, match="disk full"):
-            main(["prompts", "--manifest", str(manifest), "--seed", "5", "--out", str(out)])
+        rc = main(["prompts", "--manifest", str(manifest), "--seed", "5", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: disk full"]
         assert out.read_text() == "previous\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["assignments.tsv", "manifest.tsv"]
+
+    def test_out_naming_the_manifest_is_usage_error(self, tmp_path, capsys):
+        manifest = self._manifest(tmp_path, [("A", "alpha"), ("B", "beta")])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["prompts", "--manifest", str(manifest), "--seed", "5",
+                  "--out", f"{tmp_path}/../{tmp_path.name}/manifest.tsv"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cloneval prompts ")
+        assert "--out must not name the --manifest file" in err
+        assert manifest.read_text() == "A\talpha\nB\tbeta\n"
 
     def test_malformed_line_is_a_parse_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.tsv"
@@ -478,3 +539,18 @@ class TestEmbedCommand:
         err = capsys.readouterr().err
         assert err.startswith("usage: cloneval embed ")
         assert "--out must name a file in an existing directory" in err
+
+    def test_out_naming_an_input_wav_is_usage_error(self, tmp_path, capsys):
+        # checked before the model is loaded: this one does not exist
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        wav = make_wav(sine(220, 0.05))
+        (wav_dir / "a.WAV").write_bytes(wav)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["embed", "--input-dir", str(wav_dir), "--model", str(tmp_path / "m.onnx"),
+                  "--out", str(wav_dir / "a.WAV")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cloneval embed ")
+        assert "--out must not name a WAV in --input-dir" in err
+        assert (wav_dir / "a.WAV").read_bytes() == wav

@@ -97,6 +97,13 @@ class TestParseEmotion:
         with pytest.raises(ParseError):
             load_alias_table(path)
 
+    def test_table_mapping_no_token(self, tmp_path):
+        # {} would label every pair unknown while the fingerprint says "auto"
+        path = tmp_path / "aliases.json"
+        path.write_text("{}")
+        with pytest.raises(ParseError, match="use --emotions off"):
+            load_alias_table(path)
+
 
 def _identity_run(wav_dir_factory, files, **config_kwargs):
     ref = wav_dir_factory(files)
@@ -145,9 +152,29 @@ class TestEvaluateCorpus:
         with pytest.raises(ValueError):
             _identity_run(wav_dir_factory, {"a": sine(220, 0.2)}, workers=workers)
 
+    @pytest.mark.parametrize("field", ["unknown_feature", "one_backend", "bare_backend",
+                                       "half_pair"])
+    def test_malformed_config_rejected_before_decoding(self, wav_dir_factory, tmp_path,
+                                                       monkeypatch, field):
+        path = tmp_path / "emb.json"
+        path.write_text(json.dumps({"a": [0.1, 0.2, 0.3], "b": [0.3, 0.2, 0.1]}))
+        backend = load_backend(precomputed_path=str(path))
+        kwargs = {"unknown_feature": {"features": ("rms", "bogus")},
+                  "one_backend": {"backends": (backend,)},
+                  "bare_backend": {"backends": backend},
+                  "half_pair": {"backends": (backend, None)}}[field]
+        decoded = []
+        decode_wav = pipeline.decode_wav
+        monkeypatch.setattr(pipeline, "decode_wav",
+                            lambda blob: decoded.append(blob) or decode_wav(blob))
+        with pytest.raises(ValueError):
+            _identity_run(wav_dir_factory, {"a": sine(220, 0.2), "b": sine(330, 0.2)},
+                          **kwargs)
+        assert decoded == []
+
     def test_emotions_off(self, wav_dir_factory):
         records, _ = _identity_run(
-            wav_dir_factory, {"a_happy": sine(220, 0.2)}, emotions="off"
+            wav_dir_factory, {"a_happy": sine(220, 0.2)}, aliases={}
         )
         assert records[0].emotion == "unknown"
 
@@ -241,8 +268,7 @@ class TestFingerprint:
         path = tmp_path / "emb.json"
         path.write_text(json.dumps({"a": [0.1, 0.2, 0.3]}))
         backend = load_backend(precomputed_path=str(path))
-        config = EvalConfig(features=("rms", "pitch"), backend_ref=backend,
-                            backend_gen=backend, emotions="off")
+        config = EvalConfig(features=("rms", "pitch"), backends=(backend, backend), aliases={})
         assert config.fingerprint() == {
             **self.ANALYSIS,
             "metrics": ["embedding", "pitch", "rms"],
