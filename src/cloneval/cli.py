@@ -9,7 +9,6 @@ from pathlib import Path
 
 from .embeddings import embed, load_backend
 from .errors import ClonevalError, DimensionMismatch, ParseError
-from .features import FEATURE_IDS
 from .pipeline import (
     REPORT_NAMES,
     EvalConfig,
@@ -46,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--embeddings-ref", help="precomputed embedding JSON for the reference side")
     ev.add_argument("--embeddings-gen", help="precomputed embedding JSON for the generated side")
     mode.add_argument("--no-embedding", action="store_true", help="skip the embedding metric")
-    ev.add_argument("--features", help="comma-separated feature subset (default: all)")
     ev.add_argument("--emotions", default="auto", metavar="auto|off|TABLE",
                     help="auto: parse labels from filenames with the built-in table; "
                     "off: force unknown; TABLE: parse them with this JSON {token: emotion} "
@@ -95,18 +93,6 @@ def _check_out_dir(parser, value: str) -> None:
         parser.error(f"--output-dir cannot be a directory: {existing} is a file")
 
 
-def _parse_features(arg: str | None, parser):
-    if arg is None:
-        return FEATURE_IDS
-    requested = tuple(name.strip() for name in arg.split(",") if name.strip())
-    if not requested:
-        parser.error("--features names no metric")
-    unknown = [name for name in requested if name not in FEATURE_IDS]
-    if unknown:
-        parser.error(f"unknown features: {', '.join(unknown)}")
-    return requested
-
-
 def _cmd_evaluate(args, parser) -> int:
     if (args.embeddings_ref is None) != (args.embeddings_gen is None):
         parser.error("--embeddings-ref and --embeddings-gen must be given together")
@@ -133,7 +119,6 @@ def _cmd_evaluate(args, parser) -> int:
         taken.append((report, "a report file"))
     if args.dump_features:
         _check_out_file(parser, "--dump-features", args.dump_features, taken, args.output_dir)
-    features = _parse_features(args.features, parser)
 
     aliases = {} if args.emotions == "off" else None
     if table is not None:
@@ -179,8 +164,7 @@ def _cmd_evaluate(args, parser) -> int:
 
         extra[args.dump_features] = lambda fh: fh.write("\n".join(sorted(dump_lines)) + "\n")
 
-    config = EvalConfig(features=features, backends=backends, aliases=aliases,
-                        workers=args.workers)
+    config = EvalConfig(backends=backends, aliases=aliases, workers=args.workers)
     records, errors = evaluate_corpus(pairs, config, dump=dump)
     for pair_id in sorted(errors):
         print(f"warning: pair {pair_id} failed: {errors[pair_id]}", file=sys.stderr)

@@ -34,10 +34,12 @@ Spectra are plain ``(bins, frames)`` arrays: ``stft`` returns magnitudes,
 ``mel_spectrogram`` mel powers, and each function's parameter name says
 which of the two it takes.
 
-The analysis settings are the protocol's, not the caller's: scores from two
-runs are comparable only if both analysed their audio the same way. They
-are the module constants below. Audio comes in at ``PIPELINE_RATE`` (16 kHz)
-and anything else raises ``RateError``. Frames are ``N_FFT`` (1024) samples,
+The metric set and the analysis settings are the protocol's, not the
+caller's: scores from two runs are comparable only if both measured the
+same features and analysed their audio the same way. Every run computes
+all ten ``FEATURE_IDS``, and the settings are the module constants below.
+Audio comes in at ``PIPELINE_RATE`` (16 kHz) and anything else raises
+``RateError``. Frames are ``N_FFT`` (1024) samples,
 ``HOP`` (256) apart, centered with reflected edges, under a periodic Hann
 window for the STFT. YIN searches ``YIN_FMIN``..``YIN_FMAX`` Hz below
 ``YIN_THRESHOLD``. The mel bank has ``N_MELS`` bands over ``MEL_FMIN``..
@@ -482,43 +484,30 @@ def summarize(feature_id: str, raw) -> np.ndarray:
     return vector
 
 
-def extract_summaries(buf: AudioBuffer, feature_ids=FEATURE_IDS) -> dict:
-    """Compute the requested feature summaries in one pass over the signal.
+def extract_summaries(buf: AudioBuffer) -> dict:
+    """Compute the ten feature summaries in one pass over the signal.
 
     Returns ``{feature_id: summary vector}`` in ``FEATURE_IDS`` order. See
-    the module docstring for how the blocks are reduced. The YIN, RMS and
-    STFT passes, each spectral contour and the tempogram run only when a
-    feature in ``feature_ids`` needs them.
+    the module docstring for how the blocks are reduced.
     """
-    unknown = set(feature_ids) - set(FEATURE_IDS)
-    if unknown:
-        raise ValueError(f"unknown feature ids: {sorted(unknown)}")
-    wanted = [f for f in FEATURE_IDS if f in feature_ids]
-
     padded, n_frames = _padded(buf)
-    raw = {}
-    if set(wanted) - {"pitch", "rms"}:
-        raw = _stft_pass(padded, n_frames, wanted)
-    if "pitch" in wanted:
-        raw["pitch"] = _yin_f0(padded, n_frames)
-    if "rms" in wanted:
-        raw["rms"] = _rms(padded, n_frames)
-    return {fid: summarize(fid, raw[fid]) for fid in wanted}
+    raw = _stft_pass(padded, n_frames)
+    raw["pitch"] = _yin_f0(padded, n_frames)
+    raw["rms"] = _rms(padded, n_frames)
+    return {fid: summarize(fid, raw[fid]) for fid in FEATURE_IDS}
 
 
-def _stft_pass(padded, n_frames, wanted):
+def _stft_pass(padded, n_frames):
     """One pass over the STFT blocks: ``{feature_id: raw}`` for the STFT features.
 
     The raw values are the per-frame centroid, flatness and rolloff
-    contours that ``wanted`` names, the time-mean tempogram when it is
-    wanted, and the mel, chroma, pseudo-CQT and chroma-CQT banks applied to
-    the time-mean power spectrum. The tempogram and the banks are
-    one-column matrices that are already time means, which ``summarize``
-    keeps as they are. Each bank is one matrix-vector product, so all four
-    are always computed. Each public function gets an array the pass
-    already holds: the centroid and rolloff the magnitude block, the
-    flatness the power block (squared once), the banks the mean power
-    column.
+    contours, the time-mean tempogram, and the mel, chroma, pseudo-CQT and
+    chroma-CQT banks applied to the time-mean power spectrum. The tempogram
+    and the banks are one-column matrices that are already time means,
+    which ``summarize`` keeps as they are. Each public function gets an
+    array the pass already holds: the centroid and rolloff the magnitude
+    block, the flatness the power block (squared once), the banks the mean
+    power column.
 
     Only the tempogram needs per-frame mel values. The block's mel frames
     come from the banded products of ``_mel_frames`` and are turned into
@@ -526,34 +515,33 @@ def _stft_pass(padded, n_frames, wanted):
     the flux across the block edge is kept. The onset envelope goes to
     ``_tempogram_mean`` once the last block is done.
     """
-    measures = {"spectral_centroid": spectral_centroid,
-                "spectral_flatness": spectral_flatness,
-                "spectral_rolloff": spectral_rolloff}
-    raw = {fid: np.empty(n_frames) for fid in wanted if fid in measures}
-    onset = np.empty(n_frames) if "tempogram" in wanted else None
+    centroid, flatness, rolloff, onset = (np.empty(n_frames) for _ in range(4))
     rows = min(n_frames, _BLOCK_ROWS)
     power = np.empty((rows, _N_BINS))
     power_sum = np.zeros(_N_BINS)
-    if onset is not None:
-        mel = np.empty((N_MELS, rows + 1))  # column 0: the frame before the block
+    mel = np.empty((N_MELS, rows + 1))  # column 0: the frame before the block
     for start, stop, mag in _stft_blocks(padded, n_frames):
         block = power[: stop - start]
         np.multiply(mag, mag, out=block)
         power_sum += block.sum(axis=0)
-        for fid, values in raw.items():
-            values[start:stop] = measures[fid](block.T if fid == "spectral_flatness" else mag.T)
-        if onset is not None:
-            block_mel = mel[:, : stop - start + 1]
-            _mel_frames(block, block_mel[:, 1:])
-            if start == 0:
-                block_mel[:, 0] = block_mel[:, 1]  # no flux into the first frame
-            onset[start:stop] = onset_strength(block_mel)[1:]
-            mel[:, 0] = block_mel[:, -1]
+        centroid[start:stop] = spectral_centroid(mag.T)
+        flatness[start:stop] = spectral_flatness(block.T)
+        rolloff[start:stop] = spectral_rolloff(mag.T)
+        block_mel = mel[:, : stop - start + 1]
+        _mel_frames(block, block_mel[:, 1:])
+        if start == 0:
+            block_mel[:, 0] = block_mel[:, 1]  # no flux into the first frame
+        onset[start:stop] = onset_strength(block_mel)[1:]
+        mel[:, 0] = block_mel[:, -1]
     mean_power = (power_sum / n_frames)[:, None]
-    if onset is not None:
-        raw["tempogram"] = _tempogram_mean(onset)[:, None]
-    raw["mel_spectrogram"] = _mel_bank() @ mean_power
-    raw["chromagram"] = chroma_stft(mean_power)
-    raw["pseudo_cqt"] = pseudo_cqt(mean_power)
-    raw["chroma_cqt"] = chroma_cqt(raw["pseudo_cqt"])
-    return raw
+    pcqt = pseudo_cqt(mean_power)
+    return {
+        "spectral_centroid": centroid,
+        "spectral_flatness": flatness,
+        "spectral_rolloff": rolloff,
+        "tempogram": _tempogram_mean(onset)[:, None],
+        "mel_spectrogram": _mel_bank() @ mean_power,
+        "chromagram": chroma_stft(mean_power),
+        "pseudo_cqt": pcqt,
+        "chroma_cqt": chroma_cqt(pcqt),
+    }

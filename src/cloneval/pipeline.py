@@ -51,6 +51,20 @@ DEFAULT_ALIASES = {
     "sad": "sadness",
 }
 
+
+def _check_aliases(aliases: dict, error=ValueError) -> None:
+    """Raise ``error`` unless every label is in EMOTIONS and every token a lowercase string.
+
+    ``parse_emotion`` lowercases each stem token before lookup, so a token
+    with an upper-case letter would never match.
+    """
+    for token, label in aliases.items():
+        if label not in EMOTIONS:
+            raise error(f"alias {token!r} maps to unknown emotion {label!r}")
+        if not (isinstance(token, str) and token == token.lower()):
+            raise error(f"alias {token!r} must be a lowercase string")
+
+
 def load_alias_table(path) -> dict:
     """Read a token -> canonical-emotion JSON table that maps at least one token."""
     try:
@@ -60,11 +74,8 @@ def load_alias_table(path) -> dict:
         raise ParseError(f"cannot read alias table {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("alias table must be a JSON object")
-    table = {}
-    for token, label in raw.items():
-        if label not in EMOTIONS:
-            raise ParseError(f"alias {token!r} maps to unknown emotion {label!r}")
-        table[str(token).lower()] = label
+    table = {token.lower(): label for token, label in raw.items()}
+    _check_aliases(table, ParseError)
     if not table:
         raise ParseError(f"alias table {path} maps no token; use --emotions off for no labels")
     return table
@@ -117,7 +128,6 @@ def discover_pairs(ref_dir, gen_dir):
 
 @dataclass
 class EvalConfig:
-    features: tuple = FEATURE_IDS
     backends: tuple | None = None  # (reference, generated); None disables the embedding metric
     aliases: dict | None = None  # None: DEFAULT_ALIASES; {}: every label is unknown
     workers: int = 1
@@ -130,7 +140,7 @@ class EvalConfig:
             "n_fft": N_FFT,
             "hop": HOP,
             "window": "hann",
-            "metrics": metric_order(self.features, backend is not None),
+            "metrics": metric_order(FEATURE_IDS, backend is not None),
             "embedding_backend": backend.describe() if backend else "disabled",
             "embedding_dim": backend.dimension if backend else None,
             "emotions": "off" if self.aliases == {} else "auto",
@@ -146,8 +156,8 @@ def load_mono_16k(path):
 def _evaluate_one(stem, ref_path, gen_path, config, dump):
     ref_buf = load_mono_16k(ref_path)
     gen_buf = load_mono_16k(gen_path)
-    ref = extract_summaries(ref_buf, config.features)
-    gen = extract_summaries(gen_buf, config.features)
+    ref = extract_summaries(ref_buf)
+    gen = extract_summaries(gen_buf)
     if dump is not None:
         for side_name, side in (("reference", ref), ("generated", gen)):
             for feature_id, vector in side.items():
@@ -167,17 +177,16 @@ def evaluate_corpus(pairs, config: EvalConfig, dump=None):
 
     Returns (records, errors) with records sorted by pair_id, so the result
     does not depend on the worker count. Raises EvaluationFailed only when
-    no pair survives. ``config.workers`` below 1, a feature id outside
-    FEATURE_IDS, or ``config.backends`` other than None or a pair of
-    backends raises ValueError before any file is read.
+    no pair survives. ``config.workers`` below 1, ``config.backends``
+    other than None or a pair of backends, or ``config.aliases`` that break
+    ``_check_aliases`` raise ValueError before any file is read.
     ``dump``, when given, is called from the worker threads as
     ``dump(pair_id, side, feature_id, vector)`` for every feature summary of
     every pair whose features were extracted, also when its embedding or
     scoring fails later, with ``side`` "reference" or "generated".
     """
-    unknown = [f for f in config.features if f not in FEATURE_IDS]
-    if unknown:
-        raise ValueError(f"unknown feature ids: {', '.join(map(str, unknown))}")
+    if config.aliases is not None:
+        _check_aliases(config.aliases)
     backends = config.backends
     if backends is not None and not (
         isinstance(backends, tuple) and len(backends) == 2 and None not in backends

@@ -10,6 +10,7 @@ from conftest import make_wav, sine, white_noise
 from cloneval import pipeline
 from cloneval.cli import _cmd_prompts, main
 from cloneval.errors import ParseError
+from cloneval.features import FEATURE_IDS, SUMMARY_LENGTHS
 
 
 @pytest.fixture
@@ -73,26 +74,24 @@ class TestEvaluate:
             main(_evaluate_args(corpus))
         assert excinfo.value.code == 2
 
-    def test_feature_projection(self, corpus):
+    def test_report_columns(self, corpus):
         rc = main(_evaluate_args(
             corpus,
             "--embeddings-ref", str(corpus["emb"]),
             "--embeddings-gen", str(corpus["emb"]),
-            "--features", "mel_spectrogram,rms",
         ))
         assert rc == 0
         header = (corpus["out"] / "details.csv").read_text().splitlines()[0]
-        assert header == (
-            "pair_id,reference_file,generated_file,emotion,embedding,mel_spectrogram,rms,flags"
-        )
+        assert header == ",".join(
+            ["pair_id", "reference_file", "generated_file", "emotion", "embedding",
+             *FEATURE_IDS, "flags"])
 
-    def test_feature_projection_without_embedding(self, corpus):
-        rc = main(_evaluate_args(
-            corpus, "--no-embedding", "--features", "mel_spectrogram,rms"
-        ))
+    def test_report_columns_without_embedding(self, corpus):
+        rc = main(_evaluate_args(corpus, "--no-embedding"))
         assert rc == 0
         header = (corpus["out"] / "details.csv").read_text().splitlines()[0]
-        assert header == "pair_id,reference_file,generated_file,emotion,mel_spectrogram,rms,flags"
+        assert header == ",".join(
+            ["pair_id", "reference_file", "generated_file", "emotion", *FEATURE_IDS, "flags"])
 
     def test_bad_alias_table_is_usage_error(self, corpus, tmp_path):
         table = tmp_path / "aliases.json"
@@ -100,18 +99,6 @@ class TestEvaluate:
         with pytest.raises(SystemExit) as excinfo:
             main(_evaluate_args(corpus, "--no-embedding", "--emotions", str(table)))
         assert excinfo.value.code == 2
-
-    def test_unknown_feature_rejected(self, corpus):
-        with pytest.raises(SystemExit) as excinfo:
-            main(_evaluate_args(corpus, "--no-embedding", "--features", "mfcc"))
-        assert excinfo.value.code == 2
-
-    @pytest.mark.parametrize("spec", [",", " , "])
-    def test_empty_feature_set_rejected(self, corpus, spec):
-        with pytest.raises(SystemExit) as excinfo:
-            main(_evaluate_args(corpus, "--no-embedding", "--features", spec))
-        assert excinfo.value.code == 2
-        assert not corpus["out"].exists()
 
     def test_unknown_flag_rejected(self, corpus):
         with pytest.raises(SystemExit) as excinfo:
@@ -124,7 +111,7 @@ class TestEvaluate:
         rows = (corpus["out"] / "details.csv").read_text().splitlines()[1:]
         assert all(row.split(",")[3] == "unknown" for row in rows)
 
-    def test_alias_table_env(self, corpus, tmp_path):
+    def test_emotions_table_file(self, corpus, tmp_path):
         table = tmp_path / "aliases.json"
         table.write_text(json.dumps({"spk1": "fear"}))
         rc = main(_evaluate_args(corpus, "--no-embedding", "--emotions", str(table)))
@@ -136,14 +123,16 @@ class TestEvaluate:
     def test_dump_features(self, corpus, tmp_path):
         dump = tmp_path / "features.jsonl"
         rc = main(_evaluate_args(
-            corpus, "--no-embedding", "--features", "rms", "--dump-features", str(dump)
+            corpus, "--no-embedding", "--dump-features", str(dump)
         ))
         assert rc == 0
         lines = [json.loads(line) for line in dump.read_text().splitlines()]
-        assert len(lines) == 6  # 3 pairs x 2 sides x 1 feature
-        assert {entry["side"] for entry in lines} == {"reference", "generated"}
-        assert all(entry["feature_id"] == "rms" for entry in lines)
-        assert all(len(entry["vector"]) == 256 for entry in lines)
+        assert len(lines) == 60  # 3 pairs x 2 sides x 10 features
+        assert sorted((e["pair_id"], e["side"], e["feature_id"]) for e in lines) == sorted(
+            (stem, side, fid) for stem in ("spk1_happy_01", "spk1_sad_02", "spk2_ANG_03")
+            for side in ("reference", "generated") for fid in FEATURE_IDS)
+        assert all(len(entry["vector"]) == SUMMARY_LENGTHS[entry["feature_id"]]
+                   for entry in lines)
 
     def test_dump_holds_pairs_whose_embedding_fails(self, corpus, tmp_path):
         manifest = json.loads(corpus["emb"].read_text())
@@ -153,15 +142,15 @@ class TestEvaluate:
         dump = tmp_path / "features.jsonl"
         rc = main(_evaluate_args(
             corpus, "--embeddings-ref", str(partial), "--embeddings-gen", str(partial),
-            "--features", "rms", "--dump-features", str(dump),
+            "--dump-features", str(dump),
         ))
         assert rc == 0
         summary = json.loads((corpus["out"] / "summary.json").read_text())
         assert list(summary["errors"]) == ["spk1_sad_02"]
         lines = [json.loads(line) for line in dump.read_text().splitlines()]
         assert sorted(e["side"] for e in lines if e["pair_id"] == "spk1_sad_02") == [
-            "generated", "reference"]
-        assert len(lines) == 6
+            "generated"] * 10 + ["reference"] * 10
+        assert len(lines) == 60  # 3 pairs x 2 sides x 10 features
 
     def test_dump_bytes_independent_of_workers(self, corpus, tmp_path):
         dumps = {}
@@ -186,7 +175,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("name", ["details.csv", "summary.json"])
     def test_dump_path_naming_a_report_is_usage_error(self, corpus, name, capsys):
-        assert main(_evaluate_args(corpus, "--no-embedding", "--features", "rms")) == 0
+        assert main(_evaluate_args(corpus, "--no-embedding")) == 0
         previous = {p.name: p.read_bytes() for p in corpus["out"].iterdir()}
         capsys.readouterr()
         with pytest.raises(SystemExit) as excinfo:
@@ -201,8 +190,7 @@ class TestEvaluate:
 
     def test_failed_write_keeps_previous_dump(self, corpus, tmp_path, monkeypatch, capsys):
         dump = tmp_path / "features.jsonl"
-        args = _evaluate_args(corpus, "--no-embedding", "--features", "rms",
-                              "--dump-features", str(dump))
+        args = _evaluate_args(corpus, "--no-embedding", "--dump-features", str(dump))
         assert main(args) == 0
         previous = dump.read_bytes()
         (corpus["gen"] / "spk2_ANG_03.wav").unlink()  # the next run has one pair less
@@ -221,7 +209,7 @@ class TestEvaluate:
         out = tmp_path / "fresh" / "results"
         rc = main(["evaluate", "--reference-dir", str(corpus["ref"]),
                    "--generated-dir", str(corpus["gen"]), "--output-dir", str(out),
-                   "--no-embedding", "--features", "rms",
+                   "--no-embedding",
                    "--dump-features", str(out / "features.jsonl")])
         assert rc == 0
         assert sorted(p.name for p in out.iterdir()) == [
@@ -334,9 +322,7 @@ class TestEvaluate:
         x = sine(220, 0.3, sr=44100)
         x[100] = np.nan
         (corpus["gen"] / "spk1_sad_02.wav").write_bytes(make_wav(x, sr=44100, fmt="float32"))
-        rc = main(_evaluate_args(
-            corpus, "--no-embedding", "--features", "pitch,spectral_centroid,spectral_rolloff"
-        ))
+        rc = main(_evaluate_args(corpus, "--no-embedding"))
         assert rc == 0
         summary = json.loads((corpus["out"] / "summary.json").read_text())
         assert list(summary["errors"]) == ["spk1_sad_02"]
@@ -345,12 +331,12 @@ class TestEvaluate:
         assert [row.split(",")[0] for row in rows] == ["spk1_happy_01", "spk2_ANG_03"]
 
     def test_every_pair_failing_writes_no_reports(self, corpus, capsys):
-        assert main(_evaluate_args(corpus, "--no-embedding", "--features", "rms")) == 0
+        assert main(_evaluate_args(corpus, "--no-embedding")) == 0
         previous = {p.name: p.read_bytes() for p in corpus["out"].iterdir()}
         for wav in corpus["gen"].iterdir():
             wav.write_bytes(b"RIFF, but not a WAV file")
         capsys.readouterr()
-        rc = main(_evaluate_args(corpus, "--no-embedding", "--features", "rms"))
+        rc = main(_evaluate_args(corpus, "--no-embedding"))
         assert rc == 1
         assert capsys.readouterr().err.startswith(
             "error: all 3 pairs failed; first error: FormatError: ")

@@ -138,11 +138,11 @@ def test_tempogram_summary_matches_oracle_mean(rows, monkeypatch):
         env[-20:] = np.abs(np.random.default_rng(rows + 1).standard_normal(20))
     _plant_onset(monkeypatch, env)
     buf = mono_buffer(_block_edge_clip(rows, 0, "silent"))
-    summary = F.extract_summaries(buf, ("tempogram",))["tempogram"]
+    summary = F.extract_summaries(buf)["tempogram"]
     np.testing.assert_allclose(summary, oracles.tempogram(env).mean(axis=1), rtol=0.0, atol=1e-12)
 
     _plant_onset(monkeypatch, np.zeros(rows))
-    assert np.all(F.extract_summaries(buf, ("tempogram",))["tempogram"] == 0.0)
+    assert np.all(F.extract_summaries(buf)["tempogram"] == 0.0)
 
 
 @pytest.mark.parametrize("rows", ROW_COUNTS)

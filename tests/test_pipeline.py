@@ -12,6 +12,7 @@ from conftest import make_wav, sine, white_noise
 from cloneval import pipeline
 from cloneval.embeddings import load_backend
 from cloneval.errors import EmptyInput, NoPairs, ParseError, TooFewSamples
+from cloneval.features import FEATURE_IDS
 from cloneval.pipeline import (
     EvalConfig,
     aggregate,
@@ -91,6 +92,13 @@ class TestParseEmotion:
         assert parse_emotion("03-01-03-01", table) == "happiness"
         assert parse_emotion("happy_01", table) == "unknown"
 
+    def test_table_tokens_are_lowercased(self, tmp_path):
+        path = tmp_path / "aliases.json"
+        path.write_text(json.dumps({"SPK1": "fear"}))
+        table = load_alias_table(path)
+        assert table == {"spk1": "fear"}
+        assert parse_emotion("Spk1_01", table) == "fear"
+
     def test_bad_table_label(self, tmp_path):
         path = tmp_path / "aliases.json"
         path.write_text(json.dumps({"x": "joy"}))
@@ -152,17 +160,19 @@ class TestEvaluateCorpus:
         with pytest.raises(ValueError):
             _identity_run(wav_dir_factory, {"a": sine(220, 0.2)}, workers=workers)
 
-    @pytest.mark.parametrize("field", ["unknown_feature", "one_backend", "bare_backend",
-                                       "half_pair"])
+    @pytest.mark.parametrize("field", ["one_backend", "bare_backend", "half_pair",
+                                       "unknown_emotion", "uppercase_token"])
     def test_malformed_config_rejected_before_decoding(self, wav_dir_factory, tmp_path,
                                                        monkeypatch, field):
         path = tmp_path / "emb.json"
         path.write_text(json.dumps({"a": [0.1, 0.2, 0.3], "b": [0.3, 0.2, 0.1]}))
         backend = load_backend(precomputed_path=str(path))
-        kwargs = {"unknown_feature": {"features": ("rms", "bogus")},
-                  "one_backend": {"backends": (backend,)},
+        kwargs = {"one_backend": {"backends": (backend,)},
                   "bare_backend": {"backends": backend},
-                  "half_pair": {"backends": (backend, None)}}[field]
+                  "half_pair": {"backends": (backend, None)},
+                  # parse_emotion lowercases every stem token, so SPK1 never matches
+                  "unknown_emotion": {"aliases": {"spk1": "joy"}},
+                  "uppercase_token": {"aliases": {"SPK1": "fear"}}}[field]
         decoded = []
         decode_wav = pipeline.decode_wav
         monkeypatch.setattr(pipeline, "decode_wav",
@@ -177,12 +187,6 @@ class TestEvaluateCorpus:
             wav_dir_factory, {"a_happy": sine(220, 0.2)}, aliases={}
         )
         assert records[0].emotion == "unknown"
-
-    def test_feature_subset(self, wav_dir_factory):
-        records, _ = _identity_run(
-            wav_dir_factory, {"a": sine(220, 0.2)}, features=("mel_spectrogram", "rms")
-        )
-        assert set(records[0].scores) == {"mel_spectrogram", "rms"}
 
 
 @pytest.fixture(scope="module")
@@ -268,10 +272,10 @@ class TestFingerprint:
         path = tmp_path / "emb.json"
         path.write_text(json.dumps({"a": [0.1, 0.2, 0.3]}))
         backend = load_backend(precomputed_path=str(path))
-        config = EvalConfig(features=("rms", "pitch"), backends=(backend, backend), aliases={})
+        config = EvalConfig(backends=(backend, backend), aliases={})
         assert config.fingerprint() == {
             **self.ANALYSIS,
-            "metrics": ["embedding", "pitch", "rms"],
+            "metrics": ["embedding", *FEATURE_IDS],
             "embedding_backend": "precomputed",
             "embedding_dim": 3,
             "emotions": "off",
