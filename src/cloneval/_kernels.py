@@ -185,20 +185,25 @@ def yin_cmnd(padded, start, stop, hop, win, tau_max):
     ``r`` correlates the head with the shifted span and ``e`` is the shifted
     span's energy (de Cheveigne & Kawahara, JASA 2002, eq. 7).
 
-    Both sums run over the head's samples, so they split into chunks. The
-    kernel serves one geometry, ``win % hop == 0``: a head is ``win / hop``
-    consecutive ``hop``-sample chunks, shared with the neighbouring frames.
-    Each chunk's correlation (one FFT of ``n_fft = _fft_size(hop + tau_max)``
-    samples) and energy (its own prefix sums, so silence reads exactly 0) is
-    computed once, and a frame adds up its chunks' rows. The last chunk's
-    transform reads ``n_fft - hop`` samples past the last head, so
-    ``padded`` must hold them.
+    Both sums run over the head's samples. The kernel serves one geometry,
+    ``win % hop == 0``: a head is ``win / hop`` consecutive ``hop``-sample
+    chunks, shared with the neighbouring frames. Each chunk's correlation
+    (one FFT of ``n_fft = _fft_size(hop + tau_max)`` samples) is computed
+    once, and a frame adds up its chunks' rows. The energies come from one
+    running sum of squares per chunk, starting at its first sample: a span
+    that starts ``r`` samples into a chunk is the chunk's total minus its
+    first ``r`` squares, the next ``win / hop - 1`` totals, and the first
+    ``r`` squares of the chunk after them. So no frame's sums carry a chunk
+    before its own, and silence reads exactly 0. The last chunk's transform
+    reads ``n_fft - hop`` samples past the last head, so ``padded`` must hold
+    them.
     """
     lags = tau_max + 1
+    frames = stop - start
     per_frame = win // hop
     seg_len = hop + tau_max
     n_fft = _fft_size(seg_len)
-    chunks = stop - start + per_frame - 1
+    chunks = frames + per_frame - 1
     # Each chunk's spectrum is taken over n_fft signal samples rather than
     # seg_len zero-padded ones: samples past seg_len reach no lag <= tau_max,
     # and a row that needs no padding transforms faster.
@@ -210,24 +215,28 @@ def yin_cmnd(padded, start, stop, hop, win, tau_max):
     head_spec = np.fft.rfft(head, axis=1)
     corr = np.fft.irfft(np.conj(head_spec) * spec, n=n_fft, axis=1)[:, :lags]
 
-    prefix = np.empty((chunks, seg_len + 1))
-    prefix[:, 0] = 0.0
-    tail = seg[:, :seg_len]
-    np.cumsum(tail * tail, axis=1, out=prefix[:, 1:])
-    energy = prefix[:, hop : hop + lags] - prefix[:, :lags]
+    # Row k of `energy`: the energies of the spans that start in chunk k of
+    # the block. Such a span ends in chunk k + per_frame.
+    starts = frames + tau_max // hop
+    squares = _windows(padded, start * hop, starts + per_frame, hop, hop) ** 2
+    sums = np.empty((starts + per_frame, hop + 1))
+    sums[:, 0] = 0.0
+    np.cumsum(squares, axis=1, out=sums[:, 1:])
+    energy = sums[per_frame:, :hop] - sums[:starts, :hop]
+    energy += _frame_sums(sums[:, hop], starts, per_frame)[:, None]
+    e = _windows(energy.reshape(-1), 0, frames, hop, lags)
 
-    r = _frame_sums(corr, stop - start, per_frame)
-    e = _frame_sums(energy, stop - start, per_frame)
+    r = _frame_sums(corr, frames, per_frame)
 
-    # diff = max(e(0) + e(tau) - 2 r(tau), 0), in the buffers of e and r
-    diff = np.add(e[:, :1], e, out=e)
+    # diff = max(e(0) + e(tau) - 2 r(tau), 0)
     r *= 2.0
+    diff = np.add(e[:, :1], e)
     diff -= r
     np.maximum(diff, 0.0, out=diff)
     diff[:, 0] = 0.0
 
     running = np.cumsum(diff[:, 1:], axis=1)
-    rows = np.empty((stop - start, lags))
+    rows = np.empty((frames, lags))
     rows[:, 0] = 1.0
     cmnd = rows[:, 1:]
     np.multiply(diff[:, 1:], np.arange(1, lags), out=cmnd)

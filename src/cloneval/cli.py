@@ -4,10 +4,9 @@ import argparse
 import json
 import os
 import sys
-import threading
 from pathlib import Path
 
-from .embeddings import embed, load_backend
+from .embeddings import check_dimension, embed, load_backend
 from .errors import ClonevalError, DimensionMismatch, ParseError
 from .pipeline import (
     REPORT_NAMES,
@@ -26,6 +25,13 @@ from .pipeline import (
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
 EXIT_USAGE = 2
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform says; else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,8 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="auto: parse labels from filenames with the built-in table; "
                     "off: force unknown; TABLE: parse them with this JSON {token: emotion} "
                     "file (./off for a file named off)")
-    ev.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                    help="worker threads; results do not depend on this")
+    ev.add_argument("--workers", type=int, default=_usable_cpus(),
+                    help="worker processes (default: the CPUs this process may run on); "
+                    "results do not depend on this")
     ev.add_argument("--expected-dim", type=int, help="require this embedding dimension")
     ev.add_argument("--dump-features", help="also write every feature summary to this JSONL file")
     ev.set_defaults(parser=ev)  # each command reports its usage errors with its own usage
@@ -151,16 +158,12 @@ def _cmd_evaluate(args, parser) -> int:
     dump = None
     extra = {}
     if args.dump_features:
-        lock = threading.Lock()
-
         def dump(pair_id, side, feature_id, vector):
-            line = json.dumps(
+            dump_lines.append(json.dumps(
                 {"pair_id": pair_id, "side": side, "feature_id": feature_id,
                  "vector": [float(v) for v in vector]},
                 sort_keys=True,
-            )
-            with lock:
-                dump_lines.append(line)
+            ))
 
         extra[args.dump_features] = lambda fh: fh.write("\n".join(sorted(dump_lines)) + "\n")
 
@@ -213,7 +216,9 @@ def _cmd_embed(args, parser) -> int:
     backend = load_backend(model_path=args.model)
     manifest = {}
     for stem, path in wavs.items():
-        manifest[stem] = [float(v) for v in embed(backend, load_mono_16k(path), key=stem)]
+        vector = embed(backend, load_mono_16k(path), key=stem)
+        check_dimension(backend, vector)
+        manifest[stem] = [float(v) for v in vector]
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     write_staged({args.out: lambda fh: fh.write(text)})
     print(f"wrote {len(manifest)} embeddings to {args.out}")

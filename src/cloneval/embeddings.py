@@ -13,7 +13,6 @@ required to actually run inference.
 """
 
 import json
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -160,9 +159,17 @@ class PrecomputedBackend:
     def describe(self) -> str:
         return "precomputed"
 
+    def reopened(self):
+        """This backend itself: a manifest needs nothing opened per process."""
+        return self
+
 
 class OnnxModelBackend:
-    """Runs a 1-in/1-out ONNX model over 16 kHz waveforms."""
+    """Runs a 1-in/1-out ONNX model over 16 kHz waveforms.
+
+    A session is used by one thread at a time and never crosses a process:
+    ``reopened`` gives a worker process a backend with a session of its own.
+    """
 
     def __init__(self, path: str, expected_dim: int | None):
         try:
@@ -179,7 +186,6 @@ class OnnxModelBackend:
         self._output_name = outputs[0]
         self._path = str(path)
         self.dimension = expected_dim
-        self._lock = threading.Lock()  # session calls are serialized
         try:
             import onnxruntime
         except ImportError as exc:
@@ -196,19 +202,15 @@ class OnnxModelBackend:
 
     def _embed(self, buf: AudioBuffer, key: str | None) -> np.ndarray:
         waveform = np.asarray(buf.samples, dtype=np.float32)[None, :]
-        with self._lock:
-            (raw,) = self._session.run([self._output_name], {self._input_name: waveform})
-            vector = np.asarray(raw, dtype=np.float64).reshape(-1)
-            if self.dimension is None:
-                self.dimension = vector.shape[0]
-            elif vector.shape[0] != self.dimension:
-                raise DimensionMismatch(
-                    f"model produced dimension {vector.shape[0]}, expected {self.dimension}"
-                )
-        return vector
+        (raw,) = self._session.run([self._output_name], {self._input_name: waveform})
+        return np.asarray(raw, dtype=np.float64).reshape(-1)
 
     def describe(self) -> str:
         return f"model:{Path(self._path).name}"
+
+    def reopened(self):
+        """The same model with a session of its own, for use in another process."""
+        return OnnxModelBackend(self._path, self.dimension)
 
 
 def load_backend(*, model_path=None, precomputed_path=None, expected_dim=None):
@@ -230,6 +232,23 @@ def load_backend(*, model_path=None, precomputed_path=None, expected_dim=None):
 
 
 def embed(backend, buf: AudioBuffer, key: str | None = None) -> np.ndarray:
-    """Embed a mono 16 kHz buffer as a float64 vector; precomputed backends look up by key."""
+    """Embed a mono 16 kHz buffer as a float64 vector; precomputed backends look up by key.
+
+    The vector's length is not checked here; ``check_dimension`` does that.
+    """
     pipeline_samples(buf, "embedding")  # also when the backend never reads the samples
     return backend._embed(buf, key)
+
+
+def check_dimension(backend, vector) -> None:
+    """Raise DimensionMismatch unless ``vector`` has ``backend.dimension`` entries.
+
+    A backend that does not know its dimension yet, a model loaded without
+    ``expected_dim``, takes it from the first vector checked. So the vectors
+    of one run are checked in one process, in pair order.
+    """
+    if backend.dimension is None:
+        backend.dimension = len(vector)
+    elif len(vector) != backend.dimension:
+        raise DimensionMismatch(
+            f"model produced dimension {len(vector)}, expected {backend.dimension}")

@@ -13,7 +13,6 @@ import os
 import random
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .audio_io import PIPELINE_RATE, decode_wav, downmix_mono, resample
-from .embeddings import embed
+from .embeddings import check_dimension, embed
 from .errors import EmptyInput, EvaluationFailed, NoPairs, ParseError, TooFewSamples
 from .features import FEATURE_IDS, HOP, N_FFT, extract_summaries
 from .similarity import EMBEDDING_METRIC, metric_order, score_pair
@@ -66,15 +65,28 @@ def _check_aliases(aliases: dict, error=ValueError) -> None:
 
 
 def load_alias_table(path) -> dict:
-    """Read a token -> canonical-emotion JSON table that maps at least one token."""
+    """Read a token -> canonical-emotion JSON table that maps at least one token.
+
+    Tokens are lowercased. Two entries whose tokens are then the same, such
+    as ``"Ang"`` and ``"ang"`` or one token listed twice, raise ParseError
+    naming both.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            # objects load as tuples of their (key, value) entries, so an
+            # entry listed twice is still there to be reported
+            raw = json.load(fh, object_pairs_hook=tuple)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read alias table {path}: {exc}") from exc
-    if not isinstance(raw, dict):
+    if not isinstance(raw, tuple):
         raise ParseError("alias table must be a JSON object")
-    table = {token.lower(): label for token, label in raw.items()}
+    table, spelled = {}, {}
+    for token, label in raw:
+        key = token.lower()
+        if key in table:
+            raise ParseError(f"alias table entries {spelled[key]!r}: {table[key]!r} and "
+                             f"{token!r}: {label!r} name the same token")
+        table[key], spelled[key] = label, token
     _check_aliases(table, ParseError)
     if not table:
         raise ParseError(f"alias table {path} maps no token; use --emotions off for no labels")
@@ -153,37 +165,103 @@ def load_mono_16k(path):
     return resample(downmix_mono(buf), PIPELINE_RATE)
 
 
-def _evaluate_one(stem, ref_path, gen_path, config, dump):
-    ref_buf = load_mono_16k(ref_path)
-    gen_buf = load_mono_16k(gen_path)
-    ref = extract_summaries(ref_buf)
-    gen = extract_summaries(gen_buf)
-    if dump is not None:
-        for side_name, side in (("reference", ref), ("generated", gen)):
-            for feature_id, vector in side.items():
-                dump(stem, side_name, feature_id, vector)
-    if config.backends is not None:
-        backend_ref, backend_gen = config.backends
-        ref[EMBEDDING_METRIC] = embed(backend_ref, ref_buf, key=stem)
-        gen[EMBEDDING_METRIC] = embed(backend_gen, gen_buf, key=stem)
-    record = score_pair(stem, parse_emotion(stem, config.aliases), ref, gen)
-    record.reference_file = str(ref_path)
-    record.generated_file = str(gen_path)
-    return record
+def _pair_vectors(pair, backends):
+    """Decode, resample, extract and embed one pair: ``(stem, ref, gen, error)``.
+
+    ``ref`` and ``gen`` map metric ids to vectors: the ten feature summaries,
+    plus the embedding under ``EMBEDDING_METRIC`` when ``backends`` is a
+    (reference, generated) pair. They are None when a side's features could
+    not be extracted; a pair whose embedding fails keeps its features.
+    ``error`` is None or the pair's failure as ``"Type: message"``.
+    """
+    stem, ref_path, gen_path = pair
+    ref = gen = None
+    try:
+        ref_buf = load_mono_16k(ref_path)
+        gen_buf = load_mono_16k(gen_path)
+        ref, gen = extract_summaries(ref_buf), extract_summaries(gen_buf)
+        if backends is not None:
+            ref[EMBEDDING_METRIC] = embed(backends[0], ref_buf, key=stem)
+            gen[EMBEDDING_METRIC] = embed(backends[1], gen_buf, key=stem)
+    except Exception as exc:
+        return stem, ref, gen, f"{type(exc).__name__}: {exc}"
+    return stem, ref, gen, None
+
+
+_worker_backends = None  # set in each worker process by _start_worker
+
+
+def _start_worker(backends):
+    """Pool initializer: end with the parent, and open this process's own model sessions."""
+    import multiprocessing
+
+    sentinel = multiprocessing.parent_process().sentinel
+    threading.Thread(target=_exit_with_parent, args=(sentinel,), daemon=True).start()
+    global _worker_backends
+    if backends is not None:
+        unique = {id(b): b for b in backends}  # one model serving both sides: one session
+        opened = {key: b.reopened() for key, b in unique.items()}
+        backends = tuple(opened[id(b)] for b in backends)
+    _worker_backends = backends
+
+
+def _exit_with_parent(sentinel):
+    # A worker waiting for its next task never sees the parent die: every
+    # worker holds the task queue's write end too, so the read never ends.
+    from multiprocessing.connection import wait
+
+    wait([sentinel])
+    os._exit(1)
+
+
+def _worker_pair_vectors(pair):
+    return _pair_vectors(pair, _worker_backends)
+
+
+def _pair_outcomes(pairs, config):
+    """``_pair_vectors`` of each pair, in pair order, from ``config.workers`` processes.
+
+    One worker, or one pair, runs in the calling process. More run in a pool
+    of forked processes, each with its own arrays; a worker that dies raises
+    EvaluationFailed.
+    """
+    workers = min(config.workers, len(pairs))
+    if workers <= 1:
+        yield from (_pair_vectors(pair, config.backends) for pair in pairs)
+        return
+    # imported here: loading the pool's modules would otherwise add to every
+    # run's start-up, also to runs with one worker
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    fork = "fork" in multiprocessing.get_all_start_methods()  # not on Windows
+    context = multiprocessing.get_context("fork" if fork else None)
+    try:
+        with ProcessPoolExecutor(workers, mp_context=context, initializer=_start_worker,
+                                 initargs=(config.backends,)) as pool:
+            yield from pool.map(_worker_pair_vectors, pairs)
+    except BrokenProcessPool as exc:
+        raise EvaluationFailed(f"a worker process died: {exc}") from exc
 
 
 def evaluate_corpus(pairs, config: EvalConfig, dump=None):
     """Score every pair; failures are isolated and reported, not fatal.
 
     Returns (records, errors) with records sorted by pair_id, so the result
-    does not depend on the worker count. Raises EvaluationFailed only when
-    no pair survives. ``config.workers`` below 1, ``config.backends``
-    other than None or a pair of backends, or ``config.aliases`` that break
-    ``_check_aliases`` raise ValueError before any file is read.
-    ``dump``, when given, is called from the worker threads as
-    ``dump(pair_id, side, feature_id, vector)`` for every feature summary of
-    every pair whose features were extracted, also when its embedding or
-    scoring fails later, with ``side`` "reference" or "generated".
+    does not depend on the worker count. Each pair is decoded, resampled,
+    extracted and embedded by ``_pair_vectors``: in the calling process when
+    ``config.workers`` is 1, else in that many forked worker processes, at
+    most one per pair. Everything else runs in the calling process, in pair
+    order: ``dump``, the embedding dimension check (a model backend without
+    a dimension takes the first one it sees) and ``score_pair``. Raises
+    EvaluationFailed when no pair survives or a worker process dies.
+    ``config.workers`` below 1, ``config.backends`` other than None or a
+    pair of backends, or ``config.aliases`` that break ``_check_aliases``
+    raise ValueError before any file is read. ``dump``, when given, is
+    called as ``dump(pair_id, side, feature_id, vector)`` for every feature
+    summary of every pair whose features were extracted, also when its
+    embedding or scoring fails later, with ``side`` "reference" or
+    "generated".
     """
     if config.aliases is not None:
         _check_aliases(config.aliases)
@@ -192,23 +270,28 @@ def evaluate_corpus(pairs, config: EvalConfig, dump=None):
         isinstance(backends, tuple) and len(backends) == 2 and None not in backends
     ):
         raise ValueError("config.backends must be None or a (reference, generated) pair")
+    if config.workers < 1:
+        raise ValueError("config.workers must be at least 1")
     records = []
     errors = {}
-
-    def run(pair):
-        stem, ref_path, gen_path = pair
+    outcomes = _pair_outcomes(pairs, config)
+    for (stem, ref_path, gen_path), (_, ref, gen, error) in zip(pairs, outcomes):
         try:
-            return stem, _evaluate_one(stem, ref_path, gen_path, config, dump), None
+            if ref is not None and dump is not None:
+                for side_name, side in (("reference", ref), ("generated", gen)):
+                    for feature_id in FEATURE_IDS:
+                        dump(stem, side_name, feature_id, side[feature_id])
+            if error is None:
+                if backends is not None:
+                    check_dimension(backends[0], ref[EMBEDDING_METRIC])
+                    check_dimension(backends[1], gen[EMBEDDING_METRIC])
+                record = score_pair(stem, parse_emotion(stem, config.aliases), ref, gen)
+                record.reference_file = str(ref_path)
+                record.generated_file = str(gen_path)
+                records.append(record)
         except Exception as exc:
-            return stem, None, f"{type(exc).__name__}: {exc}"
-
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        outcomes = list(pool.map(run, pairs))
-
-    for stem, record, error in outcomes:
-        if error is None:
-            records.append(record)
-        else:
+            error = f"{type(exc).__name__}: {exc}"
+        if error is not None:
             errors[stem] = error
     if pairs and not records:
         raise EvaluationFailed(f"all {len(pairs)} pairs failed; first error: "

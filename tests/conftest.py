@@ -1,9 +1,11 @@
-"""Shared fixtures: synthetic signals and a WAV encoder independent of the decoder."""
+"""Shared fixtures: synthetic signals, a WAV encoder independent of the decoder,
+ONNX-shaped model files and a stand-in onnxruntime."""
 
 import os
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -115,3 +117,74 @@ def mono_buffer(samples, sr=SR):
     from cloneval.audio_io import AudioBuffer
 
     return AudioBuffer(np.asarray(samples, dtype=np.float64), sr)
+
+
+# A minimal protobuf wire-format encoder for ONNX-shaped model files.
+
+
+def _varint(value: int) -> bytes:
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+def _field(number: int, payload: bytes) -> bytes:
+    return _varint((number << 3) | 2) + _varint(len(payload)) + payload
+
+
+def _value_info(name: str) -> bytes:
+    return _field(1, name.encode())
+
+
+def _tensor_initializer(name: str) -> bytes:
+    return _field(8, name.encode())  # TensorProto.name
+
+
+def make_model_bytes(inputs, outputs, initializers=()) -> bytes:
+    graph = b"".join(_field(11, _value_info(n)) for n in inputs)
+    graph += b"".join(_field(12, _value_info(n)) for n in outputs)
+    graph += b"".join(_field(5, _tensor_initializer(n)) for n in initializers)
+    return _field(7, graph)  # ModelProto.graph
+
+
+# Waveforms longer than this get one more embedding entry from FakeSession.
+LONG_WAVEFORM = 6000
+
+
+class FakeSession:
+    """Stands in for ``onnxruntime.InferenceSession``: a waveform's four statistics.
+
+    A waveform longer than ``LONG_WAVEFORM`` samples gets a fifth entry, so a
+    test can plant a dimension mismatch. A session refuses to run in any
+    process but the one that opened it.
+    """
+
+    def __init__(self, data, providers):
+        self._pid = os.getpid()
+
+    def run(self, output_names, feeds):
+        if os.getpid() != self._pid:
+            raise RuntimeError("session used in a process that did not open it")
+        (waveform,) = feeds.values()
+        w = waveform[0].astype(np.float64)
+        stats = [w.mean(), w.std(), w.max(), w.min()]
+        if len(w) > LONG_WAVEFORM:
+            stats.append(len(w) / LONG_WAVEFORM)
+        return [np.asarray([stats])]
+
+
+@pytest.fixture
+def fake_onnx_model(tmp_path, monkeypatch):
+    """A model file that ``load_backend`` accepts, run by a stand-in onnxruntime module."""
+    runtime = types.ModuleType("onnxruntime")
+    runtime.InferenceSession = FakeSession
+    monkeypatch.setitem(sys.modules, "onnxruntime", runtime)
+    path = tmp_path / "fake.onnx"
+    path.write_bytes(make_model_bytes(["wave"], ["emb"]))
+    return path

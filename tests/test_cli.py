@@ -2,12 +2,18 @@
 
 import argparse
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_wav, sine, white_noise
-from cloneval import pipeline
+from conftest import LONG_WAVEFORM, SR, SRC, make_wav, sine, white_noise
+from cloneval import cli, pipeline
 from cloneval.cli import _cmd_prompts, main
 from cloneval.errors import ParseError
 from cloneval.features import FEATURE_IDS, SUMMARY_LENGTHS
@@ -44,6 +50,15 @@ def _evaluate_args(corpus, *extra):
         "--output-dir", str(corpus["out"]),
         *extra,
     ]
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and has not exited (a zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
 
 
 class TestEvaluate:
@@ -163,6 +178,91 @@ class TestEvaluate:
             assert rc == 0
         assert dumps[1].read_bytes() == dumps[2].read_bytes()
 
+    @pytest.mark.parametrize("mode", ["precomputed", "model"])
+    def test_outputs_independent_of_worker_processes(self, corpus, tmp_path, fake_onnx_model,
+                                                     mode):
+        # a model backend is reopened in each worker: FakeSession refuses to
+        # run in a process that did not open it
+        embedding = {"precomputed": ["--embeddings-ref", str(corpus["emb"]),
+                                     "--embeddings-gen", str(corpus["emb"])],
+                     "model": ["--embedding-model", str(fake_onnx_model)]}[mode]
+        outputs = {}
+        for workers in (1, 2, 3):
+            out = tmp_path / f"out_w{workers}"
+            dump = tmp_path / f"features_w{workers}.jsonl"
+            rc = main(["evaluate", "--reference-dir", str(corpus["ref"]),
+                       "--generated-dir", str(corpus["gen"]), "--output-dir", str(out),
+                       "--workers", str(workers), "--dump-features", str(dump), *embedding])
+            assert rc == 0
+            outputs[workers] = [p.read_bytes() for p in (
+                out / "details.csv", out / "summary.json", dump)]
+        assert outputs[2] == outputs[1]
+        assert outputs[3] == outputs[1]
+        summary = json.loads(outputs[1][1])
+        assert summary["errors"] == {}
+        assert summary["config"]["embedding_dim"] == {"precomputed": 8, "model": 4}[mode]
+
+    def test_model_dimension_mismatch_fails_the_same_pair(self, corpus, tmp_path,
+                                                          fake_onnx_model):
+        # the first pair fixes the dimension at 4; this generated file gives 5
+        long_tone = sine(330, (LONG_WAVEFORM + 1000) / SR)
+        (corpus["gen"] / "spk1_sad_02.wav").write_bytes(make_wav(long_tone))
+        for workers in (1, 2, 3):
+            out = tmp_path / f"out_w{workers}"
+            rc = main(["evaluate", "--reference-dir", str(corpus["ref"]),
+                       "--generated-dir", str(corpus["gen"]), "--output-dir", str(out),
+                       "--workers", str(workers), "--embedding-model", str(fake_onnx_model)])
+            assert rc == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["errors"] == {
+                "spk1_sad_02": "DimensionMismatch: model produced dimension 5, expected 4"}
+            assert summary["config"]["embedding_dim"] == 4
+
+    def test_dead_worker_process_fails_the_run(self, corpus, monkeypatch, capsys):
+        # forked workers inherit the patch; the calling process never extracts
+        monkeypatch.setattr(pipeline, "extract_summaries", lambda buf: os._exit(3))
+        rc = main(_evaluate_args(corpus, "--no-embedding", "--workers", "2"))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: a worker process died: ")
+        assert not corpus["out"].exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states")
+    def test_killed_run_leaves_no_worker(self, corpus, tmp_path):
+        started = tmp_path / "started"
+        started.mkdir()
+        script = (
+            "import os, time\n"
+            "from cloneval import cli, pipeline\n"
+            "def stall(buf):\n"
+            f"    open(os.path.join({str(started)!r}, str(os.getpid())), 'w').close()\n"
+            "    time.sleep(120)\n"
+            "pipeline.extract_summaries = stall\n"
+            f"cli.main({_evaluate_args(corpus, '--no-embedding', '--workers', '2')!r})\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        run = subprocess.Popen([sys.executable, "-c", script], env=env,
+                               stdout=subprocess.DEVNULL)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline and run.poll() is None:
+                time.sleep(0.05)
+                workers = [int(p.name) for p in started.iterdir()]
+            assert len(workers) == 2
+            run.send_signal(signal.SIGKILL)
+            run.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers))
+        finally:
+            run.kill()
+            run.wait(timeout=10)
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
     @pytest.mark.parametrize("where", ["missing/features.jsonl", ".", "missing/"])
     def test_unwritable_dump_path_is_usage_error(self, corpus, tmp_path, where, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -226,9 +326,9 @@ class TestEvaluate:
         inputs = {"--embeddings-ref": corpus["emb"], "--embeddings-gen": gen_emb,
                   "--emotions": table, "--reference-dir": corpus["ref"] / "spk1_sad_02.wav"}
         previous = {flag: path.read_bytes() for flag, path in inputs.items()}
-        extracted = []
-        monkeypatch.setattr(pipeline, "extract_summaries",
-                            lambda *args, **kwargs: extracted.append(args))
+        evaluated = []
+        monkeypatch.setattr(cli, "evaluate_corpus",
+                            lambda *args, **kwargs: evaluated.append(args))
         with pytest.raises(SystemExit) as excinfo:
             main(_evaluate_args(
                 corpus, "--embeddings-ref", str(corpus["emb"]), "--embeddings-gen", str(gen_emb),
@@ -239,7 +339,7 @@ class TestEvaluate:
         assert err.startswith("usage: cloneval evaluate ")
         what = "a WAV in --reference-dir" if read == "--reference-dir" else f"the {read} file"
         assert f"--dump-features must not name {what}" in err
-        assert extracted == []
+        assert evaluated == []
         assert {flag: path.read_bytes() for flag, path in inputs.items()} == previous
 
     def test_report_naming_a_manifest_is_usage_error(self, corpus, capsys):
@@ -259,9 +359,9 @@ class TestEvaluate:
     def test_output_dir_under_a_file_is_usage_error(self, corpus, tmp_path, where,
                                                      monkeypatch, capsys):
         (tmp_path / "file").write_text("keep me")
-        extracted = []
-        monkeypatch.setattr(pipeline, "extract_summaries",
-                            lambda *args, **kwargs: extracted.append(args))
+        evaluated = []
+        monkeypatch.setattr(cli, "evaluate_corpus",
+                            lambda *args, **kwargs: evaluated.append(args))
         with pytest.raises(SystemExit) as excinfo:
             main(["evaluate", "--reference-dir", str(corpus["ref"]),
                   "--generated-dir", str(corpus["gen"]),
@@ -270,7 +370,7 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("usage: cloneval evaluate ")
         assert f"--output-dir cannot be a directory: {tmp_path / 'file'} is a file" in err
-        assert extracted == []
+        assert evaluated == []
         assert (tmp_path / "file").read_text() == "keep me"
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -358,14 +458,14 @@ class TestEvaluate:
         gen_manifest = {stem: [0.5] * 5 for stem in json.loads(corpus["emb"].read_text())}
         gen_emb = corpus["emb"].with_name("gen_emb.json")
         gen_emb.write_text(json.dumps(gen_manifest))
-        extracted = []
-        monkeypatch.setattr(pipeline, "extract_summaries",
-                            lambda *args, **kwargs: extracted.append(args))
+        evaluated = []
+        monkeypatch.setattr(cli, "evaluate_corpus",
+                            lambda *args, **kwargs: evaluated.append(args))
         rc = main(_evaluate_args(
             corpus, "--embeddings-ref", str(corpus["emb"]), "--embeddings-gen", str(gen_emb)
         ))
         assert rc == 1
-        assert extracted == []
+        assert evaluated == []
         assert capsys.readouterr().err.splitlines() == [
             "error: --embeddings-ref holds 8-dimensional vectors but "
             "--embeddings-gen holds 5-dimensional ones"]

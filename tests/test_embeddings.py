@@ -1,7 +1,7 @@
 """Embedding backend tests.
 
-A minimal protobuf wire-format encoder builds ONNX-shaped model files so the
-graph schema validation can be exercised without onnxruntime installed.
+``conftest.make_model_bytes`` builds ONNX-shaped model files so the graph
+schema validation can be exercised without onnxruntime installed.
 """
 
 import json
@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import mono_buffer, sine
+from conftest import make_model_bytes, mono_buffer, sine
 from cloneval.audio_io import AudioBuffer
 from cloneval.embeddings import (
     embed,
@@ -32,37 +32,6 @@ try:
     HAVE_ORT = True
 except ImportError:
     HAVE_ORT = False
-
-
-def _varint(value: int) -> bytes:
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
-def _field(number: int, payload: bytes) -> bytes:
-    return _varint((number << 3) | 2) + _varint(len(payload)) + payload
-
-
-def _value_info(name: str) -> bytes:
-    return _field(1, name.encode())
-
-
-def _tensor_initializer(name: str) -> bytes:
-    return _field(8, name.encode())  # TensorProto.name
-
-
-def make_model_bytes(inputs, outputs, initializers=()) -> bytes:
-    graph = b"".join(_field(11, _value_info(n)) for n in inputs)
-    graph += b"".join(_field(12, _value_info(n)) for n in outputs)
-    graph += b"".join(_field(5, _tensor_initializer(n)) for n in initializers)
-    return _field(7, graph)  # ModelProto.graph
 
 
 class TestReadPrecomputed:

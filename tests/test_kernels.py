@@ -234,6 +234,26 @@ def test_silence_after_loud_frames_is_exact():
     assert not np.all(cmnd[~silent] == 1.0)
 
 
+def test_silent_gap_between_loud_stretches_is_exact():
+    # The gap starts mid-chunk, after loud noise in the same block: the
+    # running sums of squares stay constant over it, so the frames that see
+    # only the gap read exact silence, in blocks and in one call.
+    hop = oracles.HOP
+    x = np.random.default_rng(7).standard_normal(oracles.SR)
+    gap = slice(4000 + 37, 12000 + 37)
+    x[gap] = 0.0
+    padded = np.pad(x, 512, mode="reflect")
+    n_frames = 1 + len(x) // hop
+    silent = [t for t in range(n_frames)
+              if t * hop - 512 >= gap.start and t * hop - 512 + 1024 <= gap.stop]
+    assert len(silent) > 20
+    blocked = yin_cmnd(padded, n_frames, hop, 512, 320)
+    one_call = _kernels.yin_cmnd(padded, 0, n_frames, hop, 512, 320)
+    assert np.all(blocked[silent] == 1.0)
+    assert np.all(one_call[silent] == 1.0)
+    assert np.all(F.f0_contour(mono_buffer(x))[silent] == 0.0)
+
+
 def test_quiet_frames_after_loud_ones_scale_exactly():
     # Scaling by a power of two is exact, so frames that see only the quiet
     # tone must give the bits of the same frames at full scale. Sums carried

@@ -105,6 +105,16 @@ class TestParseEmotion:
         with pytest.raises(ParseError):
             load_alias_table(path)
 
+    @pytest.mark.parametrize("text, first, second", [
+        ('{"Ang": "anger", "ang": "fear"}', "'Ang': 'anger'", "'ang': 'fear'"),
+        ('{"ang": "anger", "ang": "fear"}', "'ang': 'anger'", "'ang': 'fear'"),
+    ], ids=["case_collision", "listed_twice"])
+    def test_colliding_tokens_rejected(self, tmp_path, text, first, second):
+        path = tmp_path / "aliases.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"entries {first} and {second} name the same token"):
+            load_alias_table(path)
+
     def test_table_mapping_no_token(self, tmp_path):
         # {} would label every pair unknown while the fingerprint says "auto"
         path = tmp_path / "aliases.json"
