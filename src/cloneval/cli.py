@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .embeddings import check_dimension, embed, load_backend
-from .errors import ClonevalError, DimensionMismatch, ParseError
+from .errors import ClonevalError, ParseError
 from .pipeline import (
     REPORT_NAMES,
     EvalConfig,
@@ -141,12 +141,6 @@ def _cmd_evaluate(args, parser) -> int:
     elif args.embeddings_ref:
         backends = tuple(load_backend(precomputed_path=path, expected_dim=args.expected_dim)
                          for path in (args.embeddings_ref, args.embeddings_gen))
-        dims = tuple(backend.dimension for backend in backends)
-        if None not in dims and dims[0] != dims[1]:
-            # every pair would fail at scoring, after its decode and extraction
-            raise DimensionMismatch(
-                f"--embeddings-ref holds {dims[0]}-dimensional vectors but "
-                f"--embeddings-gen holds {dims[1]}-dimensional ones")
 
     pairs, unmatched_ref, unmatched_gen = discover_pairs(args.reference_dir, args.generated_dir)
     for name in unmatched_ref:

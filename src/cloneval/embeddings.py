@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     MissingEmbedding,
     ModelLoadError,
+    NonFiniteEmbedding,
     ParseError,
     SchemaError,
 )
@@ -234,10 +235,14 @@ def load_backend(*, model_path=None, precomputed_path=None, expected_dim=None):
 def embed(backend, buf: AudioBuffer, key: str | None = None) -> np.ndarray:
     """Embed a mono 16 kHz buffer as a float64 vector; precomputed backends look up by key.
 
-    The vector's length is not checked here; ``check_dimension`` does that.
+    A NaN or infinite entry raises NonFiniteEmbedding naming ``key``. The
+    vector's length is not checked here; ``check_dimension`` does that.
     """
     pipeline_samples(buf, "embedding")  # also when the backend never reads the samples
-    return backend._embed(buf, key)
+    vector = backend._embed(buf, key)
+    if not np.all(np.isfinite(vector)):
+        raise NonFiniteEmbedding(f"embedding of {key!r} holds non-finite (NaN or Inf) values")
+    return vector
 
 
 def check_dimension(backend, vector) -> None:

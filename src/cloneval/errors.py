@@ -45,6 +45,10 @@ class DimensionMismatch(ClonevalError):
     """Embedding vectors in one run disagree in dimension."""
 
 
+class NonFiniteEmbedding(ClonevalError):
+    """An embedding backend returned a NaN or infinite value."""
+
+
 class NoPairs(ClonevalError):
     """Reference and generated directories share no file stems."""
 

@@ -5,14 +5,18 @@ vectors so that reference and generated sides can be compared with cosine
 similarity: spectral matrices are averaged over time into per-bin profiles,
 per-frame scalar contours are resampled onto 256 points.
 
-``extract_summaries`` works block by block, and this module owns every
-walk over blocks (``_row_blocks``); the YIN and tempogram kernels compute
-one block per call. It reflect-pads the signal once for YIN, RMS and the
-STFT (``_reflect_pad`` also counts the frames), takes every overlapping
-window as a ``_kernels._windows`` view, and reduces each block of frames
-as soon as it is computed: the pitch, centroid, flatness and rolloff
-contours are filled in, the power spectrum is added to a running sum, and
-the mel frames become onset strength. So no per-file ``(bins, frames)`` or ``(frames, lags)`` matrix is
+Frames are walked in ``_row_blocks`` of at most ``_BLOCK_ROWS``, and only
+this module walks them. Each per-block step is a helper ``(signal, start,
+stop)`` that returns the rows of frames ``start..stop - 1``, as the YIN and
+tempogram kernels do: ``_yin_rows``, ``_rms_rows`` and ``_autocorr_rows``.
+``_by_blocks`` stacks a helper's rows over all blocks. ``_stft_blocks`` is
+the one generator, because the magnitude blocks it yields share its buffers.
+
+``extract_summaries`` reflect-pads the signal once (``_reflect_pad`` also
+counts the frames) and reduces each STFT block as soon as it is computed:
+the centroid, flatness and rolloff contours are filled in, the power
+spectrum is added to a running sum, and the mel frames become onset
+strength. No per-file ``(bins, frames)`` or ``(frames, lags)`` matrix is
 built. Of each matrix feature only the time mean is kept, and by linearity
 it is taken where it costs least:
 
@@ -28,8 +32,7 @@ bank is 98.5% zeros, and ``_mel_groups`` keeps, for each group of 8 filters,
 only the bins their triangles cover. No matrix product sums over more than
 99 bins, so the bits do not depend on the BLAS thread count.
 
-The public per-feature functions still return whole-file matrices and
-contours; the block pass calls the same functions on one block at a time.
+The public per-feature functions return whole-file matrices and contours.
 Spectra are plain ``(bins, frames)`` arrays: ``stft`` returns magnitudes,
 ``mel_spectrogram`` mel powers, and each function's parameter name says
 which of the two it takes.
@@ -129,8 +132,26 @@ def _row_blocks(n):
     return zip(edges[:-1], edges[1:])
 
 
+def _by_blocks(rows, signal, n_frames):
+    """``rows(signal, start, stop)`` over the ``_row_blocks`` of ``n_frames``, stacked.
+
+    No frames give the helper's empty block ``(0, 0)``, which keeps its row width.
+    """
+    blocks = [rows(signal, start, stop) for start, stop in _row_blocks(n_frames)]
+    return np.concatenate(blocks or [rows(signal, 0, 0)])
+
+
 def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+_STFT_WINDOW = _read_only(hann_window(N_FFT))
+_TEMPOGRAM_WINDOW = _read_only(hann_window(TEMPOGRAM_WIN))
 
 
 def _padded(buf: AudioBuffer):
@@ -171,13 +192,12 @@ def _stft_blocks(padded: np.ndarray, n_frames: int):
     held in one buffer that the next block overwrites.
     """
     frames = _kernels._windows(padded, 0, n_frames, HOP, N_FFT)
-    window = hann_window(N_FFT)
     rows = min(n_frames, _BLOCK_ROWS)
     windowed = np.empty((rows, N_FFT))
     mag = np.empty((rows, _N_BINS))
     for start, stop in _row_blocks(n_frames):
         count = stop - start
-        np.multiply(frames[start:stop], window, out=windowed[:count])
+        np.multiply(frames[start:stop], _STFT_WINDOW, out=windowed[:count])
         np.abs(np.fft.rfft(windowed[:count], axis=1), out=mag[:count])
         yield start, stop, mag[:count]
 
@@ -207,11 +227,6 @@ def _triangle_bank(edges: np.ndarray, bin_freqs: np.ndarray) -> np.ndarray:
     rising = -ramps[:-2] / np.diff(edges)[:-1, None]
     falling = ramps[2:] / np.diff(edges)[1:, None]
     return np.maximum(0.0, np.minimum(rising, falling))
-
-
-def _read_only(bank: np.ndarray) -> np.ndarray:
-    bank.flags.writeable = False
-    return bank
 
 
 # Each filterbank is built once and shared read-only; the public builders
@@ -272,16 +287,12 @@ def f0_contour(buf: AudioBuffer) -> np.ndarray:
     for the first trough below the threshold; the trough is refined by
     parabolic interpolation. YIN: de Cheveigne & Kawahara (2002).
     """
-    return _yin_f0(*_padded(buf))
+    return _by_blocks(_yin_rows, *_padded(buf))
 
 
-def _yin_f0(padded, n_frames):
-    """``f0_contour`` of the signal whose ``_reflect_pad`` is ``(padded, n_frames)``."""
-    out = np.empty(n_frames)
-    for start, stop in _row_blocks(n_frames):
-        cmnd = _kernels.yin_cmnd(padded, start, stop, HOP, _YIN_WIN, _TAU_MAX)
-        out[start:stop] = _yin_troughs(cmnd)
-    return out
+def _yin_rows(padded, start, stop):
+    """``f0_contour`` of frames ``start..stop - 1`` of the ``_reflect_pad``-ed signal."""
+    return _yin_troughs(_kernels.yin_cmnd(padded, start, stop, HOP, _YIN_WIN, _TAU_MAX))
 
 
 def _yin_troughs(cmnd):
@@ -314,28 +325,21 @@ def _yin_troughs(cmnd):
 def rms_envelope(buf: AudioBuffer) -> np.ndarray:
     """Per-frame RMS of windowless centered frames.
 
-    A frame is ``N_FFT / HOP`` consecutive ``HOP``-sample blocks, shared with
-    the neighbouring frames; its sum of squares adds up those blocks' sums.
+    A frame is ``N_FFT / HOP`` consecutive ``HOP``-sample chunks, shared with
+    the neighbouring frames; its sum of squares adds up those chunks' sums.
     """
-    return _rms(*_padded(buf))
+    return _by_blocks(_rms_rows, *_padded(buf))
 
 
-def _rms(padded: np.ndarray, n_frames: int) -> np.ndarray:
-    """``rms_envelope`` of the signal whose ``_reflect_pad`` is ``(padded, n_frames)``.
+def _rms_rows(padded, start, stop):
+    """``rms_envelope`` of frames ``start..stop - 1`` of the ``_reflect_pad``-ed signal.
 
-    The blocks are squared and summed ``_row_blocks`` rows at a time, so the
-    squares take one block-sized buffer, not a signal-sized array.
+    The frames span the chunks ``start..stop + N_FFT / HOP - 2``.
     """
     per_frame = N_FFT // HOP
-    n_blocks = n_frames + per_frame - 1
-    sums = np.empty(n_blocks)
-    squares = np.empty((min(n_blocks, _BLOCK_ROWS), HOP))
-    for start, stop in _row_blocks(n_blocks):
-        blocks = padded[start * HOP : stop * HOP].reshape(-1, HOP)
-        rows = squares[: stop - start]
-        np.multiply(blocks, blocks, out=rows)
-        rows.sum(axis=1, out=sums[start:stop])
-    return np.sqrt(_kernels._frame_sums(sums, n_frames, per_frame) / N_FFT)
+    chunks = padded[start * HOP : (stop + per_frame - 1) * HOP].reshape(-1, HOP)
+    sums = np.multiply(chunks, chunks).sum(axis=1)
+    return np.sqrt(_kernels._frame_sums(sums, stop - start, per_frame) / N_FFT)
 
 
 def spectral_centroid(magnitude: np.ndarray) -> np.ndarray:
@@ -377,31 +381,26 @@ def tempogram(onset: np.ndarray) -> np.ndarray:
     """Windowed local autocorrelation of the onset envelope, (TEMPOGRAM_WIN, frames).
 
     Each column is normalized by its lag-0 value; columns whose window holds
-    no energy are left at zero. Each block of ``_autocorr_blocks`` is
-    inverted to its columns.
+    no energy are left at zero.
     """
-    out = np.empty((TEMPOGRAM_WIN, len(onset)))
-    for start, stop, power in _autocorr_blocks(onset):
-        out[:, start:stop] = _autocorr(power).T
-    return out
+    return _autocorr(_by_blocks(_autocorr_rows, onset, len(onset))).T
 
 
 def _tempogram_mean(onset: np.ndarray) -> np.ndarray:
     """Time mean of ``tempogram(onset)``: one inverse FFT of the summed power spectra."""
-    total = sum(power.sum(axis=0) for _, _, power in _autocorr_blocks(onset))
+    total = sum(_autocorr_rows(onset, start, stop).sum(axis=0)
+                for start, stop in _row_blocks(len(onset)))
     return _autocorr(total) / len(onset)
 
 
-def _autocorr_blocks(onset: np.ndarray):
-    """Yield ``(start, stop, power)`` per ``_row_blocks`` block of onset frames.
+def _autocorr_rows(onset, start, stop):
+    """``_kernels.local_autocorr`` power rows of onset frames ``start..stop - 1``.
 
-    ``power`` is ``_kernels.local_autocorr`` of the frames' centered windows,
-    zeros outside the envelope; only the blocks at its ends copy them.
+    A frame's window is centered on it, zeros outside the envelope; only
+    the blocks at its ends copy them.
     """
-    window = hann_window(TEMPOGRAM_WIN)
-    for start, stop in _row_blocks(len(onset)):
-        windows = _kernels._windows(onset, start - TEMPOGRAM_WIN // 2, stop - start, 1, TEMPOGRAM_WIN)
-        yield start, stop, _kernels.local_autocorr(windows, window)
+    windows = _kernels._windows(onset, start - TEMPOGRAM_WIN // 2, stop - start, 1, TEMPOGRAM_WIN)
+    return _kernels.local_autocorr(windows, _TEMPOGRAM_WINDOW)
 
 
 def _autocorr(power: np.ndarray) -> np.ndarray:
@@ -492,8 +491,8 @@ def extract_summaries(buf: AudioBuffer) -> dict:
     """
     padded, n_frames = _padded(buf)
     raw = _stft_pass(padded, n_frames)
-    raw["pitch"] = _yin_f0(padded, n_frames)
-    raw["rms"] = _rms(padded, n_frames)
+    raw["pitch"] = _by_blocks(_yin_rows, padded, n_frames)
+    raw["rms"] = _by_blocks(_rms_rows, padded, n_frames)
     return {fid: summarize(fid, raw[fid]) for fid in FEATURE_IDS}
 
 

@@ -21,7 +21,14 @@ import numpy as np
 from . import __version__
 from .audio_io import PIPELINE_RATE, decode_wav, downmix_mono, resample
 from .embeddings import check_dimension, embed
-from .errors import EmptyInput, EvaluationFailed, NoPairs, ParseError, TooFewSamples
+from .errors import (
+    DimensionMismatch,
+    EmptyInput,
+    EvaluationFailed,
+    NoPairs,
+    ParseError,
+    TooFewSamples,
+)
 from .features import FEATURE_IDS, HOP, N_FFT, extract_summaries
 from .similarity import EMBEDDING_METRIC, metric_order, score_pair
 
@@ -257,7 +264,8 @@ def evaluate_corpus(pairs, config: EvalConfig, dump=None):
     EvaluationFailed when no pair survives or a worker process dies.
     ``config.workers`` below 1, ``config.backends`` other than None or a
     pair of backends, or ``config.aliases`` that break ``_check_aliases``
-    raise ValueError before any file is read. ``dump``, when given, is
+    raise ValueError before any file is read, and two backends of known
+    but different dimensions raise DimensionMismatch. ``dump``, when given, is
     called as ``dump(pair_id, side, feature_id, vector)`` for every feature
     summary of every pair whose features were extracted, also when its
     embedding or scoring fails later, with ``side`` "reference" or
@@ -270,6 +278,11 @@ def evaluate_corpus(pairs, config: EvalConfig, dump=None):
         isinstance(backends, tuple) and len(backends) == 2 and None not in backends
     ):
         raise ValueError("config.backends must be None or a (reference, generated) pair")
+    dims = tuple(backend.dimension for backend in backends or ())
+    if None not in dims and len(set(dims)) > 1:
+        # every pair would fail at scoring, after its decode and extraction
+        raise DimensionMismatch(f"reference embeddings have {dims[0]} dimensions but "
+                                f"generated embeddings have {dims[1]}")
     if config.workers < 1:
         raise ValueError("config.workers must be at least 1")
     records = []

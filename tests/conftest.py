@@ -179,6 +179,20 @@ class FakeSession:
         return [np.asarray([stats])]
 
 
+class NanSession(FakeSession):
+    """A ``FakeSession`` whose embedding is ``[nan, 1, 2, 3]`` for every waveform."""
+
+    def run(self, output_names, feeds):
+        return [np.asarray([[np.nan, 1.0, 2.0, 3.0]])]
+
+
+@pytest.fixture
+def nan_onnx_model(fake_onnx_model):
+    """``fake_onnx_model``, run by ``NanSession``."""
+    sys.modules["onnxruntime"].InferenceSession = NanSession
+    return fake_onnx_model
+
+
 @pytest.fixture
 def fake_onnx_model(tmp_path, monkeypatch):
     """A model file that ``load_backend`` accepts, run by a stand-in onnxruntime module."""

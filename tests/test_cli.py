@@ -458,17 +458,28 @@ class TestEvaluate:
         gen_manifest = {stem: [0.5] * 5 for stem in json.loads(corpus["emb"].read_text())}
         gen_emb = corpus["emb"].with_name("gen_emb.json")
         gen_emb.write_text(json.dumps(gen_manifest))
-        evaluated = []
-        monkeypatch.setattr(cli, "evaluate_corpus",
-                            lambda *args, **kwargs: evaluated.append(args))
+        scored = []
+        monkeypatch.setattr(pipeline, "_pair_outcomes",
+                            lambda pairs, config: scored.append(pairs) or iter(()))
         rc = main(_evaluate_args(
             corpus, "--embeddings-ref", str(corpus["emb"]), "--embeddings-gen", str(gen_emb)
         ))
         assert rc == 1
-        assert evaluated == []
+        assert scored == []
         assert capsys.readouterr().err.splitlines() == [
-            "error: --embeddings-ref holds 8-dimensional vectors but "
-            "--embeddings-gen holds 5-dimensional ones"]
+            "error: reference embeddings have 8 dimensions but "
+            "generated embeddings have 5"]
+        assert not corpus["out"].exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_model_embedding_fails_its_pairs(self, corpus, nan_onnx_model, workers,
+                                                       capsys):
+        rc = main(_evaluate_args(corpus, "--workers", str(workers),
+                                 "--embedding-model", str(nan_onnx_model)))
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: all 3 pairs failed; first error: NonFiniteEmbedding: embedding of "
+            "'spk1_happy_01' holds non-finite (NaN or Inf) values"]
         assert not corpus["out"].exists()
 
     def test_help_available(self, capsys):
@@ -625,6 +636,18 @@ class TestEmbedCommand:
         err = capsys.readouterr().err
         assert err.startswith("usage: cloneval embed ")
         assert "--out must name a file in an existing directory" in err
+
+    def test_non_finite_embedding_writes_no_manifest(self, tmp_path, nan_onnx_model, capsys):
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        (wav_dir / "a.wav").write_bytes(make_wav(sine(220, 0.05)))
+        out = tmp_path / "e.json"
+        rc = main(["embed", "--input-dir", str(wav_dir), "--model", str(nan_onnx_model),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: embedding of 'a' holds non-finite (NaN or Inf) values\n")
+        assert not out.exists()
 
     def test_out_naming_an_input_wav_is_usage_error(self, tmp_path, capsys):
         # checked before the model is loaded: this one does not exist

@@ -233,7 +233,7 @@ class TestTempogram:
         assert abs(lag - 31) <= 1  # 0.5 s period = 31.25 frames
         assert profile[lag] >= profile[lag - 1] and profile[lag] >= profile[lag + 1]
 
-    @pytest.mark.parametrize("length", [1, 5, 384, 500])
+    @pytest.mark.parametrize("length", [0, 1, 5, 384, 500])
     def test_row_count_fixed(self, length):
         out = F.tempogram(np.abs(np.sin(np.arange(length))))
         assert out.shape == (384, length)

@@ -1,0 +1,189 @@
+"""Golden reports: ``details.csv`` and ``summary.json`` of a small fixed corpus.
+
+The corpus is written to a temporary directory. It has mono and stereo
+files at 16, 44.1 and 48 kHz in PCM16, PCM24 and float32, with precomputed
+embedding manifests. One pair carries an emotion label. One pair is noise
+on both sides, so its pitch contours are unvoiced. One generated file is
+corrupt, so its pair lands in ``errors``. The noise, the tones and the
+embeddings come from ``random.Random.random`` and ``math``, not from
+numpy, whose ``Generator`` streams may change between versions (NEP 19);
+``random()`` is the one ``Random`` method whose stream Python keeps.
+
+``evaluate`` runs from inside the corpus directory on relative paths, with
+``--workers 1`` and with ``--workers 2``. When numpy's version equals the
+one recorded in ``tests/golden/numpy_version.txt``, both runs must give
+the committed bytes. Under another numpy version the reports are parsed
+and every score must match at 1e-6, the report precision; every other
+field must match exactly. The test prints which of the two checks ran.
+
+A change that moves a report byte on purpose regenerates the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says in its change log which rows moved and why.
+"""
+
+import csv
+import io
+import json
+import math
+import os
+import random
+from pathlib import Path
+
+import numpy as np
+
+from conftest import make_wav
+from cloneval import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+REPORTS = ("details.csv", "summary.json")
+NUMPY_VERSION_FILE = GOLDEN / "numpy_version.txt"
+SCORE_TOLERANCE = 1e-6
+EMBED_DIM = 8
+
+# stem: ((rate, format, channels) of the reference, of the generated file,
+#        seconds, content)
+PAIRS = {
+    "spk1_happy_01": ((16000, "pcm16", 1), (44100, "pcm24", 2), 0.9, "voiced"),
+    "spk2_02": ((48000, "float32", 2), (16000, "pcm16", 1), 0.7, "voiced"),
+    "noise_03": ((16000, "pcm16", 1), (16000, "pcm24", 1), 0.6, "noise"),
+    "spk3_04": ((44100, "float32", 1), (48000, "pcm24", 2), 0.8, "voiced"),
+    "broken_05": ((16000, "pcm16", 1), (16000, "pcm16", 1), 0.5, "corrupt"),
+}
+
+
+def _uniform(rng, lo, hi):
+    return lo + (hi - lo) * rng.random()
+
+
+def _voiced(rng, seconds, rate):
+    """A harmonic tone with vibrato under a syllable envelope, plus light noise."""
+    f0 = _uniform(rng, 110.0, 240.0)
+    rate_hz, depth = _uniform(rng, 3.0, 6.0), _uniform(rng, 0.01, 0.03)
+    amps = [_uniform(rng, 0.2, 1.0) / k for k in range(1, 6)]
+    phase, out = 0.0, []
+    for n in range(int(seconds * rate)):
+        t = n / rate
+        phase += 2.0 * math.pi * f0 * (1.0 + depth * math.sin(2.0 * math.pi * rate_hz * t)) / rate
+        envelope = 0.5 - 0.5 * math.cos(2.0 * math.pi * t / seconds)
+        tone = sum(a * math.sin(k * phase) for k, a in enumerate(amps, start=1))
+        out.append(0.3 * envelope * tone + _uniform(rng, -0.02, 0.02))
+    return out
+
+
+def _noise(rng, seconds, rate):
+    return [_uniform(rng, -0.4, 0.4) for _ in range(int(seconds * rate))]
+
+
+def _render(rng, layout, seconds, content):
+    rate, fmt, channels = layout
+    mono = (_noise if content == "noise" else _voiced)(rng, seconds, rate)
+    samples = np.asarray(mono) if channels == 1 else np.asarray(
+        [(s, 0.8 * s) for s in mono])
+    return make_wav(samples, sr=rate, fmt=fmt)
+
+
+def write_corpus(root, seed=19):
+    """Write ``ref/``, ``gen/``, ``ref.json`` and ``gen.json`` under ``root``."""
+    rng = random.Random(seed)
+    root = Path(root)
+    for side in ("ref", "gen"):
+        (root / side).mkdir()
+    manifests = {"ref": {}, "gen": {}}
+    for stem, (ref_layout, gen_layout, seconds, content) in PAIRS.items():
+        (root / "ref" / f"{stem}.wav").write_bytes(_render(rng, ref_layout, seconds, content))
+        gen = (b"RIFF\x24\x00\x00\x00WAVEjunk" if content == "corrupt"
+               else _render(rng, gen_layout, seconds, content))
+        (root / "gen" / f"{stem}.wav").write_bytes(gen)
+        vector = [_uniform(rng, -1.0, 1.0) for _ in range(EMBED_DIM)]
+        manifests["ref"][stem] = vector
+        manifests["gen"][stem] = [v + _uniform(rng, -0.5, 0.5) for v in vector]
+    for side, manifest in manifests.items():
+        (root / f"{side}.json").write_text(json.dumps(manifest, sort_keys=True))
+
+
+def run_reports(root, workers):
+    """Run ``evaluate`` in ``root`` on relative paths; the two reports' bytes."""
+    out = f"out_w{workers}"
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        rc = cli.main(["evaluate", "--reference-dir", "ref", "--generated-dir", "gen",
+                       "--output-dir", out, "--embeddings-ref", "ref.json",
+                       "--embeddings-gen", "gen.json", "--workers", str(workers)])
+    finally:
+        os.chdir(cwd)
+    assert rc == 0
+    return {name: (Path(root) / out / name).read_bytes() for name in REPORTS}
+
+
+def _first_difference(name, got, want):
+    for line_no, (a, b) in enumerate(zip(got.splitlines(), want.splitlines()), start=1):
+        if a != b:
+            return f"{name}:{line_no}: got {a!r}, golden {b!r}"
+    return f"{name}: {len(got.splitlines())} lines, golden {len(want.splitlines())}"
+
+
+def _close(got, want, where):
+    """Assert that parsed report values match: numbers at the tolerance, the rest exactly."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            _close(a, b, f"{where}[{i}]")
+    elif isinstance(want, float) and not isinstance(want, bool):
+        assert abs(got - want) <= SCORE_TOLERANCE * (1 + 1e-9), f"{where}: {got} vs {want}"
+    else:
+        assert got == want, f"{where}: {got!r} vs {want!r}"
+
+
+def _parsed(name, data):
+    text = data.decode("utf-8")
+    if name == "summary.json":
+        return json.loads(text)
+    rows = list(csv.reader(io.StringIO(text)))
+    scores = slice(4, len(rows[0]) - 1)  # between the emotion and the flags columns
+    return [row[: scores.start] + [float(v) for v in row[scores]] + row[scores.stop :]
+            if i else row for i, row in enumerate(rows)]
+
+
+def test_reports_match_golden(tmp_path):
+    write_corpus(tmp_path)
+    golden = {name: (GOLDEN / name).read_bytes() for name in REPORTS}
+    exact = np.__version__ == NUMPY_VERSION_FILE.read_text().strip()
+    print(f"golden check: {'bytes' if exact else f'scores at {SCORE_TOLERANCE}'} "
+          f"(numpy {np.__version__})")
+    for workers in (1, 2):
+        reports = run_reports(tmp_path, workers)
+        for name in REPORTS:
+            if exact:
+                assert reports[name] == golden[name], _first_difference(
+                    name, reports[name], golden[name])
+            else:
+                _close(_parsed(name, reports[name]), _parsed(name, golden[name]), name)
+
+
+def test_golden_corpus_covers_its_cases():
+    summary = json.loads((GOLDEN / "summary.json").read_text())
+    assert sorted(summary["errors"]) == ["broken_05"]
+    assert summary["counts"] == {"happiness": 1, "unknown": 3}
+    details = (GOLDEN / "details.csv").read_text().splitlines()
+    assert details[1].startswith("noise_03,ref/noise_03.wav,gen/noise_03.wav,unknown,")
+    assert "pitch=both_zero" in details[1]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        write_corpus(tmp)
+        reports = run_reports(tmp, 1)
+    GOLDEN.mkdir(exist_ok=True)
+    for name, data in reports.items():
+        (GOLDEN / name).write_bytes(data)
+    NUMPY_VERSION_FILE.write_text(np.__version__ + "\n")
+    print(f"wrote {', '.join(REPORTS)} and {NUMPY_VERSION_FILE.name} to {GOLDEN}")

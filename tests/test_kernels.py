@@ -17,7 +17,7 @@ def onset_windows(env, rows):
 
 def local_autocorr_power(env):
     """The kernel's rows for ``env``, one call per block, as one (frames, bins) matrix."""
-    return np.concatenate([power for _, _, power in F._autocorr_blocks(env)])
+    return F._by_blocks(F._autocorr_rows, env, len(env))
 
 
 def local_autocorr(env):

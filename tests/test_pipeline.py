@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_wav, sine, white_noise
 from cloneval import pipeline
 from cloneval.embeddings import load_backend
-from cloneval.errors import EmptyInput, NoPairs, ParseError, TooFewSamples
+from cloneval.errors import DimensionMismatch, EmptyInput, NoPairs, ParseError, TooFewSamples
 from cloneval.features import FEATURE_IDS
 from cloneval.pipeline import (
     EvalConfig,
@@ -190,6 +190,20 @@ class TestEvaluateCorpus:
         with pytest.raises(ValueError):
             _identity_run(wav_dir_factory, {"a": sine(220, 0.2), "b": sine(330, 0.2)},
                           **kwargs)
+        assert decoded == []
+
+    def test_backend_dimensions_differ_before_decoding(self, wav_dir_factory, tmp_path,
+                                                       monkeypatch):
+        backends = []
+        for side, dim in (("ref", 192), ("gen", 100)):
+            path = tmp_path / f"{side}.json"
+            path.write_text(json.dumps({"a": [0.5] * dim}))
+            backends.append(load_backend(precomputed_path=str(path)))
+        decoded = []
+        monkeypatch.setattr(pipeline, "decode_wav", decoded.append)
+        with pytest.raises(DimensionMismatch, match="^reference embeddings have 192 "
+                           "dimensions but generated embeddings have 100$"):
+            _identity_run(wav_dir_factory, {"a": sine(220, 0.2)}, backends=tuple(backends))
         assert decoded == []
 
     def test_emotions_off(self, wav_dir_factory):
