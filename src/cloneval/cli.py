@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .embeddings import check_dimension, embed, load_backend
-from .errors import ClonevalError, ParseError
+from .errors import ClonevalError, EvaluationFailed, ParseError
 from .pipeline import (
     REPORT_NAMES,
     EvalConfig,
@@ -165,6 +165,9 @@ def _cmd_evaluate(args, parser) -> int:
     records, errors = evaluate_corpus(pairs, config, dump=dump)
     for pair_id in sorted(errors):
         print(f"warning: pair {pair_id} failed: {errors[pair_id]}", file=sys.stderr)
+    if not records:
+        raise EvaluationFailed(f"all {len(pairs)} pairs failed; first error: "
+                               f"{errors[min(errors)]}")
 
     summary = aggregate(records, config.fingerprint())
     details_path, summary_path = write_reports(

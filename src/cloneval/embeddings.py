@@ -37,7 +37,7 @@ def read_precomputed(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also bad JSON or bad UTF-8
         raise ParseError(f"cannot read embedding manifest {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("embedding manifest must be a JSON object")

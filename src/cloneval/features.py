@@ -93,19 +93,6 @@ ROLLOFF_FRACTION = 0.85
 TEMPOGRAM_WIN = 384
 CONTOUR_POINTS = 256
 
-SUMMARY_LENGTHS = {
-    "pitch": CONTOUR_POINTS,
-    "mel_spectrogram": N_MELS,
-    "rms": CONTOUR_POINTS,
-    "spectral_centroid": CONTOUR_POINTS,
-    "spectral_flatness": CONTOUR_POINTS,
-    "spectral_rolloff": CONTOUR_POINTS,
-    "tempogram": TEMPOGRAM_WIN,
-    "chromagram": 12,
-    "pseudo_cqt": CQT_BINS,
-    "chroma_cqt": 12,
-}
-
 _N_BINS = N_FFT // 2 + 1
 _FLATNESS_FLOOR = 1e-10
 # YIN compares the first half of each frame with itself shifted by a lag.

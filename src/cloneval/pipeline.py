@@ -1,7 +1,7 @@
 """End-to-end evaluation: pair discovery, scoring, aggregation, reports.
 
 A run walks two flat directories of WAV files matched by stem, scores every
-pair on the enabled metrics, and writes two files: ``details.csv`` with one
+pair on the run's metrics, and writes two files: ``details.csv`` with one
 row per pair and ``summary.json`` with overall and per-emotion means. Scores
 are quantized to six decimals at the reporting boundary so the two files
 stay mutually consistent and byte-reproducible.
@@ -83,7 +83,7 @@ def load_alias_table(path) -> dict:
             # objects load as tuples of their (key, value) entries, so an
             # entry listed twice is still there to be reported
             raw = json.load(fh, object_pairs_hook=tuple)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also bad JSON or bad UTF-8
         raise ParseError(f"cannot read alias table {path}: {exc}") from exc
     if not isinstance(raw, tuple):
         raise ParseError("alias table must be a JSON object")
@@ -145,11 +145,34 @@ def discover_pairs(ref_dir, gen_dir):
     return pairs, unmatched_ref, unmatched_gen
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalConfig:
+    """One run's settings, checked when made and frozen after.
+
+    ``backends`` other than None or a pair of backends, ``aliases`` that fail
+    ``_check_aliases`` and ``workers`` below 1 raise ValueError; two backends
+    of known, different dimensions raise DimensionMismatch.
+    """
+
     backends: tuple | None = None  # (reference, generated); None disables the embedding metric
     aliases: dict | None = None  # None: DEFAULT_ALIASES; {}: every label is unknown
     workers: int = 1
+
+    def __post_init__(self):
+        if self.aliases is not None:
+            _check_aliases(self.aliases)
+        backends = self.backends
+        if backends is not None and not (
+            isinstance(backends, tuple) and len(backends) == 2 and None not in backends
+        ):
+            raise ValueError("EvalConfig.backends must be None or a (reference, generated) pair")
+        dims = tuple(backend.dimension for backend in backends or ())
+        if None not in dims and len(set(dims)) > 1:
+            # every pair would fail at scoring, after its decode and extraction
+            raise DimensionMismatch(f"reference embeddings have {dims[0]} dimensions but "
+                                    f"generated embeddings have {dims[1]}")
+        if self.workers < 1:
+            raise ValueError("EvalConfig.workers must be at least 1")
 
     def fingerprint(self) -> dict:
         backend = self.backends[0] if self.backends else None
@@ -159,7 +182,7 @@ class EvalConfig:
             "n_fft": N_FFT,
             "hop": HOP,
             "window": "hann",
-            "metrics": metric_order(FEATURE_IDS, backend is not None),
+            "metrics": metric_order(backend is not None),
             "embedding_backend": backend.describe() if backend else "disabled",
             "embedding_dim": backend.dimension if backend else None,
             "emotions": "off" if self.aliases == {} else "auto",
@@ -173,7 +196,7 @@ def load_mono_16k(path):
 
 
 def _pair_vectors(pair, backends):
-    """Decode, resample, extract and embed one pair: ``(stem, ref, gen, error)``.
+    """Decode, resample, extract and embed one pair: ``(ref, gen, error)``.
 
     ``ref`` and ``gen`` map metric ids to vectors: the ten feature summaries,
     plus the embedding under ``EMBEDDING_METRIC`` when ``backends`` is a
@@ -191,8 +214,8 @@ def _pair_vectors(pair, backends):
             ref[EMBEDDING_METRIC] = embed(backends[0], ref_buf, key=stem)
             gen[EMBEDDING_METRIC] = embed(backends[1], gen_buf, key=stem)
     except Exception as exc:
-        return stem, ref, gen, f"{type(exc).__name__}: {exc}"
-    return stem, ref, gen, None
+        return ref, gen, f"{type(exc).__name__}: {exc}"
+    return ref, gen, None
 
 
 _worker_backends = None  # set in each worker process by _start_worker
@@ -252,43 +275,27 @@ def _pair_outcomes(pairs, config):
 
 
 def evaluate_corpus(pairs, config: EvalConfig, dump=None):
-    """Score every pair; failures are isolated and reported, not fatal.
+    """Score every pair of a checked ``config``; a pair's failure is reported, not fatal.
 
-    Returns (records, errors) with records sorted by pair_id, so the result
-    does not depend on the worker count. Each pair is decoded, resampled,
-    extracted and embedded by ``_pair_vectors``: in the calling process when
-    ``config.workers`` is 1, else in that many forked worker processes, at
-    most one per pair. Everything else runs in the calling process, in pair
-    order: ``dump``, the embedding dimension check (a model backend without
-    a dimension takes the first one it sees) and ``score_pair``. Raises
-    EvaluationFailed when no pair survives or a worker process dies.
-    ``config.workers`` below 1, ``config.backends`` other than None or a
-    pair of backends, or ``config.aliases`` that break ``_check_aliases``
-    raise ValueError before any file is read, and two backends of known
-    but different dimensions raise DimensionMismatch. ``dump``, when given, is
-    called as ``dump(pair_id, side, feature_id, vector)`` for every feature
-    summary of every pair whose features were extracted, also when its
-    embedding or scoring fails later, with ``side`` "reference" or
+    Returns (records, errors): the records sorted by pair_id, so the result
+    does not depend on the worker count, and each failed pair's stem mapped
+    to its reason. When every pair fails, records is empty. ``_pair_vectors``
+    decodes, resamples, extracts and embeds each pair: in the calling process
+    when ``config.workers`` is 1, else in that many forked worker processes,
+    at most one per pair. Everything else runs in the calling process, in
+    pair order: ``dump``, the embedding dimension check (a model backend
+    without a dimension takes the first one it sees) and ``score_pair``.
+    Raises EvaluationFailed only when a worker process dies. ``dump``, when
+    given, is called as ``dump(pair_id, side, feature_id, vector)`` for every
+    feature summary of every pair whose features were extracted, also when
+    its embedding or scoring fails later, with ``side`` "reference" or
     "generated".
     """
-    if config.aliases is not None:
-        _check_aliases(config.aliases)
     backends = config.backends
-    if backends is not None and not (
-        isinstance(backends, tuple) and len(backends) == 2 and None not in backends
-    ):
-        raise ValueError("config.backends must be None or a (reference, generated) pair")
-    dims = tuple(backend.dimension for backend in backends or ())
-    if None not in dims and len(set(dims)) > 1:
-        # every pair would fail at scoring, after its decode and extraction
-        raise DimensionMismatch(f"reference embeddings have {dims[0]} dimensions but "
-                                f"generated embeddings have {dims[1]}")
-    if config.workers < 1:
-        raise ValueError("config.workers must be at least 1")
     records = []
     errors = {}
     outcomes = _pair_outcomes(pairs, config)
-    for (stem, ref_path, gen_path), (_, ref, gen, error) in zip(pairs, outcomes):
+    for (stem, ref_path, gen_path), (ref, gen, error) in zip(pairs, outcomes, strict=True):
         try:
             if ref is not None and dump is not None:
                 for side_name, side in (("reference", ref), ("generated", gen)):
@@ -306,9 +313,6 @@ def evaluate_corpus(pairs, config: EvalConfig, dump=None):
             error = f"{type(exc).__name__}: {exc}"
         if error is not None:
             errors[stem] = error
-    if pairs and not records:
-        raise EvaluationFailed(f"all {len(pairs)} pairs failed; first error: "
-                               f"{errors[sorted(errors)[0]]}")
     records.sort(key=lambda r: r.pair_id)
     return records, errors
 

@@ -63,24 +63,27 @@ class PairRecord:
     generated_file: str = ""
 
 
-def metric_order(feature_ids, with_embedding: bool) -> list:
-    order = [EMBEDDING_METRIC] if with_embedding else []
-    order.extend(f for f in FEATURE_IDS if f in feature_ids)
-    return order
+def metric_order(with_embedding: bool) -> list:
+    """The run's metric ids in report column order: the embedding, then ``FEATURE_IDS``."""
+    return [EMBEDDING_METRIC, *FEATURE_IDS] if with_embedding else list(FEATURE_IDS)
 
 
 def score_pair(pair_id: str, emotion: str, ref: dict, gen: dict) -> PairRecord:
-    """Score one reference/generated pair on every metric its sides carry.
+    """Score one reference/generated pair on the run's metrics.
 
-    Each side is ``{metric_id: vector}``: feature summaries by feature id,
-    plus the speaker embedding under ``EMBEDDING_METRIC`` when it is scored.
-    Both sides must carry the same metric ids, all of them known.
+    Each side is ``{metric_id: vector}``: the summary of every feature in
+    ``FEATURE_IDS``, plus the speaker embedding under ``EMBEDDING_METRIC``
+    when the run scores it. Both sides must carry exactly
+    ``metric_order(EMBEDDING_METRIC in ref)``; any other side raises
+    LengthMismatch naming the missing and the extra ids.
     """
-    if set(ref) != set(gen):
-        raise LengthMismatch("reference and generated sides carry different metrics")
-    order = metric_order(ref, EMBEDDING_METRIC in ref)
-    if len(order) != len(ref):
-        raise ValueError(f"unknown metric ids: {sorted(set(ref) - set(order))}")
+    order = metric_order(EMBEDDING_METRIC in ref)
+    expected = set(order)
+    for side_name, side in (("reference", ref), ("generated", gen)):
+        if side.keys() != expected:
+            raise LengthMismatch(
+                f"{side_name} side does not carry the run's metrics: missing "
+                f"{sorted(expected - side.keys())}, extra {sorted(side.keys() - expected)}")
 
     record = PairRecord(pair_id=pair_id, emotion=emotion)
     for metric in order:

@@ -13,6 +13,25 @@ from cloneval.audio_io import AudioBuffer, decode_wav, downmix_mono, resample
 from cloneval.errors import FormatError
 
 
+def _riff(fmt_body, data):
+    """A RIFF/WAVE file of one ``fmt `` chunk and one ``data`` chunk (None: no data chunk)."""
+    blob = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
+    if data is not None:
+        blob += b"data" + struct.pack("<I", len(data)) + data
+    return b"RIFF" + struct.pack("<I", len(blob)) + blob
+
+
+def _extensible_fmt(tag, channels, bits):
+    """A 40-byte WAVE_FORMAT_EXTENSIBLE ``fmt `` body whose SubFormat GUID carries ``tag``."""
+    align = channels * bits // 8
+    return (struct.pack("<HHIIHHHHIH", 0xFFFE, channels, SR, SR * align, align, bits,
+                        22, bits, 0, tag)
+            + bytes.fromhex("000000001000800000aa00389b71"))
+
+
+_PCM16_MONO = struct.pack("<HHIIHH", 1, 1, SR, 2 * SR, 2, 16)
+
+
 class TestDecodeWav:
     def test_pcm16_fixed_point_scaling(self):
         raw = np.array([0, 16384, -16384, -32768], dtype=np.int16)
@@ -88,6 +107,29 @@ class TestDecodeWav:
         data[pos:pos + 2] = struct.pack("<H", 0x0055)  # MP3
         with pytest.raises(FormatError):
             decode_wav(bytes(data))
+
+    @pytest.mark.parametrize("fmt, tag, bits", [("pcm16", 1, 16), ("float32", 3, 32)])
+    def test_extensible_format_decodes_like_the_plain_one(self, fmt, tag, bits):
+        plain = make_wav(np.random.default_rng(bits).uniform(-1.0, 1.0, (40, 2)), fmt=fmt)
+        data = plain[plain.index(b"data") + 8:]
+        buf = decode_wav(_riff(_extensible_fmt(tag, 2, bits), data))
+        assert (buf.sample_rate, buf.channel_count) == (SR, 2)
+        np.testing.assert_array_equal(buf.samples, decode_wav(plain).samples)
+
+    @pytest.mark.parametrize("fmt_body, data, message", [
+        (_extensible_fmt(1, 1, 16)[:38], b"\0\0", "extensible fmt chunk too small"),
+        (_PCM16_MONO[:14], b"\0\0", "fmt chunk too small"),
+        (_PCM16_MONO, None, "missing data chunk"),
+        (struct.pack("<HHIIHH", 1, 0, SR, 0, 0, 16), b"\0\0", "channels=0"),
+        (struct.pack("<HHIIHH", 1, 1, SR, SR, 1, 8), b"\x80\x80", "PCM bit depth: 8"),
+        (struct.pack("<HHIIHH", 3, 1, SR, 8 * SR, 8, 64), bytes(8), "float bit depth: 64"),
+        (_PCM16_MONO, b"", "empty data chunk"),
+        (_PCM16_MONO, b"\0\0\0", "whole number of frames"),
+    ], ids=["short_extensible_fmt", "short_fmt", "no_data_chunk", "no_channels", "pcm8",
+            "float64", "empty_data", "partial_frame"])
+    def test_malformed_file_rejected(self, fmt_body, data, message):
+        with pytest.raises(FormatError, match=message):
+            decode_wav(_riff(fmt_body, data))
 
     def test_extra_chunks_skipped(self):
         data = make_wav(sine(440, 0.01))
@@ -220,6 +262,11 @@ class TestResample:
         x = sine(220.0, 0.1, sr=rate)
         with pytest.raises(ValueError, match="mono"):
             resample(AudioBuffer(np.stack([x, -x], axis=1), rate), 16000)
+
+    @pytest.mark.parametrize("rate", [0, -16000])
+    def test_rate_below_one_is_rejected(self, rate):
+        with pytest.raises(ValueError, match="target_rate must be positive"):
+            resample(mono_buffer(sine(220.0, 0.01)), rate)
 
     def test_same_rate_is_identity(self):
         buf = mono_buffer(sine(440, 0.1))

@@ -16,7 +16,7 @@ from conftest import LONG_WAVEFORM, SR, SRC, make_wav, sine, white_noise
 from cloneval import cli, pipeline
 from cloneval.cli import _cmd_prompts, main
 from cloneval.errors import ParseError
-from cloneval.features import FEATURE_IDS, SUMMARY_LENGTHS
+from cloneval.features import FEATURE_IDS, extract_summaries
 
 
 @pytest.fixture
@@ -143,11 +143,14 @@ class TestEvaluate:
         assert rc == 0
         lines = [json.loads(line) for line in dump.read_text().splitlines()]
         assert len(lines) == 60  # 3 pairs x 2 sides x 10 features
+        dirs = {"reference": corpus["ref"], "generated": corpus["gen"]}
+        summaries = {(stem, side): extract_summaries(pipeline.load_mono_16k(d / f"{stem}.wav"))
+                     for stem in ("spk1_happy_01", "spk1_sad_02", "spk2_ANG_03")
+                     for side, d in dirs.items()}
         assert sorted((e["pair_id"], e["side"], e["feature_id"]) for e in lines) == sorted(
-            (stem, side, fid) for stem in ("spk1_happy_01", "spk1_sad_02", "spk2_ANG_03")
-            for side in ("reference", "generated") for fid in FEATURE_IDS)
-        assert all(len(entry["vector"]) == SUMMARY_LENGTHS[entry["feature_id"]]
-                   for entry in lines)
+            (*key, fid) for key in summaries for fid in FEATURE_IDS)
+        assert all(e["vector"] == summaries[e["pair_id"], e["side"]][e["feature_id"]].tolist()
+                   for e in lines)
 
     def test_dump_holds_pairs_whose_embedding_fails(self, corpus, tmp_path):
         manifest = json.loads(corpus["emb"].read_text())
@@ -438,8 +441,10 @@ class TestEvaluate:
         capsys.readouterr()
         rc = main(_evaluate_args(corpus, "--no-embedding"))
         assert rc == 1
-        assert capsys.readouterr().err.startswith(
-            "error: all 3 pairs failed; first error: FormatError: ")
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": FormatError: ")[0] for line in err] == [
+            "warning: pair spk1_happy_01 failed", "warning: pair spk1_sad_02 failed",
+            "warning: pair spk2_ANG_03 failed", "error: all 3 pairs failed; first error"]
         assert {p.name: p.read_bytes() for p in corpus["out"].iterdir()} == previous
 
     def test_number_too_large_for_float64_in_manifest(self, corpus, capsys):
@@ -477,10 +482,35 @@ class TestEvaluate:
         rc = main(_evaluate_args(corpus, "--workers", str(workers),
                                  "--embedding-model", str(nan_onnx_model)))
         assert rc == 1
+        reason = "NonFiniteEmbedding: embedding of {!r} holds non-finite (NaN or Inf) values"
+        stems = ("spk1_happy_01", "spk1_sad_02", "spk2_ANG_03")
         assert capsys.readouterr().err.splitlines() == [
-            "error: all 3 pairs failed; first error: NonFiniteEmbedding: embedding of "
-            "'spk1_happy_01' holds non-finite (NaN or Inf) values"]
+            *(f"warning: pair {stem} failed: {reason.format(stem)}" for stem in stems),
+            f"error: all 3 pairs failed; first error: {reason.format(stems[0])}"]
         assert not corpus["out"].exists()
+
+    @pytest.mark.parametrize("flags", [["--embeddings-ref"],
+                                       ["--no-embedding", "--embeddings-gen"]],
+                             ids=["ref_only", "gen_only"])
+    def test_one_embedding_manifest_is_usage_error(self, corpus, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(_evaluate_args(corpus, *flags, str(corpus["emb"])))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cloneval evaluate ")
+        assert "--embeddings-ref and --embeddings-gen must be given together" in err
+        assert not corpus["out"].exists()
+
+    def test_unmatched_files_are_warned_about(self, corpus, capsys):
+        (corpus["ref"] / "only_ref.wav").write_bytes(make_wav(sine(220, 0.1)))
+        (corpus["gen"] / "only_gen.wav").write_bytes(make_wav(sine(220, 0.1)))
+        assert main(_evaluate_args(corpus, "--no-embedding")) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: unmatched reference file only_ref.wav",
+            "warning: unmatched generated file only_gen.wav"]
+        rows = (corpus["out"] / "details.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["spk1_happy_01", "spk1_sad_02",
+                                                       "spk2_ANG_03"]
 
     def test_help_available(self, capsys):
         for sub in ("evaluate", "prompts", "embed"):
@@ -636,6 +666,34 @@ class TestEmbedCommand:
         err = capsys.readouterr().err
         assert err.startswith("usage: cloneval embed ")
         assert "--out must name a file in an existing directory" in err
+
+    def test_manifest_of_every_file_then_evaluate_from_it(self, tmp_path, fake_onnx_model,
+                                                           capsys):
+        # 8000 samples each, longer than LONG_WAVEFORM: five entries per vector
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        for stem, freq in (("b_sad", 330), ("a_happy", 220)):
+            (wav_dir / f"{stem}.wav").write_bytes(make_wav(sine(freq, 0.5)))
+        manifest = tmp_path / "e.json"
+        rc = main(["embed", "--input-dir", str(wav_dir), "--model", str(fake_onnx_model),
+                   "--out", str(manifest)])
+        assert rc == 0
+        assert capsys.readouterr().out == f"wrote 2 embeddings to {manifest}\n"
+        text = manifest.read_text()
+        assert text.endswith("]\n}\n")
+        vectors = json.loads(text)
+        assert list(vectors) == ["a_happy", "b_sad"]
+        assert all(len(v) == 5 and v[4] == 8000 / LONG_WAVEFORM for v in vectors.values())
+
+        out = tmp_path / "out"
+        rc = main(["evaluate", "--reference-dir", str(wav_dir), "--generated-dir", str(wav_dir),
+                   "--output-dir", str(out), "--embeddings-ref", str(manifest),
+                   "--embeddings-gen", str(manifest)])
+        assert rc == 0
+        rows = (out / "details.csv").read_text().splitlines()
+        embedding = rows[0].split(",").index("embedding")
+        assert [row.split(",")[embedding] for row in rows[1:]] == ["1.000000"] * 2
+        assert json.loads((out / "summary.json").read_text())["config"]["embedding_dim"] == 5
 
     def test_non_finite_embedding_writes_no_manifest(self, tmp_path, nan_onnx_model, capsys):
         wav_dir = tmp_path / "wavs"

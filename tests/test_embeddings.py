@@ -68,6 +68,20 @@ class TestReadPrecomputed:
             read_precomputed(path)
 
 
+    @pytest.mark.parametrize("blob, message", [
+        (b'[[0.1, 0.2]]', "must be a JSON object"),
+        (b'{"a": [NaN, 0.2]}', "'a' contains non-finite values"),
+        (b'{"a": [0.1, -Infinity]}', "'a' contains non-finite values"),
+        (b'{"a": [0.0, 0.0]}', "'a' has zero norm"),
+        (b'{"a\xff": [0.1, 0.2]}', "cannot read embedding manifest"),
+    ], ids=["top_level_array", "nan_literal", "infinity_literal", "all_zero", "not_utf8"])
+    def test_malformed_manifest_rejected(self, tmp_path, blob, message):
+        path = tmp_path / "emb.json"
+        path.write_bytes(blob)
+        with pytest.raises(ParseError, match=message):
+            read_precomputed(path)
+
+
 class TestLoadBackend:
     def test_number_too_large_for_float64(self, tmp_path):
         path = tmp_path / "emb.json"

@@ -1,5 +1,6 @@
 """Pair discovery, emotion parsing, corpus evaluation, aggregation, reports."""
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -115,6 +116,18 @@ class TestParseEmotion:
         with pytest.raises(ParseError, match=f"entries {first} and {second} name the same token"):
             load_alias_table(path)
 
+    @pytest.mark.parametrize("blob, message", [
+        (None, "cannot read alias table"),
+        (b'{"sp\xffk": "fear"}', "cannot read alias table"),
+        (b'[["spk1", "fear"]]', "alias table must be a JSON object"),
+    ], ids=["missing_file", "not_utf8", "top_level_array"])
+    def test_unreadable_table_rejected(self, tmp_path, blob, message):
+        path = tmp_path / "aliases.json"
+        if blob is not None:
+            path.write_bytes(blob)
+        with pytest.raises(ParseError, match=message):
+            load_alias_table(path)
+
     def test_table_mapping_no_token(self, tmp_path):
         # {} would label every pair unknown while the fingerprint says "auto"
         path = tmp_path / "aliases.json"
@@ -165,15 +178,27 @@ class TestEvaluateCorpus:
         for a, b in zip(serial, threaded):
             assert a.scores == b.scores
 
+    def test_every_pair_failing_returns_every_reason(self, wav_dir_factory):
+        files = {"a": sine(220, 0.2), "b": sine(330, 0.2)}
+        ref = wav_dir_factory(files)
+        gen = wav_dir_factory(files)
+        for wav in gen.iterdir():
+            wav.write_bytes(b"RIFF, but not a WAV file")
+        pairs, _, _ = discover_pairs(ref, gen)
+        records, errors = evaluate_corpus(pairs, EvalConfig(workers=2))
+        assert records == []
+        assert sorted(errors) == ["a", "b"]
+        assert all(error.startswith("FormatError: ") for error in errors.values())
+
+    # an EvalConfig is checked when it is made, before any pair can be read
     @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_below_one_rejected(self, wav_dir_factory, workers):
-        with pytest.raises(ValueError):
-            _identity_run(wav_dir_factory, {"a": sine(220, 0.2)}, workers=workers)
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            EvalConfig(workers=workers)
 
     @pytest.mark.parametrize("field", ["one_backend", "bare_backend", "half_pair",
                                        "unknown_emotion", "uppercase_token"])
-    def test_malformed_config_rejected_before_decoding(self, wav_dir_factory, tmp_path,
-                                                       monkeypatch, field):
+    def test_malformed_config_rejected_before_decoding(self, tmp_path, field):
         path = tmp_path / "emb.json"
         path.write_text(json.dumps({"a": [0.1, 0.2, 0.3], "b": [0.3, 0.2, 0.1]}))
         backend = load_backend(precomputed_path=str(path))
@@ -183,28 +208,24 @@ class TestEvaluateCorpus:
                   # parse_emotion lowercases every stem token, so SPK1 never matches
                   "unknown_emotion": {"aliases": {"spk1": "joy"}},
                   "uppercase_token": {"aliases": {"SPK1": "fear"}}}[field]
-        decoded = []
-        decode_wav = pipeline.decode_wav
-        monkeypatch.setattr(pipeline, "decode_wav",
-                            lambda blob: decoded.append(blob) or decode_wav(blob))
         with pytest.raises(ValueError):
-            _identity_run(wav_dir_factory, {"a": sine(220, 0.2), "b": sine(330, 0.2)},
-                          **kwargs)
-        assert decoded == []
+            EvalConfig(**kwargs)
 
-    def test_backend_dimensions_differ_before_decoding(self, wav_dir_factory, tmp_path,
-                                                       monkeypatch):
+    def test_backend_dimensions_differ_before_decoding(self, tmp_path):
         backends = []
         for side, dim in (("ref", 192), ("gen", 100)):
             path = tmp_path / f"{side}.json"
             path.write_text(json.dumps({"a": [0.5] * dim}))
             backends.append(load_backend(precomputed_path=str(path)))
-        decoded = []
-        monkeypatch.setattr(pipeline, "decode_wav", decoded.append)
         with pytest.raises(DimensionMismatch, match="^reference embeddings have 192 "
                            "dimensions but generated embeddings have 100$"):
-            _identity_run(wav_dir_factory, {"a": sine(220, 0.2)}, backends=tuple(backends))
-        assert decoded == []
+            EvalConfig(backends=tuple(backends))
+
+    def test_made_config_cannot_be_reassigned(self):
+        config = EvalConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.workers = 0
+        assert config.workers == 1
 
     def test_emotions_off(self, wav_dir_factory):
         records, _ = _identity_run(

@@ -6,6 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 import oracles
 from cloneval.errors import LengthMismatch
+from cloneval.features import FEATURE_IDS
 from cloneval.similarity import (
     FLAG_BOTH_ZERO,
     FLAG_ONE_ZERO,
@@ -76,8 +77,9 @@ class TestCosine:
             assert abs(cosine(u, v) - oracles.cosine(u, v)) < 1e-12
 
 
-def _side(summaries, embedding=None):
-    side = {fid: np.asarray(vec, dtype=float) for fid, vec in summaries.items()}
+def _side(embedding=None, **summaries):
+    """A full side: every feature in FEATURE_IDS, ones unless given, plus the embedding."""
+    side = {fid: np.asarray(summaries.get(fid, np.ones(4)), dtype=float) for fid in FEATURE_IDS}
     if embedding is not None:
         side["embedding"] = np.asarray(embedding, dtype=float)
     return side
@@ -85,62 +87,60 @@ def _side(summaries, embedding=None):
 
 class TestScorePair:
     def test_self_pair_all_ones(self):
-        side = _side({"rms": [0.1, 0.2, 0.3], "chromagram": np.arange(12.0)},
-                     embedding=[0.5, -0.5, 1.0])
+        side = _side(rms=[0.1, 0.2, 0.3], chromagram=np.arange(12.0), embedding=[0.5, -0.5, 1.0])
         record = score_pair("x", "neutral", side, side)
-        assert set(record.scores) == {"embedding", "rms", "chromagram"}
+        assert list(record.scores) == ["embedding", *FEATURE_IDS]
         for value in record.scores.values():
             assert abs(value - 1.0) <= 1e-6
 
     def test_orthogonal_mel_profiles(self):
         a = np.zeros(128); a[0] = 1.0
         b = np.zeros(128); b[1] = 1.0
-        record = score_pair(
-            "x", "unknown", _side({"mel_spectrogram": a}), _side({"mel_spectrogram": b})
-        )
+        record = score_pair("x", "unknown", _side(mel_spectrogram=a), _side(mel_spectrogram=b))
         assert record.scores["mel_spectrogram"] == 0.0
+        assert list(record.scores) == list(FEATURE_IDS)
 
     def test_embedding_fixture_matches_hand_cosine(self):
         u = [0.3, -1.2, 0.5, 2.0]
         v = [1.0, 0.4, -0.2, 1.5]
-        record = score_pair(
-            "x", "unknown",
-            _side({"rms": [1.0, 1.0]}, embedding=u),
-            _side({"rms": [1.0, 1.0]}, embedding=v),
-        )
+        record = score_pair("x", "unknown", _side(embedding=u), _side(embedding=v))
         assert abs(record.scores["embedding"] - 0.609109590101505) < 1e-9
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
-        a = _side({"rms": rng.random(6), "chromagram": rng.random(12)}, rng.standard_normal(4))
-        b = _side({"rms": rng.random(6), "chromagram": rng.random(12)}, rng.standard_normal(4))
+        a = _side(rng.standard_normal(4), rms=rng.random(6), chromagram=rng.random(12))
+        b = _side(rng.standard_normal(4), rms=rng.random(6), chromagram=rng.random(12))
         fwd = score_pair("p", "anger", a, b)
         rev = score_pair("p", "anger", b, a)
         assert fwd.scores == rev.scores
         assert fwd.flags == rev.flags
 
     def test_zero_norm_flags_surface(self):
-        z = _side({"rms": np.zeros(4)})
-        n = _side({"rms": np.ones(4)})
+        z = _side(rms=np.zeros(4))
+        n = _side(rms=np.ones(4))
         both = score_pair("p", "unknown", z, z)
         assert both.scores["rms"] == 1.0
-        assert both.flags["rms"] == FLAG_BOTH_ZERO
+        assert both.flags == {"rms": FLAG_BOTH_ZERO}
         one = score_pair("p", "unknown", z, n)
         assert one.scores["rms"] == 0.0
-        assert one.flags["rms"] == FLAG_ONE_ZERO
+        assert one.flags == {"rms": FLAG_ONE_ZERO}
 
     def test_feature_set_drift_rejected(self):
-        with pytest.raises(LengthMismatch):
-            score_pair("p", "unknown", _side({"rms": [1.0]}), _side({"pitch": [1.0]}))
+        partial = _side()
+        del partial["rms"]
+        for ref, gen in ((_side(), partial), (partial, _side()), (partial, partial)):
+            with pytest.raises(LengthMismatch, match=r"missing \['rms'\], extra \[\]"):
+                score_pair("p", "unknown", ref, gen)
 
     def test_embedding_on_one_side_rejected(self):
-        with pytest.raises(LengthMismatch):
-            score_pair("p", "unknown", _side({"rms": [1.0]}, embedding=[1.0, 2.0]),
-                       _side({"rms": [1.0]}))
+        with pytest.raises(LengthMismatch, match=r"generated side .* missing \['embedding'\]"):
+            score_pair("p", "unknown", _side(embedding=[1.0, 2.0]), _side())
+        with pytest.raises(LengthMismatch, match=r"generated side .* extra \['embedding'\]"):
+            score_pair("p", "unknown", _side(), _side(embedding=[1.0, 2.0]))
 
     def test_unknown_metric_rejected(self):
-        side = _side({"rms": [1.0], "mfcc": [1.0, 2.0]})
-        with pytest.raises(ValueError, match="mfcc"):
+        side = dict(_side(), mfcc=np.ones(2))
+        with pytest.raises(LengthMismatch, match=r"missing \[\], extra \['mfcc'\]"):
             score_pair("p", "unknown", side, side)
 
     def test_nonnegative_vectors_score_in_unit_interval(self):
