@@ -5,12 +5,12 @@ YIN difference function and the tempogram's local autocorrelation.
 
 The YIN and tempogram kernels compute one block of frames per call and
 return its rows; the caller, ``cloneval.features``, walks the blocks and
-decides their size. YIN's rows are finished CMND values. The tempogram's
-rows are lag-normalized power spectra, one inverse FFT short of
-autocorrelations; the inverse is linear, so a caller that needs only their
-time mean inverts their sum once. Each FFT is only as long as its
-correlation needs, rounded up by ``_fft_size``, and its zero padding is
-written into the block's own buffer.
+decides their size. YIN's block is any sorted set of frames, and its rows
+are finished CMND values. The tempogram's rows are lag-normalized power
+spectra, one inverse FFT short of autocorrelations; the inverse is linear,
+so a caller that needs only their time mean inverts their sum once. Each
+FFT is only as long as its correlation needs, rounded up by ``_fft_size``,
+and its zero padding is written into the block's own buffer.
 """
 
 from typing import NamedTuple
@@ -19,6 +19,28 @@ import numpy as np
 
 # One kernel path; pipebench/evaluate.py records this flag in its BENCH files.
 USE_NUMBA = False
+
+
+def _take(rows, index):
+    """``rows[index]`` for a sorted ``index`` of distinct rows: a view when ``index`` is one run."""
+    if len(index) and index[-1] - index[0] == len(index) - 1:
+        return rows[index[0] : index[-1] + 1]
+    return rows[index]
+
+
+def _cover(index, width):
+    """The sorted union of ``index[i] + 0..width - 1``, and the place of each ``index[i]`` in it.
+
+    ``index`` is sorted and distinct, and so is the union. Where ``index`` is
+    one run, the union is one run too and the places are ``0..len(index) - 1``.
+    """
+    if index[-1] - index[0] == len(index) - 1:
+        return np.arange(index[0], index[-1] + width), np.arange(len(index))
+    offsets = index - index[0]
+    marks = np.zeros(offsets[-1] + width, dtype=bool)
+    marks[np.add.outer(offsets, np.arange(width))] = True
+    covered = np.flatnonzero(marks)
+    return covered + index[0], np.searchsorted(covered, offsets)
 
 
 def _frame_sums(rows, n_frames, per_frame):
@@ -140,8 +162,20 @@ def _windows(x, start, rows, step, span):
         if hi > lo:
             segment[lo - start : hi - start] = x[lo:hi]
         x, start = segment, 0
-    return np.lib.stride_tricks.as_strided(
-        x[start:], (rows, span), (step * x.itemsize, x.itemsize), writeable=False)
+    windows = np.ndarray((rows, span), x.dtype, x, start * x.itemsize,
+                         (step * x.itemsize, x.itemsize))
+    windows.flags.writeable = False
+    return windows
+
+
+def _rows_at(x, index, step, span):
+    """``_windows`` rows ``x[i*step :][:span]`` for each ``i`` of a sorted distinct ``index``.
+
+    The rows of one run of ``index`` are a view; rows apart are copied out.
+    """
+    first = index[0] if len(index) else 0
+    rows = len(index) and index[-1] - first + 1
+    return _take(_windows(x, first * step, rows, step, span), index - first)
 
 
 def polyphase_resample(x, plan, n_out):
@@ -174,11 +208,12 @@ def polyphase_resample(x, plan, n_out):
     return out.reshape(-1)[:n_out]
 
 
-def yin_cmnd(padded, start, stop, hop, win, tau_max):
-    """Cumulative-mean-normalized difference of frames ``start..stop - 1``, lags 0..tau_max.
+def yin_cmnd(padded, frames, hop, win, tau_max):
+    """Cumulative-mean-normalized difference of ``frames``, lags 0..tau_max.
 
-    Row ``i`` of the ``(stop - start, tau_max + 1)`` result holds frame
-    ``start + i``.
+    ``frames`` is a sorted array of distinct frame indices. Row ``i`` of the
+    ``(len(frames), tau_max + 1)`` result holds frame ``frames[i]``, and its
+    bits do not depend on which other frames share the call.
 
     Frame ``t`` compares its head ``padded[t*hop : t*hop + win]`` with the
     head shifted by each lag: ``d(tau) = e(0) + e(tau) - 2 r(tau)``, where
@@ -194,39 +229,59 @@ def yin_cmnd(padded, start, stop, hop, win, tau_max):
     that starts ``r`` samples into a chunk is the chunk's total minus its
     first ``r`` squares, the next ``win / hop - 1`` totals, and the first
     ``r`` squares of the chunk after them. So no frame's sums carry a chunk
-    before its own, and silence reads exactly 0. The last chunk's transform
-    reads ``n_fft - hop`` samples past the last head, so ``padded`` must hold
-    them.
+    before its own, and silence reads exactly 0.
+
+    Only the chunks that ``frames`` read are computed (``_cover``): each
+    frame's own chunks for the correlations, and the chunks its spans start
+    and end in for the running sums. The chunks are stacked in order, and
+    the sums are taken as for one run of frames over the stack, so a sum
+    that spans two chunks apart is junk that no frame reads; each frame's
+    rows are then picked out. For a run of consecutive frames the chunks
+    and the picked rows are views; for frames apart they are gathered
+    copies. The last chunk's transform reads ``n_fft - hop`` samples past
+    the last head, so ``padded`` must hold them.
     """
     lags = tau_max + 1
-    frames = stop - start
+    count = len(frames)
     per_frame = win // hop
-    seg_len = hop + tau_max
-    n_fft = _fft_size(seg_len)
-    chunks = frames + per_frame - 1
+    n_fft = _fft_size(hop + tau_max)
+    chunks, first_chunk = _cover(frames, per_frame)
     # Each chunk's spectrum is taken over n_fft signal samples rather than
-    # seg_len zero-padded ones: samples past seg_len reach no lag <= tau_max,
-    # and a row that needs no padding transforms faster.
-    seg = _windows(padded, start * hop, chunks, hop, n_fft)
-    head = np.empty((chunks, n_fft))  # each chunk's head, zero-padded to n_fft
+    # hop + tau_max zero-padded ones: samples past that reach no lag <=
+    # tau_max, and a row that needs no padding transforms faster. Each step
+    # frees what the next one no longer needs, so that no more than three
+    # (chunks, n_fft) arrays are held at once.
+    seg = _rows_at(padded, chunks, hop, n_fft)
+    head = np.empty((len(chunks), n_fft))  # each chunk's head, zero-padded to n_fft
     head[:, :hop] = seg[:, :hop]
     head[:, hop:] = 0.0
     spec = np.fft.rfft(seg, n=n_fft, axis=1)
+    del seg
     head_spec = np.fft.rfft(head, axis=1)
-    corr = np.fft.irfft(np.conj(head_spec) * spec, n=n_fft, axis=1)[:, :lags]
+    del head
+    np.multiply(np.conj(head_spec, out=head_spec), spec, out=spec)
+    del head_spec
+    corr = np.fft.irfft(spec, n=n_fft, axis=1)[:, :lags]
+    del spec
+    r = _take(_frame_sums(corr, len(chunks) - per_frame + 1, per_frame), first_chunk)
+    del corr
 
-    # Row k of `energy`: the energies of the spans that start in chunk k of
-    # the block. Such a span ends in chunk k + per_frame.
-    starts = frames + tau_max // hop
-    squares = _windows(padded, start * hop, starts + per_frame, hop, hop) ** 2
-    sums = np.empty((starts + per_frame, hop + 1))
+    # A frame's shifted spans start in its first `reach` chunks. Row k of
+    # `energy`: the energies of the spans that start in chunk k of the
+    # stack. Such a span ends in chunk k + per_frame.
+    reach = tau_max // hop + 1
+    summed, first_summed = _cover(frames, reach + per_frame)
+    starts = len(summed) - per_frame
+    sums = np.empty((len(summed), hop + 1))
     sums[:, 0] = 0.0
-    np.cumsum(squares, axis=1, out=sums[:, 1:])
+    samples = _rows_at(padded, summed, hop, hop)
+    np.multiply(samples, samples, out=sums[:, 1:])  # the squares, summed in place
+    np.cumsum(sums[:, 1:], axis=1, out=sums[:, 1:])
     energy = sums[per_frame:, :hop] - sums[:starts, :hop]
     energy += _frame_sums(sums[:, hop], starts, per_frame)[:, None]
-    e = _windows(energy.reshape(-1), 0, frames, hop, lags)
-
-    r = _frame_sums(corr, frames, per_frame)
+    del sums
+    e = _take(_windows(energy.reshape(-1), 0, starts - reach + 1, hop, lags), first_summed)
+    del energy
 
     # diff = max(e(0) + e(tau) - 2 r(tau), 0)
     r *= 2.0
@@ -236,7 +291,7 @@ def yin_cmnd(padded, start, stop, hop, win, tau_max):
     diff[:, 0] = 0.0
 
     running = np.cumsum(diff[:, 1:], axis=1)
-    rows = np.empty((frames, lags))
+    rows = np.empty((count, lags))
     rows[:, 0] = 1.0
     cmnd = rows[:, 1:]
     np.multiply(diff[:, 1:], np.arange(1, lags), out=cmnd)

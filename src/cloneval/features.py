@@ -5,20 +5,30 @@ vectors so that reference and generated sides can be compared with cosine
 similarity: spectral matrices are averaged over time into per-bin profiles,
 per-frame scalar contours are resampled onto 256 points.
 
-Frames are walked in ``_row_blocks`` of at most ``_BLOCK_ROWS``, and only
-this module walks them. Each per-block step is a helper ``(signal, start,
-stop)`` that returns the rows of frames ``start..stop - 1``, as the YIN and
+Frames are walked in blocks, and only this module walks them:
+``_row_blocks`` splits a sorted array of frame indices into balanced blocks
+of at most ``_BLOCK_ROWS``. Each per-block step is a helper ``(signal,
+frames)`` that returns one row per frame of its block, as the YIN and
 tempogram kernels do: ``_yin_rows``, ``_rms_rows`` and ``_autocorr_rows``.
-``_by_blocks`` stacks a helper's rows over all blocks. ``_stft_blocks`` is
-the one generator, because the magnitude blocks it yields share its buffers.
+The rows of a run of consecutive frames are read through strided views;
+only frames apart are gathered. ``_by_blocks`` stacks a helper's rows over
+all blocks. ``_stft_blocks`` is the one generator, because the magnitude
+blocks it yields share its buffers.
+
+A contour's summary reads at most 511 of its frames: ``summarize`` takes
+each of its 256 points from the frame at or below it and the frame after
+(``_contour_frames``). ``extract_summaries`` evaluates the pitch, RMS,
+centroid, flatness and rolloff contours at those frames only and leaves the
+others 0, which ``summarize`` never reads. Up to 511 frames (8.18 s) that is
+every frame; past it, the contours cost the same however long the file is.
 
 ``extract_summaries`` reflect-pads the signal once (``_reflect_pad`` also
 counts the frames) and reduces each STFT block as soon as it is computed:
-the centroid, flatness and rolloff contours are filled in, the power
-spectrum is added to a running sum, and the mel frames become onset
-strength. No per-file ``(bins, frames)`` or ``(frames, lags)`` matrix is
-built. Of each matrix feature only the time mean is kept, and by linearity
-it is taken where it costs least:
+the centroid, flatness and rolloff of its contour frames are filled in, the
+power spectrum of every frame is added to a running sum, and the mel frames
+become onset strength. No per-file ``(bins, frames)`` or ``(frames, lags)``
+matrix is built. Of each matrix feature only the time mean is kept, and by
+linearity it is taken where it costs least:
 
 * the mel, chroma, pseudo-CQT and chroma-CQT summaries are the bank applied
   to the time-mean power spectrum, which equals the time mean of the bank
@@ -55,7 +65,7 @@ values (no dB conversion).
 """
 
 import math
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -104,28 +114,29 @@ _MEL_GROUP = 8
 _BLOCK_ROWS = 128
 
 
-def _row_blocks(n):
-    """Balanced ``(start, stop)`` ranges of at most ``_BLOCK_ROWS`` of ``n`` rows.
+def _row_blocks(frames):
+    """Balanced blocks of at most ``_BLOCK_ROWS`` of the frame index array ``frames``.
 
-    The rows are split into ``count = ceil(n / _BLOCK_ROWS)`` blocks with
-    edges at ``n * k // count``. numpy's batched FFT can round a lone row
+    The ``n`` indices are split into ``count = ceil(n / _BLOCK_ROWS)`` blocks
+    with edges at ``n * k // count``. numpy's batched FFT can round a lone row
     differently from the same row in a larger batch (a 1-ulp drift), so an
     unbalanced split such as 128 + 1 rows would change results; balanced
     blocks are never that small and give the same bits as one unblocked
     batch.
     """
+    n = len(frames)
     count = -(-n // _BLOCK_ROWS)
     edges = [n * k // count for k in range(count + 1)] if count else []
-    return zip(edges[:-1], edges[1:])
+    return [frames[a:b] for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _by_blocks(rows, signal, n_frames):
-    """``rows(signal, start, stop)`` over the ``_row_blocks`` of ``n_frames``, stacked.
+def _by_blocks(rows, signal, frames):
+    """``rows(signal, block)`` over the ``_row_blocks`` of ``frames``, stacked.
 
-    No frames give the helper's empty block ``(0, 0)``, which keeps its row width.
+    No frames give the helper's empty block, which keeps its row width.
     """
-    blocks = [rows(signal, start, stop) for start, stop in _row_blocks(n_frames)]
-    return np.concatenate(blocks or [rows(signal, 0, 0)])
+    blocks = [rows(signal, block) for block in _row_blocks(frames)]
+    return np.concatenate(blocks or [rows(signal, frames)])
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -167,26 +178,26 @@ def stft(buf: AudioBuffer) -> np.ndarray:
     """Magnitude STFT of a mono buffer, ``(bins, frames)``: the ``_stft_blocks``, transposed."""
     padded, n_frames = _padded(buf)
     mag = np.empty((n_frames, _N_BINS))
-    for start, stop, block in _stft_blocks(padded, n_frames):
-        mag[start:stop] = block
+    for block, rows in _stft_blocks(padded, n_frames):
+        mag[block] = rows
     return mag.T
 
 
 def _stft_blocks(padded: np.ndarray, n_frames: int):
-    """Yield ``(start, stop, mag)`` per ``_row_blocks`` block of frames.
+    """Yield ``(block, mag)`` per ``_row_blocks`` block of all ``n_frames`` frames.
 
-    ``mag`` is the ``(stop - start, bins)`` magnitude STFT of those frames,
-    held in one buffer that the next block overwrites.
+    ``mag`` is the ``(len(block), bins)`` magnitude STFT of the frames
+    ``block``, held in one buffer that the next block overwrites.
     """
     frames = _kernels._windows(padded, 0, n_frames, HOP, N_FFT)
     rows = min(n_frames, _BLOCK_ROWS)
     windowed = np.empty((rows, N_FFT))
     mag = np.empty((rows, _N_BINS))
-    for start, stop in _row_blocks(n_frames):
-        count = stop - start
-        np.multiply(frames[start:stop], _STFT_WINDOW, out=windowed[:count])
+    for block in _row_blocks(np.arange(n_frames)):
+        count = len(block)
+        np.multiply(_kernels._take(frames, block), _STFT_WINDOW, out=windowed[:count])
         np.abs(np.fft.rfft(windowed[:count], axis=1), out=mag[:count])
-        yield start, stop, mag[:count]
+        yield block, mag[:count]
 
 
 # Mel scale, Slaney variant: linear below 1 kHz, logarithmic above.
@@ -274,12 +285,13 @@ def f0_contour(buf: AudioBuffer) -> np.ndarray:
     for the first trough below the threshold; the trough is refined by
     parabolic interpolation. YIN: de Cheveigne & Kawahara (2002).
     """
-    return _by_blocks(_yin_rows, *_padded(buf))
+    padded, n_frames = _padded(buf)
+    return _by_blocks(_yin_rows, padded, np.arange(n_frames))
 
 
-def _yin_rows(padded, start, stop):
-    """``f0_contour`` of frames ``start..stop - 1`` of the ``_reflect_pad``-ed signal."""
-    return _yin_troughs(_kernels.yin_cmnd(padded, start, stop, HOP, _YIN_WIN, _TAU_MAX))
+def _yin_rows(padded, frames):
+    """``f0_contour`` at ``frames`` of the ``_reflect_pad``-ed signal."""
+    return _yin_troughs(_kernels.yin_cmnd(padded, frames, HOP, _YIN_WIN, _TAU_MAX))
 
 
 def _yin_troughs(cmnd):
@@ -315,18 +327,23 @@ def rms_envelope(buf: AudioBuffer) -> np.ndarray:
     A frame is ``N_FFT / HOP`` consecutive ``HOP``-sample chunks, shared with
     the neighbouring frames; its sum of squares adds up those chunks' sums.
     """
-    return _by_blocks(_rms_rows, *_padded(buf))
+    padded, n_frames = _padded(buf)
+    return _by_blocks(_rms_rows, padded, np.arange(n_frames))
 
 
-def _rms_rows(padded, start, stop):
-    """``rms_envelope`` of frames ``start..stop - 1`` of the ``_reflect_pad``-ed signal.
+def _rms_rows(padded, frames):
+    """``rms_envelope`` at ``frames`` of the ``_reflect_pad``-ed signal.
 
-    The frames span the chunks ``start..stop + N_FFT / HOP - 2``.
+    Frame ``t`` spans the chunks ``t..t + N_FFT / HOP - 1``. Each chunk of
+    the frames is squared and summed once, and the frames' sums are taken
+    as in ``_kernels.yin_cmnd``: over the stacked chunks, then picked out.
     """
     per_frame = N_FFT // HOP
-    chunks = padded[start * HOP : (stop + per_frame - 1) * HOP].reshape(-1, HOP)
-    sums = np.multiply(chunks, chunks).sum(axis=1)
-    return np.sqrt(_kernels._frame_sums(sums, stop - start, per_frame) / N_FFT)
+    chunks, first = _kernels._cover(frames, per_frame)
+    rows = _kernels._rows_at(padded, chunks, HOP, HOP)
+    sums = np.multiply(rows, rows).sum(axis=1)
+    frame_sums = _kernels._frame_sums(sums, len(chunks) - per_frame + 1, per_frame)
+    return np.sqrt(_kernels._take(frame_sums, first) / N_FFT)
 
 
 def spectral_centroid(magnitude: np.ndarray) -> np.ndarray:
@@ -370,23 +387,23 @@ def tempogram(onset: np.ndarray) -> np.ndarray:
     Each column is normalized by its lag-0 value; columns whose window holds
     no energy are left at zero.
     """
-    return _autocorr(_by_blocks(_autocorr_rows, onset, len(onset))).T
+    return _autocorr(_by_blocks(_autocorr_rows, onset, np.arange(len(onset)))).T
 
 
 def _tempogram_mean(onset: np.ndarray) -> np.ndarray:
     """Time mean of ``tempogram(onset)``: one inverse FFT of the summed power spectra."""
-    total = sum(_autocorr_rows(onset, start, stop).sum(axis=0)
-                for start, stop in _row_blocks(len(onset)))
+    total = sum(_autocorr_rows(onset, block).sum(axis=0)
+                for block in _row_blocks(np.arange(len(onset))))
     return _autocorr(total) / len(onset)
 
 
-def _autocorr_rows(onset, start, stop):
-    """``_kernels.local_autocorr`` power rows of onset frames ``start..stop - 1``.
+def _autocorr_rows(onset, frames):
+    """``_kernels.local_autocorr`` power rows of the onset ``frames``.
 
     A frame's window is centered on it, zeros outside the envelope; only
     the blocks at its ends copy them.
     """
-    windows = _kernels._windows(onset, start - TEMPOGRAM_WIN // 2, stop - start, 1, TEMPOGRAM_WIN)
+    windows = _kernels._rows_at(onset, frames - TEMPOGRAM_WIN // 2, 1, TEMPOGRAM_WIN)
     return _kernels.local_autocorr(windows, _TEMPOGRAM_WINDOW)
 
 
@@ -461,8 +478,7 @@ def summarize(feature_id: str, raw) -> np.ndarray:
     elif raw.ndim == 1:
         if raw.shape[0] == 0:
             raise EmptyFeature(f"{feature_id}: zero frames")
-        grid = np.linspace(0.0, raw.shape[0] - 1.0, CONTOUR_POINTS)
-        vector = np.interp(grid, np.arange(raw.shape[0]), raw)
+        vector = np.interp(_contour_grid(raw.shape[0]), np.arange(raw.shape[0]), raw)
     else:
         raise ValueError(f"{feature_id}: expected a 1-D or 2-D array")
     if not np.all(np.isfinite(vector)):
@@ -470,30 +486,66 @@ def summarize(feature_id: str, raw) -> np.ndarray:
     return vector
 
 
+@lru_cache(maxsize=8)
+def _contour_grid(n_frames):
+    """The ``CONTOUR_POINTS`` frame positions at which ``summarize`` reads a contour.
+
+    Read-only and cached: a file's contour frames and its five contour
+    summaries share one grid.
+    """
+    return _read_only(np.linspace(0.0, n_frames - 1.0, CONTOUR_POINTS))
+
+
+def _contour_frames(n_frames):
+    """The sorted frames whose values the summary of an ``n_frames`` contour reads.
+
+    ``np.interp`` takes a grid point from its floor frame and the frame
+    after it, or from the last frame alone at the last point. So these are
+    the floors and the floors plus one, capped at ``n_frames - 1``: every
+    frame while ``n_frames <= 2 * CONTOUR_POINTS - 1`` (511), and never more
+    than that many.
+    """
+    floors = _contour_grid(n_frames).astype(np.intp)
+    read = np.zeros(n_frames, dtype=bool)
+    read[floors] = True
+    read[np.minimum(floors + 1, n_frames - 1)] = True
+    return np.flatnonzero(read)
+
+
 def extract_summaries(buf: AudioBuffer) -> dict:
     """Compute the ten feature summaries in one pass over the signal.
 
-    Returns ``{feature_id: summary vector}`` in ``FEATURE_IDS`` order. See
-    the module docstring for how the blocks are reduced.
+    Returns ``{feature_id: summary vector}`` in ``FEATURE_IDS`` order. The
+    contours are computed at ``_contour_frames`` only; see the module
+    docstring for how the blocks are reduced.
     """
     padded, n_frames = _padded(buf)
-    raw = _stft_pass(padded, n_frames)
-    raw["pitch"] = _by_blocks(_yin_rows, padded, n_frames)
-    raw["rms"] = _by_blocks(_rms_rows, padded, n_frames)
-    return {fid: summarize(fid, raw[fid]) for fid in FEATURE_IDS}
+    frames = _contour_frames(n_frames)
+    raw = _stft_pass(padded, n_frames, frames)
+    raw["pitch"] = _by_blocks(_yin_rows, padded, frames)
+    raw["rms"] = _by_blocks(_rms_rows, padded, frames)
+    summaries = {}
+    for fid in FEATURE_IDS:
+        values = raw[fid]
+        if values.ndim == 1:  # a contour at `frames`; summarize reads no other frame
+            values = np.zeros(n_frames)
+            values[frames] = raw[fid]
+        summaries[fid] = summarize(fid, values)
+    return summaries
 
 
-def _stft_pass(padded, n_frames):
+def _stft_pass(padded, n_frames, frames):
     """One pass over the STFT blocks: ``{feature_id: raw}`` for the STFT features.
 
-    The raw values are the per-frame centroid, flatness and rolloff
-    contours, the time-mean tempogram, and the mel, chroma, pseudo-CQT and
-    chroma-CQT banks applied to the time-mean power spectrum. The tempogram
-    and the banks are one-column matrices that are already time means,
-    which ``summarize`` keeps as they are. Each public function gets an
-    array the pass already holds: the centroid and rolloff the magnitude
-    block, the flatness the power block (squared once), the banks the mean
-    power column.
+    The raw values are the centroid, flatness and rolloff at the sorted
+    contour ``frames``, the time-mean tempogram, and the mel, chroma,
+    pseudo-CQT and chroma-CQT banks applied to the time-mean power
+    spectrum. The tempogram and the banks are one-column matrices that are
+    already time means, which ``summarize`` keeps as they are. Each public
+    function gets an array the pass already holds: the centroid and rolloff
+    the contour rows of the magnitude block, the flatness those of the
+    power block (squared once), the banks the mean power column. A block
+    whose contour rows are one run passes them as a view.
 
     Only the tempogram needs per-frame mel values. The block's mel frames
     come from the banded products of ``_mel_frames`` and are turned into
@@ -501,20 +553,27 @@ def _stft_pass(padded, n_frames):
     the flux across the block edge is kept. The onset envelope goes to
     ``_tempogram_mean`` once the last block is done.
     """
-    centroid, flatness, rolloff, onset = (np.empty(n_frames) for _ in range(4))
+    centroid, flatness, rolloff = (np.empty(len(frames)) for _ in range(3))
+    onset = np.empty(n_frames)
     rows = min(n_frames, _BLOCK_ROWS)
     power = np.empty((rows, _N_BINS))
     power_sum = np.zeros(_N_BINS)
     mel = np.empty((N_MELS, rows + 1))  # column 0: the frame before the block
-    for start, stop, mag in _stft_blocks(padded, n_frames):
-        block = power[: stop - start]
-        np.multiply(mag, mag, out=block)
-        power_sum += block.sum(axis=0)
-        centroid[start:stop] = spectral_centroid(mag.T)
-        flatness[start:stop] = spectral_flatness(block.T)
-        rolloff[start:stop] = spectral_rolloff(mag.T)
-        block_mel = mel[:, : stop - start + 1]
-        _mel_frames(block, block_mel[:, 1:])
+    lo = 0  # frames[lo:hi] lie in the block
+    for block, mag in _stft_blocks(padded, n_frames):
+        start, stop = block[0], block[-1] + 1
+        block_power = power[: len(block)]
+        np.multiply(mag, mag, out=block_power)
+        power_sum += block_power.sum(axis=0)
+        hi = lo + np.searchsorted(frames[lo:], stop)
+        at = frames[lo:hi] - start
+        contour_mag = _kernels._take(mag, at).T
+        centroid[lo:hi] = spectral_centroid(contour_mag)
+        flatness[lo:hi] = spectral_flatness(_kernels._take(block_power, at).T)
+        rolloff[lo:hi] = spectral_rolloff(contour_mag)
+        lo = hi
+        block_mel = mel[:, : len(block) + 1]
+        _mel_frames(block_power, block_mel[:, 1:])
         if start == 0:
             block_mel[:, 0] = block_mel[:, 1]  # no flux into the first frame
         onset[start:stop] = onset_strength(block_mel)[1:]

@@ -15,6 +15,7 @@ import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -151,7 +152,9 @@ class EvalConfig:
 
     ``backends`` other than None or a pair of backends, ``aliases`` that fail
     ``_check_aliases`` and ``workers`` below 1 raise ValueError; two backends
-    of known, different dimensions raise DimensionMismatch.
+    of known, different dimensions raise DimensionMismatch. ``aliases`` is
+    kept as a read-only copy, so a later change to the caller's table moves
+    neither the labels nor the fingerprint.
     """
 
     backends: tuple | None = None  # (reference, generated); None disables the embedding metric
@@ -160,7 +163,9 @@ class EvalConfig:
 
     def __post_init__(self):
         if self.aliases is not None:
-            _check_aliases(self.aliases)
+            aliases = MappingProxyType(dict(self.aliases))
+            _check_aliases(aliases)
+            object.__setattr__(self, "aliases", aliases)
         backends = self.backends
         if backends is not None and not (
             isinstance(backends, tuple) and len(backends) == 2 and None not in backends

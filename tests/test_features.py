@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (SR, click_train, mono_buffer, output_per_blas_thread_count,
                       silence_then_tone, sine, white_noise)
+from cloneval import _kernels
 from cloneval import features as F
 from cloneval.audio_io import AudioBuffer
 from cloneval.errors import EmptyFeature, InputTooShort, RateError
@@ -328,6 +330,95 @@ class TestSummarize:
             assert np.all(np.isfinite(summary))
 
 
+def _whole_contours(buf):
+    """The five contours over every frame, from the public per-frame functions."""
+    mag = F.stft(buf)
+    return {
+        "pitch": F.f0_contour(buf),
+        "rms": F.rms_envelope(buf),
+        "spectral_centroid": F.spectral_centroid(mag),
+        "spectral_flatness": F.spectral_flatness(mag**2),
+        "spectral_rolloff": F.spectral_rolloff(mag),
+    }
+
+
+def _speech_like(n_samples, seed):
+    """A gliding harmonic tone in light noise, with 0.6 s of silence at both ends."""
+    t = np.arange(n_samples) / SR
+    x = 0.5 * np.sin(2 * np.pi * (150.0 + 40.0 * np.sin(1.3 * t)) * t)
+    x += 0.02 * np.random.default_rng(seed).standard_normal(n_samples)
+    edge = min(int(0.6 * SR), n_samples // 3)
+    x[:edge] = 0.0
+    x[n_samples - edge :] = 0.0
+    return x
+
+
+class TestContourFrames:
+    @given(st.integers(min_value=1, max_value=200_000))
+    def test_frames_hold_what_the_grid_reads(self, n_frames):
+        frames = F._contour_frames(n_frames)
+        floors = np.linspace(0.0, n_frames - 1.0, F.CONTOUR_POINTS).astype(int)
+        assert set(floors) <= set(frames)
+        assert set(np.minimum(floors + 1, n_frames - 1)) <= set(frames)
+        assert np.all(np.diff(frames) > 0)
+        assert len(frames) <= 2 * F.CONTOUR_POINTS - 1
+        if n_frames <= 2 * F.CONTOUR_POINTS - 1:
+            np.testing.assert_array_equal(frames, np.arange(n_frames))
+
+    @settings(max_examples=50)
+    @given(st.integers(min_value=1, max_value=20_000), st.integers(0, 2**32 - 1))
+    def test_summary_reads_no_other_frame(self, n_frames, seed):
+        contour = np.random.default_rng(seed).uniform(0.0, 500.0, n_frames)
+        unread = np.ones(n_frames, dtype=bool)
+        unread[F._contour_frames(n_frames)] = False
+        changed = contour.copy()
+        changed[unread] = -1e300
+        np.testing.assert_array_equal(F.summarize("pitch", changed),
+                                      F.summarize("pitch", contour))
+
+    @pytest.mark.parametrize("n_samples", [
+        2, 255, 256, 4_000, 16_000, 130_815, 130_816, 131_072, 131_328, 144_000,
+        200_000, 480_000, 640_000,
+    ])
+    def test_summaries_equal_whole_contours_bit_for_bit(self, n_samples):
+        # 130 815 and 130 816 samples frame to 511 and 512 frames, where the
+        # contour frames first skip one; 480 000 is 30 s, 640 000 is 40 s
+        buf = mono_buffer(_speech_like(n_samples, seed=n_samples))
+        summaries = F.extract_summaries(buf)
+        whole = _whole_contours(buf)
+        for fid, contour in whole.items():
+            np.testing.assert_array_equal(summaries[fid], F.summarize(fid, contour),
+                                          err_msg=fid)
+        if n_samples >= 144_000:
+            pitch = whole["pitch"]
+            assert np.any(pitch > 0.0) and np.any(pitch == 0.0)
+            assert np.any(whole["rms"] == 0.0)
+
+    def test_long_file_computes_only_the_contour_frames(self, monkeypatch):
+        # the saving, counted: a 30 s clip has 1876 frames, of which the
+        # summaries read 511; every contour step must see no more than that
+        counts = {}
+
+        def counted(name, fn, rows):
+            def wrapper(*args):
+                counts[name] = counts.get(name, 0) + rows(*args)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(_kernels, "yin_cmnd", counted(
+            "yin_cmnd", _kernels.yin_cmnd, lambda padded, frames, *rest: len(frames)))
+        monkeypatch.setattr(F, "_rms_rows", counted(
+            "rms", F._rms_rows, lambda padded, frames: len(frames)))
+        for name in ("spectral_centroid", "spectral_flatness", "spectral_rolloff"):
+            monkeypatch.setattr(F, name, counted(
+                name, getattr(F, name), lambda spectrum: spectrum.shape[1]))
+        F.extract_summaries(mono_buffer(white_noise(30.0, seed=4)))
+        assert sorted(counts) == ["rms", "spectral_centroid", "spectral_flatness",
+                                  "spectral_rolloff", "yin_cmnd"]
+        for name, count in counts.items():
+            assert count <= 2 * F.CONTOUR_POINTS, f"{name}: {count} frames"
+
+
 class TestSampleRate:
     @pytest.mark.parametrize("rate", [8000, 22050, 44100])
     def test_other_rates_are_rejected(self, rate):
@@ -424,8 +515,8 @@ class TestInvariants:
 class TestMemory:
     def test_extract_summaries_peak_stays_block_sized(self):
         # 30 s frame to 1876 rows. Block by block, the peak is one 3.9 MB
-        # reflect-padded copy of the signal plus the YIN block temporaries,
-        # about 9.0 MB in all. Any whole-file array on top of that crosses
+        # reflect-padded copy of the signal plus the STFT block buffers,
+        # about 7.6 MB in all. Any whole-file array on top of that crosses
         # 12 MB: a (bins, frames) float64 matrix is 7.7 MB, the (frames,
         # lags) YIN matrix 4.8 MB and the (lags, frames) tempogram 5.8 MB.
         buf = mono_buffer(white_noise(30.0, seed=11))

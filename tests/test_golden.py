@@ -21,6 +21,13 @@ A change that moves a report byte on purpose regenerates the files with
     PYTHONPATH=src python tests/test_golden.py
 
 and says in its change log which rows moved and why.
+
+The reports must also not depend on which SIMD code paths numpy picks for
+the CPU. The same corpus, with one more pair longer than 8.18 s, so that
+its contours skip frames, is evaluated in a child process at each dispatch
+level the CPU has: every higher level is switched off through
+``NPY_DISABLE_CPU_FEATURES``, which acts only on that process. Each
+level's reports must be the bytes of this process's run.
 """
 
 import csv
@@ -29,12 +36,20 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from conftest import make_wav
+from conftest import SRC, make_wav
 from cloneval import cli
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy before 2.0
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = ("details.csv", "summary.json")
@@ -51,6 +66,8 @@ PAIRS = {
     "spk3_04": ((44100, "float32", 1), (48000, "pcm24", 2), 0.8, "voiced"),
     "broken_05": ((16000, "pcm16", 1), (16000, "pcm16", 1), 0.5, "corrupt"),
 }
+# 9 s frame to 563 frames, of which the contour summaries read 511
+LONG_PAIR = {"long_06": ((16000, "pcm16", 1), (16000, "pcm24", 1), 9.0, "voiced")}
 
 
 def _uniform(rng, lo, hi):
@@ -84,14 +101,14 @@ def _render(rng, layout, seconds, content):
     return make_wav(samples, sr=rate, fmt=fmt)
 
 
-def write_corpus(root, seed=19):
-    """Write ``ref/``, ``gen/``, ``ref.json`` and ``gen.json`` under ``root``."""
+def write_corpus(root, pairs=PAIRS, seed=19):
+    """Write ``ref/``, ``gen/``, ``ref.json`` and ``gen.json`` of ``pairs`` under ``root``."""
     rng = random.Random(seed)
     root = Path(root)
     for side in ("ref", "gen"):
         (root / side).mkdir()
     manifests = {"ref": {}, "gen": {}}
-    for stem, (ref_layout, gen_layout, seconds, content) in PAIRS.items():
+    for stem, (ref_layout, gen_layout, seconds, content) in pairs.items():
         (root / "ref" / f"{stem}.wav").write_bytes(_render(rng, ref_layout, seconds, content))
         gen = (b"RIFF\x24\x00\x00\x00WAVEjunk" if content == "corrupt"
                else _render(rng, gen_layout, seconds, content))
@@ -103,26 +120,31 @@ def write_corpus(root, seed=19):
         (root / f"{side}.json").write_text(json.dumps(manifest, sort_keys=True))
 
 
+def evaluate_argv(out, workers):
+    """``evaluate`` of the corpus on relative paths, into ``out``."""
+    return ["evaluate", "--reference-dir", "ref", "--generated-dir", "gen",
+            "--output-dir", out, "--embeddings-ref", "ref.json",
+            "--embeddings-gen", "gen.json", "--workers", str(workers)]
+
+
 def run_reports(root, workers):
     """Run ``evaluate`` in ``root`` on relative paths; the two reports' bytes."""
     out = f"out_w{workers}"
     cwd = os.getcwd()
     os.chdir(root)
     try:
-        rc = cli.main(["evaluate", "--reference-dir", "ref", "--generated-dir", "gen",
-                       "--output-dir", out, "--embeddings-ref", "ref.json",
-                       "--embeddings-gen", "gen.json", "--workers", str(workers)])
+        rc = cli.main(evaluate_argv(out, workers))
     finally:
         os.chdir(cwd)
     assert rc == 0
     return {name: (Path(root) / out / name).read_bytes() for name in REPORTS}
 
 
-def _first_difference(name, got, want):
+def _first_difference(name, got, want, source="golden"):
     for line_no, (a, b) in enumerate(zip(got.splitlines(), want.splitlines()), start=1):
         if a != b:
-            return f"{name}:{line_no}: got {a!r}, golden {b!r}"
-    return f"{name}: {len(got.splitlines())} lines, golden {len(want.splitlines())}"
+            return f"{name}:{line_no}: got {a!r}, {source} {b!r}"
+    return f"{name}: {len(got.splitlines())} lines, {source} {len(want.splitlines())}"
 
 
 def _close(got, want, where):
@@ -174,6 +196,50 @@ def test_golden_corpus_covers_its_cases():
     details = (GOLDEN / "details.csv").read_text().splitlines()
     assert details[1].startswith("noise_03,ref/noise_03.wav,gen/noise_03.wav,unknown,")
     assert "pitch=both_zero" in details[1]
+
+
+# Prints the dispatch levels that numpy enabled, then runs ``evaluate``.
+_EVALUATE_AT_LEVEL = """
+import sys
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy before 2.0
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from cloneval import cli
+print(" ".join(level for level in __cpu_dispatch__ if __cpu_features__[level]), flush=True)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+SIMD_LEVELS = ("baseline", *__cpu_dispatch__)
+
+
+@pytest.fixture(scope="module")
+def long_corpus(tmp_path_factory):
+    """The golden corpus plus ``LONG_PAIR``, and its reports from this process."""
+    root = tmp_path_factory.mktemp("simd")
+    write_corpus(root, {**PAIRS, **LONG_PAIR})
+    return root, run_reports(root, 1)
+
+
+@pytest.mark.parametrize("level", SIMD_LEVELS)
+def test_reports_do_not_depend_on_simd_dispatch(long_corpus, level):
+    if level != "baseline" and not __cpu_features__.get(level):
+        pytest.skip(f"this CPU lacks {level}")
+    root, expected = long_corpus
+    higher = SIMD_LEVELS[SIMD_LEVELS.index(level) + 1 :]
+    disabled = [name for name in higher if __cpu_features__.get(name)]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
+               PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    out = f"out_{level}"
+    proc = subprocess.run([sys.executable, "-c", _EVALUATE_AT_LEVEL, *evaluate_argv(out, 1)],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    enabled = proc.stdout.splitlines()[0].split()
+    assert enabled == [name for name in __cpu_dispatch__
+                       if __cpu_features__[name] and name not in disabled]
+    for name in REPORTS:
+        got = (root / out / name).read_bytes()
+        assert got == expected[name], _first_difference(name, got, expected[name],
+                                                        "this process")
 
 
 if __name__ == "__main__":

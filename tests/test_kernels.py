@@ -3,6 +3,7 @@ checked against the oracles across block edges."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from conftest import mono_buffer
@@ -17,7 +18,7 @@ def onset_windows(env, rows):
 
 def local_autocorr_power(env):
     """The kernel's rows for ``env``, one call per block, as one (frames, bins) matrix."""
-    return F._by_blocks(F._autocorr_rows, env, len(env))
+    return F._by_blocks(F._autocorr_rows, env, np.arange(len(env)))
 
 
 def local_autocorr(env):
@@ -28,8 +29,8 @@ def local_autocorr(env):
 
 def yin_cmnd(padded, n_frames, hop, win, tau_max):
     """The kernel's rows for frames 0..n_frames - 1, one call per block."""
-    return np.concatenate([_kernels.yin_cmnd(padded, start, stop, hop, win, tau_max)
-                           for start, stop in F._row_blocks(n_frames)])
+    return np.concatenate([_kernels.yin_cmnd(padded, block, hop, win, tau_max)
+                           for block in F._row_blocks(np.arange(n_frames))])
 
 
 def test_kernel_output_shapes():
@@ -42,7 +43,7 @@ def test_kernel_output_shapes():
     assert power.shape == (100, _kernels._fft_size(767) // 2 + 1)
     assert local_autocorr(env).shape == (384, 100)
     padded = np.random.default_rng(3).standard_normal(4 * 256 + 1024)
-    cmnd = _kernels.yin_cmnd(padded, 2, 5, 256, 512, 320)
+    cmnd = _kernels.yin_cmnd(padded, np.arange(2, 5), 256, 512, 320)
     assert cmnd.shape == (3, 321)
     assert np.all(cmnd[:, 0] == 1.0)
 
@@ -97,8 +98,8 @@ def test_f0_trough_search_matches_oracle_on_crafted_cmnd():
     cmnd[7, tau_min : tau_min + 2] = [np.nan, 0.01]
     cmnd[:, 0] = 1.0
 
-    f0 = np.concatenate([F._yin_troughs(cmnd[start:stop])
-                         for start, stop in F._row_blocks(len(cmnd))])
+    f0 = np.concatenate([F._yin_troughs(cmnd[block])
+                         for block in F._row_blocks(np.arange(len(cmnd)))])
     expected = [oracles.yin_trough_f0(row, tau_min, tau_max) for row in cmnd]
     np.testing.assert_array_equal(f0, expected)
     assert f0[1] == 0.0 and f0[2] == oracles.SR / tau_max
@@ -154,7 +155,7 @@ def test_kernels_independent_of_block_size(rows):
     env = _onset_test_envelope(rows)
 
     blocked = yin_cmnd(padded, rows, hop, 512, 320)
-    np.testing.assert_array_equal(blocked, _kernels.yin_cmnd(padded, 0, rows, hop, 512, 320))
+    np.testing.assert_array_equal(blocked, _kernels.yin_cmnd(padded, np.arange(rows), hop, 512, 320))
     silent = [t for t in range(rows) if not padded[t * hop :][:1024].any()]
     assert silent
     assert np.all(blocked[silent] == 1.0)
@@ -188,6 +189,34 @@ def _mixed_test_signal():
     x[n // 2 :] = 0.0
     x[3 * n // 4 : 3 * n // 4 + 2000] = 0.9 * np.sin(2 * np.pi * 220.0 * t[:2000])
     return x
+
+
+@given(st.sets(st.integers(0, 300), min_size=1), st.integers(1, 5))
+def test_cover_is_the_union_and_places_each_index(index, width):
+    index = np.array(sorted(index))
+    covered, places = _kernels._cover(index, width)
+    assert covered.tolist() == sorted({i + k for i in index.tolist() for k in range(width)})
+    np.testing.assert_array_equal(covered[places], index)
+
+
+@pytest.mark.parametrize("frames", [
+    [0], [150], [299], [0, 1], [0, 2], [10, 11, 18, 19, 26], [3, 4, 5, 9, 10, 11, 12, 40],
+    list(range(0, 300, 7)), [297, 298, 299],
+])
+def test_frames_apart_give_the_rows_of_one_run(frames):
+    # The kernel rows of scattered frames, whose chunks are gathered, are
+    # the bits of the same frames in one call over every frame. Noise, a
+    # tone and a silent gap that starts mid-chunk.
+    hop, n_frames = oracles.HOP, 300
+    x = np.random.default_rng(3).standard_normal((n_frames - 1) * hop)
+    x[20000:40000] = 0.5 * np.sin(2 * np.pi * 200.0 * np.arange(20000) / oracles.SR)
+    x[40000 + 37 : 50000] = 0.0
+    padded = np.pad(x, 512, mode="reflect")
+    every = np.arange(n_frames)
+    some = np.array(frames)
+    np.testing.assert_array_equal(_kernels.yin_cmnd(padded, some, hop, 512, 320),
+                                  _kernels.yin_cmnd(padded, every, hop, 512, 320)[some])
+    np.testing.assert_array_equal(F._rms_rows(padded, some), F._rms_rows(padded, every)[some])
 
 
 def test_f0_contour_matches_oracle_on_mixed_signal():
@@ -248,7 +277,7 @@ def test_silent_gap_between_loud_stretches_is_exact():
               if t * hop - 512 >= gap.start and t * hop - 512 + 1024 <= gap.stop]
     assert len(silent) > 20
     blocked = yin_cmnd(padded, n_frames, hop, 512, 320)
-    one_call = _kernels.yin_cmnd(padded, 0, n_frames, hop, 512, 320)
+    one_call = _kernels.yin_cmnd(padded, np.arange(n_frames), hop, 512, 320)
     assert np.all(blocked[silent] == 1.0)
     assert np.all(one_call[silent] == 1.0)
     assert np.all(F.f0_contour(mono_buffer(x))[silent] == 0.0)

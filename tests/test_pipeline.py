@@ -227,6 +227,17 @@ class TestEvaluateCorpus:
             config.workers = 0
         assert config.workers == 1
 
+    def test_alias_table_changed_after_construction_moves_nothing(self):
+        table = {"spk1": "fear"}
+        config = EvalConfig(aliases=table)
+        table["spk1"] = "joy"
+        assert parse_emotion("spk1_x", config.aliases) == "fear"
+        table.clear()
+        assert config.fingerprint()["emotions"] == "auto"
+        with pytest.raises(TypeError):
+            config.aliases["spk2"] = "anger"
+        assert EvalConfig(aliases={}).fingerprint()["emotions"] == "off"
+
     def test_emotions_off(self, wav_dir_factory):
         records, _ = _identity_run(
             wav_dir_factory, {"a_happy": sine(220, 0.2)}, aliases={}
