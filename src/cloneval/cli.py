@@ -141,6 +141,9 @@ def _cmd_evaluate(args, parser) -> int:
     elif args.embeddings_ref:
         backends = tuple(load_backend(precomputed_path=path, expected_dim=args.expected_dim)
                          for path in (args.embeddings_ref, args.embeddings_gen))
+    if backends is not None and None in (backend.dimension for backend in backends):
+        parser.error("the embedding dimension is not declared (a model with a symbolic "
+                     "output axis, or an empty manifest); give it with --expected-dim")
 
     pairs, unmatched_ref, unmatched_gen = discover_pairs(args.reference_dir, args.generated_dir)
     for name in unmatched_ref:
@@ -212,9 +215,11 @@ def _cmd_embed(args, parser) -> int:
         raise ClonevalError(f"no audio files in {args.input_dir}")
     backend = load_backend(model_path=args.model)
     manifest = {}
+    dimension = backend.dimension  # None for a symbolic output axis: the first vector's
     for stem, path in wavs.items():
         vector = embed(backend, load_mono_16k(path), key=stem)
-        check_dimension(backend, vector)
+        dimension = dimension or len(vector)
+        check_dimension(dimension, vector)
         manifest[stem] = [float(v) for v in vector]
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     write_staged({args.out: lambda fh: fh.write(text)})

@@ -6,10 +6,11 @@ full evaluation runnable with zero neural inference, which keeps CI and
 third-party verification reproducible.
 
 The ONNX graph contract is one float waveform input [1 x samples] at 16 kHz
-and one float vector output [1 x D]. The graph shape is validated directly
-from the file's protobuf encoding, so schema errors are reported even when
-onnxruntime (an optional dependency) is not installed; the runtime is only
-required to actually run inference.
+and one float vector output [1 x D]. onnxruntime (an optional dependency)
+loads the model, and the session's declared inputs and outputs are checked
+against that contract when it loads. So every backend knows its dimension
+D before the first file is embedded, unless a model declares D symbolic
+and no expected dimension was given.
 """
 
 import json
@@ -67,81 +68,6 @@ def read_precomputed(path) -> dict:
     return store
 
 
-# --- minimal protobuf wire-format walk over an ONNX ModelProto ------------
-#
-# Only what schema validation needs: graph (ModelProto field 7) with its
-# input (11), output (12), and initializer (5) names. Initializers listed as
-# graph inputs do not count as real inputs.
-
-def _read_varint(buf: bytes, pos: int):
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(buf):
-            raise ValueError("truncated varint")
-        byte = buf[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-        if shift > 63:
-            raise ValueError("varint too long")
-
-
-def _iter_proto_fields(buf: bytes):
-    pos = 0
-    while pos < len(buf):
-        key, pos = _read_varint(buf, pos)
-        field_no, wire_type = key >> 3, key & 0x07
-        if wire_type == 0:  # varint
-            value, pos = _read_varint(buf, pos)
-        elif wire_type == 1:  # fixed64
-            value, pos = buf[pos : pos + 8], pos + 8
-        elif wire_type == 2:  # length-delimited
-            length, pos = _read_varint(buf, pos)
-            if pos + length > len(buf):
-                raise ValueError("truncated length-delimited field")
-            value, pos = buf[pos : pos + length], pos + length
-        elif wire_type == 5:  # fixed32
-            value, pos = buf[pos : pos + 4], pos + 4
-        else:
-            raise ValueError(f"unsupported wire type {wire_type}")
-        yield field_no, wire_type, value
-
-
-def _proto_name(message: bytes, name_field: int) -> str:
-    for field_no, wire_type, value in _iter_proto_fields(message):
-        if field_no == name_field and wire_type == 2:
-            return value.decode("utf-8", errors="replace")
-    return ""
-
-
-def inspect_model_graph(data: bytes):
-    """Return (input_names, output_names) of an ONNX model's graph."""
-    graph = None
-    try:
-        for field_no, wire_type, value in _iter_proto_fields(data):
-            if field_no == 7 and wire_type == 2:
-                graph = value
-                break
-        if graph is None:
-            raise ValueError("no graph found")
-        inputs, outputs, initializers = [], [], set()
-        for field_no, wire_type, value in _iter_proto_fields(graph):
-            if wire_type != 2:
-                continue
-            if field_no == 11:
-                inputs.append(_proto_name(value, 1))
-            elif field_no == 12:
-                outputs.append(_proto_name(value, 1))
-            elif field_no == 5:
-                initializers.add(_proto_name(value, 8))
-    except ValueError as exc:
-        raise ModelLoadError(f"not a readable model file: {exc}") from exc
-    return [n for n in inputs if n not in initializers], outputs
-
-
 class PrecomputedBackend:
     """Serves embeddings from a JSON manifest, keyed by file stem."""
 
@@ -168,25 +94,16 @@ class PrecomputedBackend:
 class OnnxModelBackend:
     """Runs a 1-in/1-out ONNX model over 16 kHz waveforms.
 
+    The session declares the model's contract when it loads: exactly one
+    input and one output, else SchemaError. A static last output axis is
+    ``dimension``, and ``expected_dim``, when given, must equal it. A
+    symbolic one, a name or None, takes ``expected_dim``, which may be None.
+
     A session is used by one thread at a time and never crosses a process:
     ``reopened`` gives a worker process a backend with a session of its own.
     """
 
     def __init__(self, path: str, expected_dim: int | None):
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            raise ModelLoadError(f"cannot read model file {path}: {exc}") from exc
-        inputs, outputs = inspect_model_graph(data)
-        if len(inputs) != 1 or len(outputs) != 1:
-            raise SchemaError(
-                f"model graph must have exactly one input and one output, "
-                f"found {len(inputs)} inputs and {len(outputs)} outputs"
-            )
-        self._input_name = inputs[0]
-        self._output_name = outputs[0]
-        self._path = str(path)
-        self.dimension = expected_dim
         try:
             import onnxruntime
         except ImportError as exc:
@@ -196,10 +113,26 @@ class OnnxModelBackend:
             ) from exc
         try:
             self._session = onnxruntime.InferenceSession(
-                data, providers=["CPUExecutionProvider"]
+                str(path), providers=["CPUExecutionProvider"]
             )
         except Exception as exc:
             raise ModelLoadError(f"cannot load model {path}: {exc}") from exc
+        inputs, outputs = self._session.get_inputs(), self._session.get_outputs()
+        if len(inputs) != 1 or len(outputs) != 1:
+            raise SchemaError(
+                f"model graph must have exactly one input and one output, "
+                f"found {len(inputs)} inputs and {len(outputs)} outputs"
+            )
+        self._input_name = inputs[0].name
+        self._output_name = outputs[0].name
+        self._path = str(path)
+        declared = (outputs[0].shape or [None])[-1]
+        if not isinstance(declared, int):
+            declared = expected_dim
+        elif expected_dim is not None and declared != expected_dim:
+            raise ModelLoadError(
+                f"model output dimension {declared} does not match expected {expected_dim}")
+        self.dimension = declared
 
     def _embed(self, buf: AudioBuffer, key: str | None) -> np.ndarray:
         waveform = np.asarray(buf.samples, dtype=np.float32)[None, :]
@@ -218,10 +151,15 @@ def load_backend(*, model_path=None, precomputed_path=None, expected_dim=None):
     """An ONNX model backend or a precomputed-manifest backend.
 
     Exactly one of ``model_path`` and ``precomputed_path`` must be given.
-    ``expected_dim``, when given, is the dimension every embedding must have.
+    ``expected_dim``, when given, is the dimension every embedding must have,
+    at least 1. The backend's ``dimension`` is the one its model or manifest
+    declares, else ``expected_dim``; it is None only for a model with a
+    symbolic output axis, or an empty manifest, loaded without one.
     """
     if (model_path is None) == (precomputed_path is None):
         raise ValueError("exactly one of model_path / precomputed_path must be set")
+    if expected_dim is not None and expected_dim < 1:
+        raise ValueError(f"expected_dim must be at least 1, got {expected_dim}")
     if model_path is not None:
         return OnnxModelBackend(model_path, expected_dim)
     store = read_precomputed(precomputed_path)
@@ -245,15 +183,11 @@ def embed(backend, buf: AudioBuffer, key: str | None = None) -> np.ndarray:
     return vector
 
 
-def check_dimension(backend, vector) -> None:
-    """Raise DimensionMismatch unless ``vector`` has ``backend.dimension`` entries.
+def check_dimension(dimension: int, vector) -> None:
+    """Raise DimensionMismatch unless ``vector`` has ``dimension`` entries.
 
-    A backend that does not know its dimension yet, a model loaded without
-    ``expected_dim``, takes it from the first vector checked. So the vectors
-    of one run are checked in one process, in pair order.
+    It only checks, so it gives the same answer in any process and for any
+    pair order.
     """
-    if backend.dimension is None:
-        backend.dimension = len(vector)
-    elif len(vector) != backend.dimension:
-        raise DimensionMismatch(
-            f"model produced dimension {len(vector)}, expected {backend.dimension}")
+    if len(vector) != dimension:
+        raise DimensionMismatch(f"model produced dimension {len(vector)}, expected {dimension}")

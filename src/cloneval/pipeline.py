@@ -150,11 +150,12 @@ def discover_pairs(ref_dir, gen_dir):
 class EvalConfig:
     """One run's settings, checked when made and frozen after.
 
-    ``backends`` other than None or a pair of backends, ``aliases`` that fail
-    ``_check_aliases`` and ``workers`` below 1 raise ValueError; two backends
-    of known, different dimensions raise DimensionMismatch. ``aliases`` is
-    kept as a read-only copy, so a later change to the caller's table moves
-    neither the labels nor the fingerprint.
+    ``backends`` other than None or a pair of backends, a backend that does
+    not know its dimension, ``aliases`` that fail ``_check_aliases`` and
+    ``workers`` below 1 raise ValueError; two backends of different
+    dimensions raise DimensionMismatch. ``aliases`` is kept as a read-only
+    copy, so a later change to the caller's table moves neither the labels
+    nor the fingerprint.
     """
 
     backends: tuple | None = None  # (reference, generated); None disables the embedding metric
@@ -172,7 +173,10 @@ class EvalConfig:
         ):
             raise ValueError("EvalConfig.backends must be None or a (reference, generated) pair")
         dims = tuple(backend.dimension for backend in backends or ())
-        if None not in dims and len(set(dims)) > 1:
+        if None in dims:
+            raise ValueError("every EvalConfig backend must know its embedding dimension; "
+                             "load a model with a symbolic output axis with expected_dim")
+        if len(set(dims)) > 1:
             # every pair would fail at scoring, after its decode and extraction
             raise DimensionMismatch(f"reference embeddings have {dims[0]} dimensions but "
                                     f"generated embeddings have {dims[1]}")
@@ -205,8 +209,9 @@ def _pair_vectors(pair, backends):
 
     ``ref`` and ``gen`` map metric ids to vectors: the ten feature summaries,
     plus the embedding under ``EMBEDDING_METRIC`` when ``backends`` is a
-    (reference, generated) pair. They are None when a side's features could
-    not be extracted; a pair whose embedding fails keeps its features.
+    (reference, generated) pair; each embedding must have its backend's
+    dimension. They are None when a side's features could not be extracted;
+    a pair whose embedding fails keeps its features.
     ``error`` is None or the pair's failure as ``"Type: message"``.
     """
     stem, ref_path, gen_path = pair
@@ -218,6 +223,8 @@ def _pair_vectors(pair, backends):
         if backends is not None:
             ref[EMBEDDING_METRIC] = embed(backends[0], ref_buf, key=stem)
             gen[EMBEDDING_METRIC] = embed(backends[1], gen_buf, key=stem)
+            check_dimension(backends[0].dimension, ref[EMBEDDING_METRIC])
+            check_dimension(backends[1].dimension, gen[EMBEDDING_METRIC])
     except Exception as exc:
         return ref, gen, f"{type(exc).__name__}: {exc}"
     return ref, gen, None
@@ -285,18 +292,16 @@ def evaluate_corpus(pairs, config: EvalConfig, dump=None):
     Returns (records, errors): the records sorted by pair_id, so the result
     does not depend on the worker count, and each failed pair's stem mapped
     to its reason. When every pair fails, records is empty. ``_pair_vectors``
-    decodes, resamples, extracts and embeds each pair: in the calling process
-    when ``config.workers`` is 1, else in that many forked worker processes,
-    at most one per pair. Everything else runs in the calling process, in
-    pair order: ``dump``, the embedding dimension check (a model backend
-    without a dimension takes the first one it sees) and ``score_pair``.
+    decodes, resamples, extracts and embeds each pair and checks its
+    embeddings' dimension: in the calling process when ``config.workers`` is
+    1, else in that many forked worker processes, at most one per pair.
+    ``dump`` and ``score_pair`` run in the calling process, in pair order.
     Raises EvaluationFailed only when a worker process dies. ``dump``, when
     given, is called as ``dump(pair_id, side, feature_id, vector)`` for every
     feature summary of every pair whose features were extracted, also when
     its embedding or scoring fails later, with ``side`` "reference" or
     "generated".
     """
-    backends = config.backends
     records = []
     errors = {}
     outcomes = _pair_outcomes(pairs, config)
@@ -307,9 +312,6 @@ def evaluate_corpus(pairs, config: EvalConfig, dump=None):
                     for feature_id in FEATURE_IDS:
                         dump(stem, side_name, feature_id, side[feature_id])
             if error is None:
-                if backends is not None:
-                    check_dimension(backends[0], ref[EMBEDDING_METRIC])
-                    check_dimension(backends[1], gen[EMBEDDING_METRIC])
                 record = score_pair(stem, parse_emotion(stem, config.aliases), ref, gen)
                 record.reference_file = str(ref_path)
                 record.generated_file = str(gen_path)

@@ -1,6 +1,7 @@
 """Shared fixtures: synthetic signals, a WAV encoder independent of the decoder,
-ONNX-shaped model files and a stand-in onnxruntime."""
+and a stand-in onnxruntime with the model files it reads."""
 
+import json
 import os
 import struct
 import subprocess
@@ -119,38 +120,14 @@ def mono_buffer(samples, sr=SR):
     return AudioBuffer(np.asarray(samples, dtype=np.float64), sr)
 
 
-# A minimal protobuf wire-format encoder for ONNX-shaped model files.
+def write_fake_model(path, inputs=(("wave", [1, "samples"]),), outputs=(("emb", [1, 4]),)):
+    """Write a model file for ``FakeSession``: the JSON ``{"inputs": [[name, shape], ...],
+    "outputs": [...]}`` that its ``get_inputs`` and ``get_outputs`` declare.
 
-
-def _varint(value: int) -> bytes:
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
-def _field(number: int, payload: bytes) -> bytes:
-    return _varint((number << 3) | 2) + _varint(len(payload)) + payload
-
-
-def _value_info(name: str) -> bytes:
-    return _field(1, name.encode())
-
-
-def _tensor_initializer(name: str) -> bytes:
-    return _field(8, name.encode())  # TensorProto.name
-
-
-def make_model_bytes(inputs, outputs, initializers=()) -> bytes:
-    graph = b"".join(_field(11, _value_info(n)) for n in inputs)
-    graph += b"".join(_field(12, _value_info(n)) for n in outputs)
-    graph += b"".join(_field(5, _tensor_initializer(n)) for n in initializers)
-    return _field(7, graph)  # ModelProto.graph
+    A shape entry that is a string is a symbolic axis, as onnxruntime reports it.
+    """
+    path.write_text(json.dumps({"inputs": inputs, "outputs": outputs}))
+    return path
 
 
 # Waveforms longer than this get one more embedding entry from FakeSession.
@@ -160,13 +137,25 @@ LONG_WAVEFORM = 6000
 class FakeSession:
     """Stands in for ``onnxruntime.InferenceSession``: a waveform's four statistics.
 
-    A waveform longer than ``LONG_WAVEFORM`` samples gets a fifth entry, so a
-    test can plant a dimension mismatch. A session refuses to run in any
-    process but the one that opened it.
+    It declares the inputs and outputs that ``write_fake_model`` wrote, and
+    raises, as onnxruntime does, for a file it cannot read. A waveform longer
+    than ``LONG_WAVEFORM`` samples gets a fifth entry, so a test can plant a
+    dimension mismatch. A session refuses to run in any process but the one
+    that opened it.
     """
 
-    def __init__(self, data, providers):
+    def __init__(self, path, providers):
+        contract = json.loads(Path(path).read_text(encoding="utf-8"))
+        self._inputs, self._outputs = (
+            [types.SimpleNamespace(name=name, shape=shape) for name, shape in contract[key]]
+            for key in ("inputs", "outputs"))
         self._pid = os.getpid()
+
+    def get_inputs(self):
+        return self._inputs
+
+    def get_outputs(self):
+        return self._outputs
 
     def run(self, output_names, feeds):
         if os.getpid() != self._pid:
@@ -187,18 +176,28 @@ class NanSession(FakeSession):
 
 
 @pytest.fixture
-def nan_onnx_model(fake_onnx_model):
-    """``fake_onnx_model``, run by ``NanSession``."""
-    sys.modules["onnxruntime"].InferenceSession = NanSession
-    return fake_onnx_model
-
-
-@pytest.fixture
-def fake_onnx_model(tmp_path, monkeypatch):
-    """A model file that ``load_backend`` accepts, run by a stand-in onnxruntime module."""
+def fake_runtime(monkeypatch):
+    """A stand-in onnxruntime module whose sessions are ``FakeSession``s."""
     runtime = types.ModuleType("onnxruntime")
     runtime.InferenceSession = FakeSession
     monkeypatch.setitem(sys.modules, "onnxruntime", runtime)
-    path = tmp_path / "fake.onnx"
-    path.write_bytes(make_model_bytes(["wave"], ["emb"]))
-    return path
+    return runtime
+
+
+@pytest.fixture
+def fake_onnx_model(tmp_path, fake_runtime):
+    """A model file with a static ``[1, 4]`` output, run by the stand-in onnxruntime."""
+    return write_fake_model(tmp_path / "fake.onnx")
+
+
+@pytest.fixture
+def symbolic_onnx_model(tmp_path, fake_runtime):
+    """``fake_onnx_model`` with a symbolic ``[1, "dim"]`` output."""
+    return write_fake_model(tmp_path / "symbolic.onnx", outputs=[["emb", [1, "dim"]]])
+
+
+@pytest.fixture
+def nan_onnx_model(fake_onnx_model, fake_runtime):
+    """``fake_onnx_model``, run by ``NanSession``."""
+    fake_runtime.InferenceSession = NanSession
+    return fake_onnx_model

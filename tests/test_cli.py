@@ -207,7 +207,7 @@ class TestEvaluate:
 
     def test_model_dimension_mismatch_fails_the_same_pair(self, corpus, tmp_path,
                                                           fake_onnx_model):
-        # the first pair fixes the dimension at 4; this generated file gives 5
+        # the model declares dimension 4 when it loads; this generated file gives 5
         long_tone = sine(330, (LONG_WAVEFORM + 1000) / SR)
         (corpus["gen"] / "spk1_sad_02.wav").write_bytes(make_wav(long_tone))
         for workers in (1, 2, 3):
@@ -220,6 +220,60 @@ class TestEvaluate:
             assert summary["errors"] == {
                 "spk1_sad_02": "DimensionMismatch: model produced dimension 5, expected 4"}
             assert summary["config"]["embedding_dim"] == 4
+
+    def test_first_pair_does_not_set_the_model_dimension(self, corpus, tmp_path,
+                                                         fake_onnx_model):
+        # the first stem embeds to 5 entries on both sides, the others to the
+        # declared 4: the odd pair fails, not the two that conform
+        long_tone = make_wav(sine(330, (LONG_WAVEFORM + 1000) / SR))
+        for side in ("ref", "gen"):
+            (corpus[side] / "spk1_happy_01.wav").write_bytes(long_tone)
+        reports = {}
+        for workers in (1, 2):
+            out = tmp_path / f"out_w{workers}"
+            rc = main(["evaluate", "--reference-dir", str(corpus["ref"]),
+                       "--generated-dir", str(corpus["gen"]), "--output-dir", str(out),
+                       "--workers", str(workers), "--embedding-model", str(fake_onnx_model)])
+            assert rc == 0
+            reports[workers] = [(out / name).read_bytes() for name in pipeline.REPORT_NAMES]
+        assert reports[2] == reports[1]
+        summary = json.loads(reports[1][1])
+        assert summary["errors"] == {
+            "spk1_happy_01": "DimensionMismatch: model produced dimension 5, expected 4"}
+        assert summary["counts"] == {"anger": 1, "sadness": 1}
+        assert summary["config"]["embedding_dim"] == 4
+
+    def test_symbolic_model_dimension_without_expected_dim_is_usage_error(
+            self, corpus, symbolic_onnx_model, monkeypatch, capsys):
+        decoded = []
+        monkeypatch.setattr(pipeline, "decode_wav", lambda data: decoded.append(data))
+        with pytest.raises(SystemExit) as excinfo:
+            main(_evaluate_args(corpus, "--embedding-model", str(symbolic_onnx_model)))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cloneval evaluate ")
+        assert err.endswith("error: the embedding dimension is not declared (a model with a "
+                            "symbolic output axis, or an empty manifest); give it with "
+                            "--expected-dim\n")
+        assert decoded == []
+        assert not corpus["out"].exists()
+
+    def test_symbolic_model_dimension_from_expected_dim(self, corpus, symbolic_onnx_model):
+        rc = main(_evaluate_args(corpus, "--embedding-model", str(symbolic_onnx_model),
+                                 "--expected-dim", "4"))
+        assert rc == 0
+        summary = json.loads((corpus["out"] / "summary.json").read_text())
+        assert summary["errors"] == {}
+        assert summary["config"]["embedding_dim"] == 4
+
+    def test_static_model_dimension_other_than_expected_dim(self, corpus, fake_onnx_model,
+                                                            capsys):
+        rc = main(_evaluate_args(corpus, "--embedding-model", str(fake_onnx_model),
+                                 "--expected-dim", "8"))
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: model output dimension 4 does not match expected 8\n")
+        assert not corpus["out"].exists()
 
     def test_dead_worker_process_fails_the_run(self, corpus, monkeypatch, capsys):
         # forked workers inherit the patch; the calling process never extracts
@@ -667,15 +721,16 @@ class TestEmbedCommand:
         assert err.startswith("usage: cloneval embed ")
         assert "--out must name a file in an existing directory" in err
 
-    def test_manifest_of_every_file_then_evaluate_from_it(self, tmp_path, fake_onnx_model,
+    def test_manifest_of_every_file_then_evaluate_from_it(self, tmp_path, symbolic_onnx_model,
                                                            capsys):
-        # 8000 samples each, longer than LONG_WAVEFORM: five entries per vector
+        # 8000 samples each, longer than LONG_WAVEFORM: five entries per vector,
+        # which the model's symbolic output axis allows
         wav_dir = tmp_path / "wavs"
         wav_dir.mkdir()
         for stem, freq in (("b_sad", 330), ("a_happy", 220)):
             (wav_dir / f"{stem}.wav").write_bytes(make_wav(sine(freq, 0.5)))
         manifest = tmp_path / "e.json"
-        rc = main(["embed", "--input-dir", str(wav_dir), "--model", str(fake_onnx_model),
+        rc = main(["embed", "--input-dir", str(wav_dir), "--model", str(symbolic_onnx_model),
                    "--out", str(manifest)])
         assert rc == 0
         assert capsys.readouterr().out == f"wrote 2 embeddings to {manifest}\n"
@@ -694,6 +749,24 @@ class TestEmbedCommand:
         embedding = rows[0].split(",").index("embedding")
         assert [row.split(",")[embedding] for row in rows[1:]] == ["1.000000"] * 2
         assert json.loads((out / "summary.json").read_text())["config"]["embedding_dim"] == 5
+
+    @pytest.mark.parametrize("model, got, want", [("fake_onnx_model", 5, 4),
+                                                  ("symbolic_onnx_model", 4, 5)])
+    def test_dimension_mismatch_writes_no_manifest(self, tmp_path, request, model, got, want,
+                                                   capsys):
+        # the static model declares 4; a symbolic one holds every vector to the
+        # first one's length, here the 5 entries of a_long
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        (wav_dir / "a_long.wav").write_bytes(make_wav(sine(220, (LONG_WAVEFORM + 1000) / SR)))
+        (wav_dir / "b_short.wav").write_bytes(make_wav(sine(220, 0.05)))
+        out = tmp_path / "e.json"
+        rc = main(["embed", "--input-dir", str(wav_dir),
+                   "--model", str(request.getfixturevalue(model)), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: model produced dimension {got}, expected {want}\n")
+        assert not out.exists()
 
     def test_non_finite_embedding_writes_no_manifest(self, tmp_path, nan_onnx_model, capsys):
         wav_dir = tmp_path / "wavs"

@@ -1,7 +1,9 @@
 """Embedding backend tests.
 
-``conftest.make_model_bytes`` builds ONNX-shaped model files so the graph
-schema validation can be exercised without onnxruntime installed.
+A model's contract is what its session declares when it loads. The
+stand-in onnxruntime of ``conftest`` declares the inputs and outputs that
+``conftest.write_fake_model`` wrote, so the schema checks run without
+onnxruntime installed.
 """
 
 import json
@@ -9,11 +11,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_model_bytes, mono_buffer, sine
+from conftest import mono_buffer, sine, write_fake_model
 from cloneval.audio_io import AudioBuffer
 from cloneval.embeddings import (
+    check_dimension,
     embed,
-    inspect_model_graph,
     load_backend,
     read_precomputed,
 )
@@ -109,33 +111,64 @@ class TestLoadBackend:
         with pytest.raises(ModelLoadError, match="[Dd]imension"):
             load_backend(precomputed_path=str(path), expected_dim=512)
 
-    def test_two_input_graph_rejected(self, tmp_path):
-        path = tmp_path / "two_in.onnx"
-        path.write_bytes(make_model_bytes(["wave", "mask"], ["emb"]))
-        with pytest.raises(SchemaError):
+    @pytest.mark.parametrize("expected_dim", [0, -4])
+    @pytest.mark.parametrize("mode", ["model", "precomputed"])
+    def test_expected_dim_below_one_rejected(self, tmp_path, fake_onnx_model, mode,
+                                             expected_dim):
+        # a model would otherwise take a dimension that fails every pair
+        manifest = tmp_path / "emb.json"
+        manifest.write_text(json.dumps({"a": [0.1, 0.2]}))
+        paths = {"model": {"model_path": str(fake_onnx_model)},
+                 "precomputed": {"precomputed_path": str(manifest)}}[mode]
+        with pytest.raises(ValueError, match=f"expected_dim must be at least 1, got {expected_dim}"):
+            load_backend(**paths, expected_dim=expected_dim)
+
+    def test_static_output_is_the_dimension_at_load(self, fake_onnx_model):
+        assert load_backend(model_path=str(fake_onnx_model)).dimension == 4
+        assert load_backend(model_path=str(fake_onnx_model), expected_dim=4).dimension == 4
+
+    def test_static_output_must_match_expected_dim(self, fake_onnx_model):
+        with pytest.raises(ModelLoadError, match="^model output dimension 4 does not match "
+                           "expected 8$"):
+            load_backend(model_path=str(fake_onnx_model), expected_dim=8)
+
+    @pytest.mark.parametrize("axis", ["dim", None])
+    def test_symbolic_output_takes_expected_dim(self, tmp_path, fake_runtime, axis):
+        path = write_fake_model(tmp_path / "m.onnx", outputs=[["emb", ["batch", axis]]])
+        assert load_backend(model_path=str(path)).dimension is None
+        assert load_backend(model_path=str(path), expected_dim=6).dimension == 6
+
+    def test_reopened_backend_keeps_the_dimension(self, symbolic_onnx_model):
+        backend = load_backend(model_path=str(symbolic_onnx_model), expected_dim=4)
+        assert backend.reopened().dimension == 4
+
+    def test_two_input_graph_rejected(self, tmp_path, fake_runtime):
+        path = write_fake_model(tmp_path / "m.onnx",
+                                inputs=[["wave", [1, "n"]], ["mask", [1, "n"]]])
+        with pytest.raises(SchemaError, match="found 2 inputs and 1 outputs$"):
             load_backend(model_path=str(path))
 
-    def test_initializer_inputs_do_not_count(self):
-        data = make_model_bytes(["wave", "weights"], ["emb"], initializers=["weights"])
-        inputs, outputs = inspect_model_graph(data)
-        assert inputs == ["wave"]
-        assert outputs == ["emb"]
+    def test_two_output_graph_rejected(self, tmp_path, fake_runtime):
+        path = write_fake_model(tmp_path / "m.onnx",
+                                outputs=[["emb", [1, 4]], ["logits", [1, 7]]])
+        with pytest.raises(SchemaError, match="found 1 inputs and 2 outputs$"):
+            load_backend(model_path=str(path))
 
-    def test_garbage_model_file(self, tmp_path):
+    def test_garbage_model_file(self, tmp_path, fake_runtime):
+        # the runtime cannot read the file, and its error becomes ModelLoadError
         path = tmp_path / "bad.onnx"
         path.write_bytes(b"\xff\xff\xff\xff not a model")
-        with pytest.raises(ModelLoadError):
+        with pytest.raises(ModelLoadError, match=f"^cannot load model {path}: "):
             load_backend(model_path=str(path))
 
-    def test_missing_model_file(self, tmp_path):
-        with pytest.raises(ModelLoadError):
+    def test_missing_model_file(self, tmp_path, fake_runtime):
+        with pytest.raises(ModelLoadError, match="^cannot load model .*absent.onnx"):
             load_backend(model_path=str(tmp_path / "absent.onnx"))
 
     @pytest.mark.skipif(HAVE_ORT, reason="exercises the missing-runtime error path")
     def test_valid_graph_without_runtime(self, tmp_path):
-        path = tmp_path / "ok.onnx"
-        path.write_bytes(make_model_bytes(["wave"], ["emb"]))
-        with pytest.raises(ModelLoadError, match="onnxruntime"):
+        path = write_fake_model(tmp_path / "ok.onnx")
+        with pytest.raises(ModelLoadError, match="onnxruntime is required"):
             load_backend(model_path=str(path))
 
 
@@ -178,3 +211,11 @@ class TestEmbed:
     def test_missing_key(self, backend):
         with pytest.raises(MissingEmbedding):
             embed(backend, mono_buffer(sine(220, 0.05)), key="absent")
+
+
+class TestCheckDimension:
+    def test_only_checks(self):
+        check_dimension(4, np.ones(4))
+        with pytest.raises(DimensionMismatch, match="^model produced dimension 5, expected 4$"):
+            check_dimension(4, np.ones(5))
+        check_dimension(4, np.ones(4))  # the mismatch fixed nothing

@@ -221,6 +221,14 @@ class TestEvaluateCorpus:
                            "dimensions but generated embeddings have 100$"):
             EvalConfig(backends=tuple(backends))
 
+    def test_backend_of_unknown_dimension_rejected(self, symbolic_onnx_model):
+        # a model's symbolic output axis leaves the dimension to expected_dim
+        backend = load_backend(model_path=str(symbolic_onnx_model))
+        with pytest.raises(ValueError, match="must know its embedding dimension"):
+            EvalConfig(backends=(backend, backend))
+        backend = load_backend(model_path=str(symbolic_onnx_model), expected_dim=4)
+        assert EvalConfig(backends=(backend, backend)).fingerprint()["embedding_dim"] == 4
+
     def test_made_config_cannot_be_reassigned(self):
         config = EvalConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
