@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .embeddings import check_dimension, embed, load_backend
-from .errors import ClonevalError, EvaluationFailed, ParseError
+from .errors import ClonevalError, DimensionMismatch, EvaluationFailed, ParseError
 from .pipeline import (
     REPORT_NAMES,
     EvalConfig,
@@ -76,20 +76,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out_file(parser, flag: str, value: str, taken=(), out_dir=None) -> None:
+def _resolved(files) -> dict:
+    """``{resolved path: description}`` of each ``(path, description)``; the first wins."""
+    taken = {}
+    for path, what in files:
+        taken.setdefault(Path(path).resolve(), what)
+    return taken
+
+
+def _check_out_file(parser, flag: str, value: str, taken: dict, out_dir=None) -> None:
     """Exit with a usage error unless ``value`` names a file in an existing
     directory, or in ``out_dir``, which the command creates, and none of
-    ``taken``: the ``(path, description)`` of each other file the command
-    reads or writes, such as ``(manifest, "the --manifest file")``."""
+    ``taken``: the ``_resolved`` map of the other files the command reads or
+    writes, such as ``{manifest: "the --manifest file"}``."""
     # Path() drops a trailing separator, which names a directory
     path = Path(value)
     in_out_dir = out_dir is not None and path.parent.resolve() == Path(out_dir).resolve()
     if value.endswith(("/", os.sep)) or path.is_dir() or not (path.parent.is_dir() or in_out_dir):
         parser.error(f"{flag} must name a file in an existing directory")
-    path = path.resolve()
-    for other, what in taken:
-        if Path(other).resolve() == path:
-            parser.error(f"{flag} must not name {what}")
+    what = taken.get(path.resolve())
+    if what is not None:
+        parser.error(f"{flag} must not name {what}")
 
 
 def _check_out_dir(parser, value: str) -> None:
@@ -120,10 +127,11 @@ def _cmd_evaluate(args, parser) -> int:
     for flag, directory in (("--reference-dir", args.reference_dir),
                             ("--generated-dir", args.generated_dir)):
         taken += [(path, f"a WAV in {flag}") for path in list_wavs(directory).values()]
+    taken = _resolved(taken)
     for name in REPORT_NAMES:
         report = os.path.join(args.output_dir, name)
         _check_out_file(parser, f"{name} in --output-dir", report, taken, args.output_dir)
-        taken.append((report, "a report file"))
+        taken[Path(report).resolve()] = "a report file"
     if args.dump_features:
         _check_out_file(parser, "--dump-features", args.dump_features, taken, args.output_dir)
 
@@ -184,7 +192,8 @@ def _cmd_evaluate(args, parser) -> int:
 
 
 def _cmd_prompts(args, parser) -> int:
-    _check_out_file(parser, "--out", args.out, [(args.manifest, "the --manifest file")])
+    _check_out_file(parser, "--out", args.out,
+                    _resolved([(args.manifest, "the --manifest file")]))
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -209,8 +218,9 @@ def _cmd_embed(args, parser) -> int:
     if not Path(args.input_dir).is_dir():
         parser.error("--input-dir is not a directory")
     wavs = list_wavs(args.input_dir)
-    _check_out_file(parser, "--out", args.out, [(args.model, "the --model file")]
-                    + [(path, "a WAV in --input-dir") for path in wavs.values()])
+    _check_out_file(parser, "--out", args.out, _resolved(
+        [(args.model, "the --model file")]
+        + [(path, "a WAV in --input-dir") for path in wavs.values()]))
     if not wavs:
         raise ClonevalError(f"no audio files in {args.input_dir}")
     backend = load_backend(model_path=args.model)
@@ -219,7 +229,10 @@ def _cmd_embed(args, parser) -> int:
     for stem, path in wavs.items():
         vector = embed(backend, load_mono_16k(path), key=stem)
         dimension = dimension or len(vector)
-        check_dimension(dimension, vector)
+        try:
+            check_dimension(dimension, vector)
+        except DimensionMismatch as exc:
+            raise DimensionMismatch(f"embedding of {stem!r}: {exc}") from None
         manifest[stem] = [float(v) for v in vector]
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     write_staged({args.out: lambda fh: fh.write(text)})

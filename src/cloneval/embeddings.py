@@ -33,19 +33,23 @@ def read_precomputed(path) -> dict:
     """Load a stem -> vector JSON manifest as ``{stem: float64 array}``.
 
     Every vector is non-empty, finite and non-zero, and all share one
-    dimension.
+    dimension. A stem listed twice raises ParseError naming it.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            # objects load as tuples of their (key, value) entries, so an
+            # entry listed twice is still there to be reported
+            raw = json.load(fh, object_pairs_hook=tuple)
     except (OSError, ValueError) as exc:  # also bad JSON or bad UTF-8
         raise ParseError(f"cannot read embedding manifest {path}: {exc}") from exc
-    if not isinstance(raw, dict):
+    if not isinstance(raw, tuple):
         raise ParseError("embedding manifest must be a JSON object")
 
     store = {}
     dim = None
-    for stem, values in raw.items():
+    for stem, values in raw:
+        if stem in store:
+            raise ParseError(f"embedding manifest lists the stem {stem!r} more than once")
         if not isinstance(values, list) or not values or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
         ):

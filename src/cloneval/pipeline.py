@@ -204,30 +204,25 @@ def load_mono_16k(path):
     return resample(downmix_mono(buf), PIPELINE_RATE)
 
 
-def _pair_vectors(pair, backends):
-    """Decode, resample, extract and embed one pair: ``(ref, gen, error)``.
+def _file_vectors(stem, path, backend):
+    """Decode, resample, extract and embed one file: ``(vectors, error)``.
 
-    ``ref`` and ``gen`` map metric ids to vectors: the ten feature summaries,
-    plus the embedding under ``EMBEDDING_METRIC`` when ``backends`` is a
-    (reference, generated) pair; each embedding must have its backend's
-    dimension. They are None when a side's features could not be extracted;
-    a pair whose embedding fails keeps its features.
-    ``error`` is None or the pair's failure as ``"Type: message"``.
+    ``vectors`` maps metric ids to vectors: the ten feature summaries, plus,
+    with a ``backend``, the embedding of ``stem`` under ``EMBEDDING_METRIC``,
+    which must have the backend's dimension. It is None when the features
+    could not be extracted; a file whose embedding fails keeps its features.
+    ``error`` is None or the file's failure as ``"Type: message"``.
     """
-    stem, ref_path, gen_path = pair
-    ref = gen = None
+    vectors = None
     try:
-        ref_buf = load_mono_16k(ref_path)
-        gen_buf = load_mono_16k(gen_path)
-        ref, gen = extract_summaries(ref_buf), extract_summaries(gen_buf)
-        if backends is not None:
-            ref[EMBEDDING_METRIC] = embed(backends[0], ref_buf, key=stem)
-            gen[EMBEDDING_METRIC] = embed(backends[1], gen_buf, key=stem)
-            check_dimension(backends[0].dimension, ref[EMBEDDING_METRIC])
-            check_dimension(backends[1].dimension, gen[EMBEDDING_METRIC])
+        buf = load_mono_16k(path)
+        vectors = extract_summaries(buf)
+        if backend is not None:
+            vectors[EMBEDDING_METRIC] = embed(backend, buf, key=stem)
+            check_dimension(backend.dimension, vectors[EMBEDDING_METRIC])
     except Exception as exc:
-        return ref, gen, f"{type(exc).__name__}: {exc}"
-    return ref, gen, None
+        return vectors, f"{type(exc).__name__}: {exc}"
+    return vectors, None
 
 
 _worker_backends = None  # set in each worker process by _start_worker
@@ -256,20 +251,23 @@ def _exit_with_parent(sentinel):
     os._exit(1)
 
 
-def _worker_pair_vectors(pair):
-    return _pair_vectors(pair, _worker_backends)
+def _worker_file_vectors(side, stem, path):
+    return _file_vectors(stem, path, _worker_backends and _worker_backends[side])
 
 
 def _pair_outcomes(pairs, config):
-    """``_pair_vectors`` of each pair, in pair order, from ``config.workers`` processes.
+    """``_file_vectors`` of each file, in pair order, reference (side 0) before generated.
 
-    One worker, or one pair, runs in the calling process. More run in a pool
-    of forked processes, each with its own arrays; a worker that dies raises
-    EvaluationFailed.
+    One worker runs them lazily in the calling process, so each pair can be
+    scored as soon as its two files are done. More run in a pool of forked
+    processes, at most one per file, each with its own arrays; a worker that
+    dies raises EvaluationFailed.
     """
-    workers = min(config.workers, len(pairs))
+    tasks = [(side, stem, path) for stem, *paths in pairs for side, path in enumerate(paths)]
+    workers = min(config.workers, len(tasks))
     if workers <= 1:
-        yield from (_pair_vectors(pair, config.backends) for pair in pairs)
+        yield from (_file_vectors(stem, path, config.backends and config.backends[side])
+                    for side, stem, path in tasks)
         return
     # imported here: loading the pool's modules would otherwise add to every
     # run's start-up, also to runs with one worker
@@ -281,7 +279,7 @@ def _pair_outcomes(pairs, config):
     try:
         with ProcessPoolExecutor(workers, mp_context=context, initializer=_start_worker,
                                  initargs=(config.backends,)) as pool:
-            yield from pool.map(_worker_pair_vectors, pairs)
+            yield from pool.map(_worker_file_vectors, *zip(*tasks))
     except BrokenProcessPool as exc:
         raise EvaluationFailed(f"a worker process died: {exc}") from exc
 
@@ -291,23 +289,25 @@ def evaluate_corpus(pairs, config: EvalConfig, dump=None):
 
     Returns (records, errors): the records sorted by pair_id, so the result
     does not depend on the worker count, and each failed pair's stem mapped
-    to its reason. When every pair fails, records is empty. ``_pair_vectors``
-    decodes, resamples, extracts and embeds each pair and checks its
-    embeddings' dimension: in the calling process when ``config.workers`` is
-    1, else in that many forked worker processes, at most one per pair.
-    ``dump`` and ``score_pair`` run in the calling process, in pair order.
-    Raises EvaluationFailed only when a worker process dies. ``dump``, when
-    given, is called as ``dump(pair_id, side, feature_id, vector)`` for every
-    feature summary of every pair whose features were extracted, also when
-    its embedding or scoring fails later, with ``side`` "reference" or
-    "generated".
+    to its reason. When every pair fails, records is empty. Each file goes
+    through ``_file_vectors``: in the calling process when ``config.workers``
+    is 1, else in at most that many forked worker processes. A pair is
+    scored only when neither file failed; its error is the reference file's,
+    else the generated file's. ``dump`` and ``score_pair`` run in the calling
+    process, in pair order. Raises EvaluationFailed only when a worker
+    process dies. ``dump``, when given, is called as ``dump(pair_id, side,
+    feature_id, vector)`` for every feature summary of every pair whose two
+    files' features were extracted, also when an embedding or the scoring
+    fails later, with ``side`` "reference" or "generated".
     """
     records = []
     errors = {}
-    outcomes = _pair_outcomes(pairs, config)
-    for (stem, ref_path, gen_path), (ref, gen, error) in zip(pairs, outcomes, strict=True):
+    files = _pair_outcomes(pairs, config)
+    for (stem, ref_path, gen_path), (ref, ref_error), (gen, gen_error) in zip(
+            pairs, files, files, strict=True):  # each pair takes the next two file outcomes
+        error = ref_error or gen_error
         try:
-            if ref is not None and dump is not None:
+            if ref is not None and gen is not None and dump is not None:
                 for side_name, side in (("reference", ref), ("generated", gen)):
                     for feature_id in FEATURE_IDS:
                         dump(stem, side_name, feature_id, side[feature_id])

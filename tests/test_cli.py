@@ -243,6 +243,53 @@ class TestEvaluate:
         assert summary["counts"] == {"anger": 1, "sadness": 1}
         assert summary["config"]["embedding_dim"] == 4
 
+    def test_reference_error_wins_over_the_generated_one(self, corpus, tmp_path):
+        # the reference fails at extraction, a stage after the generated
+        # file's failed decode; each file is a step of its own
+        (corpus["ref"] / "spk1_sad_02.wav").write_bytes(make_wav([0.25]))
+        (corpus["gen"] / "spk1_sad_02.wav").write_bytes(b"RIFF, but not a WAV file")
+        reports = {}
+        for workers in (1, 2):
+            out = tmp_path / f"out_w{workers}"
+            rc = main(["evaluate", "--reference-dir", str(corpus["ref"]),
+                       "--generated-dir", str(corpus["gen"]), "--output-dir", str(out),
+                       "--workers", str(workers), "--no-embedding"])
+            assert rc == 0
+            reports[workers] = [(out / name).read_bytes() for name in pipeline.REPORT_NAMES]
+        assert reports[2] == reports[1]
+        assert json.loads(reports[1][1])["errors"] == {
+            "spk1_sad_02": "InputTooShort: need at least 2 samples, got 1"}
+
+    def test_one_pair_with_two_workers_runs_its_files_in_the_pool(self, corpus, tmp_path,
+                                                                  monkeypatch):
+        for stem in ("spk1_sad_02", "spk2_ANG_03"):
+            (corpus["gen"] / f"{stem}.wav").unlink()
+        extracted_in = tmp_path / "extracted_in.txt"
+
+        def noting_pid(buf, extract=pipeline.extract_summaries):
+            with open(extracted_in, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return extract(buf)
+
+        outputs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"out_w{workers}"
+            dump = tmp_path / f"features_w{workers}.jsonl"
+            if workers == 2:  # forked workers inherit the patch
+                monkeypatch.setattr(pipeline, "extract_summaries", noting_pid)
+            rc = main(["evaluate", "--reference-dir", str(corpus["ref"]),
+                       "--generated-dir", str(corpus["gen"]), "--output-dir", str(out),
+                       "--workers", str(workers), "--dump-features", str(dump),
+                       "--embeddings-ref", str(corpus["emb"]),
+                       "--embeddings-gen", str(corpus["emb"])])
+            assert rc == 0
+            outputs[workers] = [p.read_bytes() for p in (
+                out / "details.csv", out / "summary.json", dump)]
+        assert outputs[2] == outputs[1]
+        assert json.loads(outputs[1][1])["counts"] == {"happiness": 1}
+        pids = [int(pid) for pid in extracted_in.read_text().split()]
+        assert len(pids) == 2 and os.getpid() not in pids
+
     def test_symbolic_model_dimension_without_expected_dim_is_usage_error(
             self, corpus, symbolic_onnx_model, monkeypatch, capsys):
         decoded = []
@@ -411,6 +458,32 @@ class TestEvaluate:
         assert ("details.csv in --output-dir must not name the --embeddings-ref file"
                 in capsys.readouterr().err)
         assert manifest.read_text() == corpus["emb"].read_text()
+
+    def test_report_reached_through_a_symlinked_wav_is_usage_error(self, corpus, capsys):
+        assert main(_evaluate_args(corpus, "--no-embedding")) == 0
+        previous = {p.name: p.read_bytes() for p in corpus["out"].iterdir()}
+        (corpus["ref"] / "zz_link.wav").symlink_to(corpus["out"] / "details.csv")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(_evaluate_args(corpus, "--no-embedding"))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cloneval evaluate ")
+        assert err.endswith("error: details.csv in --output-dir must not name a WAV in "
+                            "--reference-dir\n")
+        assert {p.name: p.read_bytes() for p in corpus["out"].iterdir()} == previous
+
+    def test_manifest_listing_a_stem_twice_fails_the_run(self, corpus, capsys):
+        text = corpus["emb"].read_text()
+        assert text.endswith("]}")
+        corpus["emb"].write_text(text[:-1] + ', "spk1_sad_02": [' + "0.5, " * 7 + "0.5]}")
+        rc = main(_evaluate_args(
+            corpus, "--embeddings-ref", str(corpus["emb"]), "--embeddings-gen", str(corpus["emb"])
+        ))
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: embedding manifest lists the stem 'spk1_sad_02' more than once\n")
+        assert not corpus["out"].exists()
 
     @pytest.mark.parametrize("where", ["file", "file/out"])
     def test_output_dir_under_a_file_is_usage_error(self, corpus, tmp_path, where,
@@ -764,8 +837,9 @@ class TestEmbedCommand:
         rc = main(["embed", "--input-dir", str(wav_dir),
                    "--model", str(request.getfixturevalue(model)), "--out", str(out)])
         assert rc == 1
+        stem = {5: "a_long", 4: "b_short"}[got]  # the file whose vector has the odd length
         assert capsys.readouterr().err == (
-            f"error: model produced dimension {got}, expected {want}\n")
+            f"error: embedding of {stem!r}: model produced dimension {got}, expected {want}\n")
         assert not out.exists()
 
     def test_non_finite_embedding_writes_no_manifest(self, tmp_path, nan_onnx_model, capsys):

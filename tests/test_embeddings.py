@@ -91,6 +91,13 @@ class TestLoadBackend:
         with pytest.raises(ParseError, match="entry 'a' holds a number too large"):
             load_backend(precomputed_path=str(path))
 
+    def test_stem_listed_twice(self, tmp_path):
+        # plain json.load would keep the second vector without a word
+        path = tmp_path / "emb.json"
+        path.write_text('{"a": [1.0, 2.0], "b": [0.5, 0.5], "a": [3.0, 4.0]}')
+        with pytest.raises(ParseError, match="lists the stem 'a' more than once"):
+            load_backend(precomputed_path=str(path))
+
     def test_spec_requires_exactly_one_mode(self):
         with pytest.raises(ValueError):
             load_backend()
