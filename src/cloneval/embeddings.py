@@ -32,8 +32,9 @@ from .errors import (
 def read_precomputed(path) -> dict:
     """Load a stem -> vector JSON manifest as ``{stem: float64 array}``.
 
-    Every vector is non-empty, finite and non-zero, and all share one
-    dimension. A stem listed twice raises ParseError naming it.
+    Every vector is non-empty and finite, and all share one dimension. A
+    zero vector is kept: scoring flags it as a model's zero embedding is
+    flagged. A stem listed twice raises ParseError naming it.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -60,8 +61,6 @@ def read_precomputed(path) -> dict:
             raise ParseError(f"entry {stem!r} holds a number too large for float64") from None
         if not np.all(np.isfinite(vector)):
             raise ParseError(f"entry {stem!r} contains non-finite values")
-        if not np.any(vector):
-            raise ParseError(f"entry {stem!r} has zero norm")
         if dim is None:
             dim = vector.shape[0]
         elif vector.shape[0] != dim:

@@ -12,8 +12,7 @@ frames)`` that returns one row per frame of its block, as the YIN and
 tempogram kernels do: ``_yin_rows``, ``_rms_rows`` and ``_autocorr_rows``.
 The rows of a run of consecutive frames are read through strided views;
 only frames apart are gathered. ``_by_blocks`` stacks a helper's rows over
-all blocks. ``_stft_blocks`` is the one generator, because the magnitude
-blocks it yields share its buffers.
+all blocks.
 
 A contour's summary reads at most 511 of its frames: ``summarize`` takes
 each of its 256 points from the frame at or below it and the frame after
@@ -42,10 +41,15 @@ bank is 98.5% zeros, and ``_mel_groups`` keeps, for each group of 8 filters,
 only the bins their triangles cover. No matrix product sums over more than
 99 bins, so the bits do not depend on the BLAS thread count.
 
-The public per-feature functions return whole-file matrices and contours.
-Spectra are plain ``(bins, frames)`` arrays: ``stft`` returns magnitudes,
-``mel_spectrogram`` mel powers, and each function's parameter name says
-which of the two it takes.
+The public feature functions are the pass's own steps, and each takes an
+array the pass already holds. ``frame_signal(padded, n_frames)`` is the
+read-only frame view of the padded signal, and ``stft(frames)`` the
+``(rows, bins)`` magnitudes of one block of its rows. ``f0_contour`` and
+``rms_envelope`` take the padded signal and the sorted frames to evaluate.
+The spectral functions take ``(bins, frames)`` arrays, and each one's
+parameter name says whether it wants magnitudes or powers.
+``onset_strength`` takes mel powers, and ``tempogram`` the whole onset
+envelope, of which it returns the time-mean profile.
 
 The metric set and the analysis settings are the protocol's, not the
 caller's: scores from two runs are comparable only if both measured the
@@ -152,11 +156,6 @@ _STFT_WINDOW = _read_only(hann_window(N_FFT))
 _TEMPOGRAM_WINDOW = _read_only(hann_window(TEMPOGRAM_WIN))
 
 
-def _padded(buf: AudioBuffer):
-    """``_reflect_pad`` of the samples, checked by ``pipeline_samples``."""
-    return _reflect_pad(pipeline_samples(buf, "feature extraction"))
-
-
 def _reflect_pad(x: np.ndarray):
     """``x`` reflected by ``N_FFT // 2`` samples at both ends, and its centered frame count."""
     if len(x) < 2:
@@ -164,9 +163,11 @@ def _reflect_pad(x: np.ndarray):
     return np.pad(x, N_FFT // 2, mode="reflect"), 1 + len(x) // HOP
 
 
-def frame_signal(x: np.ndarray) -> np.ndarray:
-    """Centered ``N_FFT``-sample frames ``HOP`` apart, reflect-padded: ``_reflect_pad``'s rows."""
-    padded, n_frames = _reflect_pad(x)
+def frame_signal(padded: np.ndarray, n_frames: int) -> np.ndarray:
+    """The ``n_frames`` centered frames of a ``_reflect_pad``-ed signal, a read-only view.
+
+    Row ``t`` is the ``N_FFT`` samples from ``t * HOP`` on.
+    """
     return _kernels._windows(padded, 0, n_frames, HOP, N_FFT)
 
 
@@ -174,30 +175,12 @@ def fft_frequencies() -> np.ndarray:
     return np.arange(_N_BINS) * (PIPELINE_RATE / N_FFT)
 
 
-def stft(buf: AudioBuffer) -> np.ndarray:
-    """Magnitude STFT of a mono buffer, ``(bins, frames)``: the ``_stft_blocks``, transposed."""
-    padded, n_frames = _padded(buf)
-    mag = np.empty((n_frames, _N_BINS))
-    for block, rows in _stft_blocks(padded, n_frames):
-        mag[block] = rows
-    return mag.T
+def stft(frames: np.ndarray) -> np.ndarray:
+    """Magnitude spectra ``(rows, bins)`` of ``frame_signal`` rows under the Hann window.
 
-
-def _stft_blocks(padded: np.ndarray, n_frames: int):
-    """Yield ``(block, mag)`` per ``_row_blocks`` block of all ``n_frames`` frames.
-
-    ``mag`` is the ``(len(block), bins)`` magnitude STFT of the frames
-    ``block``, held in one buffer that the next block overwrites.
+    The pass hands it one ``_row_blocks`` block of rows at a time.
     """
-    frames = _kernels._windows(padded, 0, n_frames, HOP, N_FFT)
-    rows = min(n_frames, _BLOCK_ROWS)
-    windowed = np.empty((rows, N_FFT))
-    mag = np.empty((rows, _N_BINS))
-    for block in _row_blocks(np.arange(n_frames)):
-        count = len(block)
-        np.multiply(_kernels._take(frames, block), _STFT_WINDOW, out=windowed[:count])
-        np.abs(np.fft.rfft(windowed[:count], axis=1), out=mag[:count])
-        yield block, mag[:count]
+    return np.abs(np.fft.rfft(frames * _STFT_WINDOW, axis=1))
 
 
 # Mel scale, Slaney variant: linear below 1 kHz, logarithmic above.
@@ -272,25 +255,18 @@ def _mel_frames(power: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def mel_spectrogram(buf: AudioBuffer) -> np.ndarray:
-    """Mel power spectrogram ``(N_MELS, frames)``: normalized triangles over the power STFT."""
-    power = (stft(buf) ** 2).T
-    return _mel_frames(power, np.empty((N_MELS, len(power))))
-
-
-def f0_contour(buf: AudioBuffer) -> np.ndarray:
-    """YIN pitch track in Hz per frame; 0 marks unvoiced frames.
+def f0_contour(padded: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """YIN pitch in Hz at the sorted ``frames`` of a ``_reflect_pad``-ed signal; 0 if unvoiced.
 
     Per frame the cumulative-mean-normalized difference function is searched
     for the first trough below the threshold; the trough is refined by
     parabolic interpolation. YIN: de Cheveigne & Kawahara (2002).
     """
-    padded, n_frames = _padded(buf)
-    return _by_blocks(_yin_rows, padded, np.arange(n_frames))
+    return _by_blocks(_yin_rows, padded, frames)
 
 
 def _yin_rows(padded, frames):
-    """``f0_contour`` at ``frames`` of the ``_reflect_pad``-ed signal."""
+    """``f0_contour`` of one block of ``frames``."""
     return _yin_troughs(_kernels.yin_cmnd(padded, frames, HOP, _YIN_WIN, _TAU_MAX))
 
 
@@ -321,18 +297,17 @@ def _yin_troughs(cmnd):
     return out
 
 
-def rms_envelope(buf: AudioBuffer) -> np.ndarray:
-    """Per-frame RMS of windowless centered frames.
+def rms_envelope(padded: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """RMS of the windowless frames ``frames`` (sorted) of a ``_reflect_pad``-ed signal.
 
     A frame is ``N_FFT / HOP`` consecutive ``HOP``-sample chunks, shared with
     the neighbouring frames; its sum of squares adds up those chunks' sums.
     """
-    padded, n_frames = _padded(buf)
-    return _by_blocks(_rms_rows, padded, np.arange(n_frames))
+    return _by_blocks(_rms_rows, padded, frames)
 
 
 def _rms_rows(padded, frames):
-    """``rms_envelope`` at ``frames`` of the ``_reflect_pad``-ed signal.
+    """``rms_envelope`` of one block of ``frames``.
 
     Frame ``t`` spans the chunks ``t..t + N_FFT / HOP - 1``. Each chunk of
     the frames is squared and summed once, and the frames' sums are taken
@@ -382,16 +357,12 @@ def onset_strength(mel_power: np.ndarray) -> np.ndarray:
 
 
 def tempogram(onset: np.ndarray) -> np.ndarray:
-    """Windowed local autocorrelation of the onset envelope, (TEMPOGRAM_WIN, frames).
+    """Time mean ``(TEMPOGRAM_WIN,)`` of the onset envelope's windowed local autocorrelations.
 
-    Each column is normalized by its lag-0 value; columns whose window holds
-    no energy are left at zero.
+    Each frame's autocorrelation is normalized by its lag-0 value, and a
+    frame whose window holds no energy counts as zero. By linearity the mean
+    is one inverse FFT of the frames' summed ``_autocorr_rows`` power spectra.
     """
-    return _autocorr(_by_blocks(_autocorr_rows, onset, np.arange(len(onset)))).T
-
-
-def _tempogram_mean(onset: np.ndarray) -> np.ndarray:
-    """Time mean of ``tempogram(onset)``: one inverse FFT of the summed power spectra."""
     total = sum(_autocorr_rows(onset, block).sum(axis=0)
                 for block in _row_blocks(np.arange(len(onset))))
     return _autocorr(total) / len(onset)
@@ -519,11 +490,11 @@ def extract_summaries(buf: AudioBuffer) -> dict:
     contours are computed at ``_contour_frames`` only; see the module
     docstring for how the blocks are reduced.
     """
-    padded, n_frames = _padded(buf)
+    padded, n_frames = _reflect_pad(pipeline_samples(buf, "feature extraction"))
     frames = _contour_frames(n_frames)
     raw = _stft_pass(padded, n_frames, frames)
-    raw["pitch"] = _by_blocks(_yin_rows, padded, frames)
-    raw["rms"] = _by_blocks(_rms_rows, padded, frames)
+    raw["pitch"] = f0_contour(padded, frames)
+    raw["rms"] = rms_envelope(padded, frames)
     summaries = {}
     for fid in FEATURE_IDS:
         values = raw[fid]
@@ -541,29 +512,30 @@ def _stft_pass(padded, n_frames, frames):
     contour ``frames``, the time-mean tempogram, and the mel, chroma,
     pseudo-CQT and chroma-CQT banks applied to the time-mean power
     spectrum. The tempogram and the banks are one-column matrices that are
-    already time means, which ``summarize`` keeps as they are. Each public
-    function gets an array the pass already holds: the centroid and rolloff
-    the contour rows of the magnitude block, the flatness those of the
-    power block (squared once), the banks the mean power column. A block
-    whose contour rows are one run passes them as a view.
+    already time means, which ``summarize`` keeps as they are. Each step
+    gets an array the pass already holds: ``stft`` one block of the
+    ``frame_signal`` rows, the centroid and rolloff the contour rows of the
+    block's magnitudes, the flatness those of its powers (squared once),
+    the banks the mean power column. A block whose contour rows are one run
+    passes them as a view.
 
     Only the tempogram needs per-frame mel values. The block's mel frames
     come from the banded products of ``_mel_frames`` and are turned into
     onset strength with the previous block's last mel frame in front, so
     the flux across the block edge is kept. The onset envelope goes to
-    ``_tempogram_mean`` once the last block is done.
+    ``tempogram`` once the last block is done.
     """
     centroid, flatness, rolloff = (np.empty(len(frames)) for _ in range(3))
     onset = np.empty(n_frames)
-    rows = min(n_frames, _BLOCK_ROWS)
-    power = np.empty((rows, _N_BINS))
     power_sum = np.zeros(_N_BINS)
-    mel = np.empty((N_MELS, rows + 1))  # column 0: the frame before the block
+    # column 0 of a block's mel frames: the frame before the block
+    mel = np.empty((N_MELS, min(n_frames, _BLOCK_ROWS) + 1))
+    framed = frame_signal(padded, n_frames)
     lo = 0  # frames[lo:hi] lie in the block
-    for block, mag in _stft_blocks(padded, n_frames):
+    for block in _row_blocks(np.arange(n_frames)):
         start, stop = block[0], block[-1] + 1
-        block_power = power[: len(block)]
-        np.multiply(mag, mag, out=block_power)
+        mag = stft(framed[start:stop])
+        block_power = mag * mag
         power_sum += block_power.sum(axis=0)
         hi = lo + np.searchsorted(frames[lo:], stop)
         at = frames[lo:hi] - start
@@ -584,7 +556,7 @@ def _stft_pass(padded, n_frames, frames):
         "spectral_centroid": centroid,
         "spectral_flatness": flatness,
         "spectral_rolloff": rolloff,
-        "tempogram": _tempogram_mean(onset)[:, None],
+        "tempogram": tempogram(onset)[:, None],
         "mel_spectrogram": _mel_bank() @ mean_power,
         "chromagram": chroma_stft(mean_power),
         "pseudo_cqt": pcqt,

@@ -152,10 +152,11 @@ class EvalConfig:
 
     ``backends`` other than None or a pair of backends, a backend that does
     not know its dimension, ``aliases`` that fail ``_check_aliases`` and
-    ``workers`` below 1 raise ValueError; two backends of different
-    dimensions raise DimensionMismatch. ``aliases`` is kept as a read-only
-    copy, so a later change to the caller's table moves neither the labels
-    nor the fingerprint.
+    ``workers`` that is not an int (a bool included) or is below 1 raise
+    ValueError; two backends of different dimensions raise
+    DimensionMismatch. ``aliases`` is kept as a read-only copy, so a later
+    change to the caller's table moves neither the labels nor the
+    fingerprint.
     """
 
     backends: tuple | None = None  # (reference, generated); None disables the embedding metric
@@ -180,6 +181,8 @@ class EvalConfig:
             # every pair would fail at scoring, after its decode and extraction
             raise DimensionMismatch(f"reference embeddings have {dims[0]} dimensions but "
                                     f"generated embeddings have {dims[1]}")
+        if not isinstance(self.workers, int) or isinstance(self.workers, bool):
+            raise ValueError(f"EvalConfig.workers must be an int, got {self.workers!r}")
         if self.workers < 1:
             raise ValueError("EvalConfig.workers must be at least 1")
 

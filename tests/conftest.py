@@ -120,6 +120,42 @@ def mono_buffer(samples, sr=SR):
     return AudioBuffer(np.asarray(samples, dtype=np.float64), sr)
 
 
+# Whole-file features from the feature pass's own steps, evaluated at every
+# frame: F.f0_contour(*centered(x)) is the pitch of every frame of x.
+
+def centered(x):
+    """``x`` reflect-padded as the feature pass pads it, and the indices of all its frames."""
+    from cloneval import features as F
+
+    padded, n_frames = F._reflect_pad(np.asarray(x, dtype=np.float64))
+    return padded, np.arange(n_frames)
+
+
+def stft_of(x):
+    """Magnitude STFT ``(bins, frames)`` of every frame: ``stft`` per block, as in the pass."""
+    from cloneval import features as F
+
+    padded, every = centered(x)
+    frames = F.frame_signal(padded, len(every))
+    blocks = [F.stft(frames[block[0] : block[-1] + 1]) for block in F._row_blocks(every)]
+    return np.concatenate(blocks).T
+
+
+def mel_of(x):
+    """Mel power frames ``(N_MELS, frames)`` of every frame, from the pass's banded products."""
+    from cloneval import features as F
+
+    power = (stft_of(x) ** 2).T
+    return F._mel_frames(power, np.empty((F.N_MELS, len(power))))
+
+
+def tempogram_of(onset):
+    """Each frame's local autocorrelation, ``(TEMPOGRAM_WIN, frames)``; ``tempogram`` is the mean."""
+    from cloneval import features as F
+
+    return F._autocorr(F._by_blocks(F._autocorr_rows, onset, np.arange(len(onset)))).T
+
+
 def write_fake_model(path, inputs=(("wave", [1, "samples"]),), outputs=(("emb", [1, 4]),)):
     """Write a model file for ``FakeSession``: the JSON ``{"inputs": [[name, shape], ...],
     "outputs": [...]}`` that its ``get_inputs`` and ``get_outputs`` declare.

@@ -868,3 +868,32 @@ class TestEmbedCommand:
         assert err.startswith("usage: cloneval embed ")
         assert "--out must not name a WAV in --input-dir" in err
         assert (wav_dir / "a.WAV").read_bytes() == wav
+
+    def test_silent_file_scores_the_same_from_its_manifest(self, tmp_path, fake_onnx_model,
+                                                           capsys):
+        # the model embeds a silent file as a zero vector, which embed writes
+        # to the manifest and evaluate must take back as it is
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        (wav_dir / "quiet.wav").write_bytes(make_wav(np.zeros(SR // 4)))
+        (wav_dir / "tone.wav").write_bytes(make_wav(sine(220, 0.25)))
+        manifest = tmp_path / "e.json"
+        assert main(["embed", "--input-dir", str(wav_dir), "--model", str(fake_onnx_model),
+                     "--out", str(manifest)]) == 0
+        assert json.loads(manifest.read_text())["quiet"] == [0.0] * 4
+
+        reports = []
+        for name, flags in (("model", ["--embedding-model", str(fake_onnx_model)]),
+                            ("manifest", ["--embeddings-ref", str(manifest),
+                                          "--embeddings-gen", str(manifest)])):
+            out = tmp_path / name
+            assert main(["evaluate", "--reference-dir", str(wav_dir), "--generated-dir",
+                         str(wav_dir), "--output-dir", str(out), "--workers", "1", *flags]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            # the one field that names the backend
+            assert summary["config"].pop("embedding_backend") == (
+                "model:fake.onnx" if name == "model" else "precomputed")
+            reports.append(((out / "details.csv").read_bytes(), summary))
+        assert reports[0] == reports[1]
+        quiet = reports[0][0].decode().splitlines()[1]
+        assert quiet.startswith("quiet,") and "embedding=both_zero" in quiet

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (SR, click_train, mono_buffer, output_per_blas_thread_count,
-                      silence_then_tone, sine, white_noise)
+from conftest import (SR, centered, click_train, mel_of, mono_buffer,
+                      output_per_blas_thread_count, silence_then_tone, sine, stft_of,
+                      tempogram_of, white_noise)
 from cloneval import _kernels
 from cloneval import features as F
 from cloneval.audio_io import AudioBuffer
@@ -17,37 +18,39 @@ BIN_HZ = SR / F.N_FFT  # 15.625
 
 
 def spec_of(x, kind="magnitude"):
-    s = F.stft(mono_buffer(x))
+    s = stft_of(x)
     return s if kind == "magnitude" else s**2
 
 
 class TestStft:
     def test_zero_signal_zero_matrix(self):
-        s = F.stft(mono_buffer(np.zeros(4096)))
+        s = stft_of(np.zeros(4096))
         assert s.shape == (513, 17)
         assert np.all(s == 0.0)
 
     def test_tone_at_bin_center_dominates(self):
         # bin 64 center = 64 * 15.625 = 1000 Hz; oracle shows edge frames
         # are smeared by the reflected padding, interior frames are clean
-        s = F.stft(mono_buffer(sine(1000.0)))
+        s = stft_of(sine(1000.0))
         argmax = np.argmax(s, axis=0)
         assert np.all(argmax[1:-1] == 64)
         assert np.all(np.abs(argmax - 64) <= 1)
 
     def test_frame_count_formula(self):
-        s = F.stft(mono_buffer(np.ones(4096) * 0.1))
+        s = stft_of(np.ones(4096) * 0.1)
         assert s.shape[1] == 17
 
     def test_input_too_short(self):
+        # one sample cannot be reflect-padded into a frame
         with pytest.raises(InputTooShort):
-            F.stft(mono_buffer(np.array([0.5])))
+            F.extract_summaries(mono_buffer(np.array([0.5])))
 
     def test_parseval_interior_frames(self):
         x = sine(1000.0, 0.5, amp=0.7)
         window = F.hann_window(F.N_FFT)
         power = spec_of(x, "power")
-        frames = F.frame_signal(x)
+        padded, every = centered(x)
+        frames = F.frame_signal(padded, len(every))
         for t in range(4, 12):
             spectral = (power[0, t] + 2 * power[1:-1, t].sum() + power[-1, t]) / F.N_FFT
             spectral /= np.sum(window**2)
@@ -57,12 +60,12 @@ class TestStft:
 
 class TestMelSpectrogram:
     def test_silence_all_zero(self):
-        mel = F.mel_spectrogram(mono_buffer(np.zeros(2048)))
+        mel = mel_of(np.zeros(2048))
         assert mel.shape[0] == 128
         assert np.all(mel == 0.0)
 
     def test_tone_argmax_is_nearest_center_band(self):
-        mel = F.mel_spectrogram(mono_buffer(sine(1000.0)))
+        mel = mel_of(sine(1000.0))
         centers = F.mel_frequencies()[1:-1]
         nearest = int(np.argmin(np.abs(centers - 1000.0)))
         assert nearest == 42  # frozen from the filterbank construction
@@ -85,9 +88,9 @@ class TestMelSpectrogram:
 
     @pytest.mark.parametrize("seconds", [0.1, 2.5])
     def test_grouped_frames_match_dense_product(self, seconds):
-        buf = mono_buffer(white_noise(seconds, seed=8) + sine(700.0, seconds, amp=0.5))
-        dense = F._mel_bank() @ F.stft(buf) ** 2
-        np.testing.assert_allclose(F.mel_spectrogram(buf), dense, rtol=1e-12, atol=0.0)
+        x = white_noise(seconds, seed=8) + sine(700.0, seconds, amp=0.5)
+        dense = F._mel_bank() @ stft_of(x) ** 2
+        np.testing.assert_allclose(mel_of(x), dense, rtol=1e-12, atol=0.0)
 
     def test_filterbank_nonnegative_finite(self):
         bank = F.mel_filterbank()
@@ -128,33 +131,33 @@ class TestFilterbankCache:
 
 class TestPitch:
     def test_sine_220(self):
-        f0 = F.f0_contour(mono_buffer(sine(220.0)))
+        f0 = F.f0_contour(*centered(sine(220.0)))
         voiced = f0[f0 > 0]
         assert abs(np.median(voiced) - 220.0) <= 2.0
 
     def test_silence_unvoiced(self):
-        f0 = F.f0_contour(mono_buffer(np.zeros(SR // 2)))
+        f0 = F.f0_contour(*centered(np.zeros(SR // 2)))
         assert np.all(f0 == 0.0)
 
     def test_pulse_train_100(self):
         x = np.zeros(SR)
         x[::160] = 1.0
-        f0 = F.f0_contour(mono_buffer(x))
+        f0 = F.f0_contour(*centered(x))
         voiced = f0[f0 > 0]
         assert abs(np.median(voiced) - 100.0) <= 2.0
 
 
 class TestRms:
     def test_constant_signal(self):
-        env = F.rms_envelope(mono_buffer(np.full(4096, 0.3)))
+        env = F.rms_envelope(*centered(np.full(4096, 0.3)))
         np.testing.assert_allclose(env, 0.3, rtol=1e-12)
 
     def test_silence(self):
-        env = F.rms_envelope(mono_buffer(np.zeros(4096)))
+        env = F.rms_envelope(*centered(np.zeros(4096)))
         assert np.all(env == 0.0)
 
     def test_unit_sine_interior(self):
-        env = F.rms_envelope(mono_buffer(sine(220.0)))
+        env = F.rms_envelope(*centered(sine(220.0)))
         np.testing.assert_allclose(env[3:-3], 2 ** -0.5, atol=0.01)
 
 
@@ -197,7 +200,7 @@ class TestSpectralScalars:
 
 class TestOnsetStrength:
     def test_silence_zero(self):
-        mel = F.mel_spectrogram(mono_buffer(np.zeros(4096)))
+        mel = mel_of(np.zeros(4096))
         assert np.all(F.onset_strength(mel) == 0.0)
 
     def test_steady_tone_quiet_after_attack(self):
@@ -205,14 +208,14 @@ class TestOnsetStrength:
         x = silence_then_tone(500.0, dur=1.0, split=0.4)
         fade = np.ones(len(x))
         fade[-800:] = np.linspace(1.0, 0.0, 800)
-        env = F.onset_strength(F.mel_spectrogram(mono_buffer(x * fade)))
+        env = F.onset_strength(mel_of(x * fade))
         attack = int(np.argmax(env))
         peak = env[attack]
         rest = np.concatenate([env[:attack - 1], env[attack + 2:]])
         assert np.all(rest < 0.05 * peak)
 
     def test_click_train_maxima_at_click_frames(self):
-        env = F.onset_strength(F.mel_spectrogram(mono_buffer(click_train())))
+        env = F.onset_strength(mel_of(click_train()))
         maxima = [
             i for i in range(1, len(env) - 1)
             if env[i] > env[i - 1] and env[i] >= env[i + 1] and env[i] > 0.2 * env.max()
@@ -225,20 +228,25 @@ class TestOnsetStrength:
 class TestTempogram:
     def test_zero_envelope_zero_matrix(self):
         out = F.tempogram(np.zeros(50))
-        assert out.shape == (384, 50)
+        assert out.shape == (384,)
         assert np.all(out == 0.0)
+        assert np.all(tempogram_of(np.zeros(50)) == 0.0)
 
     def test_click_train_120_bpm_lag_peak(self):
-        env = F.onset_strength(F.mel_spectrogram(mono_buffer(click_train())))
-        profile = F.tempogram(env).mean(axis=1)
+        env = F.onset_strength(mel_of(click_train()))
+        profile = F.tempogram(env)
         lag = int(np.argmax(profile[10:100])) + 10
         assert abs(lag - 31) <= 1  # 0.5 s period = 31.25 frames
         assert profile[lag] >= profile[lag - 1] and profile[lag] >= profile[lag + 1]
 
     @pytest.mark.parametrize("length", [0, 1, 5, 384, 500])
     def test_row_count_fixed(self, length):
-        out = F.tempogram(np.abs(np.sin(np.arange(length))))
-        assert out.shape == (384, length)
+        env = np.abs(np.sin(np.arange(length)))
+        matrix = tempogram_of(env)
+        assert matrix.shape == (384, length)
+        if length:
+            np.testing.assert_allclose(F.tempogram(env), matrix.mean(axis=1),
+                                       rtol=0.0, atol=1e-12)
 
 
 class TestChroma:
@@ -330,12 +338,12 @@ class TestSummarize:
             assert np.all(np.isfinite(summary))
 
 
-def _whole_contours(buf):
-    """The five contours over every frame, from the public per-frame functions."""
-    mag = F.stft(buf)
+def _whole_contours(x):
+    """The five contours over every frame, from the pass's steps."""
+    mag = stft_of(x)
     return {
-        "pitch": F.f0_contour(buf),
-        "rms": F.rms_envelope(buf),
+        "pitch": F.f0_contour(*centered(x)),
+        "rms": F.rms_envelope(*centered(x)),
         "spectral_centroid": F.spectral_centroid(mag),
         "spectral_flatness": F.spectral_flatness(mag**2),
         "spectral_rolloff": F.spectral_rolloff(mag),
@@ -383,9 +391,9 @@ class TestContourFrames:
     def test_summaries_equal_whole_contours_bit_for_bit(self, n_samples):
         # 130 815 and 130 816 samples frame to 511 and 512 frames, where the
         # contour frames first skip one; 480 000 is 30 s, 640 000 is 40 s
-        buf = mono_buffer(_speech_like(n_samples, seed=n_samples))
-        summaries = F.extract_summaries(buf)
-        whole = _whole_contours(buf)
+        x = _speech_like(n_samples, seed=n_samples)
+        summaries = F.extract_summaries(mono_buffer(x))
+        whole = _whole_contours(x)
         for fid, contour in whole.items():
             np.testing.assert_array_equal(summaries[fid], F.summarize(fid, contour),
                                           err_msg=fid)
@@ -425,18 +433,12 @@ class TestSampleRate:
         buf = mono_buffer(sine(220.0, 0.5, sr=rate), sr=rate)
         with pytest.raises(RateError, match=f"got {rate} Hz"):
             F.extract_summaries(buf)
-        for analyse in (F.stft, F.f0_contour, F.rms_envelope):
-            with pytest.raises(RateError, match=f"got {rate} Hz"):
-                analyse(buf)
 
     def test_multichannel_is_rejected(self):
         x = sine(220.0, 0.5)
         buf = AudioBuffer(np.stack([x, -x], axis=1), SR)
         with pytest.raises(RateError, match=r"mono audio as a 1-D array, got shape \(8000, 2\)"):
             F.extract_summaries(buf)
-        for analyse in (F.stft, F.f0_contour, F.rms_envelope):
-            with pytest.raises(RateError, match="needs mono audio"):
-                analyse(buf)
 
     def test_one_column_buffer_names_its_shape(self):
         buf = AudioBuffer(np.zeros((16000, 1)), SR)
@@ -455,19 +457,22 @@ def test_non_finite_samples_are_rejected(bad):
         F.extract_summaries(mono_buffer(x))
 
 
-# sha256 of the tempogram summaries and the mel spectrograms of noise
+# sha256 of the tempogram summaries and the per-block mel frames of noise
 # 129 frames, 257 frames and 30 s long
 _MEL_DIGEST = """
 import hashlib
 import numpy as np
+from cloneval import features as F
 from cloneval.audio_io import AudioBuffer
-from cloneval.features import HOP, extract_summaries, mel_spectrogram
 digest = hashlib.sha256()
-for n_samples in (128 * HOP, 256 * HOP, 30 * 16000):
+for n_samples in (128 * F.HOP, 256 * F.HOP, 30 * 16000):
     x = np.random.default_rng(n_samples).uniform(-1.0, 1.0, n_samples)
-    buf = AudioBuffer(x, 16000)
-    digest.update(extract_summaries(buf)["tempogram"].tobytes())
-    digest.update(mel_spectrogram(buf).tobytes())
+    digest.update(F.extract_summaries(AudioBuffer(x, 16000))["tempogram"].tobytes())
+    padded, n_frames = F._reflect_pad(x)
+    frames = F.frame_signal(padded, n_frames)
+    for block in F._row_blocks(np.arange(n_frames)):
+        power = F.stft(frames[block[0] : block[-1] + 1]) ** 2
+        digest.update(F._mel_frames(power, np.empty((F.N_MELS, len(block)))).tobytes())
 print(digest.hexdigest())
 """
 

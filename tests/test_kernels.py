@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import mono_buffer
+from conftest import centered, mel_of, mono_buffer, stft_of, tempogram_of
 from cloneval import _kernels
 from cloneval import features as F
 
@@ -19,12 +19,6 @@ def onset_windows(env, rows):
 def local_autocorr_power(env):
     """The kernel's rows for ``env``, one call per block, as one (frames, bins) matrix."""
     return F._by_blocks(F._autocorr_rows, env, np.arange(len(env)))
-
-
-def local_autocorr(env):
-    """The autocorrelations that the kernel's rows invert to, as one (384, frames) matrix."""
-    power = local_autocorr_power(env)
-    return np.fft.irfft(power, n=2 * (power.shape[1] - 1), axis=1)[:, :384].T
 
 
 def yin_cmnd(padded, n_frames, hop, win, tau_max):
@@ -41,7 +35,7 @@ def test_kernel_output_shapes():
     np.testing.assert_array_equal(windows, [zero_padded[t : t + 384] for t in range(100)])
     power = _kernels.local_autocorr(windows, F.hann_window(384))
     assert power.shape == (100, _kernels._fft_size(767) // 2 + 1)
-    assert local_autocorr(env).shape == (384, 100)
+    assert tempogram_of(env).shape == (384, 100)
     padded = np.random.default_rng(3).standard_normal(4 * 256 + 1024)
     cmnd = _kernels.yin_cmnd(padded, np.arange(2, 5), 256, 512, 320)
     assert cmnd.shape == (3, 321)
@@ -76,7 +70,7 @@ def _onset_test_envelope(rows):
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 def test_f0_contour_matches_oracle_across_block_edges(rows):
     x = _pitch_test_signal(rows)
-    f0 = F.f0_contour(mono_buffer(x))
+    f0 = F.f0_contour(*centered(x))
     assert f0.shape == (rows,)
     np.testing.assert_allclose(f0, oracles.yin_f0(x), rtol=1e-9, atol=0.0)
     assert f0[0] > 0.0
@@ -108,9 +102,9 @@ def test_f0_trough_search_matches_oracle_on_crafted_cmnd():
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 def test_local_autocorr_matches_oracle_across_block_edges(rows):
     env = _onset_test_envelope(rows)
-    out = local_autocorr(env)
+    out = tempogram_of(env)
     np.testing.assert_allclose(out, oracles.tempogram(env), rtol=0.0, atol=1e-12)
-    assert np.all(local_autocorr(np.zeros(rows)) == 0.0)
+    assert np.all(tempogram_of(np.zeros(rows)) == 0.0)
     if rows > 20 + 384 // 2:
         assert np.all(out[:, 20 + 384 // 2 :] == 0.0)
 
@@ -167,11 +161,12 @@ def test_kernels_independent_of_block_size(rows):
 def test_per_frame_features_independent_of_block_size(rows, monkeypatch):
     # Per-frame values only: the summaries' running sums over blocks, such
     # as the mean power spectrum, add in block order.
-    buf = mono_buffer(_pitch_test_signal(rows))
+    x = _pitch_test_signal(rows)
     env = _onset_test_envelope(rows)
 
     def run():
-        return F.f0_contour(buf), F.tempogram(env), F.stft(buf), F.rms_envelope(buf)
+        return (F.f0_contour(*centered(x)), tempogram_of(env), stft_of(x),
+                F.rms_envelope(*centered(x)))
 
     blocked = run()
     monkeypatch.setattr(F, "_BLOCK_ROWS", rows + 1)
@@ -221,19 +216,21 @@ def test_frames_apart_give_the_rows_of_one_run(frames):
 
 def test_f0_contour_matches_oracle_on_mixed_signal():
     x = _mixed_test_signal()
-    f0 = F.f0_contour(mono_buffer(x))
+    f0 = F.f0_contour(*centered(x))
     np.testing.assert_allclose(f0, oracles.yin_f0(x), rtol=1e-9, atol=0.0)
     assert np.any(f0 > 0.0) and np.any(f0 == 0.0)
 
 
 def test_frame_signal_matches_oracle():
     x = np.random.default_rng(5).standard_normal(10240)
-    np.testing.assert_array_equal(F.frame_signal(x), oracles.frames_centered(x, 1024, 256))
+    padded, every = centered(x)
+    np.testing.assert_array_equal(F.frame_signal(padded, len(every)),
+                                  oracles.frames_centered(x, 1024, 256))
 
 
 def test_rms_envelope_matches_oracle_on_mixed_signal():
     x = _mixed_test_signal()
-    rms = F.rms_envelope(mono_buffer(x))
+    rms = F.rms_envelope(*centered(x))
     np.testing.assert_allclose(rms, oracles.rms_envelope(x), rtol=1e-12, atol=0.0)
 
 
@@ -245,21 +242,20 @@ def test_rms_envelope_matches_whole_signal_block_sums(rows):
     u = np.pad(x, 512, mode="reflect")[: (rows + 3) * 256]
     sums = (u * u).reshape(-1, 256).sum(axis=1)
     expected = np.sqrt((sums[:-3] + sums[1:-2] + sums[2:-1] + sums[3:]) / 1024)
-    np.testing.assert_array_equal(F.rms_envelope(mono_buffer(x)), expected)
+    np.testing.assert_array_equal(F.rms_envelope(*centered(x)), expected)
 
 
 def test_silence_after_loud_frames_is_exact():
     hop = oracles.HOP
     x = np.zeros(3 * oracles.SR)
     x[: oracles.SR] = 0.9 * np.sin(2 * np.pi * 200.0 * np.arange(oracles.SR) / oracles.SR)
-    buf = mono_buffer(x)
     n_frames = 1 + len(x) // hop
     silent = np.array([t * hop - 512 >= oracles.SR for t in range(n_frames)])
     padded = np.pad(x, 512, mode="reflect")
     cmnd = yin_cmnd(padded, n_frames, hop, 512, 320)
     assert np.all(cmnd[silent] == 1.0)
-    assert np.all(F.rms_envelope(buf)[silent] == 0.0)
-    assert np.all(F.f0_contour(buf)[silent] == 0.0)
+    assert np.all(F.rms_envelope(padded, np.arange(n_frames))[silent] == 0.0)
+    assert np.all(F.f0_contour(padded, np.arange(n_frames))[silent] == 0.0)
     assert not np.all(cmnd[~silent] == 1.0)
 
 
@@ -280,7 +276,7 @@ def test_silent_gap_between_loud_stretches_is_exact():
     one_call = _kernels.yin_cmnd(padded, np.arange(n_frames), hop, 512, 320)
     assert np.all(blocked[silent] == 1.0)
     assert np.all(one_call[silent] == 1.0)
-    assert np.all(F.f0_contour(mono_buffer(x))[silent] == 0.0)
+    assert np.all(F.f0_contour(padded, np.arange(n_frames))[silent] == 0.0)
 
 
 def test_quiet_frames_after_loud_ones_scale_exactly():
@@ -299,7 +295,7 @@ def test_quiet_frames_after_loud_ones_scale_exactly():
     def features(x):
         padded = np.pad(x, 512, mode="reflect")
         cmnd = yin_cmnd(padded, n_frames, hop, 512, 320)
-        return cmnd[quiet], F.rms_envelope(mono_buffer(x))[quiet]
+        return cmnd[quiet], F.rms_envelope(padded, np.arange(n_frames))[quiet]
 
     (cmnd_loud, rms_loud), (cmnd_plain, rms_plain) = features(loud), features(plain)
     np.testing.assert_array_equal(cmnd_loud, cmnd_plain)
@@ -310,9 +306,11 @@ def test_quiet_frames_after_loud_ones_scale_exactly():
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 def test_stft_blocks_match_one_batch(rows):
     x = _pitch_test_signal(rows)
-    frames = F.frame_signal(x)
-    expected = np.abs(np.fft.rfft(frames * F.hann_window(1024), axis=1)).T
-    np.testing.assert_array_equal(F.stft(mono_buffer(x)), expected)
+    padded, every = centered(x)
+    frames = F.frame_signal(padded, len(every))
+    expected = np.abs(np.fft.rfft(frames * F.hann_window(1024), axis=1))
+    np.testing.assert_array_equal(F.stft(frames), expected)
+    np.testing.assert_array_equal(stft_of(x), expected.T)
 
 
 def test_fft_size_is_smooth_and_minimal():
@@ -339,15 +337,14 @@ def _block_edge_clip(rows, odd, content):
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 def test_streamed_summaries_match_whole_file_features(rows, odd, content):
     x = _block_edge_clip(rows, odd, content)
-    buf = mono_buffer(x)
-    streamed = {fid: s for fid, s in F.extract_summaries(buf).items()}
+    streamed = F.extract_summaries(mono_buffer(x))
 
-    mag = F.stft(buf)
+    mag = stft_of(x)
     assert mag.shape[1] == rows
     power = mag**2
     exact = {
-        "pitch": F.f0_contour(buf),
-        "rms": F.rms_envelope(buf),
+        "pitch": F.f0_contour(*centered(x)),
+        "rms": F.rms_envelope(*centered(x)),
         "spectral_centroid": F.spectral_centroid(mag),
         "spectral_flatness": F.spectral_flatness(power),
         "spectral_rolloff": F.spectral_rolloff(mag),
@@ -357,7 +354,7 @@ def test_streamed_summaries_match_whole_file_features(rows, odd, content):
 
     pcqt = F.pseudo_cqt(power)
     banks = {
-        "mel_spectrogram": F.mel_spectrogram(buf),
+        "mel_spectrogram": mel_of(x),
         "chromagram": F.chroma_stft(power),
         "pseudo_cqt": pcqt,
         "chroma_cqt": F.chroma_cqt(pcqt),
@@ -366,8 +363,8 @@ def test_streamed_summaries_match_whole_file_features(rows, odd, content):
         np.testing.assert_allclose(streamed[fid], matrix.mean(axis=1), rtol=1e-12, atol=0.0,
                                    err_msg=fid)
 
-    onset = F.onset_strength(F.mel_spectrogram(buf))
-    np.testing.assert_allclose(streamed["tempogram"], F.tempogram(onset).mean(axis=1),
+    onset = F.onset_strength(mel_of(x))
+    np.testing.assert_allclose(streamed["tempogram"], tempogram_of(onset).mean(axis=1),
                                rtol=0.0, atol=1e-12)
     if content == "silent":
         assert not np.any(streamed["tempogram"])

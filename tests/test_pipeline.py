@@ -196,6 +196,12 @@ class TestEvaluateCorpus:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             EvalConfig(workers=workers)
 
+    @pytest.mark.parametrize("workers", [2.5, 1.0, True, "2", None])
+    def test_workers_that_is_not_an_int_rejected(self, workers):
+        # a float would pass the range check and reach ProcessPoolExecutor
+        with pytest.raises(ValueError, match=f"workers must be an int, got {workers!r}"):
+            EvalConfig(workers=workers)
+
     @pytest.mark.parametrize("field", ["one_backend", "bare_backend", "half_pair",
                                        "unknown_emotion", "uppercase_token"])
     def test_malformed_config_rejected_before_decoding(self, tmp_path, field):
