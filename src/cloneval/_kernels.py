@@ -178,16 +178,19 @@ def _rows_at(x, index, step, span):
     return _take(_windows(x, first * step, rows, step, span), index - first)
 
 
-def polyphase_resample(x, plan, n_out):
-    """Resample the contiguous float64 signal ``x`` by ``plan``; returns ``n_out`` samples.
+def polyphase_resample(x, plan):
+    """Resample the contiguous float64 signal ``x`` by ``plan``.
 
-    Each group's windows, every ``plan.step`` samples, are copied contiguous
-    in blocks of about ``_WINDOW_BLOCK`` doubles and multiplied by the
-    group's tap matrix. Every output is the same sum of its taps as a direct FIR
-    over ``x`` with zeros beyond its ends. Windows that cross an end are
-    taken in their own products, so no padded copy of ``x`` is made.
+    The output holds ``ceil(len(x) * up / down)`` samples, as
+    ``scipy.signal.resample_poly`` gives, and no other place computes that
+    length. Each group's windows, every ``plan.step`` samples, are copied
+    contiguous in blocks of about ``_WINDOW_BLOCK`` doubles and multiplied by
+    the group's tap matrix. Every output is the same sum of its taps as a
+    direct FIR over ``x`` with zeros beyond its ends. Windows that cross an
+    end are taken in their own products, so no padded copy of ``x`` is made.
     """
     outputs, step, groups = plan
+    n_out = -(-(len(x) * outputs) // step)  # outputs / step is exactly up / down
     rows = -(-n_out // outputs)
     out = np.empty((rows, outputs))
     widest = max(taps.shape[0] for _, _, taps in groups)

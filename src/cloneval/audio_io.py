@@ -88,14 +88,14 @@ def _parse_fmt(data: bytes, start: int, size: int):
 def decode_wav(data: bytes) -> AudioBuffer:
     """Decode a RIFF/WAVE byte string into an AudioBuffer.
 
-    Supports PCM 16/24/32-bit little-endian integers and IEEE float32.
-    Integer samples are scaled by 1/2^(bits-1) into [-1, 1]; float samples
-    pass through unchanged, and a NaN or infinite one is a ``FormatError``
-    that names how many the file holds. Unknown chunks are skipped, and nothing after the
-    first ``fmt `` and ``data`` chunks is read, so a truncated trailing chunk
-    such as ``LIST`` is harmless. A ``data`` size of 0xFFFFFFFF, which
-    streaming writers leave in place, means the data runs to the end of the
-    file.
+    Supports PCM 16/24/32-bit little-endian integers and IEEE float32. Integer
+    samples are scaled by 1/2^(bits-1) into [-1, 1]; float samples pass through
+    unchanged, and a NaN or infinite one is a ``FormatError`` that names how many
+    the file holds. Each payload is converted once, with no copy of its bytes:
+    24-bit PCM is read in place. Unknown chunks are skipped, and nothing after the
+    first ``fmt `` and ``data`` chunks is read, so a truncated trailing chunk such
+    as ``LIST`` is harmless. A ``data`` size of 0xFFFFFFFF, which streaming writers
+    leave in place, means the data runs to the end of the file.
     """
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise FormatError("not a RIFF/WAVE file")
@@ -106,7 +106,7 @@ def decode_wav(data: bytes) -> AudioBuffer:
         if chunk_id == b"fmt " and fmt is None:
             fmt = _parse_fmt(data, start, size)
         elif chunk_id == b"data" and payload is None:
-            payload = memoryview(data)[start : start + size]
+            payload = start, size
         if fmt is not None and payload is not None:
             break
     if fmt is None:
@@ -127,29 +127,27 @@ def decode_wav(data: bytes) -> AudioBuffer:
         raise FormatError(f"unsupported codec tag: 0x{tag:04X}")
 
     bytes_per_sample = bits // 8
-    frame_size = bytes_per_sample * channels
-    if len(payload) == 0:
+    start, size = payload
+    if size == 0:
         raise FormatError("empty data chunk")
-    if len(payload) % frame_size != 0:
+    if size % (bytes_per_sample * channels) != 0:
         raise FormatError("data chunk does not hold a whole number of frames")
 
+    count = size // bytes_per_sample
     if tag == _WAVE_FORMAT_IEEE_FLOAT:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        bad = samples.size - np.count_nonzero(np.isfinite(samples))
+        raw = np.frombuffer(data, "<f4", count, start)
+        bad = count - np.count_nonzero(np.isfinite(raw))
         if bad:
             raise FormatError(f"data chunk holds {bad} non-finite (NaN or Inf) samples")
+        samples = raw.astype(np.float64)
     elif bits == 24:
-        # A little-endian int32 read at every third byte holds one 24-bit
-        # sample in its low three bytes; shifting the fourth byte out
-        # sign-extends. One zero byte past the end completes the last read.
-        padded = np.zeros(len(payload) + 1, dtype=np.uint8)
-        padded[:-1] = np.frombuffer(payload, dtype=np.uint8)
-        words = np.ndarray((len(payload) // 3,), dtype="<i4", buffer=padded, strides=(3,))
-        values = words << 8
-        values >>= 8
-        samples = values / _INT_SCALES[24]
+        # A little-endian int32 word ending at a sample's last byte holds the
+        # sample in its high bytes, and ">> 8" sign-extends it. The first word
+        # starts on the last byte of the data chunk's header, before the payload.
+        words = np.ndarray((count,), "<i4", buffer=data, offset=start - 1, strides=(3,))
+        samples = (words >> 8) / _INT_SCALES[24]
     else:
-        samples = np.frombuffer(payload, dtype=f"<i{bytes_per_sample}") / _INT_SCALES[bits]
+        samples = np.frombuffer(data, f"<i{bytes_per_sample}", count, start) / _INT_SCALES[bits]
 
     if channels > 1:
         samples = samples.reshape(-1, channels)
@@ -206,6 +204,4 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     up = target_rate // g
     down = buf.sample_rate // g
     x = np.ascontiguousarray(buf.samples, dtype=np.float64)
-    n_out = -(-len(x) * up) // down
-    y = _kernels.polyphase_resample(x, _resample_plan(up, down), n_out)
-    return AudioBuffer(y, target_rate)
+    return AudioBuffer(_kernels.polyphase_resample(x, _resample_plan(up, down)), target_rate)

@@ -321,7 +321,7 @@ def polyphase_resample_reference(x, up, down, taps_per_phase=64, beta=8.6):
     ``y[n] = sum_j h[j] * x_up[n*down + center - j]``, where ``x_up`` holds
     ``x[i]`` at index ``i*up`` and zeros elsewhere, and ``h`` is a
     Kaiser-windowed sinc with cutoff ``1/max(up, down)`` and gain ``up``.
-    The output holds ``floor(len(x)*up/down)`` samples. The sum visits only
+    The output holds ``ceil(len(x)*up/down)`` samples. The sum visits only
     the stuffed indices ``i*up`` that ``h`` reaches, one input sample each.
     """
     n_taps = taps_per_phase * up + 1
@@ -333,7 +333,7 @@ def polyphase_resample_reference(x, up, down, taps_per_phase=64, beta=8.6):
         arg = math.pi * cutoff * (j - center)
         h[j] = up * cutoff * w[j] * (1.0 if arg == 0.0 else math.sin(arg) / arg)
 
-    n_out = len(x) * up // down
+    n_out = -(-(len(x) * up) // down)
     y = np.zeros(n_out)
     for n in range(n_out):
         s = n * down + center

@@ -4,10 +4,12 @@ The corpus is written to a temporary directory. It has mono and stereo
 files at 16, 44.1 and 48 kHz in PCM16, PCM24 and float32, with precomputed
 embedding manifests. One pair carries an emotion label. One pair is noise
 on both sides, so its pitch contours are unvoiced. One generated file is
-corrupt, so its pair lands in ``errors``. The noise, the tones and the
-embeddings come from ``random.Random.random`` and ``math``, not from
-numpy, whose ``Generator`` streams may change between versions (NEP 19);
-``random()`` is the one ``Random`` method whose stream Python keeps.
+corrupt, so its pair lands in ``errors``. One 44.1 kHz file resamples to a
+length that ends on a frame boundary, so the resampler's output length
+shows in its row. The noise, the tones and the embeddings come from
+``random.Random.random`` and ``math``, not from numpy, whose ``Generator``
+streams may change between versions (NEP 19); ``random()`` is the one
+``Random`` method whose stream Python keeps.
 
 ``evaluate`` runs from inside the corpus directory on relative paths, with
 ``--workers 1`` and with ``--workers 2``. When numpy's version equals the
@@ -65,9 +67,12 @@ PAIRS = {
     "noise_03": ((16000, "pcm16", 1), (16000, "pcm24", 1), 0.6, "noise"),
     "spk3_04": ((44100, "float32", 1), (48000, "pcm24", 2), 0.8, "voiced"),
     "broken_05": ((16000, "pcm16", 1), (16000, "pcm16", 1), 0.5, "corrupt"),
+    # 70 558 samples at 44.1 kHz resample to ceil(25 599.27) = 25 600, which
+    # frame to 101 frames; the floor, 25 599, would frame to 100
+    "spk4_06": ((44100, "pcm16", 1), (16000, "pcm16", 1), 70558 / 44100, "voiced"),
 }
 # 9 s frame to 563 frames, of which the contour summaries read 511
-LONG_PAIR = {"long_06": ((16000, "pcm16", 1), (16000, "pcm24", 1), 9.0, "voiced")}
+LONG_PAIR = {"long_07": ((16000, "pcm16", 1), (16000, "pcm24", 1), 9.0, "voiced")}
 
 
 def _uniform(rng, lo, hi):
@@ -192,7 +197,7 @@ def test_reports_match_golden(tmp_path):
 def test_golden_corpus_covers_its_cases():
     summary = json.loads((GOLDEN / "summary.json").read_text())
     assert sorted(summary["errors"]) == ["broken_05"]
-    assert summary["counts"] == {"happiness": 1, "unknown": 3}
+    assert summary["counts"] == {"happiness": 1, "unknown": 4}
     details = (GOLDEN / "details.csv").read_text().splitlines()
     assert details[1].startswith("noise_03,ref/noise_03.wav,gen/noise_03.wav,unknown,")
     assert "pitch=both_zero" in details[1]
