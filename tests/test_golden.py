@@ -6,7 +6,8 @@ embedding manifests. One pair carries an emotion label. One pair is noise
 on both sides, so its pitch contours are unvoiced. One generated file is
 corrupt, so its pair lands in ``errors``. One 44.1 kHz file resamples to a
 length that ends on a frame boundary, so the resampler's output length
-shows in its row. The noise, the tones and the embeddings come from
+shows in its row. One pair is longer than 8.18 s, so its contour
+summaries read only some of its frames. The noise, the tones and the embeddings come from
 ``random.Random.random`` and ``math``, not from numpy, whose ``Generator``
 streams may change between versions (NEP 19); ``random()`` is the one
 ``Random`` method whose stream Python keeps.
@@ -25,8 +26,7 @@ A change that moves a report byte on purpose regenerates the files with
 and says in its change log which rows moved and why.
 
 The reports must also not depend on which SIMD code paths numpy picks for
-the CPU. The same corpus, with one more pair longer than 8.18 s, so that
-its contours skip frames, is evaluated in a child process at each dispatch
+the CPU. The same corpus is evaluated in a child process at each dispatch
 level the CPU has: every higher level is switched off through
 ``NPY_DISABLE_CPU_FEATURES``, which acts only on that process. Each
 level's reports must be the bytes of this process's run.
@@ -70,9 +70,9 @@ PAIRS = {
     # 70 558 samples at 44.1 kHz resample to ceil(25 599.27) = 25 600, which
     # frame to 101 frames; the floor, 25 599, would frame to 100
     "spk4_06": ((44100, "pcm16", 1), (16000, "pcm16", 1), 70558 / 44100, "voiced"),
+    # 9 s frame to 563 frames, of which the contour summaries read 511
+    "long_07": ((16000, "pcm16", 1), (16000, "pcm24", 1), 9.0, "voiced"),
 }
-# 9 s frame to 563 frames, of which the contour summaries read 511
-LONG_PAIR = {"long_07": ((16000, "pcm16", 1), (16000, "pcm24", 1), 9.0, "voiced")}
 
 
 def _uniform(rng, lo, hi):
@@ -197,10 +197,11 @@ def test_reports_match_golden(tmp_path):
 def test_golden_corpus_covers_its_cases():
     summary = json.loads((GOLDEN / "summary.json").read_text())
     assert sorted(summary["errors"]) == ["broken_05"]
-    assert summary["counts"] == {"happiness": 1, "unknown": 4}
+    assert summary["counts"] == {"happiness": 1, "unknown": 5}
     details = (GOLDEN / "details.csv").read_text().splitlines()
-    assert details[1].startswith("noise_03,ref/noise_03.wav,gen/noise_03.wav,unknown,")
-    assert "pitch=both_zero" in details[1]
+    assert details[1].startswith("long_07,ref/long_07.wav,gen/long_07.wav,unknown,")
+    assert details[2].startswith("noise_03,ref/noise_03.wav,gen/noise_03.wav,unknown,")
+    assert "pitch=both_zero" in details[2]
 
 
 # Prints the dispatch levels that numpy enabled, then runs ``evaluate``.
@@ -218,18 +219,18 @@ SIMD_LEVELS = ("baseline", *__cpu_dispatch__)
 
 
 @pytest.fixture(scope="module")
-def long_corpus(tmp_path_factory):
-    """The golden corpus plus ``LONG_PAIR``, and its reports from this process."""
+def simd_corpus(tmp_path_factory):
+    """The golden corpus, and its reports from this process."""
     root = tmp_path_factory.mktemp("simd")
-    write_corpus(root, {**PAIRS, **LONG_PAIR})
+    write_corpus(root)
     return root, run_reports(root, 1)
 
 
 @pytest.mark.parametrize("level", SIMD_LEVELS)
-def test_reports_do_not_depend_on_simd_dispatch(long_corpus, level):
+def test_reports_do_not_depend_on_simd_dispatch(simd_corpus, level):
     if level != "baseline" and not __cpu_features__.get(level):
         pytest.skip(f"this CPU lacks {level}")
-    root, expected = long_corpus
+    root, expected = simd_corpus
     higher = SIMD_LEVELS[SIMD_LEVELS.index(level) + 1 :]
     disabled = [name for name in higher if __cpu_features__.get(name)]
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
