@@ -14,12 +14,13 @@ The rows of a run of consecutive frames are read through strided views;
 only frames apart are gathered. ``_by_blocks`` stacks a helper's rows over
 all blocks.
 
-A contour's summary reads at most 511 of its frames: ``summarize`` takes
-each of its 256 points from the frame at or below it and the frame after
+A contour's summary reads at most 511 of its frames: each of its 256
+points lies between the frame at or below it and the frame after
 (``_contour_frames``). ``extract_summaries`` evaluates the pitch, RMS,
-centroid, flatness and rolloff contours at those frames only and leaves the
-others 0, which ``summarize`` never reads. Up to 511 frames (8.18 s) that is
-every frame; past it, the contours cost the same however long the file is.
+centroid, flatness and rolloff contours at those frames only, and
+``summarize`` interpolates over those frames alone, so no summary can read a
+frame the pass did not compute. Up to 511 frames (8.18 s) that is every
+frame; past it, the contours cost the same however long the file is.
 
 ``extract_summaries`` reflect-pads the signal once (``_reflect_pad`` also
 counts the frames) and reduces each STFT block as soon as it is computed:
@@ -47,9 +48,11 @@ read-only frame view of the padded signal, and ``stft(frames)`` the
 ``(rows, bins)`` magnitudes of one block of its rows. ``f0_contour`` and
 ``rms_envelope`` take the padded signal and the sorted frames to evaluate.
 The spectral functions take ``(bins, frames)`` arrays, and each one's
-parameter name says whether it wants magnitudes or powers.
-``onset_strength`` takes mel powers, and ``tempogram`` the whole onset
-envelope, of which it returns the time-mean profile.
+parameter name says whether it wants magnitudes or powers; the pass feeds
+the chroma and pseudo-CQT banks the ``(bins,)`` time-mean power spectrum
+instead, and ``chroma_cqt`` folds the pseudo-CQT vector. ``onset_strength``
+takes mel powers, and ``tempogram`` the whole onset envelope, of which it
+returns the time-mean profile.
 
 The metric set and the analysis settings are the protocol's, not the
 caller's: scores from two runs are comparable only if both measured the
@@ -137,10 +140,10 @@ def _row_blocks(frames):
 def _by_blocks(rows, signal, frames):
     """``rows(signal, block)`` over the ``_row_blocks`` of ``frames``, stacked.
 
-    No frames give the helper's empty block, which keeps its row width.
+    No frames give an empty float64 array, and the helper is not called.
     """
     blocks = [rows(signal, block) for block in _row_blocks(frames)]
-    return np.concatenate(blocks or [rows(signal, frames)])
+    return np.concatenate(blocks) if blocks else np.empty(0)
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -406,7 +409,7 @@ def chroma_filterbank() -> np.ndarray:
 
 
 def chroma_stft(power: np.ndarray) -> np.ndarray:
-    """Unnormalized 12-class chromagram of a ``(bins, frames)`` power spectrogram."""
+    """Unnormalized 12-class chromagram of a power spectrum, bins first."""
     return _chroma_bank() @ power
 
 
@@ -422,7 +425,7 @@ def _cqt_bank():
 
 
 def pseudo_cqt(power: np.ndarray) -> np.ndarray:
-    """Constant-Q triangular filterbank applied to a ``(bins, frames)`` power spectrogram.
+    """Constant-Q triangular filterbank applied to a power spectrum, bins first.
 
     Geometrically spaced centers, triangle k spanning its two neighbors; no
     time-domain kernels are involved (the "pseudo" variant).
@@ -431,35 +434,31 @@ def pseudo_cqt(power: np.ndarray) -> np.ndarray:
 
 
 def chroma_cqt(pcqt: np.ndarray) -> np.ndarray:
-    """Fold a 12-bins-per-octave constant-Q matrix into 12 pitch classes."""
-    return pcqt.reshape(-1, 12, pcqt.shape[1]).sum(axis=0)
+    """Fold a 12-bins-per-octave constant-Q array, bins first, into 12 pitch classes."""
+    return pcqt.reshape(-1, 12, *pcqt.shape[1:]).sum(axis=0)
 
 
-def summarize(feature_id: str, raw) -> np.ndarray:
-    """Reduce raw feature output to its fixed-length float64 comparison vector.
+def summarize(feature_id: str, values, frames=None) -> np.ndarray:
+    """The fixed-length float64 comparison vector of one feature; non-empty and finite.
 
-    Matrices become per-bin time means; scalar contours are linearly
-    interpolated onto 256 uniformly spaced points.
+    With ``frames``, ``values`` is a contour at those sorted frames, the last
+    of which is the file's last frame, interpolated onto ``CONTOUR_POINTS``
+    points spread uniformly over the file's frames. Without, ``values`` is a
+    matrix feature's per-bin time mean, returned as it is.
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim == 2:
-        if raw.shape[1] == 0:
-            raise EmptyFeature(f"{feature_id}: zero frames")
-        vector = raw.mean(axis=1)
-    elif raw.ndim == 1:
-        if raw.shape[0] == 0:
-            raise EmptyFeature(f"{feature_id}: zero frames")
-        vector = np.interp(_contour_grid(raw.shape[0]), np.arange(raw.shape[0]), raw)
-    else:
-        raise ValueError(f"{feature_id}: expected a 1-D or 2-D array")
-    if not np.all(np.isfinite(vector)):
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        raise EmptyFeature(f"{feature_id}: zero frames")
+    if frames is not None:
+        values = np.interp(_contour_grid(frames[-1] + 1), frames, values)
+    if not np.all(np.isfinite(values)):
         raise ValueError(f"{feature_id}: summary contains non-finite values")
-    return vector
+    return values
 
 
 @lru_cache(maxsize=8)
 def _contour_grid(n_frames):
-    """The ``CONTOUR_POINTS`` frame positions at which ``summarize`` reads a contour.
+    """The ``CONTOUR_POINTS`` positions over ``n_frames`` frames where ``summarize`` reads a contour.
 
     Read-only and cached: a file's contour frames and its five contour
     summaries share one grid.
@@ -487,37 +486,29 @@ def extract_summaries(buf: AudioBuffer) -> dict:
     """Compute the ten feature summaries in one pass over the signal.
 
     Returns ``{feature_id: summary vector}`` in ``FEATURE_IDS`` order. The
-    contours are computed at ``_contour_frames`` only; see the module
-    docstring for how the blocks are reduced.
+    contours are computed and summarized at ``_contour_frames`` only; see the
+    module docstring for how the blocks are reduced.
     """
     padded, n_frames = _reflect_pad(pipeline_samples(buf, "feature extraction"))
     frames = _contour_frames(n_frames)
-    raw = _stft_pass(padded, n_frames, frames)
-    raw["pitch"] = f0_contour(padded, frames)
-    raw["rms"] = rms_envelope(padded, frames)
-    summaries = {}
-    for fid in FEATURE_IDS:
-        values = raw[fid]
-        if values.ndim == 1:  # a contour at `frames`; summarize reads no other frame
-            values = np.zeros(n_frames)
-            values[frames] = raw[fid]
-        summaries[fid] = summarize(fid, values)
-    return summaries
+    contours, means = _stft_pass(padded, n_frames, frames)
+    contours["pitch"] = f0_contour(padded, frames)
+    contours["rms"] = rms_envelope(padded, frames)
+    return {fid: summarize(fid, contours[fid], frames) if fid in contours
+            else summarize(fid, means[fid]) for fid in FEATURE_IDS}
 
 
 def _stft_pass(padded, n_frames, frames):
-    """One pass over the STFT blocks: ``{feature_id: raw}`` for the STFT features.
+    """One pass over the STFT blocks: the ``(contours, means)`` of the STFT features.
 
-    The raw values are the centroid, flatness and rolloff at the sorted
-    contour ``frames``, the time-mean tempogram, and the mel, chroma,
-    pseudo-CQT and chroma-CQT banks applied to the time-mean power
-    spectrum. The tempogram and the banks are one-column matrices that are
-    already time means, which ``summarize`` keeps as they are. Each step
-    gets an array the pass already holds: ``stft`` one block of the
-    ``frame_signal`` rows, the centroid and rolloff the contour rows of the
-    block's magnitudes, the flatness those of its powers (squared once),
-    the banks the mean power column. A block whose contour rows are one run
-    passes them as a view.
+    ``contours`` holds the centroid, flatness and rolloff at the sorted
+    contour ``frames``, ``means`` the time-mean tempogram and the mel,
+    chroma, pseudo-CQT and chroma-CQT banks applied to the time-mean power
+    spectrum. Each step gets an array the pass already holds: ``stft`` one
+    block of the ``frame_signal`` rows, the centroid and rolloff the contour
+    rows of the block's magnitudes, the flatness those of its powers
+    (squared once), the banks the mean power spectrum. A block whose contour
+    rows are one run passes them as a view.
 
     Only the tempogram needs per-frame mel values. The block's mel frames
     come from the banded products of ``_mel_frames`` and are turned into
@@ -550,13 +541,12 @@ def _stft_pass(padded, n_frames, frames):
             block_mel[:, 0] = block_mel[:, 1]  # no flux into the first frame
         onset[start:stop] = onset_strength(block_mel)[1:]
         mel[:, 0] = block_mel[:, -1]
-    mean_power = (power_sum / n_frames)[:, None]
+    mean_power = power_sum / n_frames
     pcqt = pseudo_cqt(mean_power)
-    return {
-        "spectral_centroid": centroid,
-        "spectral_flatness": flatness,
-        "spectral_rolloff": rolloff,
-        "tempogram": tempogram(onset)[:, None],
+    contours = {"spectral_centroid": centroid, "spectral_flatness": flatness,
+                "spectral_rolloff": rolloff}
+    return contours, {
+        "tempogram": tempogram(onset),
         "mel_spectrogram": _mel_bank() @ mean_power,
         "chromagram": chroma_stft(mean_power),
         "pseudo_cqt": pcqt,

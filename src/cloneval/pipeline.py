@@ -375,9 +375,10 @@ def write_staged(targets) -> None:
     """Write each ``{path: write(fh)}`` target through a temporary file beside it.
 
     The files are UTF-8 with the line endings ``write`` gives them. Every
-    target is written in full before the first ``os.replace``, and they
-    replace the old files in the order given, so a failed write leaves every
-    previous file as it was.
+    target is written in full and synced to disk before the first
+    ``os.replace``, and they replace the old files in the order given, so a
+    failed write leaves every previous file as it was, and a crash after a
+    rename cannot leave a renamed file empty.
     """
     # One temporary name per process and thread, so concurrent writers to
     # the same directory never share a file.
@@ -389,6 +390,8 @@ def write_staged(targets) -> None:
             staged[path] = path.with_name(f".{path.name}.{suffix}")
             with open(staged[path], "w", encoding="utf-8", newline="") as fh:
                 write(fh)
+                fh.flush()
+                os.fsync(fh.fileno())
         for path, tmp in staged.items():
             os.replace(tmp, path)
     finally:

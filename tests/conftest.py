@@ -150,10 +150,16 @@ def mel_of(x):
 
 
 def tempogram_of(onset):
-    """Each frame's local autocorrelation, ``(TEMPOGRAM_WIN, frames)``; ``tempogram`` is the mean."""
+    """Each frame's local autocorrelation, ``(TEMPOGRAM_WIN, frames)``; ``tempogram`` is the mean.
+
+    The kernel runs once per block, as in the pass; an empty envelope gives
+    ``(TEMPOGRAM_WIN, 0)`` from one call on no frames.
+    """
     from cloneval import features as F
 
-    return F._autocorr(F._by_blocks(F._autocorr_rows, onset, np.arange(len(onset)))).T
+    frames = np.arange(len(onset))
+    blocks = [F._autocorr_rows(onset, block) for block in F._row_blocks(frames)]
+    return F._autocorr(np.concatenate(blocks or [F._autocorr_rows(onset, frames)])).T
 
 
 def write_fake_model(path, inputs=(("wave", [1, "samples"]),), outputs=(("emb", [1, 4]),)):

@@ -29,13 +29,16 @@ The reports must also not depend on which SIMD code paths numpy picks for
 the CPU. The same corpus is evaluated in a child process at each dispatch
 level the CPU has: every higher level is switched off through
 ``NPY_DISABLE_CPU_FEATURES``, which acts only on that process. Each
-level's reports must be the bytes of this process's run.
+level's reports must be the bytes of this process's run. A two-worker run
+whose pool cannot fork, and spawns its workers instead, must give the
+bytes of a one-worker run.
 """
 
 import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 import random
 import subprocess
@@ -246,6 +249,30 @@ def test_reports_do_not_depend_on_simd_dispatch(simd_corpus, level):
         got = (root / out / name).read_bytes()
         assert got == expected[name], _first_difference(name, got, expected[name],
                                                         "this process")
+
+
+def test_pool_without_fork_gives_the_same_bytes(tmp_path, monkeypatch):
+    # where fork is missing, as on Windows, the pool takes the platform's
+    # default start method, spawn, whose workers import everything anew
+    write_corpus(tmp_path, {stem: PAIRS[stem] for stem in ("spk1_happy_01", "broken_05")})
+    serial = run_reports(tmp_path, 1)
+    methods = [m for m in multiprocessing.get_all_start_methods() if m != "fork"]
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    contexts = []
+    get_context = multiprocessing.get_context
+
+    def recorded(method=None):
+        contexts.append(get_context(method))
+        return contexts[-1]
+
+    monkeypatch.setattr(multiprocessing, "get_context", recorded)
+    default = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        assert run_reports(tmp_path, 2) == serial
+    finally:
+        multiprocessing.set_start_method(default, force=True)
+    assert {context.get_start_method() for context in contexts} == {"spawn"}
 
 
 if __name__ == "__main__":

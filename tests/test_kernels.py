@@ -350,7 +350,8 @@ def test_streamed_summaries_match_whole_file_features(rows, odd, content):
         "spectral_rolloff": F.spectral_rolloff(mag),
     }
     for fid, raw in exact.items():
-        np.testing.assert_array_equal(streamed[fid], F.summarize(fid, raw), err_msg=fid)
+        np.testing.assert_array_equal(streamed[fid], F.summarize(fid, raw, np.arange(rows)),
+                                      err_msg=fid)
 
     pcqt = F.pseudo_cqt(power)
     banks = {

@@ -438,6 +438,28 @@ class TestWriteReports:
         assert summary_path.read_bytes() == old_summary
         assert sorted(p.name for p in tmp_path.iterdir()) == ["details.csv", "summary.json"]
 
+    def test_every_staged_file_is_synced_before_any_rename(self, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = pipeline.os.fsync, pipeline.os.replace
+
+        def fsync(fd):
+            events.append(("fsync", pipeline.os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", pipeline.os.stat(src).st_ino))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(pipeline.os, "fsync", fsync)
+        monkeypatch.setattr(pipeline.os, "replace", replace)
+        records = self._records()
+        write_reports(records, aggregate(records), tmp_path,
+                      extra={tmp_path / "dump.jsonl": lambda fh: fh.write("{}\n")})
+        kinds = [kind for kind, _ in events]
+        assert kinds == ["fsync"] * 3 + ["replace"] * 3
+        assert {ino for kind, ino in events if kind == "fsync"} == {
+            ino for kind, ino in events if kind == "replace"}
+
 
 class TestPromptAssignments:
     def test_two_samples_forced_swap(self):
