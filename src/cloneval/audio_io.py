@@ -197,6 +197,8 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
         raise ValueError("resample expects a mono (1-D) buffer; downmix first")
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
+    if buf.sample_rate <= 0:
+        raise ValueError(f"source sample_rate must be positive, got {buf.sample_rate}")
     if target_rate == buf.sample_rate:
         return buf
 

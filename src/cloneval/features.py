@@ -7,12 +7,11 @@ per-frame scalar contours are resampled onto 256 points.
 
 Frames are walked in blocks, and only this module walks them:
 ``_row_blocks`` splits a sorted array of frame indices into balanced blocks
-of at most ``_BLOCK_ROWS``. Each per-block step is a helper ``(signal,
-frames)`` that returns one row per frame of its block, as the YIN and
-tempogram kernels do: ``_yin_rows``, ``_rms_rows`` and ``_autocorr_rows``.
-The rows of a run of consecutive frames are read through strided views;
-only frames apart are gathered. ``_by_blocks`` stacks a helper's rows over
-all blocks.
+of at most ``_BLOCK_ROWS``. ``f0_contour`` hands each block of its frames
+to the YIN kernel, ``tempogram`` each block of the onset envelope's frames
+to the autocorrelation kernel (``_autocorr_rows``), and the STFT pass walks
+every frame. The rows of a run of consecutive frames are read through
+strided views; only frames apart are gathered.
 
 A contour's summary reads at most 511 of its frames: each of its 256
 points lies between the frame at or below it and the frame after
@@ -20,15 +19,17 @@ points lies between the frame at or below it and the frame after
 centroid, flatness and rolloff contours at those frames only, and
 ``summarize`` interpolates over those frames alone, so no summary can read a
 frame the pass did not compute. Up to 511 frames (8.18 s) that is every
-frame; past it, the contours cost the same however long the file is.
+frame; past it, pitch, centroid, flatness and rolloff cost the same however
+long the file is. RMS sums the squares of every chunk from each block's
+first contour frame to its last, so its cost still grows with the file.
 
 ``extract_summaries`` reflect-pads the signal once (``_reflect_pad`` also
 counts the frames) and reduces each STFT block as soon as it is computed:
-the centroid, flatness and rolloff of its contour frames are filled in, the
-power spectrum of every frame is added to a running sum, and the mel frames
-become onset strength. No per-file ``(bins, frames)`` or ``(frames, lags)``
-matrix is built. Of each matrix feature only the time mean is kept, and by
-linearity it is taken where it costs least:
+the RMS, centroid, flatness and rolloff of its contour frames are filled
+in, the power spectrum of every frame is added to a running sum, and the
+mel frames become onset strength. No per-file ``(bins, frames)`` or
+``(frames, lags)`` matrix is built. Of each matrix feature only the time
+mean is kept, and by linearity it is taken where it costs least:
 
 * the mel, chroma, pseudo-CQT and chroma-CQT summaries are the bank applied
   to the time-mean power spectrum, which equals the time mean of the bank
@@ -135,15 +136,6 @@ def _row_blocks(frames):
     count = -(-n // _BLOCK_ROWS)
     edges = [n * k // count for k in range(count + 1)] if count else []
     return [frames[a:b] for a, b in zip(edges[:-1], edges[1:])]
-
-
-def _by_blocks(rows, signal, frames):
-    """``rows(signal, block)`` over the ``_row_blocks`` of ``frames``, stacked.
-
-    No frames give an empty float64 array, and the helper is not called.
-    """
-    blocks = [rows(signal, block) for block in _row_blocks(frames)]
-    return np.concatenate(blocks) if blocks else np.empty(0)
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -263,14 +255,13 @@ def f0_contour(padded: np.ndarray, frames: np.ndarray) -> np.ndarray:
 
     Per frame the cumulative-mean-normalized difference function is searched
     for the first trough below the threshold; the trough is refined by
-    parabolic interpolation. YIN: de Cheveigne & Kawahara (2002).
+    parabolic interpolation. YIN: de Cheveigne & Kawahara (2002). The
+    frames go to the kernel in ``_row_blocks``; no frames give an empty
+    float64 array.
     """
-    return _by_blocks(_yin_rows, padded, frames)
-
-
-def _yin_rows(padded, frames):
-    """``f0_contour`` of one block of ``frames``."""
-    return _yin_troughs(_kernels.yin_cmnd(padded, frames, HOP, _YIN_WIN, _TAU_MAX))
+    blocks = [_yin_troughs(_kernels.yin_cmnd(padded, block, HOP, _YIN_WIN, _TAU_MAX))
+              for block in _row_blocks(frames)]
+    return np.concatenate(blocks) if blocks else np.empty(0)
 
 
 def _yin_troughs(cmnd):
@@ -304,24 +295,19 @@ def rms_envelope(padded: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """RMS of the windowless frames ``frames`` (sorted) of a ``_reflect_pad``-ed signal.
 
     A frame is ``N_FFT / HOP`` consecutive ``HOP``-sample chunks, shared with
-    the neighbouring frames; its sum of squares adds up those chunks' sums.
+    the neighbouring frames. The chunks of the run ``frames[0]..frames[-1]``
+    are one view, each chunk's squares are summed once, and each frame adds
+    its chunks' sums in order before its row is picked out. The pass calls
+    it once per block; no frames give an empty float64 array.
     """
-    return _by_blocks(_rms_rows, padded, frames)
-
-
-def _rms_rows(padded, frames):
-    """``rms_envelope`` of one block of ``frames``.
-
-    Frame ``t`` spans the chunks ``t..t + N_FFT / HOP - 1``. Each chunk of
-    the frames is squared and summed once, and the frames' sums are taken
-    as in ``_kernels.yin_cmnd``: over the stacked chunks, then picked out.
-    """
+    if not len(frames):
+        return np.empty(0)
     per_frame = N_FFT // HOP
-    chunks, first = _kernels._cover(frames, per_frame)
-    rows = _kernels._rows_at(padded, chunks, HOP, HOP)
-    sums = np.multiply(rows, rows).sum(axis=1)
-    frame_sums = _kernels._frame_sums(sums, len(chunks) - per_frame + 1, per_frame)
-    return np.sqrt(_kernels._take(frame_sums, first) / N_FFT)
+    run = frames[-1] - frames[0] + 1
+    chunks = _kernels._windows(padded, frames[0] * HOP, run + per_frame - 1, HOP, HOP)
+    sums = np.multiply(chunks, chunks).sum(axis=1)
+    frame_sums = _kernels._frame_sums(sums, run, per_frame)
+    return np.sqrt(_kernels._take(frame_sums, frames - frames[0]) / N_FFT)
 
 
 def spectral_centroid(magnitude: np.ndarray) -> np.ndarray:
@@ -444,9 +430,12 @@ def summarize(feature_id: str, values, frames=None) -> np.ndarray:
     With ``frames``, ``values`` is a contour at those sorted frames, the last
     of which is the file's last frame, interpolated onto ``CONTOUR_POINTS``
     points spread uniformly over the file's frames. Without, ``values`` is a
-    matrix feature's per-bin time mean, returned as it is.
+    matrix feature's per-bin time mean, returned as it is. A ``values`` that
+    is not 1-D, such as a whole matrix, raises ``ValueError``.
     """
     values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"{feature_id}: expected a 1-D array, got shape {values.shape}")
     if values.size == 0:
         raise EmptyFeature(f"{feature_id}: zero frames")
     if frames is not None:
@@ -493,7 +482,6 @@ def extract_summaries(buf: AudioBuffer) -> dict:
     frames = _contour_frames(n_frames)
     contours, means = _stft_pass(padded, n_frames, frames)
     contours["pitch"] = f0_contour(padded, frames)
-    contours["rms"] = rms_envelope(padded, frames)
     return {fid: summarize(fid, contours[fid], frames) if fid in contours
             else summarize(fid, means[fid]) for fid in FEATURE_IDS}
 
@@ -501,11 +489,12 @@ def extract_summaries(buf: AudioBuffer) -> dict:
 def _stft_pass(padded, n_frames, frames):
     """One pass over the STFT blocks: the ``(contours, means)`` of the STFT features.
 
-    ``contours`` holds the centroid, flatness and rolloff at the sorted
+    ``contours`` holds the RMS, centroid, flatness and rolloff at the sorted
     contour ``frames``, ``means`` the time-mean tempogram and the mel,
     chroma, pseudo-CQT and chroma-CQT banks applied to the time-mean power
     spectrum. Each step gets an array the pass already holds: ``stft`` one
-    block of the ``frame_signal`` rows, the centroid and rolloff the contour
+    block of the ``frame_signal`` rows, ``rms_envelope`` the padded signal
+    and the block's contour frames, the centroid and rolloff the contour
     rows of the block's magnitudes, the flatness those of its powers
     (squared once), the banks the mean power spectrum. A block whose contour
     rows are one run passes them as a view.
@@ -516,7 +505,7 @@ def _stft_pass(padded, n_frames, frames):
     the flux across the block edge is kept. The onset envelope goes to
     ``tempogram`` once the last block is done.
     """
-    centroid, flatness, rolloff = (np.empty(len(frames)) for _ in range(3))
+    rms, centroid, flatness, rolloff = (np.empty(len(frames)) for _ in range(4))
     onset = np.empty(n_frames)
     power_sum = np.zeros(_N_BINS)
     # column 0 of a block's mel frames: the frame before the block
@@ -529,6 +518,7 @@ def _stft_pass(padded, n_frames, frames):
         block_power = mag * mag
         power_sum += block_power.sum(axis=0)
         hi = lo + np.searchsorted(frames[lo:], stop)
+        rms[lo:hi] = rms_envelope(padded, frames[lo:hi])
         at = frames[lo:hi] - start
         contour_mag = _kernels._take(mag, at).T
         centroid[lo:hi] = spectral_centroid(contour_mag)
@@ -543,7 +533,7 @@ def _stft_pass(padded, n_frames, frames):
         mel[:, 0] = block_mel[:, -1]
     mean_power = power_sum / n_frames
     pcqt = pseudo_cqt(mean_power)
-    contours = {"spectral_centroid": centroid, "spectral_flatness": flatness,
+    contours = {"rms": rms, "spectral_centroid": centroid, "spectral_flatness": flatness,
                 "spectral_rolloff": rolloff}
     return contours, {
         "tempogram": tempogram(onset),

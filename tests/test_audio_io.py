@@ -309,6 +309,11 @@ class TestResample:
         with pytest.raises(ValueError, match="target_rate must be positive"):
             resample(mono_buffer(sine(220.0, 0.01)), rate)
 
+    @pytest.mark.parametrize("rate", [0, -8000])
+    def test_source_rate_below_one_is_rejected(self, rate):
+        with pytest.raises(ValueError, match=f"source sample_rate must be positive, got {rate}"):
+            resample(AudioBuffer(np.ones(100), rate), 16000)
+
     def test_same_rate_is_identity(self):
         buf = mono_buffer(sine(440, 0.1))
         out = resample(buf, SR)

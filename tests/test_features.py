@@ -1,5 +1,6 @@
 """Feature extractor tests: frozen oracle values, spec examples, invariants."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -324,6 +325,15 @@ class TestSummarize:
         with pytest.raises(EmptyFeature):
             F.summarize("mel_spectrogram", np.zeros(0))
 
+    @pytest.mark.parametrize("shape", [(128, 5), (256, 1), ()])
+    def test_values_that_are_not_one_dimensional_are_rejected(self, shape):
+        # a caller that passes the matrix instead of its time mean would
+        # otherwise get the matrix back as the summary
+        with pytest.raises(ValueError, match=rf"mel_spectrogram: .*shape {re.escape(str(shape))}"):
+            F.summarize("mel_spectrogram", np.ones(shape))
+        with pytest.raises(ValueError, match=rf"rms: .*shape {re.escape(str(shape))}"):
+            F.summarize("rms", np.ones(shape), np.arange(5))
+
     def test_summary_lengths(self):
         # the protocol's lengths: contours resampled to 256 points, 128 mel
         # bands, a 384-frame tempogram window, 12 chroma and 84 CQT bins
@@ -412,8 +422,9 @@ class TestContourFrames:
 
         monkeypatch.setattr(_kernels, "yin_cmnd", counted(
             "yin_cmnd", _kernels.yin_cmnd, lambda padded, frames, *rest: len(frames)))
-        monkeypatch.setattr(F, "_rms_rows", counted(
-            "rms", F._rms_rows, lambda padded, frames: len(frames)))
+        # the frames handed to rms_envelope, one call per STFT block
+        monkeypatch.setattr(F, "rms_envelope", counted(
+            "rms", F.rms_envelope, lambda padded, frames: len(frames)))
         for name in ("spectral_centroid", "spectral_flatness", "spectral_rolloff"):
             monkeypatch.setattr(F, name, counted(
                 name, getattr(F, name), lambda spectrum: spectrum.shape[1]))

@@ -18,7 +18,8 @@ def onset_windows(env, rows):
 
 def local_autocorr_power(env):
     """The kernel's rows for ``env``, one call per block, as one (frames, bins) matrix."""
-    return F._by_blocks(F._autocorr_rows, env, np.arange(len(env)))
+    return np.concatenate([F._autocorr_rows(env, block)
+                           for block in F._row_blocks(np.arange(len(env)))])
 
 
 def yin_cmnd(padded, n_frames, hop, win, tau_max):
@@ -211,7 +212,7 @@ def test_frames_apart_give_the_rows_of_one_run(frames):
     some = np.array(frames)
     np.testing.assert_array_equal(_kernels.yin_cmnd(padded, some, hop, 512, 320),
                                   _kernels.yin_cmnd(padded, every, hop, 512, 320)[some])
-    np.testing.assert_array_equal(F._rms_rows(padded, some), F._rms_rows(padded, every)[some])
+    np.testing.assert_array_equal(F.rms_envelope(padded, some), F.rms_envelope(padded, every)[some])
 
 
 def test_f0_contour_matches_oracle_on_mixed_signal():
@@ -243,6 +244,26 @@ def test_rms_envelope_matches_whole_signal_block_sums(rows):
     sums = (u * u).reshape(-1, 256).sum(axis=1)
     expected = np.sqrt((sums[:-3] + sums[1:-2] + sums[2:-1] + sums[3:]) / 1024)
     np.testing.assert_array_equal(F.rms_envelope(*centered(x)), expected)
+
+
+@pytest.mark.parametrize("n_samples", [9 * 16000 + 100, 30 * 16000])
+def test_pass_rms_matches_whole_signal_block_sums_on_long_clips(n_samples):
+    # The pass sums each block's chunks on the contour frames alone; its RMS
+    # summary is the bits of the whole-signal block sums at those frames.
+    # Noise, a tone and a silent gap that starts mid-chunk.
+    rng = np.random.default_rng(n_samples)
+    x = 0.3 * rng.standard_normal(n_samples)
+    x[48000:80000] = 0.5 * np.sin(2 * np.pi * 200.0 * np.arange(32000) / oracles.SR)
+    x[96000 + 37 : 112000] = 0.0
+    n_frames = 1 + n_samples // 256
+    u = np.pad(x, 512, mode="reflect")[: (n_frames + 3) * 256]
+    sums = (u * u).reshape(-1, 256).sum(axis=1)
+    expected = np.sqrt((sums[:-3] + sums[1:-2] + sums[2:-1] + sums[3:]) / 1024)
+    assert np.any(expected == 0.0)
+    frames = F._contour_frames(n_frames)
+    assert len(frames) < n_frames
+    np.testing.assert_array_equal(F.extract_summaries(mono_buffer(x))["rms"],
+                                  F.summarize("rms", expected[frames], frames))
 
 
 def test_silence_after_loud_frames_is_exact():
