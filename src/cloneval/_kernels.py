@@ -28,19 +28,21 @@ def _take(rows, index):
     return rows[index]
 
 
-def _cover(index, width):
-    """The sorted union of ``index[i] + 0..width - 1``, and the place of each ``index[i]`` in it.
+def _cover(x, index, width, step, span):
+    """The rows ``x[c*step :][:span]`` of the union ``c`` of ``index[i] + 0..width - 1``.
 
-    ``index`` is sorted and distinct, and so is the union. Where ``index`` is
-    one run, the union is one run too and the places are ``0..len(index) - 1``.
+    Returns the rows and the place of each ``index[i]`` among them.
+    ``index`` is sorted and distinct, and so is the union. The rows are
+    taken from one ``_windows`` view over the union's span: they are a view
+    when the union is one run, as it is when ``index`` is, and gathered
+    copies otherwise.
     """
-    if index[-1] - index[0] == len(index) - 1:
-        return np.arange(index[0], index[-1] + width), np.arange(len(index))
     offsets = index - index[0]
     marks = np.zeros(offsets[-1] + width, dtype=bool)
     marks[np.add.outer(offsets, np.arange(width))] = True
     covered = np.flatnonzero(marks)
-    return covered + index[0], np.searchsorted(covered, offsets)
+    rows = _take(_windows(x, index[0] * step, len(marks), step, span), covered)
+    return rows, np.searchsorted(covered, offsets)
 
 
 def _frame_sums(rows, n_frames, per_frame):
@@ -168,16 +170,6 @@ def _windows(x, start, rows, step, span):
     return windows
 
 
-def _rows_at(x, index, step, span):
-    """``_windows`` rows ``x[i*step :][:span]`` for each ``i`` of a sorted distinct ``index``.
-
-    The rows of one run of ``index`` are a view; rows apart are copied out.
-    """
-    first = index[0] if len(index) else 0
-    rows = len(index) and index[-1] - first + 1
-    return _take(_windows(x, first * step, rows, step, span), index - first)
-
-
 def polyphase_resample(x, plan):
     """Resample the contiguous float64 signal ``x`` by ``plan``.
 
@@ -234,9 +226,10 @@ def yin_cmnd(padded, frames, hop, win, tau_max):
     ``r`` squares of the chunk after them. So no frame's sums carry a chunk
     before its own, and silence reads exactly 0.
 
-    Only the chunks that ``frames`` read are computed (``_cover``): each
-    frame's own chunks for the correlations, and the chunks its spans start
-    and end in for the running sums. The chunks are stacked in order, and
+    Only the chunks that ``frames`` read are computed. One ``_cover`` call
+    takes the stack of each frame's own chunks, ``n_fft`` samples each, for
+    the correlations; another the chunks its spans start and end in, ``hop``
+    samples each, for the running sums. The chunks are stacked in order, and
     the sums are taken as for one run of frames over the stack, so a sum
     that spans two chunks apart is junk that no frame reads; each frame's
     rows are then picked out. For a run of consecutive frames the chunks
@@ -248,14 +241,13 @@ def yin_cmnd(padded, frames, hop, win, tau_max):
     count = len(frames)
     per_frame = win // hop
     n_fft = _fft_size(hop + tau_max)
-    chunks, first_chunk = _cover(frames, per_frame)
     # Each chunk's spectrum is taken over n_fft signal samples rather than
     # hop + tau_max zero-padded ones: samples past that reach no lag <=
     # tau_max, and a row that needs no padding transforms faster. Each step
     # frees what the next one no longer needs, so that no more than three
     # (chunks, n_fft) arrays are held at once.
-    seg = _rows_at(padded, chunks, hop, n_fft)
-    head = np.empty((len(chunks), n_fft))  # each chunk's head, zero-padded to n_fft
+    seg, first_chunk = _cover(padded, frames, per_frame, hop, n_fft)
+    head = np.empty((len(seg), n_fft))  # each chunk's head, zero-padded to n_fft
     head[:, :hop] = seg[:, :hop]
     head[:, hop:] = 0.0
     spec = np.fft.rfft(seg, n=n_fft, axis=1)
@@ -266,18 +258,17 @@ def yin_cmnd(padded, frames, hop, win, tau_max):
     del head_spec
     corr = np.fft.irfft(spec, n=n_fft, axis=1)[:, :lags]
     del spec
-    r = _take(_frame_sums(corr, len(chunks) - per_frame + 1, per_frame), first_chunk)
+    r = _take(_frame_sums(corr, len(corr) - per_frame + 1, per_frame), first_chunk)
     del corr
 
     # A frame's shifted spans start in its first `reach` chunks. Row k of
     # `energy`: the energies of the spans that start in chunk k of the
     # stack. Such a span ends in chunk k + per_frame.
     reach = tau_max // hop + 1
-    summed, first_summed = _cover(frames, reach + per_frame)
-    starts = len(summed) - per_frame
-    sums = np.empty((len(summed), hop + 1))
+    samples, first_summed = _cover(padded, frames, reach + per_frame, hop, hop)
+    starts = len(samples) - per_frame
+    sums = np.empty((len(samples), hop + 1))
     sums[:, 0] = 0.0
-    samples = _rows_at(padded, summed, hop, hop)
     np.multiply(samples, samples, out=sums[:, 1:])  # the squares, summed in place
     np.cumsum(sums[:, 1:], axis=1, out=sums[:, 1:])
     energy = sums[per_frame:, :hop] - sums[:starts, :hop]

@@ -20,7 +20,8 @@ _WAVE_FORMAT_PCM = 0x0001
 _WAVE_FORMAT_IEEE_FLOAT = 0x0003
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
-_INT_SCALES = {16: 1 << 15, 24: 1 << 23, 32: 1 << 31}
+_INT_SCALES = {8: 1 << 7, 16: 1 << 15, 24: 1 << 23, 32: 1 << 31}
+_FLOAT_TYPES = {32: "<f4", 64: "<f8"}
 
 # streaming writers cannot seek back to fill in the data size
 _UNKNOWN_SIZE = 0xFFFFFFFF
@@ -88,8 +89,9 @@ def _parse_fmt(data: bytes, start: int, size: int):
 def decode_wav(data: bytes) -> AudioBuffer:
     """Decode a RIFF/WAVE byte string into an AudioBuffer.
 
-    Supports PCM 16/24/32-bit little-endian integers and IEEE float32. Integer
-    samples are scaled by 1/2^(bits-1) into [-1, 1]; float samples pass through
+    Supports PCM 8-bit unsigned and 16/24/32-bit little-endian signed integers,
+    and IEEE float32 and float64. Integer samples are scaled by 1/2^(bits-1) into
+    [-1, 1], unsigned 8-bit ones once 128 is subtracted; float samples pass through
     unchanged, and a NaN or infinite one is a ``FormatError`` that names how many
     the file holds. Each payload is converted once, with no copy of its bytes:
     24-bit PCM is read in place. Unknown chunks are skipped, and nothing after the
@@ -121,7 +123,7 @@ def decode_wav(data: bytes) -> AudioBuffer:
         if bits not in _INT_SCALES:
             raise FormatError(f"unsupported PCM bit depth: {bits}")
     elif tag == _WAVE_FORMAT_IEEE_FLOAT:
-        if bits != 32:
+        if bits not in _FLOAT_TYPES:
             raise FormatError(f"unsupported float bit depth: {bits}")
     else:
         raise FormatError(f"unsupported codec tag: 0x{tag:04X}")
@@ -135,7 +137,7 @@ def decode_wav(data: bytes) -> AudioBuffer:
 
     count = size // bytes_per_sample
     if tag == _WAVE_FORMAT_IEEE_FLOAT:
-        raw = np.frombuffer(data, "<f4", count, start)
+        raw = np.frombuffer(data, _FLOAT_TYPES[bits], count, start)
         bad = count - np.count_nonzero(np.isfinite(raw))
         if bad:
             raise FormatError(f"data chunk holds {bad} non-finite (NaN or Inf) samples")
@@ -146,6 +148,8 @@ def decode_wav(data: bytes) -> AudioBuffer:
         # starts on the last byte of the data chunk's header, before the payload.
         words = np.ndarray((count,), "<i4", buffer=data, offset=start - 1, strides=(3,))
         samples = (words >> 8) / _INT_SCALES[24]
+    elif bits == 8:
+        samples = (np.frombuffer(data, np.uint8, count, start) - 128.0) / _INT_SCALES[8]
     else:
         samples = np.frombuffer(data, f"<i{bytes_per_sample}", count, start) / _INT_SCALES[bits]
 

@@ -195,7 +195,7 @@ def _cmd_prompts(args, parser) -> int:
     _check_out_file(parser, "--out", args.out,
                     _resolved([(args.manifest, "the --manifest file")]))
     try:
-        with open(args.manifest, "r", encoding="utf-8") as fh:
+        with open(args.manifest, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read manifest {args.manifest}: {exc}") from exc

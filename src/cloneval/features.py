@@ -9,9 +9,9 @@ Frames are walked in blocks, and only this module walks them:
 ``_row_blocks`` splits a sorted array of frame indices into balanced blocks
 of at most ``_BLOCK_ROWS``. ``f0_contour`` hands each block of its frames
 to the YIN kernel, ``tempogram`` each block of the onset envelope's frames
-to the autocorrelation kernel (``_autocorr_rows``), and the STFT pass walks
-every frame. The rows of a run of consecutive frames are read through
-strided views; only frames apart are gathered.
+to the autocorrelation kernel, and the STFT pass walks every frame. The
+rows of a run of consecutive frames are read through strided views; only
+frames apart are gathered, YIN's chunks by ``_kernels._cover``.
 
 A contour's summary reads at most 511 of its frames: each of its 256
 points lies between the frame at or below it and the frame after
@@ -348,23 +348,17 @@ def onset_strength(mel_power: np.ndarray) -> np.ndarray:
 def tempogram(onset: np.ndarray) -> np.ndarray:
     """Time mean ``(TEMPOGRAM_WIN,)`` of the onset envelope's windowed local autocorrelations.
 
-    Each frame's autocorrelation is normalized by its lag-0 value, and a
-    frame whose window holds no energy counts as zero. By linearity the mean
-    is one inverse FFT of the frames' summed ``_autocorr_rows`` power spectra.
+    A frame's window is centered on it, zeros outside the envelope; every
+    frame's window is a row of one ``_kernels._windows`` view, and each
+    ``_row_blocks`` block of rows goes to ``_kernels.local_autocorr``. Each
+    frame's autocorrelation is normalized by its lag-0 value, and a frame
+    whose window holds no energy counts as zero. By linearity the mean is
+    one inverse FFT of the frames' summed power spectra.
     """
-    total = sum(_autocorr_rows(onset, block).sum(axis=0)
-                for block in _row_blocks(np.arange(len(onset))))
+    windows = _kernels._windows(onset, -(TEMPOGRAM_WIN // 2), len(onset), 1, TEMPOGRAM_WIN)
+    total = sum(_kernels.local_autocorr(_kernels._take(windows, block), _TEMPOGRAM_WINDOW)
+                .sum(axis=0) for block in _row_blocks(np.arange(len(onset))))
     return _autocorr(total) / len(onset)
-
-
-def _autocorr_rows(onset, frames):
-    """``_kernels.local_autocorr`` power rows of the onset ``frames``.
-
-    A frame's window is centered on it, zeros outside the envelope; only
-    the blocks at its ends copy them.
-    """
-    windows = _kernels._rows_at(onset, frames - TEMPOGRAM_WIN // 2, 1, TEMPOGRAM_WIN)
-    return _kernels.local_autocorr(windows, _TEMPOGRAM_WINDOW)
 
 
 def _autocorr(power: np.ndarray) -> np.ndarray:

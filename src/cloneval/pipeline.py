@@ -80,7 +80,7 @@ def load_alias_table(path) -> dict:
     naming both.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             # objects load as tuples of their (key, value) entries, so an
             # entry listed twice is still there to be reported
             raw = json.load(fh, object_pairs_hook=tuple)

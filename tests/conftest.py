@@ -155,11 +155,15 @@ def tempogram_of(onset):
     The kernel runs once per block, as in the pass; an empty envelope gives
     ``(TEMPOGRAM_WIN, 0)`` from one call on no frames.
     """
+    from cloneval import _kernels
     from cloneval import features as F
 
     frames = np.arange(len(onset))
-    blocks = [F._autocorr_rows(onset, block) for block in F._row_blocks(frames)]
-    return F._autocorr(np.concatenate(blocks or [F._autocorr_rows(onset, frames)])).T
+    windows = _kernels._windows(onset, -(F.TEMPOGRAM_WIN // 2), len(onset), 1, F.TEMPOGRAM_WIN)
+    blocks = [_kernels.local_autocorr(_kernels._take(windows, block), F._TEMPOGRAM_WINDOW)
+              for block in F._row_blocks(frames)]
+    return F._autocorr(np.concatenate(blocks or [
+        _kernels.local_autocorr(windows, F._TEMPOGRAM_WINDOW)])).T
 
 
 def write_fake_model(path, inputs=(("wave", [1, "samples"]),), outputs=(("emb", [1, 4]),)):

@@ -1,7 +1,9 @@
 """Decoder, downmix, and resampler tests."""
 
+import io
 import math
 import struct
+import wave
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +62,34 @@ class TestDecodeWav:
         frames[3, 1] = frames[40, 0] = bad
         with pytest.raises(FormatError, match="holds 2 non-finite"):
             decode_wav(make_wav(frames, fmt="float32"))
+
+    def test_float64_roundtrip_is_exact(self):
+        wavfile = pytest.importorskip("scipy.io.wavfile")
+        frames = np.random.default_rng(1).standard_normal((300, 2))
+        out = io.BytesIO()
+        wavfile.write(out, SR, frames)
+        np.testing.assert_array_equal(decode_wav(out.getvalue()).samples, frames)
+
+    def test_non_finite_float64_samples_rejected(self):
+        frames = np.zeros(50)
+        frames[[3, 7, 9]] = np.nan
+        fmt = struct.pack("<HHIIHH", 3, 1, SR, 8 * SR, 8, 64)
+        with pytest.raises(FormatError, match="holds 3 non-finite"):
+            decode_wav(_riff(fmt, frames.astype("<f8").tobytes()))
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_pcm8_is_unsigned(self, channels):
+        codes = np.array([0, 64, 128, 192, 255, 128], dtype=np.uint8)
+        out = io.BytesIO()
+        with wave.open(out, "wb") as w:
+            w.setnchannels(channels)
+            w.setsampwidth(1)
+            w.setframerate(SR)
+            w.writeframes(codes.tobytes())
+        buf = decode_wav(out.getvalue())
+        expected = np.array([-1.0, -0.5, 0.0, 0.5, 127 / 128, 0.0])
+        assert buf.channel_count == channels
+        np.testing.assert_array_equal(buf.samples, expected.reshape(-1, channels).squeeze())
 
     def test_pcm24_and_pcm32_roundtrip(self):
         x = sine(200, 0.02, amp=0.8)
@@ -122,12 +152,12 @@ class TestDecodeWav:
         (_PCM16_MONO[:14], b"\0\0", "fmt chunk too small"),
         (_PCM16_MONO, None, "missing data chunk"),
         (struct.pack("<HHIIHH", 1, 0, SR, 0, 0, 16), b"\0\0", "channels=0"),
-        (struct.pack("<HHIIHH", 1, 1, SR, SR, 1, 8), b"\x80\x80", "PCM bit depth: 8"),
-        (struct.pack("<HHIIHH", 3, 1, SR, 8 * SR, 8, 64), bytes(8), "float bit depth: 64"),
+        (struct.pack("<HHIIHH", 1, 1, SR, 2 * SR, 2, 12), b"\0\0", "PCM bit depth: 12"),
+        (struct.pack("<HHIIHH", 3, 1, SR, 2 * SR, 2, 16), bytes(2), "float bit depth: 16"),
         (_PCM16_MONO, b"", "empty data chunk"),
         (_PCM16_MONO, b"\0\0\0", "whole number of frames"),
-    ], ids=["short_extensible_fmt", "short_fmt", "no_data_chunk", "no_channels", "pcm8",
-            "float64", "empty_data", "partial_frame"])
+    ], ids=["short_extensible_fmt", "short_fmt", "no_data_chunk", "no_channels", "pcm12",
+            "float16", "empty_data", "partial_frame"])
     def test_malformed_file_rejected(self, fmt_body, data, message):
         with pytest.raises(FormatError, match=message):
             decode_wav(_riff(fmt_body, data))

@@ -660,6 +660,17 @@ class TestPrompts:
         assert rc == 0
         assert out.read_text() == "A\tB\tbeta\nB\tA\talpha\n"
 
+    def test_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path):
+        rows = [(f"s{i}", f"text {i}") for i in range(5)]
+        plain = self._manifest(tmp_path, rows)
+        marked = tmp_path / "marked.tsv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outs = [tmp_path / "plain.out.tsv", tmp_path / "marked.out.tsv"]
+        for manifest, out in zip((plain, marked), outs):
+            assert main(["prompts", "--manifest", str(manifest), "--seed", "3",
+                         "--out", str(out)]) == 0
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+
     def test_deterministic_per_seed(self, tmp_path):
         rows = [(f"s{i}", f"text {i}") for i in range(20)]
         manifest = self._manifest(tmp_path, rows)

@@ -44,6 +44,13 @@ class TestReadPrecomputed:
         assert set(store) == {"a", "b"}
         assert store["a"].shape == (2,)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "emb.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"a": [0.1, 0.2]}).encode())
+        store = read_precomputed(path)
+        assert list(store) == ["a"]
+        np.testing.assert_array_equal(store["a"], [0.1, 0.2])
+
     def test_zero_vector_accepted(self, tmp_path):
         # a model embeds a silent file as zeros; its manifest entry must load
         # so that scoring flags it the same way

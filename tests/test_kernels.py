@@ -18,7 +18,9 @@ def onset_windows(env, rows):
 
 def local_autocorr_power(env):
     """The kernel's rows for ``env``, one call per block, as one (frames, bins) matrix."""
-    return np.concatenate([F._autocorr_rows(env, block)
+    windows = onset_windows(env, len(env))
+    window = F.hann_window(384)
+    return np.concatenate([_kernels.local_autocorr(_kernels._take(windows, block), window)
                            for block in F._row_blocks(np.arange(len(env)))])
 
 
@@ -190,9 +192,9 @@ def _mixed_test_signal():
 @given(st.sets(st.integers(0, 300), min_size=1), st.integers(1, 5))
 def test_cover_is_the_union_and_places_each_index(index, width):
     index = np.array(sorted(index))
-    covered, places = _kernels._cover(index, width)
-    assert covered.tolist() == sorted({i + k for i in index.tolist() for k in range(width)})
-    np.testing.assert_array_equal(covered[places], index)
+    rows, places = _kernels._cover(np.arange(index[-1] + width), index, width, 1, 1)
+    assert rows[:, 0].tolist() == sorted({i + k for i in index.tolist() for k in range(width)})
+    np.testing.assert_array_equal(rows[places, 0], index)
 
 
 @pytest.mark.parametrize("frames", [

@@ -93,6 +93,11 @@ class TestParseEmotion:
         assert parse_emotion("03-01-03-01", table) == "happiness"
         assert parse_emotion("happy_01", table) == "unknown"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "aliases.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"03": "happiness"}).encode())
+        assert load_alias_table(path) == {"03": "happiness"}
+
     def test_table_tokens_are_lowercased(self, tmp_path):
         path = tmp_path / "aliases.json"
         path.write_text(json.dumps({"SPK1": "fear"}))
