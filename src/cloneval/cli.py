@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .embeddings import check_dimension, embed, load_backend
-from .errors import ClonevalError, DimensionMismatch, EvaluationFailed, ParseError
+from .errors import ClonevalError, EvaluationFailed, ParseError
 from .pipeline import (
     REPORT_NAMES,
     EvalConfig,
@@ -58,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--workers", type=int, default=_usable_cpus(),
                     help="worker processes (default: the CPUs this process may run on); "
                     "results do not depend on this")
-    ev.add_argument("--expected-dim", type=int, help="require this embedding dimension")
     ev.add_argument("--dump-features", help="also write every feature summary to this JSONL file")
     ev.set_defaults(parser=ev)  # each command reports its usage errors with its own usage
 
@@ -115,10 +114,6 @@ def _cmd_evaluate(args, parser) -> int:
             parser.error(f"--{name.replace('_', '-')} is not a directory")
     if args.workers < 1:
         parser.error("--workers must be at least 1")
-    if args.expected_dim is not None and args.no_embedding:
-        parser.error("--expected-dim has no effect with --no-embedding")
-    if args.expected_dim is not None and args.expected_dim < 1:
-        parser.error("--expected-dim must be at least 1")
     _check_out_dir(parser, args.output_dir)
     table = None if args.emotions in ("auto", "off") else args.emotions
     taken = [(path, f"the {flag} file") for flag, path in (
@@ -144,14 +139,11 @@ def _cmd_evaluate(args, parser) -> int:
 
     backends = None
     if args.embedding_model:
-        backend = load_backend(model_path=args.embedding_model, expected_dim=args.expected_dim)
+        backend = load_backend(model_path=args.embedding_model)
         backends = (backend, backend)
     elif args.embeddings_ref:
-        backends = tuple(load_backend(precomputed_path=path, expected_dim=args.expected_dim)
+        backends = tuple(load_backend(precomputed_path=path)
                          for path in (args.embeddings_ref, args.embeddings_gen))
-    if backends is not None and None in (backend.dimension for backend in backends):
-        parser.error("the embedding dimension is not declared (a model with a symbolic "
-                     "output axis, or an empty manifest); give it with --expected-dim")
 
     pairs, unmatched_ref, unmatched_gen = discover_pairs(args.reference_dir, args.generated_dir)
     for name in unmatched_ref:
@@ -225,14 +217,12 @@ def _cmd_embed(args, parser) -> int:
         raise ClonevalError(f"no audio files in {args.input_dir}")
     backend = load_backend(model_path=args.model)
     manifest = {}
-    dimension = backend.dimension  # None for a symbolic output axis: the first vector's
     for stem, path in wavs.items():
-        vector = embed(backend, load_mono_16k(path), key=stem)
-        dimension = dimension or len(vector)
         try:
-            check_dimension(dimension, vector)
-        except DimensionMismatch as exc:
-            raise DimensionMismatch(f"embedding of {stem!r}: {exc}") from None
+            vector = embed(backend, load_mono_16k(path), key=stem)
+            check_dimension(backend.dimension, vector)
+        except ClonevalError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
         manifest[stem] = [float(v) for v in vector]
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     write_staged({args.out: lambda fh: fh.write(text)})

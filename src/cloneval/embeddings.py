@@ -9,8 +9,9 @@ The ONNX graph contract is one float waveform input [1 x samples] at 16 kHz
 and one float vector output [1 x D]. onnxruntime (an optional dependency)
 loads the model, and the session's declared inputs and outputs are checked
 against that contract when it loads. So every backend knows its dimension
-D before the first file is embedded, unless a model declares D symbolic
-and no expected dimension was given.
+D before the first file is embedded: a manifest's vector length, a model's
+static last output axis, or, for a symbolic one, the length of the model's
+embedding of one second of silence.
 """
 
 import json
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioBuffer, pipeline_samples
+from .audio_io import PIPELINE_RATE, AudioBuffer, pipeline_samples
 from .errors import (
     DimensionMismatch,
     MissingEmbedding,
@@ -74,7 +75,7 @@ def read_precomputed(path) -> dict:
 class PrecomputedBackend:
     """Serves embeddings from a JSON manifest, keyed by file stem."""
 
-    def __init__(self, store: dict, dimension: int | None):
+    def __init__(self, store: dict, dimension: int):
         self._store = store
         self.dimension = dimension
 
@@ -99,14 +100,15 @@ class OnnxModelBackend:
 
     The session declares the model's contract when it loads: exactly one
     input and one output, else SchemaError. A static last output axis is
-    ``dimension``, and ``expected_dim``, when given, must equal it. A
-    symbolic one, a name or None, takes ``expected_dim``, which may be None.
+    ``dimension``. For a symbolic one, a name or None, the session embeds
+    one second of silence once, and the length of that output is
+    ``dimension``; a given ``dimension`` is taken as it is, with no probe.
 
     A session is used by one thread at a time and never crosses a process:
     ``reopened`` gives a worker process a backend with a session of its own.
     """
 
-    def __init__(self, path: str, expected_dim: int | None):
+    def __init__(self, path: str, dimension: int | None = None):
         try:
             import onnxruntime
         except ImportError as exc:
@@ -129,13 +131,16 @@ class OnnxModelBackend:
         self._input_name = inputs[0].name
         self._output_name = outputs[0].name
         self._path = str(path)
-        declared = (outputs[0].shape or [None])[-1]
-        if not isinstance(declared, int):
-            declared = expected_dim
-        elif expected_dim is not None and declared != expected_dim:
-            raise ModelLoadError(
-                f"model output dimension {declared} does not match expected {expected_dim}")
-        self.dimension = declared
+        if dimension is None:
+            dimension = (outputs[0].shape or [None])[-1]
+        if not isinstance(dimension, int):
+            # only the length is read, so a NaN in the output does not matter
+            silence = AudioBuffer(np.zeros(PIPELINE_RATE), PIPELINE_RATE)
+            try:
+                dimension = len(self._embed(silence, None))
+            except Exception as exc:
+                raise ModelLoadError(f"model {path} cannot embed 1 s of silence: {exc}") from exc
+        self.dimension = dimension
 
     def _embed(self, buf: AudioBuffer, key: str | None) -> np.ndarray:
         waveform = np.asarray(buf.samples, dtype=np.float32)[None, :]
@@ -150,27 +155,21 @@ class OnnxModelBackend:
         return OnnxModelBackend(self._path, self.dimension)
 
 
-def load_backend(*, model_path=None, precomputed_path=None, expected_dim=None):
-    """An ONNX model backend or a precomputed-manifest backend.
+def load_backend(*, model_path=None, precomputed_path=None):
+    """An ONNX model backend or a precomputed-manifest backend, which knows its ``dimension``.
 
-    Exactly one of ``model_path`` and ``precomputed_path`` must be given.
-    ``expected_dim``, when given, is the dimension every embedding must have,
-    at least 1. The backend's ``dimension`` is the one its model or manifest
-    declares, else ``expected_dim``; it is None only for a model with a
-    symbolic output axis, or an empty manifest, loaded without one.
+    Exactly one of ``model_path`` and ``precomputed_path`` must be given. A
+    manifest that maps no stem raises ParseError naming the file.
     """
     if (model_path is None) == (precomputed_path is None):
         raise ValueError("exactly one of model_path / precomputed_path must be set")
-    if expected_dim is not None and expected_dim < 1:
-        raise ValueError(f"expected_dim must be at least 1, got {expected_dim}")
     if model_path is not None:
-        return OnnxModelBackend(model_path, expected_dim)
+        return OnnxModelBackend(model_path)
     store = read_precomputed(precomputed_path)
+    if not store:
+        raise ParseError(f"embedding manifest {precomputed_path} maps no stem")
     # read_precomputed has checked that every vector has the same length
-    dim = len(next(iter(store.values()))) if store else expected_dim
-    if expected_dim is not None and dim != expected_dim:
-        raise ModelLoadError(f"manifest dimension {dim} does not match expected {expected_dim}")
-    return PrecomputedBackend(store, dim)
+    return PrecomputedBackend(store, len(next(iter(store.values()))))
 
 
 def embed(backend, buf: AudioBuffer, key: str | None = None) -> np.ndarray:

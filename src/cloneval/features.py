@@ -62,14 +62,15 @@ all ten ``FEATURE_IDS``, and the settings are the module constants below.
 Audio comes in at ``PIPELINE_RATE`` (16 kHz) and anything else raises
 ``RateError``. Frames are ``N_FFT`` (1024) samples,
 ``HOP`` (256) apart, centered with reflected edges, under a periodic Hann
-window for the STFT. YIN searches ``YIN_FMIN``..``YIN_FMAX`` Hz below
-``YIN_THRESHOLD``. The mel bank has ``N_MELS`` bands over ``MEL_FMIN``..
-``MEL_FMAX``; the chroma bank is tuned to ``CHROMA_A4`` with Gaussian width
-``CHROMA_SIGMA`` semitones; the pseudo-CQT has ``CQT_BINS`` bins,
-``CQT_BINS_PER_OCTAVE`` per octave from ``CQT_FMIN``. The rolloff holds
-``ROLLOFF_FRACTION`` of the magnitude, and the tempogram window is
-``TEMPOGRAM_WIN`` frames. Spectral similarity is taken on linear power
-values (no dB conversion).
+window for the STFT; a clip of fewer than ``MIN_SAMPLES`` (513) samples
+cannot be reflected and raises ``InputTooShort``. YIN searches
+``YIN_FMIN``..``YIN_FMAX`` Hz below ``YIN_THRESHOLD``. The mel bank has
+``N_MELS`` bands over ``MEL_FMIN``..``MEL_FMAX``; the chroma bank is tuned
+to ``CHROMA_A4`` with Gaussian width ``CHROMA_SIGMA`` semitones; the
+pseudo-CQT has ``CQT_BINS`` bins, ``CQT_BINS_PER_OCTAVE`` per octave from
+``CQT_FMIN``. The rolloff holds ``ROLLOFF_FRACTION`` of the magnitude, and
+the tempogram window is ``TEMPOGRAM_WIN`` frames. Spectral similarity is
+taken on linear power values (no dB conversion).
 """
 
 import math
@@ -110,6 +111,8 @@ CQT_FMIN = 32.703
 ROLLOFF_FRACTION = 0.85
 TEMPOGRAM_WIN = 384
 CONTOUR_POINTS = 256
+# The shortest clip that reflects once at both ends: 32 ms at 16 kHz.
+MIN_SAMPLES = N_FFT // 2 + 1
 
 _N_BINS = N_FFT // 2 + 1
 _FLATNESS_FLOOR = 1e-10
@@ -152,9 +155,13 @@ _TEMPOGRAM_WINDOW = _read_only(hann_window(TEMPOGRAM_WIN))
 
 
 def _reflect_pad(x: np.ndarray):
-    """``x`` reflected by ``N_FFT // 2`` samples at both ends, and its centered frame count."""
-    if len(x) < 2:
-        raise InputTooShort(f"need at least 2 samples, got {len(x)}")
+    """``x`` reflected by ``N_FFT // 2`` samples at both ends, and its centered frame count.
+
+    A shorter ``x`` than ``MIN_SAMPLES`` raises InputTooShort: ``np.pad``
+    would repeat it into a made-up period that YIN reads as a pitch.
+    """
+    if len(x) < MIN_SAMPLES:
+        raise InputTooShort(f"need at least {MIN_SAMPLES} samples, got {len(x)}")
     return np.pad(x, N_FFT // 2, mode="reflect"), 1 + len(x) // HOP
 
 

@@ -150,13 +150,12 @@ def discover_pairs(ref_dir, gen_dir):
 class EvalConfig:
     """One run's settings, checked when made and frozen after.
 
-    ``backends`` other than None or a pair of backends, a backend that does
-    not know its dimension, ``aliases`` that fail ``_check_aliases`` and
-    ``workers`` that is not an int (a bool included) or is below 1 raise
-    ValueError; two backends of different dimensions raise
-    DimensionMismatch. ``aliases`` is kept as a read-only copy, so a later
-    change to the caller's table moves neither the labels nor the
-    fingerprint.
+    ``backends`` other than None or a pair of backends, ``aliases`` that
+    fail ``_check_aliases`` and ``workers`` that is not an int (a bool
+    included) or is below 1 raise ValueError; two backends of different
+    dimensions raise DimensionMismatch. ``aliases`` is kept as a read-only
+    copy, so a later change to the caller's table moves neither the labels
+    nor the fingerprint.
     """
 
     backends: tuple | None = None  # (reference, generated); None disables the embedding metric
@@ -174,9 +173,6 @@ class EvalConfig:
         ):
             raise ValueError("EvalConfig.backends must be None or a (reference, generated) pair")
         dims = tuple(backend.dimension for backend in backends or ())
-        if None in dims:
-            raise ValueError("every EvalConfig backend must know its embedding dimension; "
-                             "load a model with a symbolic output axis with expected_dim")
         if len(set(dims)) > 1:
             # every pair would fail at scoring, after its decode and extraction
             raise DimensionMismatch(f"reference embeddings have {dims[0]} dimensions but "

@@ -123,19 +123,21 @@ def mono_buffer(samples, sr=SR):
 # Whole-file features from the feature pass's own steps, evaluated at every
 # frame: F.f0_contour(*centered(x)) is the pitch of every frame of x.
 
-def centered(x):
-    """``x`` reflect-padded as the feature pass pads it, and the indices of all its frames."""
+def centered(x, rows=None):
+    """``x`` reflect-padded as the feature pass pads it, and the indices of its
+    first ``rows`` frames, by default all of them."""
     from cloneval import features as F
 
     padded, n_frames = F._reflect_pad(np.asarray(x, dtype=np.float64))
-    return padded, np.arange(n_frames)
+    return padded, np.arange(n_frames if rows is None else rows)
 
 
-def stft_of(x):
-    """Magnitude STFT ``(bins, frames)`` of every frame: ``stft`` per block, as in the pass."""
+def stft_of(x, rows=None):
+    """Magnitude STFT ``(bins, frames)`` of the ``centered`` frames of ``x``:
+    ``stft`` per block, as in the pass."""
     from cloneval import features as F
 
-    padded, every = centered(x)
+    padded, every = centered(x, rows)
     frames = F.frame_signal(padded, len(every))
     blocks = [F.stft(frames[block[0] : block[-1] + 1]) for block in F._row_blocks(every)]
     return np.concatenate(blocks).T

@@ -258,7 +258,7 @@ class TestEvaluate:
             reports[workers] = [(out / name).read_bytes() for name in pipeline.REPORT_NAMES]
         assert reports[2] == reports[1]
         assert json.loads(reports[1][1])["errors"] == {
-            "spk1_sad_02": "InputTooShort: need at least 2 samples, got 1"}
+            "spk1_sad_02": "InputTooShort: need at least 513 samples, got 1"}
 
     def test_one_pair_with_two_workers_runs_its_files_in_the_pool(self, corpus, tmp_path,
                                                                   monkeypatch):
@@ -290,36 +290,25 @@ class TestEvaluate:
         pids = [int(pid) for pid in extracted_in.read_text().split()]
         assert len(pids) == 2 and os.getpid() not in pids
 
-    def test_symbolic_model_dimension_without_expected_dim_is_usage_error(
-            self, corpus, symbolic_onnx_model, monkeypatch, capsys):
+    def test_manifest_mapping_no_stem_fails_before_any_decode(self, corpus, monkeypatch,
+                                                               capsys):
+        empty = corpus["emb"].with_name("empty.json")
+        empty.write_text("{}")
         decoded = []
         monkeypatch.setattr(pipeline, "decode_wav", lambda data: decoded.append(data))
-        with pytest.raises(SystemExit) as excinfo:
-            main(_evaluate_args(corpus, "--embedding-model", str(symbolic_onnx_model)))
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: cloneval evaluate ")
-        assert err.endswith("error: the embedding dimension is not declared (a model with a "
-                            "symbolic output axis, or an empty manifest); give it with "
-                            "--expected-dim\n")
+        rc = main(_evaluate_args(corpus, "--embeddings-ref", str(corpus["emb"]),
+                                 "--embeddings-gen", str(empty)))
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: embedding manifest {empty} maps no stem\n"
         assert decoded == []
         assert not corpus["out"].exists()
 
-    def test_symbolic_model_dimension_from_expected_dim(self, corpus, symbolic_onnx_model):
-        rc = main(_evaluate_args(corpus, "--embedding-model", str(symbolic_onnx_model),
-                                 "--expected-dim", "4"))
-        assert rc == 0
-        summary = json.loads((corpus["out"] / "summary.json").read_text())
-        assert summary["errors"] == {}
-        assert summary["config"]["embedding_dim"] == 4
-
-    def test_static_model_dimension_other_than_expected_dim(self, corpus, fake_onnx_model,
-                                                            capsys):
-        rc = main(_evaluate_args(corpus, "--embedding-model", str(fake_onnx_model),
-                                 "--expected-dim", "8"))
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            "error: model output dimension 4 does not match expected 8\n")
+    def test_expected_dim_is_not_an_option(self, corpus, capsys):
+        # every backend knows its dimension when it loads
+        with pytest.raises(SystemExit) as excinfo:
+            main(_evaluate_args(corpus, "--no-embedding", "--expected-dim", "8"))
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --expected-dim 8" in capsys.readouterr().err
         assert not corpus["out"].exists()
 
     def test_dead_worker_process_fails_the_run(self, corpus, monkeypatch, capsys):
@@ -509,30 +498,6 @@ class TestEvaluate:
             main(_evaluate_args(corpus, "--no-embedding", "--workers", workers))
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.startswith("usage: cloneval evaluate ")
-        assert not corpus["out"].exists()
-
-    def test_expected_dim_without_embedding_is_usage_error(self, corpus, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(_evaluate_args(corpus, "--no-embedding", "--expected-dim", "8"))
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: cloneval evaluate ")
-        assert "--expected-dim has no effect with --no-embedding" in err
-        assert not corpus["out"].exists()
-
-    @pytest.mark.parametrize("dim", ["0", "-8"])
-    def test_expected_dim_below_one_is_usage_error(self, corpus, dim, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(_evaluate_args(
-                corpus,
-                "--embeddings-ref", str(corpus["emb"]),
-                "--embeddings-gen", str(corpus["emb"]),
-                "--expected-dim", dim,
-            ))
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: cloneval evaluate ")
-        assert "--expected-dim must be at least 1" in err
         assert not corpus["out"].exists()
 
     def test_missing_dir_is_usage_error(self, corpus, capsys):
@@ -808,7 +773,7 @@ class TestEmbedCommand:
     def test_manifest_of_every_file_then_evaluate_from_it(self, tmp_path, symbolic_onnx_model,
                                                            capsys):
         # 8000 samples each, longer than LONG_WAVEFORM: five entries per vector,
-        # which the model's symbolic output axis allows
+        # as many as the model gives 1 s of silence, so its symbolic axis allows
         wav_dir = tmp_path / "wavs"
         wav_dir.mkdir()
         for stem, freq in (("b_sad", 330), ("a_happy", 220)):
@@ -834,12 +799,38 @@ class TestEmbedCommand:
         assert [row.split(",")[embedding] for row in rows[1:]] == ["1.000000"] * 2
         assert json.loads((out / "summary.json").read_text())["config"]["embedding_dim"] == 5
 
+    def test_evaluate_and_embed_agree_on_a_symbolic_dimension(self, tmp_path,
+                                                              symbolic_onnx_model):
+        # the model's embedding of 1 s of silence has five entries, and so
+        # do those of these 8000-sample files, longer than LONG_WAVEFORM
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        for stem, freq in (("a_happy", 220), ("b_sad", 330)):
+            (wav_dir / f"{stem}.wav").write_bytes(make_wav(sine(freq, 0.5)))
+        manifest = tmp_path / "e.json"
+        assert main(["embed", "--input-dir", str(wav_dir), "--model", str(symbolic_onnx_model),
+                     "--out", str(manifest)]) == 0
+        assert [len(v) for v in json.loads(manifest.read_text()).values()] == [5, 5]
+        reports = []
+        for name, flags in (("model", ["--embedding-model", str(symbolic_onnx_model)]),
+                            ("manifest", ["--embeddings-ref", str(manifest),
+                                          "--embeddings-gen", str(manifest)])):
+            out = tmp_path / name
+            assert main(["evaluate", "--reference-dir", str(wav_dir), "--generated-dir",
+                         str(wav_dir), "--output-dir", str(out), *flags]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            summary["config"].pop("embedding_backend")
+            reports.append(((out / "details.csv").read_bytes(), summary))
+        assert reports[0] == reports[1]
+        assert reports[0][1]["config"]["embedding_dim"] == 5
+        assert reports[0][1]["errors"] == {}
+
     @pytest.mark.parametrize("model, got, want", [("fake_onnx_model", 5, 4),
                                                   ("symbolic_onnx_model", 4, 5)])
     def test_dimension_mismatch_writes_no_manifest(self, tmp_path, request, model, got, want,
                                                    capsys):
         # the static model declares 4; a symbolic one holds every vector to the
-        # first one's length, here the 5 entries of a_long
+        # length of its embedding of 1 s of silence, the 5 entries of a_long
         wav_dir = tmp_path / "wavs"
         wav_dir.mkdir()
         (wav_dir / "a_long.wav").write_bytes(make_wav(sine(220, (LONG_WAVEFORM + 1000) / SR)))
@@ -850,7 +841,25 @@ class TestEmbedCommand:
         assert rc == 1
         stem = {5: "a_long", 4: "b_short"}[got]  # the file whose vector has the odd length
         assert capsys.readouterr().err == (
-            f"error: embedding of {stem!r}: model produced dimension {got}, expected {want}\n")
+            f"error: {wav_dir / stem}.wav: model produced dimension {got}, expected {want}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blob, reason", [
+        (b"garbage", "not a RIFF/WAVE file"),
+        (make_wav(np.full(100, np.nan), fmt="float32"),
+         "data chunk holds 100 non-finite (NaN or Inf) samples"),
+    ], ids=["garbage", "nan_samples"])
+    def test_error_names_the_file_that_stopped_it(self, tmp_path, fake_onnx_model, blob,
+                                                  reason, capsys):
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        (wav_dir / "a_bad.wav").write_bytes(blob)
+        (wav_dir / "b_good.wav").write_bytes(make_wav(sine(220, 0.05)))
+        out = tmp_path / "e.json"
+        rc = main(["embed", "--input-dir", str(wav_dir), "--model", str(fake_onnx_model),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {wav_dir / 'a_bad.wav'}: {reason}\n"
         assert not out.exists()
 
     def test_non_finite_embedding_writes_no_manifest(self, tmp_path, nan_onnx_model, capsys):
@@ -862,7 +871,8 @@ class TestEmbedCommand:
                    "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: embedding of 'a' holds non-finite (NaN or Inf) values\n")
+            f"error: {wav_dir / 'a.wav'}: embedding of 'a' holds non-finite (NaN or Inf) "
+            "values\n")
         assert not out.exists()
 
     def test_out_naming_an_input_wav_is_usage_error(self, tmp_path, capsys):

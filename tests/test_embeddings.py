@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import mono_buffer, sine, write_fake_model
+from conftest import FakeSession, NanSession, mono_buffer, sine, write_fake_model
 from cloneval.audio_io import AudioBuffer
 from cloneval.embeddings import (
     check_dimension,
@@ -34,6 +34,10 @@ try:
     HAVE_ORT = True
 except ImportError:
     HAVE_ORT = False
+
+
+def _refuse_to_run(session, output_names, feeds):
+    raise RuntimeError("session run")
 
 
 class TestReadPrecomputed:
@@ -66,11 +70,10 @@ class TestReadPrecomputed:
             read_precomputed(path)
 
     def test_empty_object_valid(self, tmp_path):
+        # a valid manifest, but not one a backend can serve: see TestLoadBackend
         path = tmp_path / "emb.json"
         path.write_text("{}")
-        backend = load_backend(precomputed_path=str(path))
-        with pytest.raises(MissingEmbedding):
-            embed(backend, mono_buffer(sine(220, 0.05)), key="anything")
+        assert read_precomputed(path) == {}
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "emb.json"
@@ -126,42 +129,48 @@ class TestLoadBackend:
         backend = load_backend(precomputed_path=str(path))
         assert backend.dimension == 512
 
-    def test_expected_dim_mismatch(self, tmp_path):
+    def test_manifest_mapping_no_stem_rejected(self, tmp_path):
+        # a backend that could serve no file, and whose dimension is unknown
         path = tmp_path / "emb.json"
-        path.write_text(json.dumps({"a": [0.1] * 256, "b": [0.2] * 256}))
-        with pytest.raises(ModelLoadError, match="[Dd]imension"):
-            load_backend(precomputed_path=str(path), expected_dim=512)
+        path.write_text("{}")
+        with pytest.raises(ParseError, match=f"^embedding manifest {path} maps no stem$"):
+            load_backend(precomputed_path=str(path))
 
-    @pytest.mark.parametrize("expected_dim", [0, -4])
-    @pytest.mark.parametrize("mode", ["model", "precomputed"])
-    def test_expected_dim_below_one_rejected(self, tmp_path, fake_onnx_model, mode,
-                                             expected_dim):
-        # a model would otherwise take a dimension that fails every pair
-        manifest = tmp_path / "emb.json"
-        manifest.write_text(json.dumps({"a": [0.1, 0.2]}))
-        paths = {"model": {"model_path": str(fake_onnx_model)},
-                 "precomputed": {"precomputed_path": str(manifest)}}[mode]
-        with pytest.raises(ValueError, match=f"expected_dim must be at least 1, got {expected_dim}"):
-            load_backend(**paths, expected_dim=expected_dim)
-
-    def test_static_output_is_the_dimension_at_load(self, fake_onnx_model):
+    def test_static_output_is_the_dimension_at_load(self, fake_onnx_model, monkeypatch):
+        monkeypatch.setattr(FakeSession, "run", _refuse_to_run)
         assert load_backend(model_path=str(fake_onnx_model)).dimension == 4
-        assert load_backend(model_path=str(fake_onnx_model), expected_dim=4).dimension == 4
-
-    def test_static_output_must_match_expected_dim(self, fake_onnx_model):
-        with pytest.raises(ModelLoadError, match="^model output dimension 4 does not match "
-                           "expected 8$"):
-            load_backend(model_path=str(fake_onnx_model), expected_dim=8)
 
     @pytest.mark.parametrize("axis", ["dim", None])
-    def test_symbolic_output_takes_expected_dim(self, tmp_path, fake_runtime, axis):
+    def test_symbolic_output_is_the_length_of_an_embedding_of_silence(
+            self, tmp_path, fake_runtime, axis, monkeypatch):
+        # FakeSession gives one second (16 000 samples, above LONG_WAVEFORM)
+        # five entries; the probe runs once, on silence
+        fed, run = [], FakeSession.run
+        monkeypatch.setattr(FakeSession, "run", lambda session, names, feeds: fed.append(
+            feeds) or run(session, names, feeds))
         path = write_fake_model(tmp_path / "m.onnx", outputs=[["emb", ["batch", axis]]])
-        assert load_backend(model_path=str(path)).dimension is None
-        assert load_backend(model_path=str(path), expected_dim=6).dimension == 6
+        assert load_backend(model_path=str(path)).dimension == 5
+        ((waveform,),) = (feeds.values() for feeds in fed)
+        assert waveform.dtype == np.float32 and waveform.shape == (1, 16000)
+        assert not waveform.any()
 
-    def test_reopened_backend_keeps_the_dimension(self, symbolic_onnx_model):
-        backend = load_backend(model_path=str(symbolic_onnx_model), expected_dim=4)
-        assert backend.reopened().dimension == 4
+    def test_probe_output_may_be_non_finite(self, tmp_path, fake_runtime):
+        fake_runtime.InferenceSession = NanSession
+        path = write_fake_model(tmp_path / "m.onnx", outputs=[["emb", [1, "dim"]]])
+        assert load_backend(model_path=str(path)).dimension == 4
+
+    def test_probe_that_fails_is_a_load_error(self, symbolic_onnx_model, monkeypatch):
+        monkeypatch.setattr(FakeSession, "run", _refuse_to_run)
+        with pytest.raises(ModelLoadError, match=f"^model {symbolic_onnx_model} cannot embed "
+                           "1 s of silence: session run$"):
+            load_backend(model_path=str(symbolic_onnx_model))
+
+    def test_reopened_backend_keeps_the_dimension(self, symbolic_onnx_model, monkeypatch):
+        # a worker's backend takes the probed dimension and never probes again
+        backend = load_backend(model_path=str(symbolic_onnx_model))
+        monkeypatch.setattr(FakeSession, "run", _refuse_to_run)
+        reopened = backend.reopened()
+        assert reopened.dimension == 5 and reopened._session is not backend._session
 
     def test_two_input_graph_rejected(self, tmp_path, fake_runtime):
         path = write_fake_model(tmp_path / "m.onnx",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import (SR, centered, click_train, mel_of, mono_buffer,
                       output_per_blas_thread_count, silence_then_tone, sine, stft_of,
                       tempogram_of, white_noise)
@@ -45,6 +46,18 @@ class TestStft:
         # one sample cannot be reflect-padded into a frame
         with pytest.raises(InputTooShort):
             F.extract_summaries(mono_buffer(np.array([0.5])))
+
+    def test_clips_too_short_to_reflect_are_rejected(self):
+        # np.pad would reflect a clip of fewer than 513 samples again and
+        # again, into a period that YIN reads as a voiced pitch
+        x = white_noise(seed=3)
+        for n in range(2, 513):
+            with pytest.raises(InputTooShort, match=f"^need at least 513 samples, got {n}$"):
+                F.extract_summaries(mono_buffer(x[:n]))
+        padded, n_frames = F._reflect_pad(x[:513])
+        np.testing.assert_array_equal(F.frame_signal(padded, n_frames),
+                                      oracles.frames_centered(x[:513], F.N_FFT, F.HOP))
+        assert F.extract_summaries(mono_buffer(x[:513]))["pitch"].shape == (256,)
 
     def test_parseval_interior_frames(self):
         x = sine(1000.0, 0.5, amp=0.7)
@@ -392,12 +405,13 @@ class TestContourFrames:
                                       F.summarize("pitch", contour, np.arange(n_frames)))
 
     @pytest.mark.parametrize("n_samples", [
-        2, 255, 256, 4_000, 16_000, 130_815, 130_816, 131_072, 131_328, 144_000,
+        513, 767, 768, 4_000, 16_000, 130_815, 130_816, 131_072, 131_328, 144_000,
         200_000, 480_000, 640_000,
     ])
     def test_summaries_equal_whole_contours_bit_for_bit(self, n_samples):
-        # 130 815 and 130 816 samples frame to 511 and 512 frames, where the
-        # contour frames first skip one; 480 000 is 30 s, 640 000 is 40 s
+        # 513, 767 and 768 samples, the shortest clips, frame to 3, 3 and 4
+        # frames; 130 815 and 130 816 samples frame to 511 and 512 frames,
+        # where the contour frames first skip one; 480 000 is 30 s, 640 000 is 40 s
         x = _speech_like(n_samples, seed=n_samples)
         summaries = F.extract_summaries(mono_buffer(x))
         whole = _whole_contours(x)

@@ -45,17 +45,22 @@ def test_kernel_output_shapes():
     assert np.all(cmnd[:, 0] == 1.0)
 
 
-# Row counts on both sides of the kernels' 128-row block edges.
+# Row counts on both sides of the kernels' 128-row block edges. The
+# shortest clip, of MIN_SAMPLES samples, has SHORTEST (3) frames, so 1 and
+# 2 rows are the first frames of such a clip, or its pass walked in blocks
+# of 1 and 2 rows.
 ROW_COUNTS = [1, 2, 127, 128, 129, 255, 256, 257, 300]
+SHORTEST = 1 + F.MIN_SAMPLES // F.HOP
 
 
 def _pitch_test_signal(rows):
-    """A 400 Hz cosine framed into exactly ``rows`` rows, then noise and silence.
+    """A 400 Hz cosine framed into ``max(rows, SHORTEST)`` rows, then noise and silence.
 
-    The clip starts and ends on a cosine peak, so its reflect-padded edge
-    frames stay periodic and voiced; clips of one or two rows are all tone.
+    The clip starts and ends on a cosine peak or trough, so its reflect-padded
+    edge frames stay periodic and voiced; a clip for one or two rows is all tone.
     """
-    n = (rows - 1) * oracles.HOP + 201 - (rows - 1) * oracles.HOP % 20
+    n_rows = max(rows, SHORTEST)
+    n = (n_rows - 1) * oracles.HOP + 201 - (n_rows - 1) * oracles.HOP % 20
     x = 0.6 * np.cos(2 * np.pi * 400.0 * np.arange(n) / oracles.SR)
     if rows > 2:
         x[n // 3 :] = 0.3 * np.random.default_rng(rows).standard_normal(n - n // 3)
@@ -73,9 +78,9 @@ def _onset_test_envelope(rows):
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 def test_f0_contour_matches_oracle_across_block_edges(rows):
     x = _pitch_test_signal(rows)
-    f0 = F.f0_contour(*centered(x))
+    f0 = F.f0_contour(*centered(x, rows))
     assert f0.shape == (rows,)
-    np.testing.assert_allclose(f0, oracles.yin_f0(x), rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(f0, oracles.yin_f0(x)[:rows], rtol=1e-9, atol=0.0)
     assert f0[0] > 0.0
     if rows > 2:
         assert np.any(f0 == 0.0)
@@ -131,7 +136,9 @@ def test_tempogram_summary_matches_oracle_mean(rows, monkeypatch):
     # one inverse FFT of the summed power rows against the mean of the
     # oracle's per-frame autocorrelations; 700 frames hold a silent stretch
     # longer than the window between two active ones
-    env = _onset_test_envelope(rows)
+    env = _onset_test_envelope(max(rows, SHORTEST))
+    if rows < SHORTEST:
+        monkeypatch.setattr(F, "_BLOCK_ROWS", rows)
     if rows > 20 + 384 + 20:
         env[-20:] = np.abs(np.random.default_rng(rows + 1).standard_normal(20))
     _plant_onset(monkeypatch, env)
@@ -139,7 +146,7 @@ def test_tempogram_summary_matches_oracle_mean(rows, monkeypatch):
     summary = F.extract_summaries(buf)["tempogram"]
     np.testing.assert_allclose(summary, oracles.tempogram(env).mean(axis=1), rtol=0.0, atol=1e-12)
 
-    _plant_onset(monkeypatch, np.zeros(rows))
+    _plant_onset(monkeypatch, np.zeros(len(env)))
     assert np.all(F.extract_summaries(buf)["tempogram"] == 0.0)
 
 
@@ -168,8 +175,8 @@ def test_per_frame_features_independent_of_block_size(rows, monkeypatch):
     env = _onset_test_envelope(rows)
 
     def run():
-        return (F.f0_contour(*centered(x)), tempogram_of(env), stft_of(x),
-                F.rms_envelope(*centered(x)))
+        return (F.f0_contour(*centered(x, rows)), tempogram_of(env), stft_of(x, rows),
+                F.rms_envelope(*centered(x, rows)))
 
     blocked = run()
     monkeypatch.setattr(F, "_BLOCK_ROWS", rows + 1)
@@ -245,7 +252,7 @@ def test_rms_envelope_matches_whole_signal_block_sums(rows):
     u = np.pad(x, 512, mode="reflect")[: (rows + 3) * 256]
     sums = (u * u).reshape(-1, 256).sum(axis=1)
     expected = np.sqrt((sums[:-3] + sums[1:-2] + sums[2:-1] + sums[3:]) / 1024)
-    np.testing.assert_array_equal(F.rms_envelope(*centered(x)), expected)
+    np.testing.assert_array_equal(F.rms_envelope(*centered(x, rows)), expected)
 
 
 @pytest.mark.parametrize("n_samples", [9 * 16000 + 100, 30 * 16000])
@@ -329,11 +336,11 @@ def test_quiet_frames_after_loud_ones_scale_exactly():
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 def test_stft_blocks_match_one_batch(rows):
     x = _pitch_test_signal(rows)
-    padded, every = centered(x)
+    padded, every = centered(x, rows)
     frames = F.frame_signal(padded, len(every))
     expected = np.abs(np.fft.rfft(frames * F.hann_window(1024), axis=1))
     np.testing.assert_array_equal(F.stft(frames), expected)
-    np.testing.assert_array_equal(stft_of(x), expected.T)
+    np.testing.assert_array_equal(stft_of(x, rows), expected.T)
 
 
 def test_fft_size_is_smooth_and_minimal():
@@ -345,8 +352,8 @@ def test_fft_size_is_smooth_and_minimal():
 
 
 def _block_edge_clip(rows, odd, content):
-    """A clip of ``rows`` frames: silent, or a tone with noise then silence."""
-    n = (rows - 1) * oracles.HOP + 100 + odd
+    """A clip of ``max(rows, SHORTEST)`` frames: silent, or a tone with noise then silence."""
+    n = (max(rows, SHORTEST) - 1) * oracles.HOP + 100 + odd
     if content == "silent":
         return np.zeros(n)
     x = 0.5 * np.sin(2 * np.pi * 220.0 * np.arange(n) / oracles.SR)
@@ -358,12 +365,15 @@ def _block_edge_clip(rows, odd, content):
 @pytest.mark.parametrize("content", ["silent", "voiced"])
 @pytest.mark.parametrize("odd", [0, 1])
 @pytest.mark.parametrize("rows", ROW_COUNTS)
-def test_streamed_summaries_match_whole_file_features(rows, odd, content):
+def test_streamed_summaries_match_whole_file_features(rows, odd, content, monkeypatch):
     x = _block_edge_clip(rows, odd, content)
+    if rows < SHORTEST:
+        monkeypatch.setattr(F, "_BLOCK_ROWS", rows)
     streamed = F.extract_summaries(mono_buffer(x))
 
     mag = stft_of(x)
-    assert mag.shape[1] == rows
+    n_frames = max(rows, SHORTEST)
+    assert mag.shape[1] == n_frames
     power = mag**2
     exact = {
         "pitch": F.f0_contour(*centered(x)),
@@ -373,7 +383,7 @@ def test_streamed_summaries_match_whole_file_features(rows, odd, content):
         "spectral_rolloff": F.spectral_rolloff(mag),
     }
     for fid, raw in exact.items():
-        np.testing.assert_array_equal(streamed[fid], F.summarize(fid, raw, np.arange(rows)),
+        np.testing.assert_array_equal(streamed[fid], F.summarize(fid, raw, np.arange(n_frames)),
                                       err_msg=fid)
 
     pcqt = F.pseudo_cqt(power)

@@ -1,10 +1,9 @@
-"""The mutation gate: every mutant in ``mutants.py`` fails the golden reports.
+"""The mutation gate: every mutant in ``mutants.py`` fails each of its tests.
 
 Each mutant is applied to a copy of ``src/`` in a temporary directory, and
-``tests/test_golden.py::test_reports_match_golden`` runs in a child process
-whose ``PYTHONPATH`` starts with the copy. The child must fail its test,
-and it must have imported ``cloneval`` from the copy, not from the
-checkout.
+its tests run in a child process whose ``PYTHONPATH`` starts with the copy.
+Each of them must fail, and the child must have imported ``cloneval`` from
+the copy, not from the checkout.
 
 Tier-1 runs the ``TIER1`` mutants. ``python tests/test_mutants.py`` runs
 every mutant through the same check and exits 1 if one survives.
@@ -23,24 +22,31 @@ from conftest import SRC
 from mutants import MUTANTS, TIER1
 
 TESTS = Path(__file__).resolve().parent
-GOLDEN_TEST = TESTS / "test_golden.py"
 
-# Prints where cloneval comes from, then runs pytest on the arguments.
+# Prints where cloneval comes from, then runs pytest on the arguments and
+# prints the id of each test that fails.
 _RUN = """
 import sys
 import cloneval
 import pytest
 print("cloneval from", cloneval.__file__, flush=True)
-sys.exit(pytest.main(sys.argv[1:]))
+
+class Failed:
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            print("\\nfailed:", report.nodeid, flush=True)  # after pytest's progress dots
+
+sys.exit(pytest.main(sys.argv[1:], plugins=[Failed()]))
 """
 
 
 def check_mutant(name, workdir):
-    """Apply mutant ``name`` to a copy of ``src/`` under ``workdir``; the golden reports must fail.
+    """Apply mutant ``name`` to a copy of ``src/`` under ``workdir``; each of its tests must fail.
 
-    Raises AssertionError otherwise, also under ``python -O``.
+    A parametrized test fails when one of its cases does. Raises
+    AssertionError otherwise, also under ``python -O``.
     """
-    relative, old, new = MUTANTS[name]
+    relative, old, new, tests = MUTANTS[name]
     src = workdir / "src"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
     target = src / relative
@@ -51,16 +57,20 @@ def check_mutant(name, workdir):
 
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))))
-    argv = ["-q", "-x", "-p", "no:cacheprovider", f"--basetemp={workdir / 'run'}",
-            f"{GOLDEN_TEST}::test_reports_match_golden"]
+    argv = ["-q", "-p", "no:cacheprovider", f"--basetemp={workdir / 'run'}",
+            *(str(TESTS / test) for test in tests)]
     proc = subprocess.run([sys.executable, "-c", _RUN, *argv], cwd=TESTS.parent, env=env,
                           capture_output=True, text=True, timeout=300)
     output = proc.stdout + proc.stderr
     if not proc.stdout.startswith(f"cloneval from {src / 'cloneval' / '__init__.py'}\n"):
         raise AssertionError(output)
+    failed = [line.split(" ", 1)[1] for line in proc.stdout.splitlines()
+              if line.startswith("failed: ")]
+    passed = [test for test in tests if not any(
+        nodeid == f"tests/{test}" or nodeid.startswith(f"tests/{test}[") for nodeid in failed)]
     # pytest exits 1 when a test failed, and with other codes when it could not run one
-    if proc.returncode != 1:
-        raise AssertionError(f"{name} survived the golden reports:\n{output[-3000:]}")
+    if proc.returncode != 1 or passed:
+        raise AssertionError(f"{name} survived {passed or list(tests)}:\n{output[-3000:]}")
 
 
 @pytest.mark.parametrize("name", sorted(TIER1))

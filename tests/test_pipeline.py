@@ -232,14 +232,6 @@ class TestEvaluateCorpus:
                            "dimensions but generated embeddings have 100$"):
             EvalConfig(backends=tuple(backends))
 
-    def test_backend_of_unknown_dimension_rejected(self, symbolic_onnx_model):
-        # a model's symbolic output axis leaves the dimension to expected_dim
-        backend = load_backend(model_path=str(symbolic_onnx_model))
-        with pytest.raises(ValueError, match="must know its embedding dimension"):
-            EvalConfig(backends=(backend, backend))
-        backend = load_backend(model_path=str(symbolic_onnx_model), expected_dim=4)
-        assert EvalConfig(backends=(backend, backend)).fingerprint()["embedding_dim"] == 4
-
     def test_made_config_cannot_be_reassigned(self):
         config = EvalConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -369,6 +361,15 @@ class TestAggregate:
         assert abs(report["overall"]["embedding"] - 0.8) < 1e-12
         assert report["counts"] == {"anger": 1, "neutral": 1}
 
+    def test_emotion_average_weighs_each_label_once(self):
+        # three anger pairs, one neutral and one unknown: the mean of the two
+        # known labels' means, not of their four pairs
+        report = aggregate([_record("a", "anger", 0.5), _record("b", "anger", 0.5),
+                            _record("c", "anger", 0.5), _record("d", "neutral", 0.9),
+                            _record("e", "unknown", 0.1)])
+        assert abs(report["emotion_average"]["embedding"] - 0.7) < 1e-12
+        assert abs(report["overall"]["embedding"] - 0.5) < 1e-12
+
     def test_all_unknown(self):
         report = aggregate([_record("a", "unknown", 0.5), _record("b", "unknown", 0.7)])
         assert set(report["by_emotion"]) == {"unknown"}
@@ -416,6 +417,14 @@ class TestWriteReports:
         expected = dict(summary)
         expected["errors"] = {"c": "boom"}
         assert loaded == expected
+
+    def test_summary_keys_are_sorted_at_every_level(self, tmp_path):
+        # the bytes pinned without the golden numpy: summary.json's layout
+        records = self._records()
+        summary = aggregate(records, {"n_fft": 1024, "hop": 256})
+        _, summary_path = write_reports(records, summary, tmp_path, errors={"c": "boom"})
+        text = summary_path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
     def test_byte_identical_rewrites(self, tmp_path):
         records = self._records()
