@@ -141,10 +141,10 @@ class TestLoadBackend:
         assert load_backend(model_path=str(fake_onnx_model)).dimension == 4
 
     @pytest.mark.parametrize("axis", ["dim", None])
-    def test_symbolic_output_is_the_length_of_an_embedding_of_silence(
-            self, tmp_path, fake_runtime, axis, monkeypatch):
-        # FakeSession gives one second (16 000 samples, above LONG_WAVEFORM)
-        # five entries; the probe runs once, on silence
+    def test_symbolic_output_takes_expected_dim(self, tmp_path, fake_runtime, axis, monkeypatch):
+        # a symbolic output axis expects the length of the model's embedding
+        # of 1 s of silence. FakeSession gives one second (16 000 samples,
+        # above LONG_WAVEFORM) five entries; the probe runs once, on silence
         fed, run = [], FakeSession.run
         monkeypatch.setattr(FakeSession, "run", lambda session, names, feeds: fed.append(
             feeds) or run(session, names, feeds))
