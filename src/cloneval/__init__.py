@@ -7,7 +7,7 @@ emotion.
 
 __version__ = "0.1.0"
 
-from .audio_io import AudioBuffer, PIPELINE_RATE, decode_wav, downmix_mono, resample
+from .audio_io import AudioBuffer, PIPELINE_RATE, decode_wav, resample
 from .embeddings import embed, load_backend, read_precomputed
 from .features import FEATURE_IDS, extract_summaries, summarize
 from .pipeline import (
@@ -33,7 +33,6 @@ __all__ = [
     "cosine",
     "decode_wav",
     "discover_pairs",
-    "downmix_mono",
     "embed",
     "evaluate_corpus",
     "extract_summaries",

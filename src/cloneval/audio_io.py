@@ -1,7 +1,9 @@
-"""WAV decoding, mono downmix, and band-limited resampling.
+"""WAV decoding to mono, and band-limited resampling.
 
 The pipeline normalizes every input to mono 16 kHz before feature extraction
-and embedding, so the three operations here are the front of every run.
+and embedding, so the two operations here are the front of every run.
+``AudioBuffer`` holds mono samples only: ``decode_wav`` averages a file's
+channels as it converts them, so no ``(frames, channels)`` array is built.
 Resampling reduces the ratio of the two rates; ``_kernels.polyphase_resample``
 owns the filter that converts by it.
 """
@@ -28,30 +30,30 @@ _FLOAT_TYPES = {32: "<f4", 64: "<f8"}
 _UNKNOWN_SIZE = 0xFFFFFFFF
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AudioBuffer:
-    """Decoded waveform: 1-D for mono, (frames, channels) otherwise."""
+    """Mono waveform: 1-D samples and a positive rate, else ``ValueError``."""
 
     samples: np.ndarray
     sample_rate: int
 
-    @property
-    def channel_count(self) -> int:
-        return 1 if self.samples.ndim == 1 else self.samples.shape[1]
+    def __post_init__(self):
+        if np.ndim(self.samples) != 1:
+            raise ValueError("AudioBuffer holds mono samples as a 1-D array, "
+                             f"got shape {np.shape(self.samples)}")
+        if self.sample_rate <= 0:
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
 
 
 def pipeline_samples(buf: AudioBuffer, consumer: str) -> np.ndarray:
-    """The samples of a mono ``PIPELINE_RATE`` buffer as float64, for ``consumer``.
+    """The samples of a ``PIPELINE_RATE`` buffer as float64, for ``consumer``.
 
-    Any other rate or a non-1-D array raises ``RateError``; a NaN or
-    infinite sample, which no score may absorb, raises ``ValueError``.
+    Any other rate raises ``RateError``; a NaN or infinite sample, which no
+    score may absorb, raises ``ValueError``.
     """
     if buf.sample_rate != PIPELINE_RATE:
         raise RateError(
             f"{consumer} needs {PIPELINE_RATE} Hz audio, got {buf.sample_rate} Hz")
-    if buf.samples.ndim != 1:
-        raise RateError(f"{consumer} needs mono audio as a 1-D array, "
-                        f"got shape {buf.samples.shape}; downmix first")
     x = np.asarray(buf.samples, dtype=np.float64)
     bad = x.size - np.count_nonzero(np.isfinite(x))
     if bad:
@@ -88,17 +90,20 @@ def _parse_fmt(data: bytes, start: int, size: int):
 
 
 def decode_wav(data: bytes) -> AudioBuffer:
-    """Decode a RIFF/WAVE byte string into an AudioBuffer.
+    """Decode a RIFF/WAVE byte string into a mono AudioBuffer.
 
     Supports PCM 8-bit unsigned and 16/24/32-bit little-endian signed integers,
     and IEEE float32 and float64. Integer samples are scaled by 1/2^(bits-1) into
     [-1, 1], unsigned 8-bit ones once 128 is subtracted; float samples pass through
     unchanged, and a NaN or infinite one is a ``FormatError`` that names how many
-    the file holds. Each payload is converted once, with no copy of its bytes:
-    24-bit PCM is read in place. Unknown chunks are skipped, and nothing after the
-    first ``fmt `` and ``data`` chunks is read, so a truncated trailing chunk such
-    as ``LIST`` is harmless. A ``data`` size of 0xFFFFFFFF, which streaming writers
-    leave in place, means the data runs to the end of the file.
+    the file holds. A frame's channels are added in channel order in float64, which
+    holds any sum of integer codes exactly, and divided once by the channel count
+    times the integer scale: the bits of converting each channel and averaging.
+    The payload's bytes are never copied: 24-bit PCM is read in place. Unknown
+    chunks are skipped, and nothing after the first ``fmt `` and ``data`` chunks is
+    read, so a truncated trailing chunk such as ``LIST`` is harmless. A ``data``
+    size of 0xFFFFFFFF, which streaming writers leave in place, means the data
+    runs to the end of the file.
     """
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise FormatError("not a RIFF/WAVE file")
@@ -137,50 +142,44 @@ def decode_wav(data: bytes) -> AudioBuffer:
         raise FormatError("data chunk does not hold a whole number of frames")
 
     count = size // bytes_per_sample
-    if tag == _WAVE_FORMAT_IEEE_FLOAT:
-        raw = np.frombuffer(data, _FLOAT_TYPES[bits], count, start)
-        bad = count - np.count_nonzero(np.isfinite(raw))
+    is_float = tag == _WAVE_FORMAT_IEEE_FLOAT
+    if is_float:
+        codes = np.frombuffer(data, _FLOAT_TYPES[bits], count, start)
+        bad = count - np.count_nonzero(np.isfinite(codes))
         if bad:
             raise FormatError(f"data chunk holds {bad} non-finite (NaN or Inf) samples")
-        samples = raw.astype(np.float64)
     elif bits == 24:
         # A little-endian int32 word ending at a sample's last byte holds the
         # sample in its high bytes, and ">> 8" sign-extends it. The first word
         # starts on the last byte of the data chunk's header, before the payload.
-        words = np.ndarray((count,), "<i4", buffer=data, offset=start - 1, strides=(3,))
-        samples = (words >> 8) / _INT_SCALES[24]
+        codes = np.ndarray((count,), "<i4", buffer=data, offset=start - 1, strides=(3,)) >> 8
     elif bits == 8:
-        samples = (np.frombuffer(data, np.uint8, count, start) - 128.0) / _INT_SCALES[8]
+        # flipping the top bit of an unsigned byte read as int8 subtracts 128
+        codes = np.frombuffer(data, np.int8, count, start) ^ np.int8(-128)
     else:
-        samples = np.frombuffer(data, f"<i{bytes_per_sample}", count, start) / _INT_SCALES[bits]
+        codes = np.frombuffer(data, f"<i{bytes_per_sample}", count, start)
 
-    if channels > 1:
-        samples = samples.reshape(-1, channels)
+    if channels == 1:
+        samples = codes.astype(np.float64) if is_float else codes / _INT_SCALES[bits]
+    else:
+        # exact for integer codes: 65535 channels of 32-bit codes need 47 bits
+        frames = codes.reshape(-1, channels)
+        samples = frames[:, 0].astype(np.float64)
+        for channel in range(1, channels):
+            samples += frames[:, channel]
+        samples /= channels * (1 if is_float else _INT_SCALES[bits])
     return AudioBuffer(samples, rate)
 
 
 def downmix_mono(buf: AudioBuffer) -> AudioBuffer:
-    """Average channels; a mono (1-D) buffer is returned unchanged."""
-    if buf.samples.ndim == 1:
-        return buf
-    # A column loop, not mean(axis=1), which reduces each short row on its
-    # own and is ~10x slower. The sums match mean's up to 7 channels; from 8
-    # on, numpy's pairwise sum groups them differently (last-ulp drift).
-    mono = buf.samples[:, 0].copy()
-    for channel in range(1, buf.channel_count):
-        mono += buf.samples[:, channel]
-    mono /= buf.channel_count
-    return AudioBuffer(mono, buf.sample_rate)
+    """The buffer itself: every ``AudioBuffer`` is mono, as ``decode_wav`` averages channels."""
+    return buf
 
 
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Polyphase windowed-sinc rate conversion of a mono buffer."""
-    if buf.samples.ndim != 1:
-        raise ValueError("resample expects a mono (1-D) buffer; downmix first")
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
-    if buf.sample_rate <= 0:
-        raise ValueError(f"source sample_rate must be positive, got {buf.sample_rate}")
     if target_rate == buf.sample_rate:
         return buf
 

@@ -129,11 +129,11 @@ def _row_blocks(frames):
     """Balanced blocks of at most ``_BLOCK_ROWS`` of the frame index array ``frames``.
 
     The ``n`` indices are split into ``count = ceil(n / _BLOCK_ROWS)`` blocks
-    with edges at ``n * k // count``. numpy's batched FFT can round a lone row
-    differently from the same row in a larger batch (a 1-ulp drift), so an
-    unbalanced split such as 128 + 1 rows would change results; balanced
-    blocks are never that small and give the same bits as one unblocked
-    batch.
+    with edges at ``n * k // count``. The edges are part of the output: the
+    STFT pass adds one partial power sum per block, and the tempogram one
+    autocorrelation sum, so another split, such as 128 + 1 rows, moves the
+    last bits of the matrix summaries and with them the ``--dump-features``
+    bytes.
     """
     n = len(frames)
     count = -(-n // _BLOCK_ROWS)

@@ -16,6 +16,7 @@ runs every mutant.
 from typing import NamedTuple
 
 GOLDEN = ("test_golden.py::test_reports_match_golden",)
+_CHANNEL_AVERAGE = "test_audio_io.py::TestDecodeWav::test_channels_average_like_converted_columns"
 
 
 class Mutant(NamedTuple):
@@ -152,6 +153,21 @@ MUTANTS = {
         "ROLLOFF_FRACTION = 0.85",
         "ROLLOFF_FRACTION = 0.86",
         GOLDEN + ("test_features.py::TestSpectralScalars::test_rolloff_flat_spectrum",),
+    ),
+    # A frame's channels summed, not averaged: the golden corpus's stereo
+    # PCM24 and float32 files double their gain, which moves the tempogram.
+    "channel_sum_divided_by_scale_alone": Mutant(
+        "cloneval/audio_io.py",
+        "samples /= channels * (1 if is_float else _INT_SCALES[bits])",
+        "samples /= 1 if is_float else _INT_SCALES[bits]",
+        GOLDEN + (_CHANNEL_AVERAGE,),
+    ),
+    # The last channel left out of each frame's sum.
+    "channel_sum_skips_the_last_channel": Mutant(
+        "cloneval/audio_io.py",
+        "for channel in range(1, channels):",
+        "for channel in range(1, channels - 1):",
+        GOLDEN + (_CHANNEL_AVERAGE,),
     ),
 }
 

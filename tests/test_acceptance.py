@@ -18,7 +18,7 @@ import oracles
 from conftest import (SR, centered, click_train, make_wav, mel_of, mono_buffer,
                       silence_then_tone, sine, stft_of, white_noise)
 from cloneval import features as F
-from cloneval.audio_io import decode_wav, downmix_mono, resample
+from cloneval.audio_io import decode_wav, resample
 from cloneval.embeddings import embed, load_backend
 from cloneval.pipeline import (
     EvalConfig,
@@ -298,7 +298,7 @@ def test_real_model_speaker_discrimination():
 
         def embed_clip(name):
             data = open(os.path.join(clips_dir, name), "rb").read()
-            buf = resample(downmix_mono(decode_wav(data)), 16000)
+            buf = resample(decode_wav(data), 16000)
             return embed(backend, buf, key=name)
 
         same_a = embed_clip("spk1_a.wav")

@@ -1,13 +1,17 @@
-"""Decoder, downmix, and resampler tests."""
+"""Decoder, mono buffer, and resampler tests."""
 
+import dataclasses
 import io
 import math
+import re
 import struct
 import wave
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import SR, make_wav, mono_buffer, output_per_blas_thread_count, sine
@@ -34,13 +38,25 @@ def _extensible_fmt(tag, channels, bits):
 
 _PCM16_MONO = struct.pack("<HHIIHH", 1, 1, SR, 2 * SR, 2, 16)
 
+# (format tag, bits): the dtype of a file's codes, a strategy for one code
+# that covers the format's whole range, and the old per-channel conversion
+_CODES = {
+    (1, 8): ("u1", st.integers(0, 255), lambda c: (c - 128.0) / 128),
+    (1, 16): ("<i2", st.integers(-2**15, 2**15 - 1), lambda c: c / 2**15),
+    (1, 24): ("<i4", st.integers(-2**23, 2**23 - 1), lambda c: c / 2**23),
+    (1, 32): ("<i4", st.integers(-2**31, 2**31 - 1), lambda c: c / 2**31),
+    (3, 32): ("<f4", st.floats(width=32, allow_nan=False, allow_infinity=False),
+              lambda c: c.astype(np.float64)),
+    (3, 64): ("<f8", st.floats(allow_nan=False, allow_infinity=False),
+              lambda c: c.astype(np.float64)),
+}
+
 
 class TestDecodeWav:
     def test_pcm16_fixed_point_scaling(self):
         raw = np.array([0, 16384, -16384, -32768], dtype=np.int16)
         buf = decode_wav(make_wav(raw, sr=8000, fmt="pcm16_raw"))
         assert buf.sample_rate == 8000
-        assert buf.channel_count == 1
         np.testing.assert_array_equal(buf.samples, [0.0, 0.5, -0.5, -1.0])
 
     def test_wrong_magic_rejected(self):
@@ -49,12 +65,11 @@ class TestDecodeWav:
         with pytest.raises(FormatError):
             decode_wav(bytes(data))
 
-    def test_float32_stereo_passthrough(self):
-        frames = np.stack([np.linspace(-1, 1, 100), np.linspace(1, -1, 100)], axis=1)
+    def test_float32_stereo_is_averaged(self):
+        frames = np.stack([np.linspace(-1, 1, 100), np.linspace(1, -0.5, 100)], axis=1)
         buf = decode_wav(make_wav(frames, fmt="float32"))
-        assert buf.channel_count == 2
-        assert buf.samples.shape == (100, 2)
-        np.testing.assert_allclose(buf.samples, frames, atol=1e-7)
+        assert buf.samples.shape == (100,)
+        np.testing.assert_allclose(buf.samples, frames.mean(axis=1), atol=1e-7)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_float_samples_rejected(self, bad):
@@ -65,7 +80,7 @@ class TestDecodeWav:
 
     def test_float64_roundtrip_is_exact(self):
         wavfile = pytest.importorskip("scipy.io.wavfile")
-        frames = np.random.default_rng(1).standard_normal((300, 2))
+        frames = np.random.default_rng(1).standard_normal(300)
         out = io.BytesIO()
         wavfile.write(out, SR, frames)
         np.testing.assert_array_equal(decode_wav(out.getvalue()).samples, frames)
@@ -88,8 +103,7 @@ class TestDecodeWav:
             w.writeframes(codes.tobytes())
         buf = decode_wav(out.getvalue())
         expected = np.array([-1.0, -0.5, 0.0, 0.5, 127 / 128, 0.0])
-        assert buf.channel_count == channels
-        np.testing.assert_array_equal(buf.samples, expected.reshape(-1, channels).squeeze())
+        np.testing.assert_array_equal(buf.samples, expected.reshape(-1, channels).mean(axis=1))
 
     def test_pcm24_and_pcm32_roundtrip(self):
         x = sine(200, 0.02, amp=0.8)
@@ -107,8 +121,7 @@ class TestDecodeWav:
         np.testing.assert_array_equal(buf.samples, codes / 2.0**23)
         stereo = decode_wav(make_wav(np.stack([codes, codes[::-1]], axis=1) / 2.0**23,
                                      fmt="pcm24"))
-        np.testing.assert_array_equal(stereo.samples[:, 0], codes / 2.0**23)
-        np.testing.assert_array_equal(stereo.samples[:, 1], codes[::-1] / 2.0**23)
+        np.testing.assert_array_equal(stereo.samples, (codes + codes[::-1]) / 2.0**24)
 
     @pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])
     @pytest.mark.parametrize("junk_size", [1, 2, 3, 4])
@@ -144,7 +157,7 @@ class TestDecodeWav:
         plain = make_wav(np.random.default_rng(bits).uniform(-1.0, 1.0, (40, 2)), fmt=fmt)
         data = plain[plain.index(b"data") + 8:]
         buf = decode_wav(_riff(_extensible_fmt(tag, 2, bits), data))
-        assert (buf.sample_rate, buf.channel_count) == (SR, 2)
+        assert buf.sample_rate == SR
         np.testing.assert_array_equal(buf.samples, decode_wav(plain).samples)
 
     @pytest.mark.parametrize("fmt_body, data, message", [
@@ -206,42 +219,74 @@ class TestDecodeWav:
         a = decode_wav(data)
         b = decode_wav(data)
         np.testing.assert_array_equal(a.samples, b.samples)
-        assert (a.sample_rate, a.channel_count) == (b.sample_rate, b.channel_count)
+        assert a.sample_rate == b.sample_rate
 
     def test_integer_samples_within_unit_range(self):
         buf = decode_wav(make_wav(np.full(64, -32768, dtype=np.int16), fmt="pcm16_raw"))
         assert np.max(np.abs(buf.samples)) <= 1.0 + 1e-6
 
+    @settings(deadline=None)
+    @given(st.sampled_from(sorted(_CODES)), st.integers(1, 8), st.data())
+    def test_channels_average_like_converted_columns(self, layout, channels, data):
+        # the two-step decode: convert each channel on its own, add the
+        # columns in channel order, divide by the channel count
+        tag, bits = layout
+        dtype, elements, convert = _CODES[layout]
+        codes = data.draw(hnp.arrays(dtype, st.tuples(st.integers(1, 40), st.just(channels)),
+                                     elements=elements))
+        payload = (codes.view(np.uint8).reshape(-1, 4)[:, :3] if bits == 24 else codes).tobytes()
+        align = channels * bits // 8
+        fmt = struct.pack("<HHIIHH", tag, channels, SR, SR * align, align, bits)
+        with np.errstate(over="ignore"):  # float64 sums past the range are inf on both paths
+            expected = convert(codes[:, 0])
+            for channel in range(1, channels):
+                expected += convert(codes[:, channel])
+            expected /= channels
+            samples = decode_wav(_riff(fmt, payload)).samples
+        assert samples.dtype == np.float64
+        np.testing.assert_array_equal(samples, expected, strict=True)
+        np.testing.assert_array_equal(np.signbit(samples), np.signbit(expected))  # -0.0 too
+
 
 class TestAudioBuffer:
-    def test_channel_count_follows_the_array(self):
-        assert AudioBuffer(np.zeros(10), SR).channel_count == 1
-        assert AudioBuffer(np.zeros((10, 3)), SR).channel_count == 3
+    @pytest.mark.parametrize("shape", [(10, 2), (10, 1), (), (2, 5, 1)])
+    def test_samples_that_are_not_1d_are_rejected(self, shape):
+        with pytest.raises(ValueError, match=rf"1-D array, got shape {re.escape(str(shape))}"):
+            AudioBuffer(np.zeros(shape), SR)
+
+    @pytest.mark.parametrize("rate", [0, -8000])
+    def test_rate_below_one_is_rejected(self, rate):
+        with pytest.raises(ValueError, match=f"sample_rate must be positive, got {rate}"):
+            AudioBuffer(np.ones(100), rate)
+
+    def test_is_frozen(self):
+        buf = mono_buffer(np.zeros(10))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            buf.samples = np.zeros((10, 2))
 
 
 class TestDownmix:
+    """``decode_wav`` averages the channels; ``downmix_mono`` is the identity."""
+
     def test_stereo_mean(self):
         buf = decode_wav(make_wav(np.array([[1.0, 0.0]]), fmt="float32"))
-        mono = downmix_mono(buf)
-        assert mono.channel_count == 1
-        np.testing.assert_allclose(mono.samples, [0.5])
+        np.testing.assert_array_equal(buf.samples, [0.5])
 
     def test_mono_identity(self):
         buf = mono_buffer(sine(100, 0.01))
-        out = downmix_mono(buf)
-        np.testing.assert_array_equal(out.samples, buf.samples)
+        assert downmix_mono(buf) is buf
 
     @pytest.mark.parametrize("channels", range(1, 8))
     def test_equals_mean_bit_for_bit(self, channels):
-        rng = np.random.default_rng(channels)
-        frames = rng.uniform(-1.0, 1.0, size=(1000, channels))
+        # up to 7 columns, numpy's mean adds them in channel order too
+        frames = np.random.default_rng(channels).uniform(-1.0, 1.0, (1000, channels))
         buf = decode_wav(make_wav(frames, fmt="float32"))
-        expected = buf.samples.mean(axis=1) if channels > 1 else buf.samples
-        np.testing.assert_array_equal(downmix_mono(buf).samples, expected)
+        expected = frames.astype(np.float32).astype(np.float64).mean(axis=1)
+        np.testing.assert_array_equal(buf.samples, expected)
 
     def test_cancellation(self):
         buf = decode_wav(make_wav(np.array([[0.8, -0.8]]), fmt="float32"))
-        np.testing.assert_allclose(downmix_mono(buf).samples, [0.0], atol=1e-7)
+        np.testing.assert_array_equal(buf.samples, [0.0])
 
 
 # sha256 of resampled 44.1, 48, 22.05 and 192 kHz noise from 0.05 s to 8 s
@@ -330,8 +375,9 @@ class TestResample:
 
     @pytest.mark.parametrize("rate", [16000, 44100])
     def test_two_dimensional_buffer_is_rejected(self, rate):
+        # such a buffer cannot be built, so resample never sees one
         x = sine(220.0, 0.1, sr=rate)
-        with pytest.raises(ValueError, match="mono"):
+        with pytest.raises(ValueError, match="mono samples as a 1-D array"):
             resample(AudioBuffer(np.stack([x, -x], axis=1), rate), 16000)
 
     @pytest.mark.parametrize("rate", [0, -16000])
@@ -341,7 +387,8 @@ class TestResample:
 
     @pytest.mark.parametrize("rate", [0, -8000])
     def test_source_rate_below_one_is_rejected(self, rate):
-        with pytest.raises(ValueError, match=f"source sample_rate must be positive, got {rate}"):
+        # such a buffer cannot be built, so resample never sees one
+        with pytest.raises(ValueError, match=f"sample_rate must be positive, got {rate}"):
             resample(AudioBuffer(np.ones(100), rate), 16000)
 
     def test_same_rate_is_identity(self):

@@ -456,16 +456,15 @@ class TestSampleRate:
         with pytest.raises(RateError, match=f"got {rate} Hz"):
             F.extract_summaries(buf)
 
+    # such buffers cannot be built, so feature extraction never sees one
     def test_multichannel_is_rejected(self):
         x = sine(220.0, 0.5)
-        buf = AudioBuffer(np.stack([x, -x], axis=1), SR)
-        with pytest.raises(RateError, match=r"mono audio as a 1-D array, got shape \(8000, 2\)"):
-            F.extract_summaries(buf)
+        with pytest.raises(ValueError, match=r"1-D array, got shape \(8000, 2\)"):
+            F.extract_summaries(AudioBuffer(np.stack([x, -x], axis=1), SR))
 
     def test_one_column_buffer_names_its_shape(self):
-        buf = AudioBuffer(np.zeros((16000, 1)), SR)
-        with pytest.raises(RateError, match=r"got shape \(16000, 1\); downmix first"):
-            F.extract_summaries(buf)
+        with pytest.raises(ValueError, match=r"got shape \(16000, 1\)"):
+            F.extract_summaries(AudioBuffer(np.zeros((16000, 1)), SR))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
