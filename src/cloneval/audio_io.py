@@ -95,10 +95,10 @@ def decode_wav(data: bytes) -> AudioBuffer:
     Supports PCM 8-bit unsigned and 16/24/32-bit little-endian signed integers,
     and IEEE float32 and float64. Integer samples are scaled by 1/2^(bits-1) into
     [-1, 1], unsigned 8-bit ones once 128 is subtracted; float samples pass through
-    unchanged, and a NaN or infinite one is a ``FormatError`` that names how many
-    the file holds. A frame's channels are added in channel order in float64, which
-    holds any sum of integer codes exactly, and divided once by the channel count
-    times the integer scale: the bits of converting each channel and averaging.
+    unchanged. At any channel count a frame's channels are added in channel order in
+    float64 and divided once by the count times the integer scale: the bits of
+    converting each channel and averaging. A float file is a ``FormatError`` if it
+    holds NaN or Inf codes, which the message counts, or if a channel sum overflows.
     The payload's bytes are never copied: 24-bit PCM is read in place. Unknown
     chunks are skipped, and nothing after the first ``fmt `` and ``data`` chunks is
     read, so a truncated trailing chunk such as ``LIST`` is harmless. A ``data``
@@ -145,9 +145,6 @@ def decode_wav(data: bytes) -> AudioBuffer:
     is_float = tag == _WAVE_FORMAT_IEEE_FLOAT
     if is_float:
         codes = np.frombuffer(data, _FLOAT_TYPES[bits], count, start)
-        bad = count - np.count_nonzero(np.isfinite(codes))
-        if bad:
-            raise FormatError(f"data chunk holds {bad} non-finite (NaN or Inf) samples")
     elif bits == 24:
         # A little-endian int32 word ending at a sample's last byte holds the
         # sample in its high bytes, and ">> 8" sign-extends it. The first word
@@ -159,15 +156,18 @@ def decode_wav(data: bytes) -> AudioBuffer:
     else:
         codes = np.frombuffer(data, f"<i{bytes_per_sample}", count, start)
 
-    if channels == 1:
-        samples = codes.astype(np.float64) if is_float else codes / _INT_SCALES[bits]
-    else:
-        # exact for integer codes: 65535 channels of 32-bit codes need 47 bits
-        frames = codes.reshape(-1, channels)
-        samples = frames[:, 0].astype(np.float64)
+    # exact for integer codes: 65535 channels of 32-bit codes need 47 bits
+    frames = codes.reshape(-1, channels)
+    samples = frames[:, 0].astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # float codes are checked below
         for channel in range(1, channels):
             samples += frames[:, channel]
-        samples /= channels * (1 if is_float else _INT_SCALES[bits])
+    samples /= channels * (1 if is_float else _INT_SCALES[bits])
+    if is_float and not np.isfinite(samples).all():
+        bad = count - np.count_nonzero(np.isfinite(codes))
+        if bad:
+            raise FormatError(f"data chunk holds {bad} non-finite (NaN or Inf) samples")
+        raise FormatError("data chunk's channel sum overflows the float64 range")
     return AudioBuffer(samples, rate)
 
 

@@ -31,6 +31,22 @@ from .errors import (
 )
 
 
+def read_json_object(path, what: str) -> tuple:
+    """The entries of the JSON object in UTF-8 file ``path``, as ``(key, value)`` tuples.
+
+    A byte order mark is skipped, and an entry listed twice is kept twice. A file
+    that cannot be read, is not JSON or holds no object raises ParseError naming ``what``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            raw = json.load(fh, object_pairs_hook=tuple)
+    except (OSError, ValueError) as exc:  # also bad JSON or bad UTF-8
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(raw, tuple):
+        raise ParseError(f"{what} must be a JSON object")
+    return raw
+
+
 def read_precomputed(path) -> dict:
     """Load a stem -> vector JSON manifest as ``{stem: float64 array}``.
 
@@ -38,19 +54,9 @@ def read_precomputed(path) -> dict:
     zero vector is kept: scoring flags it as a model's zero embedding is
     flagged. A stem listed twice raises ParseError naming it.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            # objects load as tuples of their (key, value) entries, so an
-            # entry listed twice is still there to be reported
-            raw = json.load(fh, object_pairs_hook=tuple)
-    except (OSError, ValueError) as exc:  # also bad JSON or bad UTF-8
-        raise ParseError(f"cannot read embedding manifest {path}: {exc}") from exc
-    if not isinstance(raw, tuple):
-        raise ParseError("embedding manifest must be a JSON object")
-
     store = {}
     dim = None
-    for stem, values in raw:
+    for stem, values in read_json_object(path, "embedding manifest"):
         if stem in store:
             raise ParseError(f"embedding manifest lists the stem {stem!r} more than once")
         if not isinstance(values, list) or not values or not all(

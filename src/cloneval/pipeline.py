@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .audio_io import PIPELINE_RATE, decode_wav, downmix_mono, resample
-from .embeddings import embed
+from .embeddings import embed, read_json_object
 from .errors import (
     DimensionMismatch,
     EmptyInput,
@@ -79,17 +79,8 @@ def load_alias_table(path) -> dict:
     as ``"Ang"`` and ``"ang"`` or one token listed twice, raise ParseError
     naming both.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            # objects load as tuples of their (key, value) entries, so an
-            # entry listed twice is still there to be reported
-            raw = json.load(fh, object_pairs_hook=tuple)
-    except (OSError, ValueError) as exc:  # also bad JSON or bad UTF-8
-        raise ParseError(f"cannot read alias table {path}: {exc}") from exc
-    if not isinstance(raw, tuple):
-        raise ParseError("alias table must be a JSON object")
     table, spelled = {}, {}
-    for token, label in raw:
+    for token, label in read_json_object(path, "alias table"):
         key = token.lower()
         if key in table:
             raise ParseError(f"alias table entries {spelled[key]!r}: {table[key]!r} and "

@@ -87,6 +87,9 @@ def make_wav(samples, sr=SR, fmt="pcm16", channels=None):
     elif fmt == "float32":
         data = x.astype("<f4").tobytes()
         tag, bits = 3, 32
+    elif fmt == "float64":
+        data = x.astype("<f8").tobytes()
+        tag, bits = 3, 64
     else:
         raise ValueError(fmt)
 

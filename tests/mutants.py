@@ -169,6 +169,24 @@ MUTANTS = {
         "for channel in range(1, channels - 1):",
         GOLDEN + (_CHANNEL_AVERAGE,),
     ),
+    # Float files not checked after the conversion: NaN and Inf codes pass
+    # through, and a channel sum past the float64 range decodes to inf.
+    "decode_float_check_skipped": Mutant(
+        "cloneval/audio_io.py",
+        "if is_float and not np.isfinite(samples).all():",
+        "if False:",
+        ("test_audio_io.py::TestDecodeWav::test_non_finite_float_samples_rejected",
+         "test_audio_io.py::TestDecodeWav::test_non_finite_float64_samples_rejected",
+         "test_audio_io.py::TestDecodeWav::test_channel_sum_past_float64_range_rejected",
+         "test_cli.py::TestEvaluate::test_channel_sum_overflow_fails_its_pair_at_decode"),
+    ),
+    # The shared JSON reader hands a top-level array to the entry rules.
+    "json_reader_accepts_non_object": Mutant(
+        "cloneval/embeddings.py",
+        "if not isinstance(raw, tuple):",
+        "if False:",
+        ("test_embeddings.py::test_json_readers_share_one_front_half",),
+    ),
 }
 
 TIER1 = ("resample_length_floor", "contour_frames_without_floor_plus_one",

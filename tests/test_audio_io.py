@@ -78,6 +78,13 @@ class TestDecodeWav:
         with pytest.raises(FormatError, match="holds 2 non-finite"):
             decode_wav(make_wav(frames, fmt="float32"))
 
+    def test_channel_sum_past_float64_range_rejected(self):
+        # every sample is finite; only each frame's sum of two channels is not
+        frames = np.full((20000, 2), 1e308)
+        with pytest.raises(FormatError,
+                           match="^data chunk's channel sum overflows the float64 range$"):
+            decode_wav(make_wav(frames, fmt="float64"))
+
     def test_float64_roundtrip_is_exact(self):
         wavfile = pytest.importorskip("scipy.io.wavfile")
         frames = np.random.default_rng(1).standard_normal(300)
@@ -237,12 +244,16 @@ class TestDecodeWav:
         payload = (codes.view(np.uint8).reshape(-1, 4)[:, :3] if bits == 24 else codes).tobytes()
         align = channels * bits // 8
         fmt = struct.pack("<HHIIHH", tag, channels, SR, SR * align, align, bits)
-        with np.errstate(over="ignore"):  # float64 sums past the range are inf on both paths
+        with np.errstate(over="ignore"):  # a float64 sum can pass the range
             expected = convert(codes[:, 0])
             for channel in range(1, channels):
                 expected += convert(codes[:, channel])
             expected /= channels
-            samples = decode_wav(_riff(fmt, payload)).samples
+        if not np.isfinite(expected).all():
+            with pytest.raises(FormatError, match="channel sum overflows"):
+                decode_wav(_riff(fmt, payload))
+            return
+        samples = decode_wav(_riff(fmt, payload)).samples
         assert samples.dtype == np.float64
         np.testing.assert_array_equal(samples, expected, strict=True)
         np.testing.assert_array_equal(np.signbit(samples), np.signbit(expected))  # -0.0 too

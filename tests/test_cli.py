@@ -525,6 +525,15 @@ class TestEvaluate:
         rows = (corpus["out"] / "details.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["spk1_happy_01", "spk2_ANG_03"]
 
+    def test_channel_sum_overflow_fails_its_pair_at_decode(self, corpus):
+        # every sample is finite; only each frame's sum of two channels is not
+        frames = np.full((20000, 2), 1e308)
+        (corpus["gen"] / "spk1_sad_02.wav").write_bytes(make_wav(frames, fmt="float64"))
+        assert main(_evaluate_args(corpus, "--no-embedding")) == 0
+        summary = json.loads((corpus["out"] / "summary.json").read_text())
+        assert summary["errors"] == {
+            "spk1_sad_02": "FormatError: data chunk's channel sum overflows the float64 range"}
+
     def test_every_pair_failing_writes_no_reports(self, corpus, capsys):
         assert main(_evaluate_args(corpus, "--no-embedding")) == 0
         previous = {p.name: p.read_bytes() for p in corpus["out"].iterdir()}

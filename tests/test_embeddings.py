@@ -22,6 +22,7 @@ from cloneval.errors import (
     RateError,
     SchemaError,
 )
+from cloneval.pipeline import load_alias_table
 
 try:
     import onnxruntime  # noqa: F401
@@ -43,13 +44,6 @@ class TestReadPrecomputed:
         assert set(store) == {"a", "b"}
         assert store["a"].shape == (2,)
 
-    def test_byte_order_mark_is_skipped(self, tmp_path):
-        path = tmp_path / "emb.json"
-        path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"a": [0.1, 0.2]}).encode())
-        store = read_precomputed(path)
-        assert list(store) == ["a"]
-        np.testing.assert_array_equal(store["a"], [0.1, 0.2])
-
     def test_zero_vector_accepted(self, tmp_path):
         # a model embeds a silent file as zeros; its manifest entry must load
         # so that scoring flags it the same way
@@ -70,30 +64,52 @@ class TestReadPrecomputed:
         path.write_text("{}")
         assert read_precomputed(path) == {}
 
-    def test_not_json(self, tmp_path):
-        path = tmp_path / "emb.json"
-        path.write_text("not json at all")
-        with pytest.raises(ParseError):
-            read_precomputed(path)
-
     def test_non_numeric_entry(self, tmp_path):
         path = tmp_path / "emb.json"
         path.write_text(json.dumps({"a": ["x", "y"]}))
         with pytest.raises(ParseError):
             read_precomputed(path)
 
-
     @pytest.mark.parametrize("blob, message", [
-        (b'[[0.1, 0.2]]', "must be a JSON object"),
         (b'{"a": [NaN, 0.2]}', "'a' contains non-finite values"),
         (b'{"a": [0.1, -Infinity]}', "'a' contains non-finite values"),
-        (b'{"a\xff": [0.1, 0.2]}', "cannot read embedding manifest"),
-    ], ids=["top_level_array", "nan_literal", "infinity_literal", "not_utf8"])
+    ], ids=["nan_literal", "infinity_literal"])
     def test_malformed_manifest_rejected(self, tmp_path, blob, message):
         path = tmp_path / "emb.json"
         path.write_bytes(blob)
         with pytest.raises(ParseError, match=message):
             read_precomputed(path)
+
+
+# The two JSON side-file readers, each with a file it accepts.
+_JSON_READERS = {
+    "alias table": (load_alias_table, b'{"Ang": "anger"}'),
+    "embedding manifest": (read_precomputed, b'{"a": [0.1, 0.2]}'),
+}
+
+
+@pytest.mark.parametrize("blob, message", [
+    (None, "cannot read {what} {path}: [Errno 2] No such file or directory: '{path}'"),
+    (b'{"a\xff": []}', "cannot read {what} {path}: "
+                      "'utf-8' codec can't decode byte 0xff in position 3: invalid start byte"),
+    (b"not json at all", "cannot read {what} {path}: Expecting value: line 1 column 1 (char 0)"),
+    (b'[["a", "fear"]]', "{what} must be a JSON object"),
+    (b"\xef\xbb\xbf", None),
+], ids=["missing_file", "not_utf8", "not_json", "top_level_array", "byte_order_mark"])
+def test_json_readers_share_one_front_half(tmp_path, blob, message):
+    path = tmp_path / "side.json"
+    for what, (read, accepted) in _JSON_READERS.items():
+        if message is None:  # a prefix that each reader skips
+            path.write_bytes(accepted)
+            expected = repr(read(path))
+            path.write_bytes(blob + accepted)
+            assert repr(read(path)) == expected
+            continue
+        if blob is not None:
+            path.write_bytes(blob)
+        with pytest.raises(ParseError) as excinfo:
+            read(path)
+        assert str(excinfo.value) == message.format(what=what, path=path)
 
 
 class TestLoadBackend:
