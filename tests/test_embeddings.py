@@ -44,6 +44,13 @@ class TestReadPrecomputed:
         assert set(store) == {"a", "b"}
         assert store["a"].shape == (2,)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "emb.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"a": [0.1, 0.2]}).encode())
+        store = read_precomputed(path)
+        assert list(store) == ["a"]
+        np.testing.assert_array_equal(store["a"], [0.1, 0.2])
+
     def test_zero_vector_accepted(self, tmp_path):
         # a model embeds a silent file as zeros; its manifest entry must load
         # so that scoring flags it the same way
@@ -71,9 +78,11 @@ class TestReadPrecomputed:
             read_precomputed(path)
 
     @pytest.mark.parametrize("blob, message", [
+        (b'[[0.1, 0.2]]', "must be a JSON object"),
         (b'{"a": [NaN, 0.2]}', "'a' contains non-finite values"),
         (b'{"a": [0.1, -Infinity]}', "'a' contains non-finite values"),
-    ], ids=["nan_literal", "infinity_literal"])
+        (b'{"a\xff": [0.1, 0.2]}', "cannot read embedding manifest"),
+    ], ids=["top_level_array", "nan_literal", "infinity_literal", "not_utf8"])
     def test_malformed_manifest_rejected(self, tmp_path, blob, message):
         path = tmp_path / "emb.json"
         path.write_bytes(blob)

@@ -93,6 +93,11 @@ class TestParseEmotion:
         assert parse_emotion("03-01-03-01", table) == "happiness"
         assert parse_emotion("happy_01", table) == "unknown"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "aliases.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"03": "happiness"}).encode())
+        assert load_alias_table(path) == {"03": "happiness"}
+
     def test_table_tokens_are_lowercased(self, tmp_path):
         path = tmp_path / "aliases.json"
         path.write_text(json.dumps({"SPK1": "fear"}))
@@ -114,6 +119,16 @@ class TestParseEmotion:
         path = tmp_path / "aliases.json"
         path.write_text(text)
         with pytest.raises(ParseError, match=f"entries {first} and {second} name the same token"):
+            load_alias_table(path)
+
+    @pytest.mark.parametrize("blob, message", [
+        (b'{"sp\xffk": "fear"}', "cannot read alias table"),
+        (b'[["spk1", "fear"]]', "alias table must be a JSON object"),
+    ], ids=["not_utf8", "top_level_array"])
+    def test_unreadable_table_rejected(self, tmp_path, blob, message):
+        path = tmp_path / "aliases.json"
+        path.write_bytes(blob)
+        with pytest.raises(ParseError, match=message):
             load_alias_table(path)
 
     def test_table_mapping_no_token(self, tmp_path):
