@@ -1,11 +1,9 @@
-"""WAV decoding to mono, and band-limited resampling.
+"""WAV decoding to mono, and band-limited resampling: the front of every run.
 
 The pipeline normalizes every input to mono 16 kHz before feature extraction
-and embedding, so the two operations here are the front of every run.
-``AudioBuffer`` holds mono samples only: ``decode_wav`` averages a file's
-channels as it converts them, so no ``(frames, channels)`` array is built.
-Resampling reduces the ratio of the two rates; ``_kernels.polyphase_resample``
-owns the filter that converts by it.
+and embedding. ``decode_wav`` averages a file's channels as it converts them,
+so no ``(frames, channels)`` array is built. Resampling reduces the ratio of
+the two rates; ``_kernels.polyphase_resample`` owns the filter that converts by it.
 """
 
 import math
@@ -32,33 +30,35 @@ _UNKNOWN_SIZE = 0xFFFFFFFF
 
 @dataclass(frozen=True, eq=False)
 class AudioBuffer:
-    """Mono waveform: 1-D samples and a positive rate, else ``ValueError``."""
+    """Mono waveform: finite, contiguous float64 samples and a positive rate.
+
+    Samples not 1-D, or a rate below 1, raise ``ValueError``; a NaN or infinite
+    sample, which no score may absorb, raises ``FormatError``. Contiguous float64
+    samples are stored as they are, uncopied, and nothing writes to them.
+    """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
+        # before the conversion, which would make a 0-d array 1-D
         if np.ndim(self.samples) != 1:
             raise ValueError("AudioBuffer holds mono samples as a 1-D array, "
                              f"got shape {np.shape(self.samples)}")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        object.__setattr__(self, "samples", np.ascontiguousarray(self.samples, dtype=np.float64))
+        bad = self.samples.size - np.count_nonzero(np.isfinite(self.samples))
+        if bad:
+            raise FormatError(f"audio holds {bad} non-finite (NaN or Inf) samples")
 
 
 def pipeline_samples(buf: AudioBuffer, consumer: str) -> np.ndarray:
-    """The samples of a ``PIPELINE_RATE`` buffer as float64, for ``consumer``.
-
-    Any other rate raises ``RateError``; a NaN or infinite sample, which no
-    score may absorb, raises ``ValueError``.
-    """
+    """A ``PIPELINE_RATE`` buffer's samples for ``consumer``; another rate raises ``RateError``."""
     if buf.sample_rate != PIPELINE_RATE:
         raise RateError(
             f"{consumer} needs {PIPELINE_RATE} Hz audio, got {buf.sample_rate} Hz")
-    x = np.asarray(buf.samples, dtype=np.float64)
-    bad = x.size - np.count_nonzero(np.isfinite(x))
-    if bad:
-        raise ValueError(f"audio holds {bad} non-finite (NaN or Inf) samples")
-    return x
+    return buf.samples
 
 
 def _iter_chunks(data: bytes):
@@ -159,16 +159,18 @@ def decode_wav(data: bytes) -> AudioBuffer:
     # exact for integer codes: 65535 channels of 32-bit codes need 47 bits
     frames = codes.reshape(-1, channels)
     samples = frames[:, 0].astype(np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # float codes are checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # the buffer checks the sums
         for channel in range(1, channels):
             samples += frames[:, channel]
     samples /= channels * (1 if is_float else _INT_SCALES[bits])
-    if is_float and not np.isfinite(samples).all():
+    try:
+        return AudioBuffer(samples, rate)
+    except FormatError:
+        # only float codes, or the sum of finite ones, can be non-finite
         bad = count - np.count_nonzero(np.isfinite(codes))
         if bad:
-            raise FormatError(f"data chunk holds {bad} non-finite (NaN or Inf) samples")
-        raise FormatError("data chunk's channel sum overflows the float64 range")
-    return AudioBuffer(samples, rate)
+            raise FormatError(f"data chunk holds {bad} non-finite (NaN or Inf) samples") from None
+        raise FormatError("data chunk's channel sum overflows the float64 range") from None
 
 
 def downmix_mono(buf: AudioBuffer) -> AudioBuffer:
@@ -177,14 +179,13 @@ def downmix_mono(buf: AudioBuffer) -> AudioBuffer:
 
 
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
-    """Polyphase windowed-sinc rate conversion of a mono buffer."""
+    """Polyphase windowed-sinc resampling; an overflowing output raises ``FormatError``."""
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if target_rate == buf.sample_rate:
         return buf
 
     g = math.gcd(target_rate, buf.sample_rate)
-    up = target_rate // g
-    down = buf.sample_rate // g
-    x = np.ascontiguousarray(buf.samples, dtype=np.float64)
-    return AudioBuffer(_kernels.polyphase_resample(x, up, down), target_rate)
+    with np.errstate(over="ignore", invalid="ignore"):  # the buffer checks the output
+        out = _kernels.polyphase_resample(buf.samples, target_rate // g, buf.sample_rate // g)
+    return AudioBuffer(out, target_rate)

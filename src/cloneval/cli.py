@@ -24,7 +24,6 @@ from .pipeline import (
 
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
-EXIT_USAGE = 2
 
 
 def _usable_cpus() -> int:

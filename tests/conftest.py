@@ -101,6 +101,13 @@ def make_wav(samples, sr=SR, fmt="pcm16", channels=None):
     return b"RIFF" + struct.pack("<I", len(blob)) + blob
 
 
+# 0.3 s of 48 kHz float64 samples at 1.7e308: every sample is finite, but
+# the filter's partial sums pass the float64 range, and so 4768 of the 4800
+# samples resampled to 16 kHz are not.
+OVERFLOWING_48K = make_wav(np.full(14400, 1.7e308), sr=48000, fmt="float64")
+OVERFLOWING_48K_BAD = 4768
+
+
 @pytest.fixture
 def wav_dir_factory(tmp_path):
     """Write {stem: samples} dicts into numbered WAV directories."""

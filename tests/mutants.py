@@ -169,16 +169,31 @@ MUTANTS = {
         "for channel in range(1, channels - 1):",
         GOLDEN + (_CHANNEL_AVERAGE,),
     ),
-    # Float files not checked after the conversion: NaN and Inf codes pass
-    # through, and a channel sum past the float64 range decodes to inf.
+    # decode_wav does not tell the faults of a float file apart: NaN and Inf
+    # codes and a channel sum past the float64 range both reach the caller
+    # as the buffer's "audio holds N non-finite samples".
     "decode_float_check_skipped": Mutant(
         "cloneval/audio_io.py",
-        "if is_float and not np.isfinite(samples).all():",
-        "if False:",
+        "    except FormatError:\n",
+        "    except RateError:\n",
         ("test_audio_io.py::TestDecodeWav::test_non_finite_float_samples_rejected",
          "test_audio_io.py::TestDecodeWav::test_non_finite_float64_samples_rejected",
          "test_audio_io.py::TestDecodeWav::test_channel_sum_past_float64_range_rejected",
          "test_cli.py::TestEvaluate::test_channel_sum_overflow_fails_its_pair_at_decode"),
+    ),
+    # The buffer keeps NaN and infinite samples: a float file's bad codes
+    # decode, and an overflowed resampler output reaches the features.
+    "audio_buffer_accepts_non_finite_samples": Mutant(
+        "cloneval/audio_io.py",
+        "        if bad:\n            raise FormatError(f\"audio holds",
+        "        if False:\n            raise FormatError(f\"audio holds",
+        ("test_audio_io.py::TestAudioBuffer::test_non_finite_samples_are_rejected",
+         "test_audio_io.py::TestDecodeWav::test_non_finite_float_samples_rejected",
+         "test_audio_io.py::TestResample::test_overflowing_output_is_a_format_error",
+         "test_features.py::test_non_finite_samples_are_rejected",
+         "test_embeddings.py::TestEmbed::test_non_finite_samples_are_rejected",
+         "test_cli.py::TestEvaluate::test_overflowing_resample_fails_its_pair_alone",
+         "test_cli.py::TestEmbedCommand::test_error_names_the_file_that_stopped_it"),
     ),
     # The shared JSON reader hands a top-level array to the entry rules.
     "json_reader_accepts_non_object": Mutant(

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from conftest import SR, make_wav, mono_buffer, output_per_blas_thread_count, sine
+from conftest import (OVERFLOWING_48K, OVERFLOWING_48K_BAD, SR, make_wav, mono_buffer,
+                      output_per_blas_thread_count, sine)
 from cloneval import _kernels
 from cloneval.audio_io import AudioBuffer, decode_wav, downmix_mono, resample
 from cloneval.errors import FormatError
@@ -75,7 +76,7 @@ class TestDecodeWav:
     def test_non_finite_float_samples_rejected(self, bad):
         frames = np.zeros((50, 2))
         frames[3, 1] = frames[40, 0] = bad
-        with pytest.raises(FormatError, match="holds 2 non-finite"):
+        with pytest.raises(FormatError, match="^data chunk holds 2 non-finite"):
             decode_wav(make_wav(frames, fmt="float32"))
 
     def test_channel_sum_past_float64_range_rejected(self):
@@ -96,7 +97,7 @@ class TestDecodeWav:
         frames = np.zeros(50)
         frames[[3, 7, 9]] = np.nan
         fmt = struct.pack("<HHIIHH", 3, 1, SR, 8 * SR, 8, 64)
-        with pytest.raises(FormatError, match="holds 3 non-finite"):
+        with pytest.raises(FormatError, match="^data chunk holds 3 non-finite"):
             decode_wav(_riff(fmt, frames.astype("<f8").tobytes()))
 
     @pytest.mark.parametrize("channels", [1, 2])
@@ -275,6 +276,33 @@ class TestAudioBuffer:
         with pytest.raises(dataclasses.FrozenInstanceError):
             buf.samples = np.zeros((10, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_are_rejected(self, bad):
+        x = np.zeros(100)
+        x[[3, 50, 99]] = bad
+        with pytest.raises(FormatError,
+                           match=r"^audio holds 3 non-finite \(NaN or Inf\) samples$"):
+            AudioBuffer(x, SR)
+
+    def test_int16_samples_are_stored_as_float64(self):
+        codes = np.array([0, 1, -32768, 32767], dtype=np.int16)
+        samples = AudioBuffer(codes, SR).samples
+        assert samples.dtype == np.float64
+        np.testing.assert_array_equal(samples, [0.0, 1.0, -32768.0, 32767.0])
+
+    def test_contiguous_float64_samples_are_not_copied(self):
+        x = np.zeros(100)
+        assert AudioBuffer(x, SR).samples is x
+
+    def test_strided_view_is_stored_contiguous(self):
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, 2 * 4800)
+        view = x[::2]
+        buf = AudioBuffer(view, 48000)
+        assert buf.samples.flags.c_contiguous
+        np.testing.assert_array_equal(buf.samples, view)
+        copied = AudioBuffer(view.copy(), 48000)
+        assert resample(buf, SR).samples.tobytes() == resample(copied, SR).samples.tobytes()
+
 
 class TestDownmix:
     """``decode_wav`` averages the channels; ``downmix_mono`` is the identity."""
@@ -401,6 +429,12 @@ class TestResample:
         # such a buffer cannot be built, so resample never sees one
         with pytest.raises(ValueError, match=f"sample_rate must be positive, got {rate}"):
             resample(AudioBuffer(np.ones(100), rate), 16000)
+
+    def test_overflowing_output_is_a_format_error(self):
+        # every input sample is finite; the kernel's overflow raises no RuntimeWarning
+        buf = decode_wav(OVERFLOWING_48K)
+        with pytest.raises(FormatError, match=rf"^audio holds {OVERFLOWING_48K_BAD} non-finite"):
+            resample(buf, SR)
 
     def test_same_rate_is_identity(self):
         buf = mono_buffer(sine(440, 0.1))

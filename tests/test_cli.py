@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import LONG_WAVEFORM, SR, SRC, make_wav, sine, white_noise
+from conftest import (LONG_WAVEFORM, OVERFLOWING_48K, OVERFLOWING_48K_BAD, SR, SRC, make_wav,
+                      sine, white_noise)
 from cloneval import cli, pipeline
 from cloneval.cli import _cmd_prompts, main
 from cloneval.errors import ParseError
@@ -534,6 +535,16 @@ class TestEvaluate:
         assert summary["errors"] == {
             "spk1_sad_02": "FormatError: data chunk's channel sum overflows the float64 range"}
 
+    def test_overflowing_resample_fails_its_pair_alone(self, corpus):
+        # one worker, so that a numpy warning in the resampler would fail the test
+        (corpus["gen"] / "spk1_sad_02.wav").write_bytes(OVERFLOWING_48K)
+        assert main(_evaluate_args(corpus, "--no-embedding", "--workers", "1")) == 0
+        summary = json.loads((corpus["out"] / "summary.json").read_text())
+        assert summary["errors"] == {"spk1_sad_02": "FormatError: audio holds "
+                                     f"{OVERFLOWING_48K_BAD} non-finite (NaN or Inf) samples"}
+        rows = (corpus["out"] / "details.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["spk1_happy_01", "spk2_ANG_03"]
+
     def test_every_pair_failing_writes_no_reports(self, corpus, capsys):
         assert main(_evaluate_args(corpus, "--no-embedding")) == 0
         previous = {p.name: p.read_bytes() for p in corpus["out"].iterdir()}
@@ -857,7 +868,8 @@ class TestEmbedCommand:
         (b"garbage", "not a RIFF/WAVE file"),
         (make_wav(np.full(100, np.nan), fmt="float32"),
          "data chunk holds 100 non-finite (NaN or Inf) samples"),
-    ], ids=["garbage", "nan_samples"])
+        (OVERFLOWING_48K, f"audio holds {OVERFLOWING_48K_BAD} non-finite (NaN or Inf) samples"),
+    ], ids=["garbage", "nan_samples", "overflowing_resample"])
     def test_error_names_the_file_that_stopped_it(self, tmp_path, fake_onnx_model, blob,
                                                   reason, capsys):
         wav_dir = tmp_path / "wavs"

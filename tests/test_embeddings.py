@@ -16,6 +16,7 @@ from cloneval.audio_io import AudioBuffer
 from cloneval.embeddings import PrecomputedBackend, embed, load_backend, read_precomputed
 from cloneval.errors import (
     DimensionMismatch,
+    FormatError,
     MissingEmbedding,
     ModelLoadError,
     ParseError,
@@ -253,10 +254,10 @@ class TestEmbed:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples_are_rejected(self, backend, bad):
         # the precomputed backend never reads the samples, so the stored
-        # vector would otherwise score a corrupt buffer
+        # vector would score a corrupt buffer; such a buffer cannot be built
         x = sine(220, 0.05)
         x[10] = x[20] = bad
-        with pytest.raises(ValueError, match="holds 2 non-finite"):
+        with pytest.raises(FormatError, match="^audio holds 2 non-finite"):
             embed(backend, mono_buffer(x), key="tone")
 
     def test_missing_key(self, backend):

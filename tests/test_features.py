@@ -14,7 +14,7 @@ from conftest import (SR, centered, click_train, mel_of, mono_buffer,
 from cloneval import _kernels
 from cloneval import features as F
 from cloneval.audio_io import AudioBuffer
-from cloneval.errors import EmptyFeature, InputTooShort, RateError
+from cloneval.errors import EmptyFeature, FormatError, InputTooShort, RateError
 
 BIN_HZ = SR / F.N_FFT  # 15.625
 
@@ -284,6 +284,14 @@ class TestPseudoCqt:
         assert abs(centers[0] - 32.703) < 1e-9
         assert abs(centers[12] - 65.406) < 0.001
 
+    def test_bank_peaks_at_the_center_frequencies(self):
+        # the bank builds its own edges, and the spot checks read these centers
+        centers = F.cqt_center_frequencies()
+        semitone = 2.0 ** (1.0 / 12)
+        edges = np.concatenate([[centers[0] / semitone], centers, [centers[-1] * semitone]])
+        np.testing.assert_allclose(F._cqt_bank(), F._triangle_bank(edges, F.fft_frequencies()),
+                                   rtol=0.0, atol=1e-12)
+
     def test_a440_maps_to_bin_45(self):
         pcqt = F.pseudo_cqt(spec_of(sine(440.0), "power"))
         assert int(np.argmax(pcqt.mean(axis=1))) == 45
@@ -470,11 +478,11 @@ class TestSampleRate:
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_samples_are_rejected(bad):
     # YIN's threshold, the silence masks and the tempogram's lag-0 mask
-    # would each turn a NaN into a finite score
+    # would each turn a NaN into a finite score; such a buffer cannot be built
     x = sine(220.0, 0.5)
     x[1000] = bad
     x[3000] = bad
-    with pytest.raises(ValueError, match="holds 2 non-finite"):
+    with pytest.raises(FormatError, match="^audio holds 2 non-finite"):
         F.extract_summaries(mono_buffer(x))
 
 
