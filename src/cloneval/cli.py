@@ -114,13 +114,16 @@ def _cmd_evaluate(args, parser) -> int:
     if args.workers < 1:
         parser.error("--workers must be at least 1")
     _check_out_dir(parser, args.output_dir)
+    pairs, unmatched_ref, unmatched_gen = discover_pairs(args.reference_dir, args.generated_dir)
     table = None if args.emotions in ("auto", "off") else args.emotions
     taken = [(path, f"the {flag} file") for flag, path in (
         ("--embedding-model", args.embedding_model), ("--embeddings-ref", args.embeddings_ref),
         ("--embeddings-gen", args.embeddings_gen), ("--emotions", table)) if path is not None]
-    for flag, directory in (("--reference-dir", args.reference_dir),
-                            ("--generated-dir", args.generated_dir)):
-        taken += [(path, f"a WAV in {flag}") for path in list_wavs(directory).values()]
+    for side, flag, directory, unmatched in (
+            (1, "--reference-dir", args.reference_dir, unmatched_ref),
+            (2, "--generated-dir", args.generated_dir, unmatched_gen)):
+        taken += [(pair[side], f"a WAV in {flag}") for pair in pairs]
+        taken += [(Path(directory) / name, f"a WAV in {flag}") for name in unmatched]
     taken = _resolved(taken)
     for name in REPORT_NAMES:
         report = os.path.join(args.output_dir, name)
@@ -144,11 +147,9 @@ def _cmd_evaluate(args, parser) -> int:
         backends = tuple(load_backend(precomputed_path=path)
                          for path in (args.embeddings_ref, args.embeddings_gen))
 
-    pairs, unmatched_ref, unmatched_gen = discover_pairs(args.reference_dir, args.generated_dir)
-    for name in unmatched_ref:
-        print(f"warning: unmatched reference file {name}", file=sys.stderr)
-    for name in unmatched_gen:
-        print(f"warning: unmatched generated file {name}", file=sys.stderr)
+    for side, names in (("reference", unmatched_ref), ("generated", unmatched_gen)):
+        for name in names:
+            print(f"warning: unmatched {side} file {name}", file=sys.stderr)
 
     dump_lines = []
     dump = None

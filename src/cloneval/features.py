@@ -79,7 +79,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import EmptyFeature, InputTooShort
+from .errors import EmptyFeature, FormatError, InputTooShort
 from .audio_io import PIPELINE_RATE, AudioBuffer, pipeline_samples
 
 FEATURE_IDS = (
@@ -432,7 +432,8 @@ def summarize(feature_id: str, values, frames=None) -> np.ndarray:
     of which is the file's last frame, interpolated onto ``CONTOUR_POINTS``
     points spread uniformly over the file's frames. Without, ``values`` is a
     matrix feature's per-bin time mean, returned as it is. A ``values`` that
-    is not 1-D, such as a whole matrix, raises ``ValueError``.
+    is not 1-D, such as a whole matrix, raises ``ValueError``; a summary
+    that is not finite, ``FormatError``.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
@@ -442,7 +443,7 @@ def summarize(feature_id: str, values, frames=None) -> np.ndarray:
     if frames is not None:
         values = np.interp(_contour_grid(frames[-1] + 1), frames, values)
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"{feature_id}: summary contains non-finite values")
+        raise FormatError(f"{feature_id}: the audio's power overflows the float64 range")
     return values
 
 
@@ -481,8 +482,9 @@ def extract_summaries(buf: AudioBuffer) -> dict:
     """
     padded, n_frames = _reflect_pad(pipeline_samples(buf, "feature extraction"))
     frames = _contour_frames(n_frames)
-    contours, means = _stft_pass(padded, n_frames, frames)
-    contours["pitch"] = f0_contour(padded, frames)
+    with np.errstate(over="ignore", invalid="ignore"):  # summarize rejects what overflows
+        contours, means = _stft_pass(padded, n_frames, frames)
+        contours["pitch"] = f0_contour(padded, frames)
     return {fid: summarize(fid, contours[fid], frames) if fid in contours
             else summarize(fid, means[fid]) for fid in FEATURE_IDS}
 

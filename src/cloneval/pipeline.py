@@ -346,11 +346,8 @@ def aggregate(records, config: dict | None = None) -> dict:
     counts = {label: sum(1 for r in records if r.emotion == label) for label in labels}
 
     known = [label for label in labels if label != UNKNOWN]
-    emotion_average = None
-    if known:
-        emotion_average = {
-            m: float(np.mean([by_emotion[label][m] for label in known])) for m in metrics
-        }
+    emotion_average = {m: float(np.mean([by_emotion[label][m] for label in known]))
+                       for m in metrics} if known else None
     return {
         "config": config or {},
         "overall": overall,

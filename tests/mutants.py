@@ -202,6 +202,24 @@ MUTANTS = {
         "if False:",
         ("test_embeddings.py::test_json_readers_share_one_front_half",),
     ),
+    # summarize keeps a summary that overflowed: the inf reaches the scoring
+    # of its pair.
+    "summarize_keeps_non_finite": Mutant(
+        "cloneval/features.py",
+        "    if not np.all(np.isfinite(values)):\n",
+        "    if False:\n",
+        ("test_features.py::test_overflowing_power_is_rejected",
+         "test_cli.py::TestEvaluate::test_overflowing_power_fails_its_pair_alone"),
+    ),
+    # The overwrite check lists each input directory again, apart from the
+    # listing that pairing reads.
+    "evaluate_lists_directories_twice": Mutant(
+        "cloneval/cli.py",
+        "        taken += [(pair[side], f\"a WAV in {flag}\") for pair in pairs]\n"
+        "        taken += [(Path(directory) / name, f\"a WAV in {flag}\") for name in unmatched]\n",
+        "        taken += [(path, f\"a WAV in {flag}\") for path in list_wavs(directory).values()]\n",
+        ("test_cli.py::TestEvaluate::test_each_input_directory_is_listed_once",),
+    ),
 }
 
 TIER1 = ("resample_length_floor", "contour_frames_without_floor_plus_one",

@@ -545,6 +545,18 @@ class TestEvaluate:
         rows = (corpus["out"] / "details.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["spk1_happy_01", "spk2_ANG_03"]
 
+    def test_overflowing_power_fails_its_pair_alone(self, corpus):
+        # finite samples whose power spectrum passes the float64 range; one
+        # worker, so that a numpy warning in the features would fail the test
+        x = white_noise(1.0, amp=1.0) * 1e161
+        (corpus["gen"] / "spk1_sad_02.wav").write_bytes(make_wav(x, fmt="float64"))
+        assert main(_evaluate_args(corpus, "--no-embedding", "--workers", "1")) == 0
+        summary = json.loads((corpus["out"] / "summary.json").read_text())
+        assert summary["errors"] == {"spk1_sad_02": "FormatError: mel_spectrogram: the audio's "
+                                     "power overflows the float64 range"}
+        rows = (corpus["out"] / "details.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["spk1_happy_01", "spk2_ANG_03"]
+
     def test_every_pair_failing_writes_no_reports(self, corpus, capsys):
         assert main(_evaluate_args(corpus, "--no-embedding")) == 0
         previous = {p.name: p.read_bytes() for p in corpus["out"].iterdir()}
@@ -623,6 +635,26 @@ class TestEvaluate:
         rows = (corpus["out"] / "details.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["spk1_happy_01", "spk1_sad_02",
                                                        "spk2_ANG_03"]
+
+    def test_each_input_directory_is_listed_once(self, corpus, monkeypatch):
+        # pairing and the overwrite check read one listing, so no WAV that
+        # appears between two reads is paired without being checked
+        listed = []
+        iterdir = Path.iterdir
+        monkeypatch.setattr(Path, "iterdir",
+                            lambda path: listed.append(path.resolve()) or iterdir(path))
+        assert main(_evaluate_args(corpus, "--no-embedding", "--workers", "1")) == 0
+        assert sorted(listed) == sorted([corpus["ref"].resolve(), corpus["gen"].resolve()])
+
+    def test_no_pairs_is_reported_before_output_path_errors(self, corpus, capsys):
+        for wav in corpus["gen"].iterdir():
+            wav.unlink()
+        rc = main(_evaluate_args(corpus, "--no-embedding", "--dump-features",
+                                 str(corpus["ref"] / "spk1_sad_02.wav")))
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: no matching stems between {corpus['ref']} and {corpus['gen']}\n")
+        assert not corpus["out"].exists()
 
     def test_help_available(self, capsys):
         for sub in ("evaluate", "prompts", "embed"):
