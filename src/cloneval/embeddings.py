@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     MissingEmbedding,
     ModelLoadError,
+    ModelRunError,
     NonFiniteEmbedding,
     ParseError,
     SchemaError,
@@ -140,17 +141,25 @@ class OnnxModelBackend:
             dimension = (outputs[0].shape or [None])[-1]
         if not isinstance(dimension, int):
             # only the length is read, so a NaN in the output does not matter
-            silence = AudioBuffer(np.zeros(PIPELINE_RATE), PIPELINE_RATE)
             try:
-                dimension = len(self._embed(silence, None))
+                dimension = len(self._run(np.zeros(PIPELINE_RATE)))
             except Exception as exc:
                 raise ModelLoadError(f"model {path} cannot embed 1 s of silence: {exc}") from exc
         self.dimension = dimension
 
-    def _embed(self, buf: AudioBuffer, key: str | None) -> np.ndarray:
-        waveform = np.asarray(buf.samples, dtype=np.float32)[None, :]
+    def _run(self, samples: np.ndarray) -> np.ndarray:
+        """The session's output for ``samples``, flattened to float64."""
+        with np.errstate(over="raise"):  # a sample past the range of the float32 input
+            waveform = np.asarray(samples, dtype=np.float32)[None, :]
         (raw,) = self._session.run([self._output_name], {self._input_name: waveform})
         return np.asarray(raw, dtype=np.float64).reshape(-1)
+
+    def _embed(self, buf: AudioBuffer, key: str) -> np.ndarray:
+        try:
+            return self._run(buf.samples)
+        except Exception as exc:  # the runtime raises types of its own
+            raise ModelRunError(f"model {Path(self._path).name} cannot embed {key!r}: "
+                                f"{exc}") from exc
 
     def describe(self) -> str:
         return f"model:{Path(self._path).name}"

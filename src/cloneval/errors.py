@@ -25,6 +25,10 @@ class ModelLoadError(ClonevalError):
     """Embedding backend could not be loaded."""
 
 
+class ModelRunError(ClonevalError):
+    """The embedding model failed to run on a file's audio, or gave an unreadable output."""
+
+
 class SchemaError(ClonevalError):
     """Model graph does not have the expected one-input/one-output shape."""
 

@@ -23,6 +23,7 @@ from . import __version__
 from .audio_io import PIPELINE_RATE, decode_wav, downmix_mono, resample
 from .embeddings import embed, read_json_object
 from .errors import (
+    ClonevalError,
     DimensionMismatch,
     EmptyInput,
     EvaluationFailed,
@@ -190,29 +191,44 @@ class EvalConfig:
 
 def load_mono_16k(path):
     """Decode a WAV file to mono and resample it to 16 kHz."""
-    buf = decode_wav(Path(path).read_bytes())
-    # downmix_mono is the identity; the benchmark's traced pass times it here
-    return resample(downmix_mono(buf), PIPELINE_RATE)
+    return resample(decode_wav(Path(path).read_bytes()), PIPELINE_RATE)
 
 
-def _file_vectors(stem, path, backend):
-    """Decode, resample, extract and embed one file: ``(vectors, error)``.
+@dataclass(frozen=True)
+class FileOutcome:
+    """One file's vectors, or the step that failed and why.
 
     ``vectors`` maps metric ids to vectors: the ten feature summaries, plus,
-    with a ``backend``, the embedding of ``stem`` under ``EMBEDDING_METRIC``,
-    which must have the backend's dimension. It is None when the features
-    could not be extracted; a file whose embedding fails keeps its features.
-    ``error`` is None or the file's failure as ``"Type: message"``.
+    with a backend, the embedding under ``EMBEDDING_METRIC``. It is None when
+    the features could not be extracted; a file whose embedding fails keeps
+    its features. ``stage`` is the failed step, ``decode``, ``resample``,
+    ``extract`` or ``embed``, and ``error`` the failure as ``"Type: message"``.
     """
-    vectors = None
+
+    vectors: dict | None
+    stage: str | None = None
+    error: str | None = None
+
+
+def _file_vectors(stem, path, backend) -> FileOutcome:
+    """Decode, resample, extract and, with a ``backend``, embed one file.
+
+    A ClonevalError or OSError fails the file at its step; any other exception is a bug.
+    """
+    vectors, stage = None, "decode"
     try:
-        buf = load_mono_16k(path)
+        # downmix_mono is the identity; the benchmark's traced pass times it here
+        buf = downmix_mono(decode_wav(Path(path).read_bytes()))
+        stage = "resample"
+        buf = resample(buf, PIPELINE_RATE)
+        stage = "extract"
         vectors = extract_summaries(buf)
         if backend is not None:
+            stage = "embed"
             vectors[EMBEDDING_METRIC] = embed(backend, buf, key=stem)
-    except Exception as exc:
-        return vectors, f"{type(exc).__name__}: {exc}"
-    return vectors, None
+    except (ClonevalError, OSError) as exc:
+        return FileOutcome(vectors, stage, f"{type(exc).__name__}: {exc}")
+    return FileOutcome(vectors)
 
 
 _worker_backends = None  # set in each worker process by _start_worker
@@ -284,32 +300,28 @@ def evaluate_corpus(pairs, config: EvalConfig, dump=None):
     is 1, else in at most that many forked worker processes. A pair is
     scored only when neither file failed; its error is the reference file's,
     else the generated file's. ``dump`` and ``score_pair`` run in the calling
-    process, in pair order. Raises EvaluationFailed only when a worker
-    process dies. ``dump``, when given, is called as ``dump(pair_id, side,
-    feature_id, vector)`` for every feature summary of every pair whose two
-    files' features were extracted, also when an embedding or the scoring
-    fails later, with ``side`` "reference" or "generated".
+    process, in pair order. A worker process that dies raises
+    EvaluationFailed, and a bug (see ``_file_vectors``) propagates. ``dump``,
+    when given, is called as ``dump(pair_id, side, feature_id, vector)`` for
+    every feature summary of every pair whose two files' features were
+    extracted, also when an embedding fails, with ``side`` "reference" or
+    "generated".
     """
     records = []
     errors = {}
-    files = _pair_outcomes(pairs, config)
-    for (stem, ref_path, gen_path), (ref, ref_error), (gen, gen_error) in zip(
-            pairs, files, files, strict=True):  # each pair takes the next two file outcomes
-        error = ref_error or gen_error
-        try:
-            if ref is not None and gen is not None and dump is not None:
-                for side_name, side in (("reference", ref), ("generated", gen)):
-                    for feature_id in FEATURE_IDS:
-                        dump(stem, side_name, feature_id, side[feature_id])
-            if error is None:
-                record = score_pair(stem, parse_emotion(stem, config.aliases), ref, gen)
-                record.reference_file = str(ref_path)
-                record.generated_file = str(gen_path)
-                records.append(record)
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        if error is not None:
-            errors[stem] = error
+    files = _pair_outcomes(pairs, config)  # each pair takes the next two
+    for (stem, ref_path, gen_path), ref, gen in zip(pairs, files, files, strict=True):
+        if dump is not None and ref.vectors is not None and gen.vectors is not None:
+            for side_name, side in (("reference", ref), ("generated", gen)):
+                for feature_id in FEATURE_IDS:
+                    dump(stem, side_name, feature_id, side.vectors[feature_id])
+        if ref.error or gen.error:
+            errors[stem] = ref.error or gen.error
+            continue
+        record = score_pair(stem, parse_emotion(stem, config.aliases), ref.vectors, gen.vectors)
+        record.reference_file = str(ref_path)
+        record.generated_file = str(gen_path)
+        records.append(record)
     records.sort(key=lambda r: r.pair_id)
     return records, errors
 

@@ -220,6 +220,30 @@ MUTANTS = {
         "        taken += [(path, f\"a WAV in {flag}\") for path in list_wavs(directory).values()]\n",
         ("test_cli.py::TestEvaluate::test_each_input_directory_is_listed_once",),
     ),
+    # Every exception a file raises fails only its pair, a bug's included.
+    "file_failure_absorbs_any_exception": Mutant(
+        "cloneval/pipeline.py",
+        "    except (ClonevalError, OSError) as exc:\n",
+        "    except Exception as exc:\n",
+        ("test_cli.py::TestEvaluate::test_a_bug_stops_the_run_and_keeps_the_reports",),
+    ),
+    # A file that fails to resample is recorded as failing to decode.
+    "file_outcome_wrong_stage": Mutant(
+        "cloneval/pipeline.py",
+        '        stage = "resample"\n',
+        '        stage = "decode"\n',
+        ("test_pipeline.py::TestFileOutcome::test_a_failing_step_is_named_in_its_files_outcome",),
+    ),
+    # The runtime's own error leaves the model backend as it is: a bug to
+    # evaluate, and a traceback from embed.
+    "model_run_error_unwrapped": Mutant(
+        "cloneval/embeddings.py",
+        "except Exception as exc:  # the runtime raises types of its own",
+        "except ModelRunError as exc:",
+        ("test_embeddings.py::TestEmbed::test_model_run_failure_is_a_model_run_error",
+         "test_cli.py::TestEvaluate::test_model_run_failure_fails_its_pair",
+         "test_cli.py::TestEmbedCommand::test_model_run_failure_writes_no_manifest"),
+    ),
 }
 
 TIER1 = ("resample_length_floor", "contour_frames_without_floor_plus_one",

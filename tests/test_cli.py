@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (LONG_WAVEFORM, OVERFLOWING_48K, OVERFLOWING_48K_BAD, SR, SRC, make_wav,
-                      sine, white_noise)
-from cloneval import cli, pipeline
+from conftest import (LONG_WAVEFORM, OVERFLOWING_48K, OVERFLOWING_48K_BAD, SR, SRC, FakeSession,
+                      make_wav, sine, white_noise)
+from cloneval import cli, features, pipeline
 from cloneval.cli import _cmd_prompts, main
 from cloneval.errors import ParseError
 from cloneval.features import FEATURE_IDS, extract_summaries
@@ -51,6 +51,14 @@ def _evaluate_args(corpus, *extra):
         "--output-dir", str(corpus["out"]),
         *extra,
     ]
+
+
+def _refuse_long_waveforms(session, output_names, feeds, run=FakeSession.run):
+    """``FakeSession.run`` failing, as a runtime does, on waveforms above ``LONG_WAVEFORM``."""
+    (waveform,) = feeds.values()
+    if waveform.shape[1] > LONG_WAVEFORM:
+        raise RuntimeError("waveform too long")
+    return run(session, output_names, feeds)
 
 
 def _running(pid):
@@ -243,6 +251,39 @@ class TestEvaluate:
             "spk1_happy_01": "DimensionMismatch: model produced dimension 5, expected 4"}
         assert summary["counts"] == {"anger": 1, "sadness": 1}
         assert summary["config"]["embedding_dim"] == 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_model_run_failure_fails_its_pair(self, corpus, fake_onnx_model, monkeypatch,
+                                              workers):
+        # forked workers inherit the patch, and reopen the model with it
+        monkeypatch.setattr(FakeSession, "run", _refuse_long_waveforms)
+        long_tone = sine(330, (LONG_WAVEFORM + 1000) / SR)
+        (corpus["gen"] / "spk1_sad_02.wav").write_bytes(make_wav(long_tone))
+        rc = main(_evaluate_args(corpus, "--workers", str(workers),
+                                 "--embedding-model", str(fake_onnx_model)))
+        assert rc == 0
+        summary = json.loads((corpus["out"] / "summary.json").read_text())
+        assert summary["errors"] == {"spk1_sad_02": "ModelRunError: model fake.onnx cannot "
+                                     "embed 'spk1_sad_02': waveform too long"}
+        assert summary["counts"] == {"anger": 1, "happiness": 1}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_bug_stops_the_run_and_keeps_the_reports(self, corpus, monkeypatch, workers):
+        # a bug is not a file's failure: no pair absorbs it, and no report is written
+        assert main(_evaluate_args(corpus, "--no-embedding")) == 0
+        previous = {p.name: p.read_bytes() for p in corpus["out"].iterdir()}
+        (corpus["gen"] / "spk1_sad_02.wav").write_bytes(make_wav(sine(330, 0.5)))
+        flatness = features.spectral_flatness
+
+        def broken(power):  # only the 0.5 s file has more than 19 frames
+            if power.shape[1] > 19:
+                raise IndexError("planted")
+            return flatness(power)
+
+        monkeypatch.setattr(features, "spectral_flatness", broken)
+        with pytest.raises(IndexError, match="^planted$"):
+            main(_evaluate_args(corpus, "--no-embedding", "--workers", str(workers)))
+        assert {p.name: p.read_bytes() for p in corpus["out"].iterdir()} == previous
 
     def test_reference_error_wins_over_the_generated_one(self, corpus, tmp_path):
         # the reference fails at extraction, a stage after the generated
@@ -926,6 +967,21 @@ class TestEmbedCommand:
         assert capsys.readouterr().err == (
             f"error: {wav_dir / 'a.wav'}: embedding of 'a' holds non-finite (NaN or Inf) "
             "values\n")
+        assert not out.exists()
+
+    def test_model_run_failure_writes_no_manifest(self, tmp_path, fake_onnx_model, monkeypatch,
+                                                  capsys):
+        monkeypatch.setattr(FakeSession, "run", _refuse_long_waveforms)
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        (wav_dir / "a_long.wav").write_bytes(make_wav(sine(220, (LONG_WAVEFORM + 1000) / SR)))
+        (wav_dir / "b_short.wav").write_bytes(make_wav(sine(220, 0.05)))
+        out = tmp_path / "e.json"
+        rc = main(["embed", "--input-dir", str(wav_dir), "--model", str(fake_onnx_model),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {wav_dir / 'a_long.wav'}: model fake.onnx "
+                                           "cannot embed 'a_long': waveform too long\n")
         assert not out.exists()
 
     def test_out_naming_an_input_wav_is_usage_error(self, tmp_path, capsys):

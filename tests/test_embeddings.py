@@ -19,6 +19,7 @@ from cloneval.errors import (
     FormatError,
     MissingEmbedding,
     ModelLoadError,
+    ModelRunError,
     ParseError,
     RateError,
     SchemaError,
@@ -263,6 +264,20 @@ class TestEmbed:
     def test_missing_key(self, backend):
         with pytest.raises(MissingEmbedding):
             embed(backend, mono_buffer(sine(220, 0.05)), key="absent")
+
+    def test_model_run_failure_is_a_model_run_error(self, fake_onnx_model, monkeypatch):
+        backend = load_backend(model_path=str(fake_onnx_model))
+        monkeypatch.setattr(FakeSession, "run", _refuse_to_run)
+        with pytest.raises(ModelRunError, match="^model fake.onnx cannot embed 'a': session run$"):
+            embed(backend, mono_buffer(sine(220, 0.05)), key="a")
+
+    def test_samples_past_the_float32_range_are_a_model_run_error(self, fake_onnx_model):
+        # finite float64 samples that the model's float32 input cannot hold;
+        # numpy would warn and hand the model infinities
+        backend = load_backend(model_path=str(fake_onnx_model))
+        with pytest.raises(ModelRunError, match="^model fake.onnx cannot embed 'a': overflow "
+                           "encountered in cast$"):
+            embed(backend, mono_buffer(np.full(800, 1e39)), key="a")
 
     def test_other_length_is_a_dimension_mismatch(self):
         backend = PrecomputedBackend({"four": np.ones(4), "five": np.ones(5)}, 4)

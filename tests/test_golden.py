@@ -13,17 +13,24 @@ streams may change between versions (NEP 19); ``random()`` is the one
 ``Random`` method whose stream Python keeps.
 
 ``evaluate`` runs from inside the corpus directory on relative paths, with
-``--workers 1`` and with ``--workers 2``. When numpy's version equals the
-one recorded in ``tests/golden/numpy_version.txt``, both runs must give
-the committed bytes. Under another numpy version the reports are parsed
-and every score must match at 1e-6, the report precision; every other
-field must match exactly. The test prints which of the two checks ran.
+``--workers 1`` and with ``--workers 2``, and also writes the feature dump.
+When numpy's version equals the one recorded in
+``tests/golden/numpy_version.txt``, both runs must give the committed
+report bytes. The dump holds every summary's last bit, which the reports'
+six decimals hide, and those bits move with numpy's SIMD code paths. So
+``tests/golden/features.sha256`` holds the dump's SHA-256 and, on its
+second line, the dispatch levels numpy had enabled when it was made; where
+numpy's version and those levels both match, both runs' dumps must have
+that digest. Under another numpy version the reports are parsed and every
+score must match at 1e-6, the report precision; every other field must
+match exactly. The test prints which checks ran.
 
-A change that moves a report byte on purpose regenerates the files with
+A change that moves a report or dump byte on purpose regenerates the files
+with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in its change log which rows moved and why.
+and says in its change log which rows or summaries moved and why.
 
 The reports must also not depend on which SIMD code paths numpy picks for
 the CPU. The same corpus is evaluated in a child process at each dispatch
@@ -35,6 +42,7 @@ bytes of a one-worker run.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -58,7 +66,9 @@ except ImportError:  # numpy before 2.0
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = ("details.csv", "summary.json")
+DUMP = "features.jsonl"
 NUMPY_VERSION_FILE = GOLDEN / "numpy_version.txt"
+DUMP_DIGEST_FILE = GOLDEN / "features.sha256"
 SCORE_TOLERANCE = 1e-6
 EMBED_DIM = 8
 
@@ -129,14 +139,15 @@ def write_corpus(root, pairs=PAIRS, seed=19):
 
 
 def evaluate_argv(out, workers):
-    """``evaluate`` of the corpus on relative paths, into ``out``."""
+    """``evaluate`` of the corpus on relative paths, into ``out``, with its feature dump."""
     return ["evaluate", "--reference-dir", "ref", "--generated-dir", "gen",
             "--output-dir", out, "--embeddings-ref", "ref.json",
-            "--embeddings-gen", "gen.json", "--workers", str(workers)]
+            "--embeddings-gen", "gen.json", "--workers", str(workers),
+            "--dump-features", f"{out}/{DUMP}"]
 
 
 def run_reports(root, workers):
-    """Run ``evaluate`` in ``root`` on relative paths; the two reports' bytes."""
+    """Run ``evaluate`` in ``root`` on relative paths; the two reports' and the dump's bytes."""
     out = f"out_w{workers}"
     cwd = os.getcwd()
     os.chdir(root)
@@ -145,7 +156,16 @@ def run_reports(root, workers):
     finally:
         os.chdir(cwd)
     assert rc == 0
-    return {name: (Path(root) / out / name).read_bytes() for name in REPORTS}
+    return {name: (Path(root) / out / name).read_bytes() for name in (*REPORTS, DUMP)}
+
+
+def dump_digest(reports):
+    return hashlib.sha256(reports[DUMP]).hexdigest()
+
+
+def enabled_dispatch():
+    """The SIMD dispatch levels numpy has enabled in this process, space-separated."""
+    return " ".join(level for level in __cpu_dispatch__ if __cpu_features__[level])
 
 
 def _first_difference(name, got, want, source="golden"):
@@ -185,8 +205,11 @@ def test_reports_match_golden(tmp_path):
     write_corpus(tmp_path)
     golden = {name: (GOLDEN / name).read_bytes() for name in REPORTS}
     exact = np.__version__ == NUMPY_VERSION_FILE.read_text().strip()
-    print(f"golden check: {'bytes' if exact else f'scores at {SCORE_TOLERANCE}'} "
-          f"(numpy {np.__version__})")
+    digest, dispatch = DUMP_DIGEST_FILE.read_text().splitlines()
+    pin_dump = exact and dispatch == enabled_dispatch()
+    print(f"golden check: {'bytes' if exact else f'scores at {SCORE_TOLERANCE}'}"
+          f" (numpy {np.__version__}); dump digest {'compared' if pin_dump else 'not compared'}"
+          f" (SIMD dispatch {enabled_dispatch()!r}, golden {dispatch!r})")
     for workers in (1, 2):
         reports = run_reports(tmp_path, workers)
         for name in REPORTS:
@@ -195,6 +218,8 @@ def test_reports_match_golden(tmp_path):
                     name, reports[name], golden[name])
             else:
                 _close(_parsed(name, reports[name]), _parsed(name, golden[name]), name)
+        if pin_dump:
+            assert dump_digest(reports) == digest, f"{DUMP} of --workers {workers}"
 
 
 def test_golden_corpus_covers_its_cases():
@@ -282,7 +307,9 @@ if __name__ == "__main__":
         write_corpus(tmp)
         reports = run_reports(tmp, 1)
     GOLDEN.mkdir(exist_ok=True)
-    for name, data in reports.items():
-        (GOLDEN / name).write_bytes(data)
+    for name in REPORTS:
+        (GOLDEN / name).write_bytes(reports[name])
+    DUMP_DIGEST_FILE.write_text(f"{dump_digest(reports)}\n{enabled_dispatch()}\n")
     NUMPY_VERSION_FILE.write_text(np.__version__ + "\n")
-    print(f"wrote {', '.join(REPORTS)} and {NUMPY_VERSION_FILE.name} to {GOLDEN}")
+    print(f"wrote {', '.join(REPORTS)}, {DUMP_DIGEST_FILE.name} and {NUMPY_VERSION_FILE.name}"
+          f" to {GOLDEN}")

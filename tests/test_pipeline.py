@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_wav, sine, white_noise
-from cloneval import pipeline
+from cloneval import _kernels, errors as cloneval_errors, pipeline
 from cloneval.embeddings import load_backend
-from cloneval.errors import DimensionMismatch, EmptyInput, NoPairs, ParseError, TooFewSamples
-from cloneval.features import FEATURE_IDS
+from cloneval.errors import (DimensionMismatch, EmptyInput, FormatError, NoPairs, ParseError,
+                             TooFewSamples)
+from cloneval.features import FEATURE_IDS, MIN_SAMPLES
 from cloneval.pipeline import (
     EvalConfig,
+    FileOutcome,
     aggregate,
     discover_pairs,
     evaluate_corpus,
@@ -24,7 +26,7 @@ from cloneval.pipeline import (
     parse_emotion,
     write_reports,
 )
-from cloneval.similarity import PairRecord
+from cloneval.similarity import PairRecord, metric_order
 
 
 class TestDiscoverPairs:
@@ -252,6 +254,116 @@ class TestEvaluateCorpus:
             wav_dir_factory, {"a_happy": sine(220, 0.2)}, aliases={}
         )
         assert records[0].emotion == "unknown"
+
+
+SILENCE = np.zeros(4800)
+# stage: the step it runs, as ``pipeline`` looks it up, and whether a call
+# of that step is on silent audio
+STEPS = {
+    "decode": ("decode_wav", lambda data: data == make_wav(SILENCE)),
+    "resample": ("resample", lambda buf, rate: not buf.samples.any()),
+    "extract": ("extract_summaries", lambda buf: not buf.samples.any()),
+    "embed": ("embed", lambda backend, buf, key: not buf.samples.any()),
+}
+
+
+class TestFileOutcome:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("stage", sorted(STEPS))
+    def test_a_failing_step_is_named_in_its_files_outcome(self, wav_dir_factory, tmp_path,
+                                                          monkeypatch, stage, workers):
+        files = {"a": sine(220, 0.3), "b": sine(330, 0.3)}
+        ref = wav_dir_factory(files)
+        gen = wav_dir_factory(dict(files, b=SILENCE))
+        manifest = tmp_path / "emb.json"
+        manifest.write_text(json.dumps({"a": [0.1, 0.2], "b": [0.2, 0.1]}))
+        backend = load_backend(precomputed_path=str(manifest))
+        name, silent = STEPS[stage]
+        real = getattr(pipeline, name)
+
+        def planted(*args, **kwargs):
+            if silent(*args, **kwargs):
+                raise FormatError(f"planted in {name}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, planted)  # forked workers inherit the patch
+        pairs, _, _ = discover_pairs(ref, gen)
+        config = EvalConfig(backends=(backend, backend), workers=workers)
+        outcomes = list(pipeline._pair_outcomes(pairs, config))
+        assert all(isinstance(outcome, FileOutcome) for outcome in outcomes)
+        assert [(o.stage, o.error) for o in outcomes] == [(None, None)] * 3 + [
+            (stage, f"FormatError: planted in {name}")]
+        # a file whose embedding fails keeps its features
+        assert (outcomes[3].vectors is not None) == (stage == "embed")
+        assert evaluate_corpus(pairs, config)[1] == {"b": f"FormatError: planted in {name}"}
+
+
+# Rates the benchmark and the golden corpus use. A corpus draws one more
+# rate from the whole range: a rate prime to 16 kHz builds a resampling
+# plan of 10-30 MB in about 0.2 s.
+COMMON_RATES = (8000, 11025, 16000, 22050, 44100, 48000, 96000)
+CLONEVAL_ERRORS = {value.__name__ for value in vars(cloneval_errors).values()
+                   if isinstance(value, type) and issubclass(value, cloneval_errors.ClonevalError)}
+
+
+@st.composite
+def wav_files(draw, odd_rate):
+    """One WAV file of silence, DC, an impulse, noise or a tone, in 1-4 channels."""
+    rate = draw(st.sampled_from(COMMON_RATES + (odd_rate,)))
+    fmt = draw(st.sampled_from(("pcm16", "pcm24", "pcm32", "float32", "float64")))
+    # as long at 16 kHz as this: about as often too short as long enough
+    length = draw(st.integers(1, MIN_SAMPLES - 1) | st.integers(MIN_SAMPLES, MIN_SAMPLES + 4000))
+    frames = max(1, length * rate // 16000)
+    amp = draw(st.floats(1e-320, 1e308))
+    if fmt.startswith("pcm"):
+        amp = min(amp, 1.0)
+    elif fmt == "float32":
+        amp = min(amp, float(np.finfo(np.float32).max))
+    content = draw(st.sampled_from(("silence", "dc", "impulse", "noise", "tone")))
+    x = np.zeros(frames)
+    if content == "dc":
+        x[:] = amp
+    elif content == "impulse":
+        x[draw(st.integers(0, frames - 1))] = amp
+    elif content == "noise":
+        x = amp * np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1, 1, frames)
+    elif content == "tone":
+        freq = draw(st.floats(1.0, rate / 2))
+        x = amp * np.sin(2 * np.pi * freq * np.arange(frames) / rate)
+    gains = draw(st.lists(st.sampled_from([1.0, -1.0, 0.5]), min_size=1, max_size=4))
+    return make_wav(np.outer(x, gains), sr=rate, fmt=fmt)
+
+
+@st.composite
+def corpora(draw):
+    """``[(reference WAV, generated WAV)]`` of 1-3 pairs."""
+    odd_rate = draw(st.integers(8000, 96000))
+    return [(draw(wav_files(odd_rate)), draw(wav_files(odd_rate)))
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(corpora())
+def test_every_pair_is_scored_or_fails_with_a_cloneval_error(corpus):
+    # the input contract: no other exception, and no numpy warning, which
+    # pytest makes an error
+    with tempfile.TemporaryDirectory() as root:
+        for side, blobs in (("ref", [ref for ref, _ in corpus]), ("gen", [g for _, g in corpus])):
+            (Path(root) / side).mkdir()
+            for i, blob in enumerate(blobs):
+                (Path(root) / side / f"p{i}.wav").write_bytes(blob)
+        pairs, _, _ = discover_pairs(Path(root) / "ref", Path(root) / "gen")
+        try:
+            records, errors = evaluate_corpus(pairs, EvalConfig())
+        finally:
+            _kernels._resample_plan.cache_clear()  # odd rates' plans are large
+    assert sorted([r.pair_id for r in records] + list(errors)) == [f"p{i}" for i in
+                                                                   range(len(corpus))]
+    for record in records:
+        assert list(record.scores) == metric_order(False)
+        assert all(-1.0 <= value <= 1.0 for value in record.scores.values())
+    for error in errors.values():
+        assert error.split(":")[0] in CLONEVAL_ERRORS, error
 
 
 @pytest.fixture(scope="module")
