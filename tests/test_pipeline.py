@@ -308,7 +308,10 @@ CLONEVAL_ERRORS = {value.__name__ for value in vars(cloneval_errors).values()
 
 @st.composite
 def wav_files(draw, odd_rate):
-    """One WAV file of silence, DC, an impulse, noise or a tone, in 1-4 channels."""
+    """One WAV file of silence, DC, an impulse, noise or a tone in 1-4 channels, PCM or float.
+
+    Float files take amplitudes from 1e-320 to 1e308, or to the float32 limit.
+    """
     rate = draw(st.sampled_from(COMMON_RATES + (odd_rate,)))
     fmt = draw(st.sampled_from(("pcm16", "pcm24", "pcm32", "float32", "float64")))
     # as long at 16 kHz as this: about as often too short as long enough
@@ -348,10 +351,10 @@ def test_every_pair_is_scored_or_fails_with_a_cloneval_error(corpus):
     # the input contract: no other exception, and no numpy warning, which
     # pytest makes an error
     with tempfile.TemporaryDirectory() as root:
-        for side, blobs in (("ref", [ref for ref, _ in corpus]), ("gen", [g for _, g in corpus])):
+        for index, side in enumerate(("ref", "gen")):
             (Path(root) / side).mkdir()
-            for i, blob in enumerate(blobs):
-                (Path(root) / side / f"p{i}.wav").write_bytes(blob)
+            for i, pair in enumerate(corpus):
+                (Path(root) / side / f"p{i}.wav").write_bytes(pair[index])
         pairs, _, _ = discover_pairs(Path(root) / "ref", Path(root) / "gen")
         try:
             records, errors = evaluate_corpus(pairs, EvalConfig())
